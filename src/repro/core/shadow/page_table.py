@@ -156,7 +156,10 @@ class PageTableSubsystem:
         yield request.done
         del self._loading[pt_page]
         yield from self._insert(pt_page)
-        if not event.triggered:
+        # Only lookups that found this read in flight hold ``event``, and
+        # each waits on it already (it has left ``_loading``): with no
+        # waiter, firing it would add a calendar entry nobody can observe.
+        if event.callbacks and not event.triggered:
             event.succeed()
 
     def _insert(self, pt_page: int):

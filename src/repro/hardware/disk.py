@@ -224,7 +224,7 @@ class Disk:
             service = self._service_time(batch)
             # Duck-typed tracer (repro.trace attaches itself via env.tracer;
             # the literal name is registered in the span catalogue).
-            tracer = getattr(env, "tracer", None)
+            tracer = env.tracer
             span = None
             if tracer is not None:
                 span = tracer.begin(

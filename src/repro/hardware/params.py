@@ -17,6 +17,7 @@ paper's bare-machine numbers in ``EXPERIMENTS.md``:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 __all__ = ["CostModel", "CpuParams", "DiskParams", "IBM_3350", "VAX_11_750"]
 
@@ -33,15 +34,17 @@ class DiskParams:
     max_seek_ms: float = 50.0
     rotation_ms: float = 16.7
 
-    @property
+    # Derived geometry is read on every page placement and disk access;
+    # the instance is frozen, so each value is computed once and cached.
+    @cached_property
     def pages_per_cylinder(self) -> int:
         return self.tracks_per_cylinder * self.pages_per_track
 
-    @property
+    @cached_property
     def capacity_pages(self) -> int:
         return self.cylinders * self.pages_per_cylinder
 
-    @property
+    @cached_property
     def transfer_ms(self) -> float:
         """Time to transfer one page (a track sector) under the heads."""
         return self.rotation_ms / self.pages_per_track

@@ -22,9 +22,22 @@ Design:
   subgraph: every route that must run the finalizer (normal completion,
   a caught-or-uncaught exception, ``return``/``break``/``continue``
   unwinding) flows through the one compiled copy, and the finalizer's
-  exit fans out to each registered continuation.  This merges routes a
-  duplicating compiler would keep apart — a deliberate, conservative
-  imprecision that keeps the statement-to-block mapping a partition.
+  exit fans out to each registered continuation.  Sharing keeps the
+  statement-to-block mapping a partition; the edge labels below keep the
+  merged routes apart again where it matters.
+* Edge labels carry the *continuation kind* across a shared finalizer.
+  An edge on which an exception enters a finalizer (a may-raise edge, an
+  explicit ``raise``, or an outer finalizer's raise continuation) is
+  labelled :data:`UNWIND`; an edge after which no exception is in flight
+  (a handler entry, a normal completion, a ``return``/``break``/
+  ``continue``) is :data:`SETTLE`; and an edge from a finalizer's end to
+  a non-exceptional continuation (the code after the ``try``, a parked
+  ``return``/``break``/``continue``) is :data:`RESUME`.  A route that
+  entered the finalizer by :data:`UNWIND` may not take a :data:`RESUME`
+  edge, so an exception-entered ``finally`` reaches only the handlers
+  and :attr:`CFG.raise_exit`.  :mod:`repro.lint.dataflow` carries the
+  "exception in flight" bit in its states and applies this rule;
+  :func:`dominators` and plain reachability ignore the labels.
 * Exceptions are modeled at the points that matter for the rules:
   explicit ``raise`` statements always unwind; additionally, every block
   inside a ``try`` body gets a may-raise edge to the handlers (any call
@@ -34,7 +47,10 @@ Design:
 Limits (documented, shared with docs/LINT.md): no short-circuit
 expression flow, ``with`` is transparent (its body runs inline; ``__exit__``
 cleanup semantics are not modeled), and ``while`` loops guarded by a
-literal ``True`` get no false exit edge.
+literal ``True`` get no false exit edge.  The continuation kind is one
+bit, not a stack: an exception caught by a handler *inside* a finalizer
+settles it, after which that finalizer's end may again take every
+continuation — an over-approximation, never a lost path.
 """
 
 from __future__ import annotations
@@ -43,6 +59,9 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = [
+    "RESUME",
+    "SETTLE",
+    "UNWIND",
     "BasicBlock",
     "CFG",
     "build_cfg",
@@ -51,11 +70,19 @@ __all__ = [
     "statements_of",
 ]
 
+#: Edge label: an exception in flight enters a finalizer.
+UNWIND = "unwind"
+#: Edge label: past this edge no exception is in flight.
+SETTLE = "settle"
+#: Edge label: a finalizer's end resumes a non-exceptional continuation;
+#: routes that entered the finalizer by :data:`UNWIND` cannot take it.
+RESUME = "resume"
+
 
 class BasicBlock:
     """A straight-line run of elements with edges to successor blocks."""
 
-    __slots__ = ("bid", "elements", "succs", "preds", "kind")
+    __slots__ = ("bid", "elements", "succs", "preds", "kind", "edge_labels")
 
     def __init__(self, bid: int, kind: str = "code"):
         self.bid = bid
@@ -65,6 +92,8 @@ class BasicBlock:
         self.preds: List["BasicBlock"] = []
         #: "code", "exit" (normal completion) or "raise" (uncaught exception).
         self.kind = kind
+        #: Successor bid -> labels of the edges to it (None = unlabelled).
+        self.edge_labels: Dict[int, Set[Optional[str]]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<B{self.bid} {self.kind} {len(self.elements)} elems>"
@@ -86,10 +115,11 @@ class CFG:
         return block
 
     @staticmethod
-    def add_edge(src: BasicBlock, dst: BasicBlock) -> None:
+    def add_edge(src: BasicBlock, dst: BasicBlock, label: Optional[str] = None) -> None:
         if dst not in src.succs:
             src.succs.append(dst)
             dst.preds.append(src)
+        src.edge_labels.setdefault(dst.bid, set()).add(label)
 
     def reachable(self) -> List[BasicBlock]:
         """Blocks reachable from the entry, in a stable (bid) order."""
@@ -169,7 +199,9 @@ class _Builder:
         self.current = target
 
     # -- abrupt-exit routing ----------------------------------------------
-    def _unwind(self, kind: str, depth_limit: Optional[int] = None) -> None:
+    def _unwind(
+        self, kind: str, depth_limit: Optional[int] = None, resuming: bool = False
+    ) -> None:
         """Route an abrupt exit (return / raise / break / continue) from the
         current block outward through the control stack.
 
@@ -178,34 +210,40 @@ class _Builder:
         the loop frame at ``depth_limit``; ``return`` unwinds everything.
         Each intervening finally gets (a) an in-edge from the departing
         block and (b) a pending continuation resolved when its try finishes.
+        ``resuming`` marks a parked continuation leaving a finalizer's end:
+        its non-exceptional edges are labelled :data:`RESUME`.
         """
         src = self.current
         if src is None:
             return
+        raising = kind == "raise"
+        settled = RESUME if resuming else SETTLE
         for index in range(len(self.stack) - 1, -1, -1):
             frame = self.stack[index]
-            if kind == "raise" and frame.kind == "try" and frame.catches:
+            if raising and frame.kind == "try" and frame.catches:
                 for handler in frame.handler_entries:
-                    CFG.add_edge(src, handler)
+                    CFG.add_edge(src, handler, SETTLE)
                 self.current = None
                 return
             if kind in ("break", "continue") and frame.kind == "loop":
                 if depth_limit is not None and index != depth_limit:
                     continue
                 target = frame.break_to if kind == "break" else frame.continue_to
-                CFG.add_edge(src, target)
+                CFG.add_edge(src, target, settled)
                 self.current = None
                 return
             if frame.kind == "try" and frame.has_finally:
-                CFG.add_edge(src, frame.finally_entry)
+                CFG.add_edge(src, frame.finally_entry, UNWIND if raising else settled)
                 token = (kind, depth_limit)
                 if token not in frame.pending:
                     frame.pending.append(token)
                 self.current = None
                 return
         # Unwound past every frame.
-        target = self.cfg.exit if kind == "return" else self.cfg.raise_exit
-        CFG.add_edge(src, target)
+        if raising:
+            CFG.add_edge(src, self.cfg.raise_exit, UNWIND)
+        else:
+            CFG.add_edge(src, self.cfg.exit, settled)
         self.current = None
 
     def _loop_depth_for(self, _node: ast.AST) -> Optional[int]:
@@ -367,11 +405,11 @@ class _Builder:
         ]
         for block in body_blocks:
             for handler in handler_entries:
-                CFG.add_edge(block, handler)
+                CFG.add_edge(block, handler, SETTLE)
             if not stmt.handlers and frame.has_finally:
                 # No handlers: a raise anywhere in the body still runs the
                 # finalizer before propagating.
-                CFG.add_edge(block, frame.finally_entry)
+                CFG.add_edge(block, frame.finally_entry, UNWIND)
                 if ("raise", None) not in frame.pending:
                     frame.pending.append(("raise", None))
 
@@ -397,14 +435,14 @@ class _Builder:
         if frame.has_finally:
             for end in completions:
                 if end is not None:
-                    CFG.add_edge(end, frame.finally_entry)
+                    CFG.add_edge(end, frame.finally_entry, SETTLE)
             # Compile the shared finalizer (outside the frame: its own
             # raises/returns unwind past this try).
             self.current = frame.finally_entry
             self._stmts(stmt.finalbody)
             finally_end = self.current
             if finally_end is not None:
-                CFG.add_edge(finally_end, after)
+                CFG.add_edge(finally_end, after, RESUME)
                 # Resolve abrupt continuations that were parked on the frame.
                 for kind, depth in frame.pending:
                     self._unwind_from(finally_end, kind, depth)
@@ -417,7 +455,7 @@ class _Builder:
     def _unwind_from(self, block: BasicBlock, kind: str, depth: Optional[int]) -> None:
         saved = self.current
         self.current = block
-        self._unwind(kind, depth)
+        self._unwind(kind, depth, resuming=True)
         self.current = saved
 
 

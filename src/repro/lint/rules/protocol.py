@@ -35,7 +35,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from repro.lint.astutil import keyword_value, ordered_walk
 from repro.lint.callgraph import CallGraph, FunctionInfo, project_callgraph
 from repro.lint.cfg import build_cfg, CFG
-from repro.lint.dataflow import block_states
+from repro.lint.dataflow import Flow, block_states, states_at_exit
 from repro.lint.engine import ModuleContext, Project, Rule, register
 
 __all__ = [
@@ -151,12 +151,10 @@ class _ProtectionAnalysis:
                     protected = True
         return protected
 
-    def _entry_states(self, qualname: str) -> Dict[int, FrozenSet[bool]]:
+    def _flow(self, qualname: str) -> Flow:
         info = self.funcs[qualname]
         transfer = lambda state, element: self._step(info, state, element)
-        return block_states(
-            self.cfgs[qualname], transfer, self.entered_protected[qualname]
-        )
+        return Flow(self.cfgs[qualname], transfer, self.entered_protected[qualname])
 
     # -- fixpoint ----------------------------------------------------------
     def _solve(self) -> None:
@@ -166,16 +164,10 @@ class _ProtectionAnalysis:
             call_site_protected: Dict[str, List[bool]] = {}
             for qualname, info in self.funcs.items():
                 cfg = self.cfgs[qualname]
-                entry = self._entry_states(qualname)
+                flow = self._flow(qualname)
+                entry = flow.entry
                 # protects[f]: all states reaching the normal exit are True.
-                exit_states: Set[bool] = set()
-                for pred in cfg.exit.preds:
-                    if pred.bid not in entry:
-                        continue
-                    for state in entry[pred.bid]:
-                        for element in pred.elements:
-                            state = self._step(info, state, element)
-                        exit_states.add(state)
+                exit_states = flow.at_exit()
                 if exit_states and all(exit_states) and not self.protects[qualname]:
                     self.protects[qualname] = True
                     changed = True
@@ -251,7 +243,7 @@ class _ProtoRule(Rule):
         qualname: str,
         info: FunctionInfo,
     ) -> Iterator:
-        entry = analysis._entry_states(qualname)
+        entry = analysis._flow(qualname).entry
         flagged: Set[int] = set()
         for block in analysis.cfgs[qualname].reachable():
             if block.bid not in entry:
@@ -417,20 +409,10 @@ class _FaultAnalysis:
                     faulted = True
         return (mutated, faulted)
 
-    def _exit_states(self, qualname: str) -> Set[Tuple[bool, bool]]:
+    def _exit_states(self, qualname: str) -> FrozenSet[Tuple[bool, bool]]:
         info = self.funcs[qualname]
-        cfg = self.cfgs[qualname]
         transfer = lambda state, element: self._step(info, state, element)
-        entry = block_states(cfg, transfer, (False, False))
-        out: Set[Tuple[bool, bool]] = set()
-        for pred in cfg.exit.preds:
-            if pred.bid not in entry:
-                continue
-            for state in entry[pred.bid]:
-                for element in pred.elements:
-                    state = self._step(info, state, element)
-                out.add(state)
-        return out
+        return states_at_exit(self.cfgs[qualname], transfer, (False, False))
 
     def _solve(self) -> None:
         changed = True

@@ -29,7 +29,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Set
 
 from repro.lint.cfg import build_cfg
-from repro.lint.dataflow import block_states
+from repro.lint.dataflow import Flow
 from repro.lint.engine import ModuleContext, Project, Rule, register
 
 __all__ = ["Trace01CataloguedSpanNames", "Tr02SpanBalance"]
@@ -243,7 +243,8 @@ class Tr02SpanBalance(Rule):
                         return False
             return state
 
-        entry = block_states(cfg, transfer, False)
+        flow = Flow(cfg, transfer, False)
+        entry = flow.entry
         # Re-begin while open (a loop body that begins without ending).
         for block in cfg.reachable():
             if block.bid not in entry:
@@ -261,16 +262,7 @@ class Tr02SpanBalance(Rule):
                         )
                     state = transfer(state, element)
         # Open at the normal exit.
-        open_at_exit = False
-        for pred in cfg.exit.preds:
-            if pred.bid not in entry:
-                continue
-            for state in entry[pred.bid]:
-                for element in pred.elements:
-                    state = transfer(state, element)
-                if state:
-                    open_at_exit = True
-        if open_at_exit:
+        if True in flow.at_exit():
             anchor = min(assigns, key=lambda a: a.lineno)
             yield module.finding(
                 self.code,

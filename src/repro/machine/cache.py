@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.sim.core import Environment, Event, SimulationError
 from repro.sim.monitor import CounterStat, TimeWeightedStat
-from repro.sim.resources import Container
+from repro.sim.resources import Container, ContainerGet
 
 __all__ = ["DiskCache"]
 
@@ -50,22 +50,16 @@ class DiskCache:
         evt = self._frames.get(n)
         # The callback list survives until the event is *processed*, so this
         # works whether the grant was immediate or deferred.
-        evt.callbacks.append(self._on_acquired(n))
+        evt.callbacks.append(self._record)
         return evt
 
-    def _on_acquired(self, n: int):
-        def callback(_event) -> None:
-            self._record(n)
-
-        return callback
-
-    def _record(self, n: int) -> None:
-        self.allocations.increment(n)
+    def _record(self, grant: ContainerGet) -> None:
+        self.allocations.increment(grant.amount)
         self.free_frames.update(self.env.now, self.free)
 
     def release(self, n: int = 1) -> None:
-        """Return ``n`` frames to the pool."""
-        self._frames.put(n)
+        """Return ``n`` frames to the pool (no calendar entry of its own)."""
+        self._frames.release(n)
         self.free_frames.update(self.env.now, self.free)
 
     # -- blocked-page accounting ------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.base import AuxRead, DataPage, RecoveryArchitecture, WorkItem
+from repro.core.base import AuxRead, DataPage, RecoveryArchitecture
 from repro.hardware.disk import Disk, DiskAddress, make_disk, split_by_cylinder
 from repro.hardware.mirror import MirroredDisk
 from repro.hardware.placement import ClusteredPlacement, Placement
@@ -473,14 +473,15 @@ class DatabaseMachine:
         for item in self.arch.read_sequence(txn):
             yield window.get(1)
             if runtime.aborted:
-                window.put(1)
+                window.release(1)
                 break
-            pipelines.append(
-                env.process(
-                    self._item_pipeline(txn, runtime, item, window, tspan),
-                    name=f"pipe.t{txn.tid}",
-                )
-            )
+            if isinstance(item, DataPage):
+                pipeline = self._data_page_pipeline(txn, runtime, item.page, window, tspan)
+            elif isinstance(item, AuxRead):
+                pipeline = self._aux_read_pipeline(txn, runtime, item, window, tspan)
+            else:  # pragma: no cover - defensive
+                raise TypeError(f"unknown work item {item!r}")
+            pipelines.append(env.process(pipeline, name=f"pipe.t{txn.tid}"))
         if pipelines:
             yield env.all_of(pipelines)
 
@@ -523,92 +524,90 @@ class DatabaseMachine:
         return True
 
     # ------------------------------------------------------------------ pipelines
-    def _item_pipeline(self, txn, runtime, item: WorkItem, window: Container, tspan=None):
-        try:
-            if isinstance(item, DataPage):
-                yield from self._data_page_pipeline(txn, runtime, item.page, tspan)
-            elif isinstance(item, AuxRead):
-                yield from self._aux_read_pipeline(txn, runtime, item, tspan)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown work item {item!r}")
-        finally:
-            window.put(1)
-
-    def _data_page_pipeline(self, txn, runtime, page: int, tspan=None):
+    # Each pipeline holds one prefetch-window slot and returns it in its own
+    # ``finally``: the window is released after everything else the
+    # pipeline does, on every path.
+    def _data_page_pipeline(self, txn, runtime, page: int, window: Container, tspan=None):
         env = self.env
         is_update = page in txn.write_pages
         mode = LockMode.X if is_update else LockMode.S
-        lspan = self._tspan("lock.wait", parent=tspan, tid=txn.tid, page=page)
         try:
-            yield self.locks.acquire(txn.tid, page, mode)
-        except DeadlockAbort as abort:
-            self._tend(lspan, outcome="deadlock")
-            runtime.aborted = True
-            runtime.abort_cause = abort
-            return
-        self._tend(lspan, outcome="granted")
-        if runtime.aborted:
-            return
-        ispan = self._tspan("indirection", parent=tspan, tid=txn.tid, page=page)
-        yield from self.arch.before_page_read(txn, page)
-        self._tend(ispan)
-        if runtime.aborted:
-            return
-        fspan = self._tspan("cache.wait", parent=tspan, tid=txn.tid, frames=1)
-        yield self.cache.acquire(1)
-        self._tend(fspan)
-        if not runtime.started:
-            runtime.started = True
-            txn.start_time = env.now
-        disk_idx, addresses = self.arch.read_addresses(txn, page)
-        rspan = self._tspan("io.data.read", parent=tspan, tid=txn.tid, page=page)
-        request = self.data_disks[disk_idx].read(addresses, tag="data")
-        yield request.done
-        self._tend(rspan)
-        self.pages_read.increment()
-        self._trace("page_read", tid=txn.tid, page=page)
-        self.fault_hook("machine.page-read")
-        if runtime.aborted:
-            self.cache.release(1)
-            return
-        qspan = self._tspan("qp.wait", parent=tspan, tid=txn.tid)
-        qp_index, grant = yield from self.qps.acquire()
-        self._tend(qspan)
-        xspan = self._tspan(
-            "qp.exec", parent=tspan, tid=txn.tid, page=page, update=is_update
-        )
-        self._qp_holders[qp_index] = (txn, runtime)
-        try:
-            yield env.timeout(self.arch.page_cpu_ms(txn, page, is_update))
+            lspan = self._tspan("lock.wait", parent=tspan, tid=txn.tid, page=page)
+            try:
+                yield self.locks.acquire(txn.tid, page, mode)
+            except DeadlockAbort as abort:
+                self._tend(lspan, outcome="deadlock")
+                runtime.aborted = True
+                runtime.abort_cause = abort
+                return
+            self._tend(lspan, outcome="granted")
+            if runtime.aborted:
+                return
+            ispan = self._tspan("indirection", parent=tspan, tid=txn.tid, page=page)
+            yield from self.arch.before_page_read(txn, page)
+            self._tend(ispan)
+            if runtime.aborted:
+                return
+            fspan = self._tspan("cache.wait", parent=tspan, tid=txn.tid, frames=1)
+            yield self.cache.acquire(1)
+            self._tend(fspan)
+            if not runtime.started:
+                runtime.started = True
+                txn.start_time = env.now
+            disk_idx, addresses = self.arch.read_addresses(txn, page)
+            rspan = self._tspan("io.data.read", parent=tspan, tid=txn.tid, page=page)
+            request = self.data_disks[disk_idx].read(addresses, tag="data")
+            yield request.done
+            self._tend(rspan)
+            self.pages_read.increment()
+            self._trace("page_read", tid=txn.tid, page=page)
+            self.fault_hook("machine.page-read")
+            if runtime.aborted:
+                self.cache.release(1)
+                return
+            qspan = self._tspan("qp.wait", parent=tspan, tid=txn.tid)
+            qp_index, grant = yield from self.qps.acquire()
+            self._tend(qspan)
+            xspan = self._tspan(
+                "qp.exec", parent=tspan, tid=txn.tid, page=page, update=is_update
+            )
+            self._qp_holders[qp_index] = (txn, runtime)
+            try:
+                yield env.timeout(self.arch.page_cpu_ms(txn, page, is_update))
+                if is_update and not runtime.aborted:
+                    yield from self.arch.on_page_updated(txn, page, qp_index)
+            finally:
+                self._qp_holders.pop(qp_index, None)
+                self.qps.release(qp_index, grant)
+                self._tend(xspan)
             if is_update and not runtime.aborted:
-                yield from self.arch.on_page_updated(txn, page, qp_index)
+                self.spawn_writeback(txn, page, parent=tspan)
+            else:
+                self.cache.release(1)
         finally:
-            self._qp_holders.pop(qp_index, None)
-            self.qps.release(qp_index, grant)
-            self._tend(xspan)
-        if is_update and not runtime.aborted:
-            self.spawn_writeback(txn, page, parent=tspan)
-        else:
-            self.cache.release(1)
+            window.release(1)
 
-    def _aux_read_pipeline(self, txn, runtime, item: AuxRead, tspan=None):
+    def _aux_read_pipeline(self, txn, runtime, item: AuxRead, window: Container, tspan=None):
         n_frames = len(item.addresses)
-        fspan = self._tspan("cache.wait", parent=tspan, tid=txn.tid, frames=n_frames)
-        yield self.cache.acquire(n_frames)
-        self._tend(fspan)
-        if not runtime.started:
-            runtime.started = True
-            txn.start_time = self.env.now
-        rspan = self._tspan(
-            "io.aux.read", parent=tspan, tid=txn.tid, tag=item.tag, pages=n_frames
-        )
-        yield from self.read_batched(item.disk_idx, item.addresses, item.tag)
-        self._tend(rspan)
-        if item.cpu_ms > 0 and not runtime.aborted:
-            xspan = self._tspan("qp.exec", parent=tspan, tid=txn.tid, cpu_ms=item.cpu_ms)
-            yield from self.qps.execute_ms(item.cpu_ms)
-            self._tend(xspan)
-        self.cache.release(n_frames)
+        try:
+            fspan = self._tspan("cache.wait", parent=tspan, tid=txn.tid, frames=n_frames)
+            yield self.cache.acquire(n_frames)
+            self._tend(fspan)
+            if not runtime.started:
+                runtime.started = True
+                txn.start_time = self.env.now
+            rspan = self._tspan(
+                "io.aux.read", parent=tspan, tid=txn.tid, tag=item.tag, pages=n_frames
+            )
+            yield from self.read_batched(item.disk_idx, item.addresses, item.tag)
+            self._tend(rspan)
+            if item.cpu_ms > 0 and not runtime.aborted:
+                xspan = self._tspan("qp.exec", parent=tspan, tid=txn.tid, cpu_ms=item.cpu_ms)
+                yield from self.qps.execute_ms(item.cpu_ms)
+                self._tend(xspan)
+            self.cache.release(n_frames)
+        finally:
+            window.release(1)
 
     def _trace(self, category: str, **fields) -> None:
         if self.timeline is not None:

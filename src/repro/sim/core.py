@@ -15,7 +15,7 @@ in this package use **milliseconds**, matching the paper).
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -101,7 +101,9 @@ class Event:
         self._ok = True
         self._value = value
         self._triggered = True
-        self.env._schedule(self, NORMAL)
+        env = self.env
+        env._eid += 1
+        heappush(env._queue, (env._now, NORMAL, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -118,7 +120,9 @@ class Event:
         self._ok = False
         self._value = exception
         self._triggered = True
-        self.env._schedule(self, NORMAL)
+        env = self.env
+        env._eid += 1
+        heappush(env._queue, (env._now, NORMAL, env._eid, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -153,14 +157,22 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
+        # ``not >=`` rather than ``<``: NaN compares false both ways and
+        # would otherwise slip through and poison the clock.
+        if not delay >= 0:
+            raise SimulationError(f"invalid delay {delay}")
+        # The hottest constructor in the kernel: set the slots and push
+        # straight onto the calendar (no Event.__init__ hop).
+        self.env = env
+        self.callbacks = []
         self._ok = True
         self._value = value
         self._triggered = True
-        env._schedule(self, NORMAL, delay)
+        self._processed = False
+        self._defused = False
+        self.delay = delay
+        env._eid += 1
+        heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
 
 
 class _Initialize(Event):
@@ -169,12 +181,15 @@ class _Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
+        self.env = env
         self.callbacks = [process._resume]
         self._ok = True
         self._value = None
         self._triggered = True
-        env._schedule(self, URGENT)
+        self._processed = False
+        self._defused = False
+        env._eid += 1
+        heappush(env._queue, (env._now, URGENT, env._eid, self))
 
 
 class Process(Event):
@@ -217,7 +232,9 @@ class Process(Event):
         interrupt_evt._defused = True
         interrupt_evt._triggered = True
         interrupt_evt.callbacks = [self._resume]
-        self.env._schedule(interrupt_evt, URGENT)
+        env = self.env
+        env._eid += 1
+        heappush(env._queue, (env._now, URGENT, env._eid, interrupt_evt))
         # Detach from the old target so its firing no longer resumes us.
         if self._target is not None and self._target.callbacks is not None:
             try:
@@ -232,25 +249,22 @@ class Process(Event):
         env = self.env
         env._active_process = self
         self._target = None
+        generator = self._generator
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = generator.send(event._value)
                 else:
                     event._defused = True
-                    next_event = self._generator.throw(event._value)
+                    next_event = generator.throw(event._value)
             except StopIteration as exc:
                 # Generator finished normally.
                 self._ok = True
                 self._value = exc.value
-                self._triggered = True
-                env._schedule(self, NORMAL)
                 break
             except BaseException as exc:  # noqa: BLE001 - propagate via event
                 self._ok = False
                 self._value = exc
-                self._triggered = True
-                env._schedule(self, NORMAL)
                 break
 
             if not isinstance(next_event, Event):
@@ -258,28 +272,30 @@ class Process(Event):
                     f"process {self.name!r} yielded non-event {next_event!r}"
                 )
                 try:
-                    self._generator.throw(error)
+                    generator.throw(error)
                 except StopIteration as exc:
                     self._ok = True
                     self._value = exc.value
-                    self._triggered = True
-                    env._schedule(self, NORMAL)
                     break
                 except BaseException as exc:  # noqa: BLE001
                     self._ok = False
                     self._value = exc
-                    self._triggered = True
-                    env._schedule(self, NORMAL)
                     break
                 continue
 
-            if next_event.callbacks is not None:
+            callbacks = next_event.callbacks
+            if callbacks is not None:
                 # Event still pending/triggered-not-processed: wait for it.
-                next_event.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self._target = next_event
-                break
+                env._active_process = None
+                return
             # Event already processed: loop around immediately with it.
             event = next_event
+        # The generator ended: the process event fires at this instant.
+        self._triggered = True
+        env._eid += 1
+        heappush(env._queue, (env._now, NORMAL, env._eid, self))
         env._active_process = None
 
 
@@ -398,20 +414,28 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling / stepping ----------------------------------------------
-    def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+    @property
+    def scheduled(self) -> int:
+        """Calendar entries created so far (the insertion counter).
+
+        Deterministic for a given model and seed, so it measures the
+        kernel's work independently of the host.
+        """
+        return self._eid
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the next scheduled event."""
+        """Process the next scheduled event.
+
+        :meth:`run` inlines this body in its loops; the two must stay in
+        step (``tests/test_sim_properties.py`` checks they agree).
+        """
         if not self._queue:
             raise SimulationError("step() on empty schedule")
-        when, _, _, event = heapq.heappop(self._queue)
-        self._now = when
+        self._now, _, _, event = heappop(self._queue)
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
@@ -429,25 +453,42 @@ class Environment:
         * ``until`` is an :class:`Event`: run until it is processed and return
           its value (raising if it failed).
         """
-        if until is None:
-            while self._queue:
-                self.step()
-            return None
+        queue = self._queue
         if isinstance(until, Event):
             stop = until
             while not stop._processed:
-                if not self._queue:
+                if not queue:
                     raise SimulationError(
                         "schedule ran dry before the awaited event fired"
                     )
-                self.step()
+                self._now, _, _, event = heappop(queue)
+                callbacks = event.callbacks
+                event.callbacks = None
+                event._processed = True
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
             if not stop._ok:
                 raise stop._value
             return stop._value
-        horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError(f"until={horizon} lies in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
-        self._now = horizon
+        if until is None:
+            horizon = float("inf")
+        else:
+            horizon = float(until)
+            if horizon < self._now:
+                raise SimulationError(
+                    f"until={horizon} lies in the past (now={self._now})"
+                )
+        while queue and queue[0][0] <= horizon:
+            self._now, _, _, event = heappop(queue)
+            callbacks = event.callbacks
+            event.callbacks = None
+            event._processed = True
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                raise event._value
+        if until is not None:
+            self._now = horizon
         return None

@@ -7,7 +7,8 @@
 * :class:`Store` — a FIFO buffer of Python objects with blocking get/put
   (used e.g. for message queues between processors).
 * :class:`Container` — a level of continuous/discrete "stuff" with blocking
-  get/put (used e.g. for free cache-frame accounting).
+  get/put, plus a non-blocking, event-free ``release`` (used e.g. for free
+  cache-frame accounting).
 
 Requests are usable as context managers inside processes::
 
@@ -314,6 +315,26 @@ class Container:
         self._putters.append(evt)
         self._dispatch()
         return evt
+
+    def release(self, amount: float) -> None:
+        """Return ``amount`` without blocking and without an event.
+
+        Grants waiting getters exactly as :meth:`put` would, but schedules
+        no put event of its own — for callers that never wait on the put
+        (a freed slot or frame), that calendar entry is pure overhead.
+        Raises instead of blocking: on overflow, or while putters queue.
+        """
+        if amount <= 0:
+            raise SimulationError("release amount must be positive")
+        if self._putters:
+            raise SimulationError("release while puts are pending")
+        if self._level + amount > self.capacity:
+            raise SimulationError(
+                f"release of {amount} overflows level {self._level} "
+                f"(capacity {self.capacity})"
+            )
+        self._level += amount
+        self._dispatch()
 
     def get(self, amount: float) -> ContainerGet:
         if amount <= 0:

@@ -1,4 +1,4 @@
-"""The lint CFG builder: edge sets, dominators, and the block partition.
+"""The lint CFG builder: edge sets and labels, dominators, the block partition.
 
 Each control shape the builder claims to handle gets a test asserting the
 *actual edges* (by the statements each block holds, not block numbers, so
@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.cfg import build_cfg, dominators, statements_of
+from repro.lint.cfg import RESUME, SETTLE, UNWIND, build_cfg, dominators, statements_of
+from repro.lint.dataflow import states_at_exit
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -245,6 +246,129 @@ def f():
         )
         e = edges(cfg)
         assert e[(3,)] == {(4, 5)}  # into the handler, never to raise-exit
+
+
+def _open_at_exit(source, exceptional=False):
+    """States of a one-bit "marker opened" machine at the chosen exit.
+
+    ``opened = ...`` sets the bit, a call to ``close()`` clears it.
+    """
+
+    def transfer(state, element):
+        for node in ast.walk(element):
+            if isinstance(node, ast.Name) and node.id == "opened":
+                if isinstance(node.ctx, ast.Store):
+                    return True
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "close"
+            ):
+                return False
+        return state
+
+    return states_at_exit(cfg_of(source), transfer, False, exceptional)
+
+
+class TestFinallyContinuations:
+    """Exception-entered finalizers resume only exceptional continuations."""
+
+    def test_edge_labels(self):
+        cfg = cfg_of(
+            """\
+def f(x):
+    try:
+        if x:
+            return early()
+        work()
+    finally:
+        cleanup()
+    after()
+"""
+        )
+        final = block_of_line(cfg, 7)
+        labels = {
+            label(succ): final.edge_labels[succ.bid] for succ in final.succs
+        }
+        assert labels["exit"] == {RESUME}
+        assert labels["raise"] == {UNWIND}
+        # Normal completion settles, a may-raise edge unwinds: both enter.
+        body = block_of_line(cfg, 5)
+        assert body.edge_labels[final.bid] == {SETTLE, UNWIND}
+
+    def test_exception_entered_finally_reaches_only_raise_exit(self):
+        source = """\
+def f(w):
+    try:
+        opened = begin()
+        try:
+            yield 1
+        except E:
+            close()
+            return
+        close()
+    finally:
+        w.release(1)
+"""
+        assert _open_at_exit(source) == {False}
+        # The may-raise route still reaches the raise exit, marker open.
+        assert True in _open_at_exit(source, exceptional=True)
+
+    def test_normal_route_through_finally_still_checked(self):
+        source = """\
+def f(w):
+    try:
+        opened = begin()
+        yield 1
+    finally:
+        w.release(1)
+    return
+"""
+        assert True in _open_at_exit(source)
+
+    def test_continue_in_finally_swallows_the_exception(self):
+        source = """\
+def f(w):
+    for i in range(3):
+        try:
+            opened = begin()
+            yield 1
+        finally:
+            w.release(1)
+            continue
+    return
+"""
+        assert True in _open_at_exit(source)
+
+    def test_outer_handler_catches_the_finalizer_raise(self):
+        source = """\
+def f(w):
+    try:
+        try:
+            opened = begin()
+            yield 1
+        finally:
+            w.release(1)
+    except E:
+        return
+"""
+        assert True in _open_at_exit(source)
+
+    def test_handler_inside_finalizer_stays_conservative(self):
+        source = """\
+def f(w):
+    try:
+        opened = begin()
+        yield 1
+    finally:
+        try:
+            w.release(1)
+        except E:
+            pass
+"""
+        # One bit, not a stack: the inner handler settles the route, so
+        # the finalizer's end may resume normally (an over-approximation).
+        assert True in _open_at_exit(source)
 
 
 class TestWithShape:

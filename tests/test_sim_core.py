@@ -44,6 +44,22 @@ class TestEnvironment:
     def test_peek_empty_is_inf(self):
         assert Environment().peek() == float("inf")
 
+    def test_scheduled_counts_calendar_entries(self):
+        env = Environment()
+        assert env.scheduled == 0
+        pending = env.event()  # a bare event is not on the calendar yet
+        assert env.scheduled == 0
+
+        def proc(env):
+            yield env.timeout(1)
+
+        env.process(proc(env))  # its start event
+        pending.succeed()
+        assert env.scheduled == 2
+        env.run()
+        # + the timeout and the process-end event; stepping adds nothing.
+        assert env.scheduled == 4
+
     def test_peek_returns_next_event_time(self):
         env = Environment()
         env.timeout(7)
@@ -78,6 +94,21 @@ class TestTimeout:
         env = Environment()
         with pytest.raises(SimulationError):
             env.timeout(-1)
+
+    def test_nan_delay_raises(self):
+        env = Environment()
+        with pytest.raises(SimulationError):
+            env.timeout(float("nan"))
+        # Rejected before it reached the calendar: the clock stays sane.
+        assert env.scheduled == 0
+        env.run()
+        assert env.now == 0
+
+    def test_infinite_delay_allowed(self):
+        env = Environment()
+        forever = env.timeout(float("inf"))
+        env.run(until=10)
+        assert env.now == 10 and not forever.processed
 
     def test_zero_delay_fires_at_now(self):
         env = Environment()

@@ -8,7 +8,7 @@ deterministic tie-breaking, FIFO resources, and conservation in containers.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, Resource
+from repro.sim import Container, Environment, Event, Resource, SimulationError
 
 
 @settings(max_examples=60)
@@ -136,3 +136,117 @@ def test_container_conserves_level(amounts):
         env.process(churn(env, amount))
     env.run()
     assert box.level == 100
+
+
+class _SoupError(Exception):
+    """Raised by soup processes; unhandled ones must surface from run()."""
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("timeout"), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("wait"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("trigger"), st.integers(min_value=0, max_value=3), st.booleans()),
+    st.tuples(st.just("spawn"), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("raise")),
+)
+_SOUPS = st.lists(st.lists(_OPS, max_size=6), min_size=1, max_size=6)
+_UNTIL = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("time"), st.integers(min_value=0, max_value=12)),
+    st.tuples(st.just("process"), st.integers(min_value=0, max_value=5)),
+    st.tuples(st.just("shared"), st.integers(min_value=0, max_value=3)),
+)
+
+
+def _soup_run(soup, until, drive):
+    """Build a random process soup, drive it, and return what happened.
+
+    Every processed event the soup yields on is logged as ``(time, label)``
+    by a callback, and every process step as ``(time, pid, op)``; the
+    outcome is the value ``drive`` returned or the error it raised.
+    """
+    env = Environment()
+    log = []
+    shared = [env.event() for _ in range(4)]
+
+    def watch(event, label):
+        if event.callbacks is not None:
+            event.callbacks.append(lambda _evt: log.append((env.now, label)))
+        return event
+
+    for index, event in enumerate(shared):
+        watch(event, f"shared{index}")
+
+    def child(delay):
+        yield watch(env.timeout(delay), "child-timeout")
+
+    def proc(pid, ops):
+        for step, op in enumerate(ops):
+            log.append((env.now, pid, step))
+            try:
+                if op[0] == "timeout":
+                    yield watch(env.timeout(op[1]), f"timeout{pid}")
+                elif op[0] == "wait":
+                    yield shared[op[1]]
+                elif op[0] == "trigger":
+                    event = shared[op[1]]
+                    if not event.triggered:
+                        if op[2]:
+                            event.succeed(pid)
+                        else:
+                            event.fail(_SoupError(f"shared{op[1]}"))
+                elif op[0] == "spawn":
+                    yield watch(env.process(child(op[1])), f"child{pid}")
+                else:
+                    raise _SoupError(f"proc{pid}")
+            except _SoupError as exc:
+                if op[0] == "raise":
+                    raise
+                log.append((env.now, pid, "caught", str(exc)))
+        return pid
+
+    procs = [watch(env.process(proc(pid, ops)), f"proc{pid}") for pid, ops in enumerate(soup)]
+    if until[0] == "none":
+        target = None
+    elif until[0] == "time":
+        target = until[1]
+    elif until[0] == "process":
+        target = procs[until[1] % len(procs)]
+    else:
+        target = shared[until[1]]
+    try:
+        outcome = ("ok", drive(env, target))
+    except (SimulationError, _SoupError) as exc:
+        outcome = ("error", type(exc).__name__, str(exc))
+    return log, outcome, env.now, env.scheduled
+
+
+def _stepwise(env, until):
+    """``Environment.run`` spelled out with the public single-step API
+    (the soup never schedules at +inf, so ``peek`` tells an empty calendar)."""
+    if until is None:
+        while env.peek() != float("inf"):
+            env.step()
+        return None
+    if isinstance(until, Event):
+        while not until.processed:
+            if env.peek() == float("inf"):
+                raise SimulationError("schedule ran dry before the awaited event fired")
+            env.step()
+        if not until.ok:
+            raise until.value
+        return until.value
+    while env.peek() <= until:
+        env.step()
+    return env.run(until=until)  # nothing left to process: lands the clock
+
+
+@settings(max_examples=150, deadline=None)
+@given(soup=_SOUPS, until=_UNTIL)
+def test_run_matches_stepping(soup, until):
+    """The inlined loops of ``run`` process exactly what ``step`` would, in
+    the same order, and end the same way — dry schedule and unhandled
+    failures included."""
+    assert _soup_run(soup, until, lambda env, t: env.run(until=t)) == _soup_run(
+        soup, until, _stepwise
+    )

@@ -269,3 +269,65 @@ class TestContainer:
             box.get(0)
         with pytest.raises(SimulationError):
             box.put(-1)
+
+
+class TestContainerRelease:
+    @staticmethod
+    def _waiters(give_back):
+        """Three getters queue on an empty box; ``give_back`` refills it at
+        t=2.  Returns the (time, getter) grant order and calendar size."""
+        env = Environment()
+        box = Container(env, capacity=10, init=0)
+        grants = []
+
+        def getter(name, amount):
+            yield box.get(amount)
+            grants.append((env.now, name))
+
+        def giver():
+            yield env.timeout(2)
+            give_back(box, 3)
+            give_back(box, 2)
+
+        for name, amount in (("a", 2), ("b", 1), ("c", 2)):
+            env.process(getter(name, amount))
+        env.process(giver())
+        env.run()
+        return grants, box.level, env.scheduled
+
+    def test_grants_like_put(self):
+        put = self._waiters(lambda box, n: box.put(n))
+        release = self._waiters(lambda box, n: box.release(n))
+        # Same getters, same instant, same order, same final level ...
+        assert release[:2] == put[:2] == ([(2, "a"), (2, "b"), (2, "c")], 0)
+        # ... minus exactly the two put events.
+        assert put[2] - release[2] == 2
+
+    def test_schedules_nothing_itself(self):
+        env = Environment()
+        box = Container(env, capacity=5, init=1)
+        before = env.scheduled
+        box.release(2)
+        assert box.level == 3
+        assert env.scheduled == before
+        grant = box.get(4)
+        box.release(1)  # grants the queued getter: its event, not ours
+        assert grant.triggered and box.level == 0
+        assert env.scheduled == before + 1
+
+    def test_overflow_raises(self):
+        box = Container(Environment(), capacity=3, init=2)
+        with pytest.raises(SimulationError):
+            box.release(2)
+        assert box.level == 2
+
+    def test_pending_putters_raise(self):
+        box = Container(Environment(), capacity=2, init=2)
+        box.put(1)  # blocks: the box is full
+        with pytest.raises(SimulationError):
+            box.release(1)
+
+    def test_nonpositive_amount_rejected(self):
+        box = Container(Environment(), capacity=2, init=0)
+        with pytest.raises(SimulationError):
+            box.release(0)

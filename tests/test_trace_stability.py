@@ -8,8 +8,13 @@ pre-integrity tree; a mismatch means some new code drew from (or
 reordered) a shared stream on the clean path.
 
 If a future PR *intentionally* changes the simulation (new spans, new
-timing), regenerate the constants with the recipe in ``_trace_hash`` and
+timing), regenerate the constants with the recipe in ``_trace_run`` and
 say so in that PR's description.
+
+``SCHEDULED`` pins the same cells' calendar entry count
+(``Environment.scheduled``), the host-independent measure of kernel work.
+A kernel change that removes entries nobody observes lowers it while the
+md5s stay put; update it deliberately, never to paper over a new entry.
 """
 
 import hashlib
@@ -39,8 +44,21 @@ EXPECTED = {
     "redo": "b18f2c7f7bc9ed00655b8d812df14113",
 }
 
+#: Calendar entries each cell schedules (``Environment.scheduled``).
+SCHEDULED = {
+    "bare": 1135,
+    "wal": 1383,
+    "shadow": 1458,
+    "versions": 1136,
+    "overwrite": 1298,
+    "differential": 1259,
+    "command": 1384,
+    "redo": 1395,
+}
 
-def _trace_hash(name: str) -> str:
+
+def _trace_run(name: str):
+    """(md5 of the cell's chrome trace, calendar entries it scheduled)."""
     config = MachineConfig(seed=1985, mpl=2, **machine_overrides(name))
     transactions = generate_transactions(
         WorkloadConfig(n_transactions=6, max_pages=30),
@@ -50,13 +68,16 @@ def _trace_hash(name: str) -> str:
     machine = DatabaseMachine(config, REGISTRY[name].sim(), tracer=Tracer())
     machine.run(transactions)
     blob = json.dumps(to_chrome_trace(machine.tracer), sort_keys=True).encode()
-    return hashlib.md5(blob).hexdigest()
+    return hashlib.md5(blob).hexdigest(), machine.env.scheduled
 
 
 def test_registry_covered():
     assert set(EXPECTED) == set(REGISTRY), "new architecture: add its hash"
+    assert set(SCHEDULED) == set(REGISTRY), "new architecture: add its count"
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_fault_free_trace_unchanged(name):
-    assert _trace_hash(name) == EXPECTED[name]
+    digest, scheduled = _trace_run(name)
+    assert digest == EXPECTED[name]
+    assert scheduled == SCHEDULED[name], "calendar work moved"
