@@ -20,10 +20,11 @@ it: replay with :func:`run_scenario` or ``repro crashtest --plan``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint import CHECKPOINT_FILE, CheckpointUnsupported
 from repro.registry import ARCHITECTURES
@@ -135,6 +136,17 @@ def generate_ops(
         woven.append(("checkpoint",))
         return woven
     return ops
+
+
+@functools.lru_cache(maxsize=64)
+def _script(
+    seed: int, n_transactions: int, n_pages: int, checkpoint_every: Optional[int]
+) -> Tuple[Tuple, ...]:
+    """:func:`generate_ops`, built once per distinct script: a crash sweep
+    replays the same seeded script for every crash point.  A tuple, so no
+    caller can edit the shared copy."""
+    return tuple(generate_ops(seed, n_transactions, n_pages,
+                              checkpoint_every=checkpoint_every))
 
 
 # -- state inspection ---------------------------------------------------------
@@ -272,7 +284,7 @@ def _verify(
 
 def _run_once(
     arch: str,
-    ops: List[Tuple],
+    ops: Sequence[Tuple],
     plan: FaultPlan,
     n_pages: int,
     recrash_during_recovery: bool,
@@ -387,8 +399,7 @@ def run_scenario(
     at the first recovery hook crossing; both passes must converge to the
     same stable state.
     """
-    ops = generate_ops(seed, n_transactions, n_pages,
-                       checkpoint_every=checkpoint_every)
+    ops = _script(seed, n_transactions, n_pages, checkpoint_every)
     plain = _run_once(arch, ops, plan, n_pages, recrash_during_recovery=False)
     recrash = _run_once(arch, ops, plan, n_pages, recrash_during_recovery=True)
     if recrash.dump != plain.dump:
@@ -471,8 +482,7 @@ def run_crashtest(
     woven into the workload put every ``checkpoint.*`` and
     architecture-specific compaction hook in the crash population.
     """
-    ops = generate_ops(seed, n_transactions, n_pages,
-                       checkpoint_every=checkpoint_every)
+    ops = _script(seed, n_transactions, n_pages, checkpoint_every)
     baseline = _run_once(
         arch, ops, FaultPlan.of(seed=seed), n_pages, recrash_during_recovery=False
     )

@@ -16,7 +16,7 @@ Every random decision draws from a ``RandomStreams``-derived stream, so a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.sim.rng import RandomStreams
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -47,31 +47,31 @@ class FaultInjector:
         self._corrupt_rng = None
         #: total hook crossings so far (the clock "*"-specs count against).
         self.crossings = 0
-        #: per-spec count of matching crossings seen.
-        self._spec_hits: Dict[int, int] = {}
+        #: The CRASH specs, split out once (hook crossings only ever look
+        #: for a due crash), and per-spec counts of matching crossings.
+        self._crash_specs = [s for s in plan.specs if s.kind is FaultKind.CRASH]
+        self._crash_hits = [0] * len(self._crash_specs)
         #: record of fired faults: (kind, hook-or-target, crossing).
         self.fired: List[Tuple[str, str, int]] = []
         #: distinct hook names this injector has seen cross (coverage map).
         self.hooks_seen: set = set()
 
     # -- hook crossings -------------------------------------------------------
-    def _matching(self, kind: FaultKind, name: str) -> Optional[FaultSpec]:
-        """Advance per-spec counters; return a spec that fires now."""
-        due = None
-        for index, spec in enumerate(self.plan.specs):
-            if spec.kind is not kind or not spec.matches_hook(name):
-                continue
-            hits = self._spec_hits.get(index, 0) + 1
-            self._spec_hits[index] = hits
-            if hits == spec.occurrence:
-                due = spec
+    def _crash_due(self, name: str) -> bool:
+        """Advance per-spec counters; True if a CRASH spec fires now."""
+        due = False
+        for slot, spec in enumerate(self._crash_specs):
+            if spec.matches_hook(name):
+                self._crash_hits[slot] += 1
+                if self._crash_hits[slot] == spec.occurrence:
+                    due = True
         return due
 
     def reached(self, name: str) -> None:
         """A functional-layer hook crossing: raises on a due CRASH spec."""
         self.crossings += 1
         self.hooks_seen.add(name)
-        if self._matching(FaultKind.CRASH, name) is not None:
+        if self._crash_due(name):
             self.fired.append(("crash", name, self.crossings))
             raise InjectedCrash(name, self.crossings)
 
@@ -83,7 +83,7 @@ class FaultInjector:
         """
         self.crossings += 1
         self.hooks_seen.add(name)
-        if self._matching(FaultKind.CRASH, name) is not None:
+        if self._crash_due(name):
             self.fired.append(("crash", name, self.crossings))
             return True
         return False

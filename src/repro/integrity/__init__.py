@@ -34,8 +34,9 @@ storage managers and the hardware models can import it.
 
 from __future__ import annotations
 
+import struct
 import zlib
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "IntegrityError",
@@ -85,8 +86,52 @@ def canonical_bytes(value: Any) -> bytes:
     Records are plain Python values (tuples of scalars, possibly nested;
     NamedTuple instances; ``(name, [records])`` archive pairs).  The
     encoding is type-tagged so values that compare equal across types
-    (``1``/``1.0``/``True``) still sum differently.
+    (``1``/``1.0``/``True``) still sum differently.  The bytes are a
+    pinned contract: every stored envelope was computed over them
+    (docs/INTEGRITY.md).
     """
+    parts: List[bytes] = []
+    _encode(value, parts.append)
+    return b"".join(parts)
+
+
+def _encode(value: Any, append: Callable[[bytes], None]) -> None:
+    """Append ``value``'s canonical parts; exact scalar items of a
+    sequence are inlined so a flat record costs no recursive call.
+
+    Testing for a sequence first keeps the original chain's order: no
+    class can subclass both tuple/list and a scalar type (their instance
+    layouts conflict)."""
+    kind = type(value)
+    if kind is tuple or kind is list or isinstance(value, (tuple, list)):
+        append(b"(")
+        for item in value:
+            kind = type(item)
+            if kind is int:
+                append(b"I%d;" % item)
+            elif kind is str:
+                raw = item.encode("utf-8")
+                append(b"S%d:%b" % (len(raw), raw))
+            elif kind is bytes:
+                append(b"B%d:%b" % (len(item), item))
+            elif item is None:
+                append(b"N")
+            else:
+                _encode(item, append)
+        append(b")")
+    elif kind is int:
+        append(b"I%d;" % value)
+    elif kind is str:
+        raw = value.encode("utf-8")
+        append(b"S%d:%b" % (len(raw), raw))
+    elif kind is bytes:
+        append(b"B%d:%b" % (len(value), value))
+    else:
+        append(_scalar_bytes(value))
+
+
+def _scalar_bytes(value: Any) -> bytes:
+    """The encoding of any scalar, subclasses included (bool before int)."""
     if value is None:
         return b"N"
     if isinstance(value, bool):
@@ -100,9 +145,6 @@ def canonical_bytes(value: Any) -> bytes:
         return b"S" + str(len(raw)).encode("ascii") + b":" + raw
     if isinstance(value, bytes):
         return b"B" + str(len(value)).encode("ascii") + b":" + value
-    if isinstance(value, (tuple, list)):
-        inner = b"".join(canonical_bytes(item) for item in value)
-        return b"(" + inner + b")"
     raise TypeError(
         f"cannot canonicalize {type(value).__name__!r} for checksumming"
     )
@@ -173,9 +215,14 @@ def tamper_record(record: Any) -> Any:
     if isinstance(record, int):
         return record ^ 0x2A
     if isinstance(record, float):
-        return record + 1.0 if record == record else 0.0
+        if record != record:
+            return 0.0  # every NaN encodes as "nan": move off NaN entirely
+        # Flip the lowest mantissa bit: ``record + 1.0`` is a no-op on
+        # infinities and on magnitudes of 2**53 and up.
+        (bits,) = struct.unpack("<Q", struct.pack("<d", record))
+        return struct.unpack("<d", struct.pack("<Q", bits ^ 1))[0]
     if isinstance(record, str):
-        return ("\x00" + record[1:]) if record else "\x00"
+        return ("\x01" if record[:1] == "\x00" else "\x00") + record[1:]
     if isinstance(record, bytes):
         return tamper_bytes(record)
     if record is None:

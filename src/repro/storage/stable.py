@@ -105,9 +105,7 @@ class StableStorage:
     def extend(self, file: str, records) -> None:
         records = list(records)
         self._files.setdefault(file, []).extend(records)
-        self._file_sums.setdefault(file, []).extend(
-            record_checksum(record) for record in records
-        )
+        self._file_sums.setdefault(file, []).extend(map(record_checksum, records))
         self.records_appended += len(records)
 
     def read_file(self, file: str) -> List[Any]:
@@ -119,12 +117,18 @@ class StableStorage:
         torn-tail excuse, unlike logs (:meth:`read_log`).
         """
         records = list(self._files.get(file, ()))
-        sums = self._file_sums.get(file, ())
+        sums = self._file_sums.get(file, [])
+        computed = list(map(record_checksum, records))
+        if computed != sums:
+            bad = next(
+                index
+                for index, (got, want) in enumerate(zip(computed, sums))
+                if got != want
+            )
+            self.records_read += bad
+            self.checksum_failures += 1
+            raise RecordIntegrityError(file, bad)
         self.records_read += len(records)
-        for index, record in enumerate(records):
-            if record_checksum(record) != sums[index]:
-                self.checksum_failures += 1
-                raise RecordIntegrityError(file, index)
         return records
 
     def read_log(self, file: str) -> List[Any]:
@@ -139,12 +143,14 @@ class StableStorage:
         recovery instead of replaying poisoned state.
         """
         records = list(self._files.get(file, ()))
-        sums = self._file_sums.get(file, ())
-        ok = [
-            record_checksum(record) == sums[index]
-            for index, record in enumerate(records)
-        ]
-        keep, interior = split_torn_tail(ok)
+        sums = self._file_sums.get(file, [])
+        computed = list(map(record_checksum, records))
+        if computed == sums:
+            self.records_read += len(records)
+            return records
+        keep, interior = split_torn_tail(
+            [got == want for got, want in zip(computed, sums)]
+        )
         if interior is not None:
             self.records_read += interior
             self.checksum_failures += 1
@@ -158,7 +164,7 @@ class StableStorage:
         """Replace a file's contents with ``keep`` (default: empty)."""
         kept = list(keep or ())
         self._files[file] = kept
-        self._file_sums[file] = [record_checksum(record) for record in kept]
+        self._file_sums[file] = list(map(record_checksum, kept))
 
     def file_length(self, file: str) -> int:
         return len(self._files.get(file, ()))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.faults import (
     ARCHITECTURES,
+    DEFAULT_CHECKPOINT_EVERY,
     FaultKind,
     FaultPlan,
     FaultSpec,
@@ -76,6 +77,35 @@ class TestScenario:
         assert result.ok, result.violations
         assert result.crashed_at is not None
         assert result.outcome in ("rolled-back", "committed")
+
+
+class TestScriptMemo:
+    """Crash sweeps build each seeded op script once and share it."""
+
+    PLAN = FaultPlan.of(FaultSpec(FaultKind.CRASH, hook="*", occurrence=9), seed=21)
+
+    def test_repeated_scenario_is_identical(self):
+        first = run_scenario("wal", seed=21, plan=self.PLAN)
+        second = run_scenario("wal", seed=21, plan=self.PLAN)
+        assert first == second
+        assert first.crashed_at is not None
+
+    def test_caller_edits_to_a_script_do_not_leak(self):
+        before = run_scenario("redo", seed=21, plan=self.PLAN)
+        ops = generate_ops(21, checkpoint_every=DEFAULT_CHECKPOINT_EVERY)
+        ops.clear()
+        ops.append(("begin", 0))
+        assert generate_ops(21, checkpoint_every=DEFAULT_CHECKPOINT_EVERY) != ops
+        assert run_scenario("redo", seed=21, plan=self.PLAN) == before
+
+    def test_sweep_hash_is_pinned(self):
+        # The full seed-1985 sweep of one manager, as recorded before the
+        # op scripts were memoised: same scripts, same dumps, same hash.
+        report = run_crashtest("wal", seed=1985)
+        assert report.ok
+        assert report.state_hash == (
+            "439d1db1b93a83c42536284a037a3722e58cd3aecf0ed90108572e3812ab630e"
+        )
 
 
 class TestCrashSweep:

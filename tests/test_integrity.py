@@ -4,9 +4,12 @@ Checksums, the canonical byte form, the torn-tail stop rule, and the
 deterministic tamper helpers — the detection half of docs/INTEGRITY.md.
 """
 
-from typing import NamedTuple
+import math
+from typing import Any, NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.integrity import (
     IntegrityError,
@@ -48,6 +51,122 @@ class TestCanonicalBytes:
     def test_deterministic(self):
         record = (1, "op", (2.5, None, b"\x00\xff"), True)
         assert canonical_bytes(record) == canonical_bytes(record)
+
+
+class _Rec(NamedTuple):
+    tid: int
+    kind: str
+
+
+class _Small(int):
+    """A plain ``int`` subclass: encoded through the ``isinstance`` chain."""
+
+
+class _Real(float):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+class _Blob(bytes):
+    pass
+
+
+#: Exact expected bytes: stored envelopes were computed over this
+#: encoding, so no byte of it may ever move.
+GOLDEN = [
+    (None, b"N"),
+    (True, b"T"),
+    (False, b"F"),
+    (0, b"I0;"),
+    (-7, b"I-7;"),
+    (2**70, b"I1180591620717411303424;"),
+    (0.5, b"D0.5;"),
+    (-0.0, b"D-0.0;"),
+    (math.inf, b"Dinf;"),
+    (math.nan, b"Dnan;"),
+    ("", b"S0:"),
+    ("\u00e9", b"S2:\xc3\xa9"),
+    (b"", b"B0:"),
+    (b"\x00\xff", b"B2:\x00\xff"),
+    ([], b"()"),
+    ((), b"()"),
+    ((1, ["a", (b"x", None)], True, 2.0), b"(I1;(S1:a(B1:xN))TD2.0;)"),
+    (("log", _Rec(3, "commit")), b"(S3:log(I3;S6:commit))"),
+    (_Small(5), b"I5;"),
+]
+GOLDEN_IDS = [repr(value) for value, _ in GOLDEN]
+
+
+def _reference_encoding(value: Any) -> bytes:
+    """The original recursive encoder, kept verbatim as the oracle."""
+    if value is None:
+        return b"N"
+    if isinstance(value, bool):
+        return b"T" if value else b"F"
+    if isinstance(value, int):
+        return b"I" + str(value).encode("ascii") + b";"
+    if isinstance(value, float):
+        return b"D" + repr(value).encode("ascii") + b";"
+    if isinstance(value, str):
+        raw = value.encode("utf-8")
+        return b"S" + str(len(raw)).encode("ascii") + b":" + raw
+    if isinstance(value, bytes):
+        return b"B" + str(len(value)).encode("ascii") + b":" + value
+    if isinstance(value, (tuple, list)):
+        inner = b"".join(_reference_encoding(item) for item in value)
+        return b"(" + inner + b")"
+    raise TypeError(
+        f"cannot canonicalize {type(value).__name__!r} for checksumming"
+    )
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers().map(_Small),
+    st.floats(),
+    st.floats().map(_Real),
+    st.text(),
+    st.text().map(_Text),
+    st.binary(),
+    st.binary().map(_Blob),
+)
+
+_RECORDS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.builds(_Rec, children, children),
+    ),
+    max_leaves=20,
+)
+
+
+class TestCanonicalEncodingContract:
+    @pytest.mark.parametrize("value, expected", GOLDEN, ids=GOLDEN_IDS)
+    def test_golden_vectors(self, value, expected):
+        assert canonical_bytes(value) == expected
+
+    @pytest.mark.parametrize("value, expected", GOLDEN, ids=GOLDEN_IDS)
+    def test_golden_vectors_inside_a_record(self, value, expected):
+        # The same bytes whether a value is a record or an item of one.
+        assert canonical_bytes((value,)) == b"(" + expected + b")"
+
+    @settings(max_examples=300, deadline=None)
+    @given(_RECORDS)
+    def test_matches_the_reference_encoder(self, value):
+        assert canonical_bytes(value) == _reference_encoding(value)
+
+    @pytest.mark.parametrize("bad", [{"a": 1}, {1}, bytearray(b"x"), object()])
+    def test_unsupported_types_raise_at_any_depth(self, bad):
+        for value in (bad, (1, bad), [("x", [bad])]):
+            with pytest.raises(TypeError, match="cannot canonicalize"):
+                canonical_bytes(value)
 
 
 class TestChecksums:
@@ -121,6 +240,20 @@ class TestTamper:
     def test_tamper_record_scalars_change(self):
         for value in (0, 1, True, False, 1.5, "abc", "", b"xy", None):
             assert tamper_record(value) != value
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, 1e17, -1e17, 2.0**53, 0.0, -0.0, math.nan]
+    )
+    def test_tamper_record_float_always_changes_the_encoding(self, value):
+        # ``value + 1.0`` is a no-op on infinities and on magnitudes of
+        # 2**53 and up; a tamper the checksum cannot see is no tamper.
+        assert canonical_bytes(tamper_record(value)) != canonical_bytes(value)
+        record = (value, "x")
+        assert record_checksum(tamper_record(record)) != record_checksum(record)
+
+    @pytest.mark.parametrize("value", ["\x00", "\x00abc", "\x01", ""])
+    def test_tamper_record_str_always_changes(self, value):
+        assert tamper_record(value) != value
 
     def test_tamper_is_deterministic(self):
         record = (1, ["a", "b"], None)

@@ -6,6 +6,8 @@ reads apply the torn-tail stop rule, and the ``restore_page`` /
 ``replace_record`` repair mutators accept only provably-original bits.
 """
 
+import math
+
 import pytest
 
 from repro.integrity import PageIntegrityError, RecordIntegrityError
@@ -43,6 +45,36 @@ class TestVerifiedReads:
         with pytest.raises(RecordIntegrityError) as excinfo:
             stable.read_file("log")
         assert excinfo.value.index == 1
+
+    def test_failed_read_counts_only_the_verified_prefix(self):
+        # read_file counts like read_log: records behind the first bad
+        # one were never read.
+        by_file, by_log = make_store(), make_store()
+        for stable in (by_file, by_log):
+            stable.corrupt_record("log", 1)
+        with pytest.raises(RecordIntegrityError):
+            by_file.read_file("log")
+        with pytest.raises(RecordIntegrityError):
+            by_log.read_log("log")
+        assert by_file.records_read == by_log.records_read == 1
+        assert by_file.checksum_failures == by_log.checksum_failures == 1
+
+    def test_clean_read_file_counts_every_record(self):
+        stable = make_store()
+        stable.read_file("log")
+        assert stable.records_read == 3
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, 1e17, -0.0, math.nan], ids=repr
+    )
+    def test_corrupt_float_record_detected_on_read(self, value):
+        stable = StableStorage()
+        stable.append("f", (value, "x"))
+        stable.corrupt_record("f", 0)
+        with pytest.raises(RecordIntegrityError):
+            stable.read_file("f")
+        assert stable.corruptions_injected == 1
+        assert stable.checksum_failures == 1
 
     def test_absent_page_reads_empty(self):
         stable = StableStorage()
