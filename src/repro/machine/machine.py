@@ -179,7 +179,7 @@ class DatabaseMachine:
         if self.tracer is None:
             return None
         # The forwarding site itself; callers pass catalogue literals.
-        return self.tracer.begin(name, parent=parent, tid=tid, **args)  # reprolint: disable-line=TRACE01
+        return self.tracer.begin(name, parent, tid, **args)  # reprolint: disable-line=TRACE01
 
     def _tend(self, span, **args) -> None:
         if span is not None:

@@ -62,29 +62,52 @@ def phase_breakdown(
     ``spans`` are the transaction's spans (any others are ignored via the
     priority table); the returned dict's values sum to the window length
     exactly (one ``"other"`` bucket absorbs uncovered time).
+
+    The sweep visits the cuts in ascending order, keeping a live count
+    per phase name: at each cut the spans clipped to close there leave,
+    those clipped to open there join, and the segment up to the next cut
+    goes to the live name of highest priority.  Priorities are distinct
+    (``tests/test_trace_analysis.py`` pins that), so this is the same
+    phase the "first span of highest priority active over the segment"
+    rule picks.  A span clipped to zero length still cuts the window
+    but is never live.
     """
     start, end = window
     if end <= start:
         return {}
-    active = [
-        s
-        for s in spans
-        if s.closed and s.name in PRIORITY and s.start < end and s.end > start
-    ]
     bounds = {start, end}
-    for s in active:
-        bounds.add(max(start, s.start))
-        bounds.add(min(end, s.end))
+    opens: Dict[float, List[str]] = {}
+    closes: Dict[float, List[str]] = {}
+    for s in spans:
+        name = s.name
+        if s.end is None or name not in PRIORITY or not (s.start < end and s.end > start):
+            continue
+        a = max(start, s.start)
+        b = min(end, s.end)
+        bounds.add(a)
+        bounds.add(b)
+        if a < b:
+            opens.setdefault(a, []).append(name)
+            closes.setdefault(b, []).append(name)
     cuts = sorted(bounds)
     out: Dict[str, float] = {}
-    for a, b in zip(cuts, cuts[1:]):
-        best: Optional[Span] = None
-        for s in active:
-            if s.start <= a and s.end >= b:
-                if best is None or PRIORITY[s.name] > PRIORITY[best.name]:
-                    best = s
-        name = best.name if best is not None else OTHER_PHASE
-        out[name] = out.get(name, 0.0) + (b - a)
+    live: Dict[str, int] = {}
+    phase = OTHER_PHASE
+    a = cuts[0]
+    for b in cuts[1:]:
+        leaving = closes.get(a)
+        joining = opens.get(a)
+        if leaving is not None or joining is not None:
+            for name in leaving or ():
+                if live[name] == 1:
+                    del live[name]
+                else:
+                    live[name] -= 1
+            for name in joining or ():
+                live[name] = live.get(name, 0) + 1
+            phase = max(live, key=PRIORITY.__getitem__) if live else OTHER_PHASE
+        out[phase] = out.get(phase, 0.0) + (b - a)
+        a = b
     return out
 
 
@@ -97,9 +120,10 @@ def aggregate_breakdown(tracer: Tracer) -> Dict[str, float]:
     windows = transaction_windows(tracer)
     if not windows:
         return {}
+    by_tid = tracer.spans_by_tid()
     totals: Dict[str, float] = {}
     for tid in sorted(windows):
-        for name, ms in phase_breakdown(tracer.spans_of(tid), windows[tid]).items():
+        for name, ms in phase_breakdown(by_tid.get(tid, ()), windows[tid]).items():
             totals[name] = totals.get(name, 0.0) + ms
     n = len(windows)
     return {name: ms / n for name, ms in totals.items()}

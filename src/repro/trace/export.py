@@ -12,6 +12,7 @@ runs with the same seed.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List, Optional
 
 from repro.trace.names import CATALOGUE, OTHER_PHASE, PHASE_CHARS, PRIORITY
@@ -41,24 +42,46 @@ def _row_of(span: Span, tracks: Dict[str, int]) -> int:
 
 
 def to_chrome_trace(tracer: Tracer, process_name: str = "repro") -> List[Dict[str, Any]]:
-    """The run as a Chrome ``trace_event`` list (open spans are skipped)."""
+    """The run as a Chrome ``trace_event`` list (open spans are skipped).
+
+    One pass over the closed spans builds their events and names their
+    rows (the first span on a row names it); instants follow.  Sorting
+    the ``(start, seq, event)`` tuples never compares two events, since
+    ``seq`` is unique across spans and instants.
+    """
     tracks: Dict[str, int] = {}
-    events: List[Dict[str, Any]] = []
+    rows: Dict[int, str] = {}
+    events: List[Any] = []
     for span in tracer.spans:
-        if not span.closed:
+        end = span.end
+        if end is None:
             continue
+        start = span.start
+        track = span.track
+        if track is not None:
+            row = tracks.get(track)
+            if row is None:
+                row = tracks[track] = _TRACK_TID_BASE + len(tracks)
+            if row not in rows:
+                rows[row] = track
+        else:
+            tid = span.tid
+            row = tid if tid is not None else _TRACK_TID_BASE - 1
+            if row not in rows:
+                rows[row] = f"txn {tid}"
         event: Dict[str, Any] = {
             "name": span.name,
             "cat": "span",
             "ph": "X",
-            "ts": span.start * _MS_TO_US,
-            "dur": span.duration * _MS_TO_US,
+            "ts": start * _MS_TO_US,
+            "dur": (end - start) * _MS_TO_US,
             "pid": 1,
-            "tid": _row_of(span, tracks),
+            "tid": row,
         }
-        if span.args:
-            event["args"] = dict(sorted(span.args.items()))
-        events.append((span.start, span.seq, event))
+        args = span.args
+        if args:
+            event["args"] = dict(args) if len(args) == 1 else dict(sorted(args.items()))
+        events.append((start, span.seq, event))
     for mark in tracer.instants:
         event = {
             "name": mark.name,
@@ -69,10 +92,11 @@ def to_chrome_trace(tracer: Tracer, process_name: str = "repro") -> List[Dict[st
             "pid": 1,
             "tid": _row_of(mark, tracks),
         }
-        if mark.args:
-            event["args"] = dict(sorted(mark.args.items()))
+        args = mark.args
+        if args:
+            event["args"] = dict(args) if len(args) == 1 else dict(sorted(args.items()))
         events.append((mark.start, mark.seq, event))
-    events.sort(key=lambda item: (item[0], item[1]))
+    events.sort()
     out: List[Dict[str, Any]] = [
         {
             "name": "process_name",
@@ -82,14 +106,6 @@ def to_chrome_trace(tracer: Tracer, process_name: str = "repro") -> List[Dict[st
             "args": {"name": process_name},
         }
     ]
-    rows: Dict[int, str] = {}
-    for span in tracer.spans:
-        if span.closed:
-            row = _row_of(span, tracks)
-            if row not in rows:
-                rows[row] = (
-                    span.track if span.track is not None else f"txn {span.tid}"
-                )
     for row in sorted(rows):
         out.append(
             {
@@ -104,12 +120,17 @@ def to_chrome_trace(tracer: Tracer, process_name: str = "repro") -> List[Dict[st
     return out
 
 
+def _is_number(x: Any) -> bool:
+    """An int or float JSON number (a bool is not a number here)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def validate_chrome_trace(events: List[Dict[str, Any]]) -> int:
     """Schema-check an exported trace; returns the event count.
 
     Raises :class:`ValueError` on the first malformed event — missing
-    keys, negative times, a duration on a non-span, a name outside the
-    registered catalogue, or timestamps out of order.
+    keys, negative, non-finite or bool times, a duration on a non-span,
+    a name outside the registered catalogue, or timestamps out of order.
     """
     if not isinstance(events, list) or not events:
         raise ValueError("trace must be a non-empty JSON array")
@@ -122,6 +143,8 @@ def validate_chrome_trace(events: List[Dict[str, Any]]) -> int:
             if key not in event:
                 raise ValueError(f"event {i} missing {key!r}")
         ph = event["ph"]
+        if ph != "X" and "dur" in event:
+            raise ValueError(f"event {i} has a dur on non-span phase {ph!r}")
         if ph == "M":
             continue
         if ph not in ("X", "i"):
@@ -129,14 +152,15 @@ def validate_chrome_trace(events: List[Dict[str, Any]]) -> int:
         if event["name"] not in CATALOGUE:
             raise ValueError(f"event {i} name {event['name']!r} not in catalogue")
         ts = event.get("ts")
-        if not isinstance(ts, (int, float)) or ts < 0:
+        # Finite and non-negative; the float test short-cuts the common case.
+        if type(ts) is not float and not _is_number(ts) or not 0 <= ts < math.inf:
             raise ValueError(f"event {i} has bad ts {ts!r}")
         if last_ts is not None and ts < last_ts:
             raise ValueError(f"event {i} goes back in time ({ts} < {last_ts})")
         last_ts = ts
         if ph == "X":
             dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
+            if type(dur) is not float and not _is_number(dur) or not 0 <= dur < math.inf:
                 raise ValueError(f"event {i} has bad dur {dur!r}")
         count += 1
     return count
@@ -153,13 +177,11 @@ def write_json(events: List[Dict[str, Any]], path: str) -> None:
 def render_timeline(tracer: Tracer, width: int = 72) -> str:
     """ASCII activity strips: one lane per transaction, one column per
     time slice, the dominant phase's character in each column."""
+    by_tid = tracer.spans_by_tid()
     windows = {
         tid: (min(s.start for s in spans), max(s.end for s in spans))
-        for tid, spans in (
-            (tid, tracer.spans_of(tid))
-            for tid in sorted({s.tid for s in tracer.spans if s.tid is not None})
-        )
-        if spans
+        for tid, spans in by_tid.items()
+        if tid is not None
     }
     if not windows:
         return "(no transaction spans recorded)"
@@ -171,7 +193,7 @@ def render_timeline(tracer: Tracer, width: int = 72) -> str:
     )]
     scale = width / t_end
     for tid in sorted(windows):
-        spans = [s for s in tracer.spans_of(tid) if s.name in PRIORITY]
+        spans = [s for s in by_tid[tid] if s.name in PRIORITY]
         lane = [" "] * width
         for col in range(width):
             a, b = col / scale, (col + 1) / scale

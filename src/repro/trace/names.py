@@ -239,7 +239,10 @@ OTHER_PHASE = "other"
 #: the intervals where nothing is actually progressing, which is exactly
 #: "what was the completion time waiting on".  ``TXN`` is the tree root
 #: and never claims time; device-lane spans carry no ``tid`` and are
-#: excluded by construction.
+#: excluded by construction.  Values must stay distinct: the attribution
+#: sweep picks the live phase *name* of highest priority, which is the
+#: rule's "first span of highest priority" only without ties
+#: (``tests/test_trace_analysis.py::TestSweepMatchesRule::test_priorities_are_distinct``).
 PRIORITY: Dict[str, int] = {
     QP_EXEC: 100,
     DATA_READ: 90,

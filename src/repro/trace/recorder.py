@@ -87,10 +87,6 @@ class Tracer:
         self.instants: List[Span] = []
         self._seq = 0
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     @staticmethod
     def _check_name(name: str) -> None:
         if name not in CATALOGUE:
@@ -108,18 +104,17 @@ class Tracer:
         **args,
     ) -> Span:
         """Open a span at the current simulation time."""
-        self._check_name(name)
-        span = Span(
-            sid=len(self.spans),
-            name=name,
-            start=self.env.now,
-            seq=self._next_seq(),
-            parent_sid=parent.sid if parent is not None else None,
-            tid=tid if tid is not None else (parent.tid if parent is not None else None),
-            track=track,
-            args=args or None,
-        )
-        self.spans.append(span)
+        if name not in CATALOGUE:
+            self._check_name(name)
+        self._seq = seq = self._seq + 1
+        parent_sid = None
+        if parent is not None:
+            parent_sid = parent.sid
+            if tid is None:
+                tid = parent.tid
+        spans = self.spans
+        span = Span(len(spans), name, self.env.now, seq, parent_sid, tid, track, args)
+        spans.append(span)
         return span
 
     def end(self, span: Span, **args) -> Span:
@@ -139,17 +134,12 @@ class Tracer:
         **args,
     ) -> Span:
         """Record a zero-duration marker at the current simulation time."""
-        self._check_name(name)
-        mark = Span(
-            sid=len(self.instants),
-            name=name,
-            start=self.env.now,
-            seq=self._next_seq(),
-            tid=tid,
-            track=track,
-            args=args or None,
-        )
-        mark.end = mark.start
+        if name not in CATALOGUE:
+            self._check_name(name)
+        self._seq = seq = self._seq + 1
+        now = self.env.now
+        mark = Span(len(self.instants), name, now, seq, None, tid, track, args)
+        mark.end = now
         self.instants.append(mark)
         return mark
 
@@ -157,6 +147,19 @@ class Tracer:
     def spans_of(self, tid: int) -> List[Span]:
         """Closed spans belonging to transaction ``tid``, in begin order."""
         return [s for s in self.spans if s.tid == tid and s.closed]
+
+    def spans_by_tid(self) -> Dict[Optional[int], List[Span]]:
+        """Every transaction's :meth:`spans_of` list from one pass over the
+        spans, keyed by ``tid`` (``None`` keys the closed spans with no tid)."""
+        groups: Dict[Optional[int], List[Span]] = {}
+        for span in self.spans:
+            if span.end is not None:
+                group = groups.get(span.tid)
+                if group is None:
+                    groups[span.tid] = [span]
+                else:
+                    group.append(span)
+        return groups
 
     def named(self, name: str) -> List[Span]:
         """Closed spans with ``name``, in begin order."""

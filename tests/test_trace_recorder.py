@@ -116,6 +116,14 @@ class TestQueries:
         assert [s.name for s in tracer.spans_of(1)] == ["txn", "qp.exec"]
         assert tracer.spans_of(2) == []
 
+    def test_spans_by_tid_groups_spans_of(self):
+        tracer = self.build()
+        tracer.end(tracer.begin("checkpoint"))
+        groups = tracer.spans_by_tid()
+        assert set(groups) == {1, None}
+        for tid in (1, 2, None):
+            assert groups.get(tid, []) == tracer.spans_of(tid)
+
     def test_named_filters_by_name(self):
         tracer = self.build()
         assert [s.tid for s in tracer.named("qp.exec")] == [1]
