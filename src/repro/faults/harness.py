@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -282,13 +283,14 @@ def _verify(
     return "violation", violations
 
 
-def _run_once(
-    arch: str,
-    ops: Sequence[Tuple],
-    plan: FaultPlan,
-    n_pages: int,
-    recrash_during_recovery: bool,
-) -> ScenarioResult:
+def _run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
+    """Apply ``ops`` to a fresh manager until ``plan``'s crash, then crash it.
+
+    Returns ``(manager, injector, committed, pending, checkpoints,
+    crashed_at, in_flight)``, the arguments :func:`_finish` takes after
+    its first four.  A pure function of ``(arch, ops, plan)``: managers
+    draw only from seeded streams.
+    """
     manager = make_manager(arch)
     injector = FaultInjector(plan)
     manager.set_fault_callback(injector.reached)
@@ -296,7 +298,6 @@ def _run_once(
     committed: Dict[int, bytes] = {}
     pending: Dict[int, Dict[int, bytes]] = {}
     checkpoints: List[Any] = []
-    recovery_timeline: List[str] = []
     crashed_at = None
     in_flight: Optional[Dict[int, bytes]] = None
     try:
@@ -311,6 +312,35 @@ def _run_once(
             in_flight = dict(pending[op[1]])
     manager.set_fault_callback(None)
     manager.crash()
+    return manager, injector, committed, pending, checkpoints, crashed_at, in_flight
+
+
+def _clone_crashed(manager: RecoveryManager) -> RecoveryManager:
+    """An independent deep copy of a crashed manager.
+
+    A pickle round trip: the cheapest general deep copy, and every
+    manager pickles once crashed with no fault callback.  An in-memory
+    copy only; nothing is stored in this format.
+    """
+    return pickle.loads(pickle.dumps(manager, pickle.HIGHEST_PROTOCOL))
+
+
+def _finish(
+    arch: str,
+    plan: FaultPlan,
+    n_pages: int,
+    recrash_during_recovery: bool,
+    manager: RecoveryManager,
+    injector: FaultInjector,
+    committed: Dict[int, bytes],
+    pending: Dict[int, Dict[int, bytes]],
+    checkpoints: List[Any],
+    crashed_at: Optional[Tuple[str, int]],
+    in_flight: Optional[Dict[int, bytes]],
+) -> ScenarioResult:
+    """Recover a crashed ``manager`` and judge it.  Only ``manager`` is
+    mutated, so two passes may share the rest of a :func:`_run_prefix`."""
+    recovery_timeline: List[str] = []
     if recrash_during_recovery:
         # Crash again at the first recovery hook crossing, then restart
         # cleanly: recovery must be re-runnable from any prefix.
@@ -395,13 +425,17 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one (seed, plan) scenario: plain recovery, then a re-crash pass.
 
-    The re-crash pass replays the same scenario but injects a second crash
-    at the first recovery hook crossing; both passes must converge to the
-    same stable state.
+    The re-crash pass injects a second crash at the first recovery hook
+    crossing; both passes must converge to the same stable state.  The
+    prefix up to the crash is deterministic, so it runs once: the re-crash
+    pass recovers a copy of the crashed manager, which holds exactly what
+    a second replay would rebuild.
     """
     ops = _script(seed, n_transactions, n_pages, checkpoint_every)
-    plain = _run_once(arch, ops, plan, n_pages, recrash_during_recovery=False)
-    recrash = _run_once(arch, ops, plan, n_pages, recrash_during_recovery=True)
+    manager, *shared = _run_prefix(arch, ops, plan)
+    clone = _clone_crashed(manager)
+    plain = _finish(arch, plan, n_pages, False, manager, *shared)
+    recrash = _finish(arch, plan, n_pages, True, clone, *shared)
     if recrash.dump != plain.dump:
         plain.violations.append(
             {
@@ -483,9 +517,8 @@ def run_crashtest(
     architecture-specific compaction hook in the crash population.
     """
     ops = _script(seed, n_transactions, n_pages, checkpoint_every)
-    baseline = _run_once(
-        arch, ops, FaultPlan.of(seed=seed), n_pages, recrash_during_recovery=False
-    )
+    plan = FaultPlan.of(seed=seed)
+    baseline = _finish(arch, plan, n_pages, False, *_run_prefix(arch, ops, plan))
     total = baseline.crossings
     points = list(range(1, total + 1))
     if budget is not None and budget < len(points):

@@ -83,6 +83,7 @@ class DiskRequest:
         "error",
         "torn",
         "corrupt",
+        "cylinder",
     )
 
     def __init__(
@@ -110,6 +111,10 @@ class DiskRequest:
         #: corruption the checksum layer would reject); the scrubber and
         #: the mirror fallback path react to it.
         self.corrupt = False
+        #: the one cylinder a parallel-access request spans, found at
+        #: submit; ``None`` when it spans several (or the disk is
+        #: conventional, which never reads it).
+        self.cylinder: Optional[int] = None
 
     @property
     def n_pages(self) -> int:
@@ -367,32 +372,43 @@ class ParallelAccessDisk(Disk):
 
     parallel_access = True
 
+    def submit(
+        self, kind: str, addresses: Sequence[DiskAddress], tag: str = ""
+    ) -> DiskRequest:
+        req = super().submit(kind, addresses, tag)
+        # Every service compares each queued request's cylinder: find it
+        # once here.  A multi-cylinder request is rejected by the server.
+        cylinder = req.addresses[0].cylinder
+        for addr in req.addresses:
+            if addr.cylinder != cylinder:
+                break
+        else:
+            req.cylinder = cylinder
+        return req
+
     def _select_batch(self) -> List[DiskRequest]:
         first = self._queue.popleft()
-        cylinder = self._request_cylinder(first)
+        cylinder = first.cylinder
+        if cylinder is None:
+            cylinders = sorted({addr.cylinder for addr in first.addresses})
+            raise SimulationError(
+                f"parallel-access request spans cylinders {cylinders}; "
+                "split requests with split_by_cylinder()"
+            )
+        kind = first.kind
         batch = [first]
         survivors: Deque[DiskRequest] = deque()
-        while self._queue:
-            req = self._queue.popleft()
-            if req.kind == first.kind and self._request_cylinder(req) == cylinder:
+        for req in self._queue:
+            if req.kind == kind and req.cylinder == cylinder:
                 batch.append(req)
             else:
                 survivors.append(req)
         self._queue = survivors
         return batch
 
-    def _request_cylinder(self, req: DiskRequest) -> int:
-        cylinders = {addr.cylinder for addr in req.addresses}
-        if len(cylinders) != 1:
-            raise SimulationError(
-                f"parallel-access request spans cylinders {sorted(cylinders)}; "
-                "split requests with split_by_cylinder()"
-            )
-        return next(iter(cylinders))
-
     def _service_time(self, batch: List[DiskRequest]) -> float:
         params = self.params
-        cylinder = self._request_cylinder(batch[0])
+        cylinder = batch[0].cylinder
         sectors = {addr.sector for req in batch for addr in req.addresses}
         cost = 0.0
         if cylinder != self._head_cylinder:

@@ -1,7 +1,10 @@
 """The crash-recovery harness: determinism, zero violations, and teeth."""
 
+from typing import Dict, Optional, Sequence, Tuple
+
 import pytest
 
+from repro.checkpoint import CHECKPOINT_FILE
 from repro.faults import (
     ARCHITECTURES,
     DEFAULT_CHECKPOINT_EVERY,
@@ -13,6 +16,18 @@ from repro.faults import (
     run_crashtest,
     run_scenario,
 )
+from repro.faults import harness
+from repro.faults.harness import (
+    ScenarioResult,
+    _apply_op,
+    _clone_crashed,
+    _run_prefix,
+    _script,
+    _verify,
+    state_dump,
+)
+from repro.faults.injector import FaultInjector, InjectedCrash
+from repro.sim.rng import RandomStreams
 from repro.storage.interface import RecoveryManager
 
 ARCH_NAMES = sorted(ARCHITECTURES)
@@ -52,8 +67,6 @@ class TestWorkloadGeneration:
         for arch in ARCH_NAMES:
             manager = make_manager(arch)
             tids, committed, pending = {}, {}, {}
-            from repro.faults.harness import _apply_op
-
             for op in ops:
                 _apply_op(manager, op, tids, committed, pending)
             for page, data in committed.items():
@@ -157,6 +170,38 @@ class _InPlaceManager(RecoveryManager):
         return self.stable.read_page(page)
 
 
+class _UnrestartableUndoManager(_InPlaceManager):
+    """In-place writes behind a stable undo log, but recovery empties the
+    log *before* it applies it.  Plain recovery is correct; a crash at the
+    first recovery hook loses the undo records, so only the re-crash pass,
+    which must start from the crashed state, can catch it."""
+
+    name = "unrestartable-undo"
+    checkpoint_unsupported = True
+
+    def _do_write(self, tid, page, data):
+        self.stable.append("undo", (tid, page, self.stable.read_page(page)))
+        self.stable.write_page(page, data)
+
+    def _do_commit(self, tid):
+        log = self.stable.read_file("undo")
+        self.stable.truncate("undo", [r for r in log if r[0] != tid])
+
+    def _do_abort(self, tid):
+        log = self.stable.read_file("undo")
+        for owner, page, before in reversed(log):
+            if owner == tid:
+                self.stable.write_page(page, before)
+        self._do_commit(tid)
+
+    def _on_recover(self):
+        log = self.stable.read_file("undo")
+        self.stable.truncate("undo")
+        self._fault_point("undo.recover.truncated")
+        for _tid, page, before in reversed(log):
+            self.stable.write_page(page, before)
+
+
 class TestHarnessTeeth:
     def test_broken_manager_is_caught(self):
         ARCHITECTURES["in-place"] = _InPlaceManager
@@ -171,3 +216,232 @@ class TestHarnessTeeth:
         for violation in report.violations:
             replay = FaultPlan.from_json(violation["plan"])
             assert replay.seed == 13
+
+    def test_unrestartable_recovery_is_caught(self):
+        ARCHITECTURES["unrestartable-undo"] = _UnrestartableUndoManager
+        try:
+            report = run_crashtest("unrestartable-undo", seed=13, n_transactions=6)
+            plan = FaultPlan.from_json(next(
+                v["plan"] for v in report.violations if v["kind"] == "recrash-divergence"
+            ))
+            result = run_scenario("unrestartable-undo", 13, plan, n_transactions=6)
+        finally:
+            del ARCHITECTURES["unrestartable-undo"]
+        # Only the re-crash pass fails: its crash lost the undo records.
+        assert {v["kind"] for v in report.violations} == {"recrash-divergence", "atomicity"}
+        assert result.outcome == "violation"
+        assert result.violations[0]["kind"] == "recrash-divergence"
+
+
+# -- the two-replay harness, kept as the oracle for the shared prefix ---------
+def _reference_run_once(
+    arch: str,
+    ops: Sequence[Tuple],
+    plan: FaultPlan,
+    n_pages: int,
+    recrash_during_recovery: bool,
+) -> ScenarioResult:
+    manager = harness.make_manager(arch)
+    injector = FaultInjector(plan)
+    manager.set_fault_callback(injector.reached)
+    tids: Dict[int, int] = {}
+    committed: Dict[int, bytes] = {}
+    pending: Dict[int, Dict[int, bytes]] = {}
+    checkpoints = []
+    recovery_timeline = []
+    crashed_at = None
+    in_flight: Optional[Dict[int, bytes]] = None
+    try:
+        for op in ops:
+            injector.reached("op-boundary")
+            _apply_op(manager, op, tids, committed, pending, checkpoints)
+    except InjectedCrash as crash:
+        crashed_at = (crash.hook, crash.crossing)
+        if op[0] == "commit" and crash.hook != "op-boundary":
+            in_flight = dict(pending[op[1]])
+    manager.set_fault_callback(None)
+    manager.crash()
+    if recrash_during_recovery:
+        recrash = FaultInjector(
+            FaultPlan.of(FaultSpec(FaultKind.CRASH, hook="*"), seed=plan.seed)
+        )
+        manager.set_fault_callback(recrash.reached)
+        try:
+            manager.recover()
+        except InjectedCrash:
+            manager.set_fault_callback(None)
+            manager.crash()
+            manager.recover()
+        manager.set_fault_callback(None)
+    else:
+        manager.set_fault_callback(recovery_timeline.append)
+        manager.recover()
+        manager.set_fault_callback(None)
+    outcome, violations = _verify(
+        arch, plan, manager, n_pages, committed, in_flight, pending, crashed_at
+    )
+    durable_checkpoints = manager.stable.file_length(CHECKPOINT_FILE)
+    if durable_checkpoints < len(checkpoints):
+        violations.append(
+            {
+                "kind": "checkpoint-lost",
+                "architecture": arch,
+                "seed": plan.seed,
+                "hook": crashed_at[0] if crashed_at else None,
+                "crossing": crashed_at[1] if crashed_at else None,
+                "detail": (
+                    f"{len(checkpoints)} checkpoints completed before the "
+                    f"crash but only {durable_checkpoints} survived recovery"
+                ),
+                "plan": plan.to_json(),
+            }
+        )
+        outcome = "violation"
+    dump = state_dump(manager)
+    manager.crash()
+    manager.recover()
+    if state_dump(manager) != dump:
+        violations.append(
+            {
+                "kind": "recovery-not-idempotent",
+                "architecture": arch,
+                "seed": plan.seed,
+                "hook": crashed_at[0] if crashed_at else None,
+                "crossing": crashed_at[1] if crashed_at else None,
+                "detail": "second crash/recover round changed stable state",
+                "plan": plan.to_json(),
+            }
+        )
+        outcome = "violation"
+    return ScenarioResult(
+        architecture=arch,
+        plan=plan,
+        crashed_at=crashed_at,
+        outcome=outcome,
+        violations=violations,
+        dump=dump,
+        crossings=injector.crossings,
+        checkpoints_completed=len(checkpoints),
+        hooks=sorted(injector.hooks_seen),
+        recovery_timeline=recovery_timeline,
+    )
+
+
+def _ops(seed: int):
+    """The op script :func:`run_scenario` replays with its default sizes."""
+    return _script(seed, harness.DEFAULT_TRANSACTIONS, harness.DEFAULT_PAGES,
+                   DEFAULT_CHECKPOINT_EVERY)
+
+
+def reference_run_scenario(arch: str, seed: int, plan: FaultPlan) -> ScenarioResult:
+    """:func:`run_scenario` as first written: the plain and the re-crash
+    pass each replay the op-script prefix on a fresh manager."""
+    ops, n_pages = _ops(seed), harness.DEFAULT_PAGES
+    plain = _reference_run_once(arch, ops, plan, n_pages, recrash_during_recovery=False)
+    recrash = _reference_run_once(arch, ops, plan, n_pages, recrash_during_recovery=True)
+    if recrash.dump != plain.dump:
+        plain.violations.append(
+            {
+                "kind": "recrash-divergence",
+                "architecture": arch,
+                "seed": seed,
+                "hook": plain.crashed_at[0] if plain.crashed_at else None,
+                "crossing": plain.crashed_at[1] if plain.crashed_at else None,
+                "detail": "re-crash during recovery converged to a different state",
+                "plan": plan.to_json(),
+            }
+        )
+        plain.outcome = "violation"
+    plain.violations.extend(recrash.violations)
+    return plain
+
+
+def _crash_at(point: int, seed: int) -> FaultPlan:
+    return FaultPlan.of(FaultSpec(FaultKind.CRASH, hook="*", occurrence=point), seed=seed)
+
+
+def _crossings(arch: str, seed: int) -> int:
+    return run_scenario(arch, seed, FaultPlan.of(seed=seed)).crossings
+
+
+class TestSharedPrefixMatchesReference:
+    """Both passes recover one crashed state instead of two replays of it."""
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_every_seed5_crossing(self, arch):
+        total = _crossings(arch, 5)
+        assert total > 0
+        for point in range(total + 2):  # 0 = no crash; total + 1 is never reached
+            plan = _crash_at(point, 5) if point else FaultPlan.of(seed=5)
+            assert run_scenario(arch, 5, plan) == reference_run_scenario(arch, 5, plan)
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_sampled_seed21_crossings(self, arch):
+        total = _crossings(arch, 21)
+        sampler = RandomStreams(21).stream("test.shared-prefix")
+        for point in sorted(sampler.sample(range(1, total + 1), 12)):
+            plan = _crash_at(point, 21)
+            assert run_scenario(arch, 21, plan) == reference_run_scenario(arch, 21, plan)
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_budget_sweep_report(self, arch, monkeypatch):
+        new = run_crashtest(arch, 1985, budget=40).to_json()
+        monkeypatch.setattr(
+            harness, "run_scenario",
+            lambda arch, seed, plan, *_args, **_kwargs: reference_run_scenario(arch, seed, plan),
+        )
+        assert new == run_crashtest(arch, 1985, budget=40).to_json()
+
+    def test_one_prefix_replay_per_scenario(self, monkeypatch):
+        built = []
+
+        def counting_make_manager(arch):
+            built.append(arch)
+            return make_manager(arch)
+
+        monkeypatch.setattr(harness, "make_manager", counting_make_manager)
+        for arch in ARCH_NAMES:
+            run_scenario(arch, 5, _crash_at(15, 5))
+        assert built == ARCH_NAMES
+        built.clear()
+        reference_run_scenario("wal", 5, _crash_at(15, 5))
+        assert built == ["wal", "wal"]
+
+
+class TestCrashedManagerClone:
+    """A crashed manager deep-copies: the re-crash pass depends on it."""
+
+    @staticmethod
+    def _crashed(arch: str, where: str) -> RecoveryManager:
+        total = _crossings(arch, 5)
+        point = {"start": 1, "middle": total // 2, "end": total}[where]
+        manager, *_shared = _run_prefix(arch, _ops(5), _crash_at(point, 5))
+        return manager
+
+    @staticmethod
+    def _committed(manager: RecoveryManager):
+        return [manager.read_committed(page) for page in range(harness.DEFAULT_PAGES)]
+
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_clone_is_equal_and_independent(self, arch, where):
+        original = self._crashed(arch, where)
+        crashed = state_dump(original)
+        clone = _clone_crashed(original)
+        assert clone is not original
+        assert state_dump(clone) == crashed
+        clone.recover()
+        assert state_dump(original) == crashed
+        original.recover()
+        recovered = state_dump(original)
+        assert state_dump(clone) == recovered
+        assert self._committed(clone) == self._committed(original)
+        committed = self._committed(original)
+        tid = clone.begin()
+        for page in range(harness.DEFAULT_PAGES):
+            clone.write(tid, page, b"clone-%d" % page)
+        clone.commit(tid)
+        assert state_dump(original) == recovered
+        assert self._committed(original) == committed
+        assert self._committed(clone) != committed
+
