@@ -39,9 +39,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
 __all__ = ["AuxRead", "DataPage", "RecoveryArchitecture", "WorkItem"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class DataPage:
-    """A reference-string page: locked, read, processed, maybe updated."""
+    """A reference-string page: locked, read, processed, maybe updated.
+
+    Not frozen: one is built per page, and a frozen dataclass's
+    ``__init__`` assigns through ``object.__setattr__``.
+    """
 
     page: int
 

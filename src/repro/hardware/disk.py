@@ -68,7 +68,8 @@ class DiskAddress(NamedTuple):
             )
         cylinder, rest = divmod(index, params.pages_per_cylinder)
         track, sector = divmod(rest, params.pages_per_track)
-        return DiskAddress(cylinder, track, sector)
+        # The generated ``DiskAddress.__new__`` is a Python-level wrapper.
+        return tuple.__new__(DiskAddress, (cylinder, track, sector))
 
 
 class DiskRequest:
@@ -246,6 +247,8 @@ class Disk:
                 tracer.end(span)
             self.accesses.increment()
             for req in batch:
+                # Pages count only when the request completes: one caught
+                # in service by a disk death transferred nothing.
                 if self.failed:
                     req.error = "disk-failed"
                     self.failed_requests.increment()
@@ -254,11 +257,12 @@ class Disk:
                         req.torn = True
                         self.torn_writes.increment()
                     self._settle_rot(req, tracer)
-                elif self.corrupt_sectors and self._hits_rot(req):
-                    req.corrupt = True
-                    self.corrupt_reads.increment()
-                counter = self.pages_read if req.kind == "read" else self.pages_written
-                counter.increment(req.n_pages)
+                    self.pages_written.increment(req.n_pages)
+                else:
+                    if self.corrupt_sectors and self._hits_rot(req):
+                        req.corrupt = True
+                        self.corrupt_reads.increment()
+                    self.pages_read.increment(req.n_pages)
                 req.done.succeed(env.now)
 
     def _select_batch(self) -> List[DiskRequest]:

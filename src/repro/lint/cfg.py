@@ -43,6 +43,9 @@ Design:
   inside a ``try`` body gets a may-raise edge to the handlers (any call
   can throw), so code in ``except:`` blocks is reachable.  A typed
   handler is conservatively assumed to catch (no exception-type lattice).
+* A rule may pass ``assume``, a predicate over ``if`` tests it takes as
+  always true (TR02's ``tracer is not None`` guards); such an ``if``
+  gets no false edge, so its ``else`` arm is unreachable.
 
 Limits (documented, shared with docs/LINT.md): no short-circuit
 expression flow, ``with`` is transparent (its body runs inline; ``__exit__``
@@ -56,7 +59,7 @@ continuation — an over-approximation, never a lost path.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 __all__ = [
     "RESUME",
@@ -175,10 +178,11 @@ class _Frame:
 class _Builder:
     """Compiles one function body into a :class:`CFG`."""
 
-    def __init__(self, func: ast.AST):
+    def __init__(self, func: ast.AST, assume: Optional[Callable[[ast.AST], bool]] = None):
         self.cfg = CFG(func)
         self.current: Optional[BasicBlock] = self.cfg.entry
         self.stack: List[_Frame] = []
+        self.assume = assume
 
     # -- plumbing ---------------------------------------------------------
     def _block(self) -> BasicBlock:
@@ -296,6 +300,8 @@ class _Builder:
     def _if(self, stmt: ast.If) -> None:
         self._emit(stmt.test)
         cond = self.current
+        # An assumed-true test never takes its false edge.
+        always = self.assume is not None and self.assume(stmt.test)
         after = self.cfg._new_block()
         # Then-branch.
         then_entry = self.cfg._new_block()
@@ -306,11 +312,12 @@ class _Builder:
         # Else-branch (possibly empty: the condition falls through).
         if stmt.orelse:
             else_entry = self.cfg._new_block()
-            CFG.add_edge(cond, else_entry)
+            if not always:
+                CFG.add_edge(cond, else_entry)
             self.current = else_entry
             self._stmts(stmt.orelse)
             self._goto(after)
-        else:
+        elif not always:
             CFG.add_edge(cond, after)
         self.current = after if after.preds else None
 
@@ -459,10 +466,14 @@ class _Builder:
         self.current = saved
 
 
-def build_cfg(func: ast.AST) -> CFG:
+def build_cfg(func: ast.AST, assume: Optional[Callable[[ast.AST], bool]] = None) -> CFG:
     """The CFG of ``func`` (a FunctionDef / AsyncFunctionDef / Lambda-like
-    node with a ``body`` list)."""
-    return _Builder(func).build()
+    node with a ``body`` list).
+
+    ``assume(test)`` marks ``if`` tests the caller takes as always true:
+    such an ``if`` gets no edge to its ``else`` branch or past it.
+    """
+    return _Builder(func, assume).build()
 
 
 def dominators(cfg: CFG) -> Dict[int, Set[int]]:

@@ -18,6 +18,12 @@ function's responsibility and is exempt too.  An unbalanced span breaks
 the "breakdowns sum exactly" invariant the critical-path analysis rests
 on (see docs/TRACE.md).
 
+TR02 reads the guarded idiom of the hot span sites: a begin under ``if
+tracer is not None:`` or written ``tracer.begin(...) if tracer is not
+None else None``, ended under ``if tracer is not None:``.  Those guards
+are taken as always true — with no tracer no span exists — so a traced
+path that skips a guarded end is still reported.
+
 The catalogue is extracted from the module's AST (top-level string
 constants), never imported: the linter sits at layer 0 and must not
 execute higher-layer code.
@@ -156,6 +162,31 @@ def _is_tracer_receiver(receiver: ast.AST) -> bool:
     return False
 
 
+def _is_tracer_guard(test: ast.AST) -> bool:
+    """``<tracer> is not None``: the guard of the hot span sites."""
+    return (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.IsNot)
+        and isinstance(test.comparators[0], ast.Constant)
+        and test.comparators[0].value is None
+        and _is_tracer_receiver(test.left)
+    )
+
+
+def _begin_call_of(value: ast.AST) -> Optional[ast.Call]:
+    """The begin call of ``<begin>`` or ``<begin> if <tracer> is not None
+    else None``; None for any other value."""
+    if (
+        isinstance(value, ast.IfExp)
+        and _is_tracer_guard(value.test)
+        and isinstance(value.orelse, ast.Constant)
+        and value.orelse.value is None
+    ):
+        value = value.body
+    return value if _is_begin_call(value) else None
+
+
 def _begin_assignments(func: ast.FunctionDef) -> Dict[str, List[ast.Assign]]:
     """Variable name -> its ``var = <begin call>`` assignment statements."""
     out: Dict[str, List[ast.Assign]] = {}
@@ -164,7 +195,7 @@ def _begin_assignments(func: ast.FunctionDef) -> Dict[str, List[ast.Assign]]:
             isinstance(node, ast.Assign)
             and len(node.targets) == 1
             and isinstance(node.targets[0], ast.Name)
-            and _is_begin_call(node.value)
+            and _begin_call_of(node.value) is not None
         ):
             out.setdefault(node.targets[0].id, []).append(node)
     return out
@@ -179,8 +210,10 @@ def _escapes(func: ast.FunctionDef, var: str) -> bool:
     for node in ast.walk(func):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
-            if isinstance(target, ast.Name) and target.id == var and _is_begin_call(
-                node.value
+            if (
+                isinstance(target, ast.Name)
+                and target.id == var
+                and _begin_call_of(node.value) is not None
             ):
                 allowed_stores.add(id(target))
         if _is_end_call(node) and node.args:
@@ -199,7 +232,7 @@ def _escapes(func: ast.FunctionDef, var: str) -> bool:
 
 
 def _span_name(assign: ast.Assign) -> str:
-    call = assign.value
+    call = _begin_call_of(assign.value)
     if call.args and isinstance(call.args[0], ast.Constant):
         return repr(call.args[0].value)
     return "<computed>"
@@ -227,7 +260,8 @@ class Tr02SpanBalance(Rule):
                 if _escapes(func, var):
                     continue
                 if cfg is None:
-                    cfg = build_cfg(func)
+                    # With no tracer no span exists: only traced paths count.
+                    cfg = build_cfg(func, assume=_is_tracer_guard)
                 yield from self._check_var(module, func, cfg, var, assigns)
 
     def _check_var(self, module, func, cfg, var, assigns) -> Iterator:

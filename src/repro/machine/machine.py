@@ -31,7 +31,6 @@ from repro.machine.config import MachineConfig
 from repro.machine.locks import DeadlockAbort, LockManager, LockMode
 from repro.machine.processors import ProcessorFailure, ProcessorPool
 from repro.metrics.collectors import RunResult
-from repro.metrics.timeline import Timeline
 from repro.sim.core import Environment, Event, Process
 from repro.sim.monitor import (
     CounterStat,
@@ -72,17 +71,16 @@ class DatabaseMachine:
         config: MachineConfig,
         architecture: Optional[RecoveryArchitecture] = None,
         placement: Optional[Placement] = None,
-        timeline: Optional[Timeline] = None,
         wal_monitor: Optional[WALInvariantMonitor] = None,
         shadow_monitor: Optional[ShadowInstallMonitor] = None,
         faults=None,
         tracer=None,
     ):
         self.config = config
-        self.timeline = timeline
-        #: Optional :class:`repro.trace.Tracer` (duck-typed; the machine
-        #: only calls ``begin``/``end``/``instant`` through the ``_tspan``
-        #: guard helpers, which are no-ops when no tracer is attached).
+        #: Optional :class:`repro.trace.Tracer` (duck-typed: the machine
+        #: calls only ``begin``/``end``/``instant``, each behind an
+        #: ``is not None`` test — never a truthiness test, since an empty
+        #: tracer has length 0).
         self.tracer = tracer
         #: Optional runtime WAL checker; architectures that gate write-backs
         #: on recovery data report to it (see sim.monitor.WALInvariantMonitor).
@@ -210,8 +208,9 @@ class DatabaseMachine:
         txn.last_durable_write = self.env.now
         if page is not None and self.shadow_monitor is not None:
             self.shadow_monitor.note_version_durable((txn.tid, page))
-        self._trace("write_durable", tid=txn.tid, pages=n)
-        self._tinstant("page.durable", tid=txn.tid, pages=n)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.instant("page.durable", tid=txn.tid, pages=n)
         self.fault_hook("machine.writeback")
 
     def wait_writebacks(self, txn: Transaction):
@@ -231,11 +230,14 @@ class DatabaseMachine:
         return proc
 
     def _traced_writeback(self, txn: Transaction, page: int, parent=None):
-        span = self._tspan("writeback", parent=parent, tid=txn.tid, page=page)
+        tracer = self.tracer
+        if tracer is not None:
+            span = tracer.begin("writeback", parent=parent, tid=txn.tid, page=page)
         try:
             yield from self.arch.writeback(txn, page)
         finally:
-            self._tend(span)
+            if tracer is not None:
+                tracer.end(span)
 
     def read_batched(self, disk_idx: int, addresses: Sequence[DiskAddress], tag: str):
         """Generator: read ``addresses``, split per cylinder for parallel
@@ -271,14 +273,15 @@ class DatabaseMachine:
             self.wal_monitor.reset()
         if self.shadow_monitor is not None:
             self.shadow_monitor.reset()
-        self._trace("machine_crash", reason=reason)
         self._tinstant("machine.crash", reason=reason)
         if not self._crash_event.triggered:
             self._crash_event.succeed(reason)
 
     def fault_hook(self, name: str) -> None:
         """A simulation-layer fault point: crash here if the plan says so."""
-        self._tinstant("fault.point", hook=name)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.instant("fault.point", hook=name)
         if self.faults is not None and not self.crashed and self.faults.poll(name):
             self.trigger_crash(name)
 
@@ -294,7 +297,6 @@ class DatabaseMachine:
         """
         self.qps.fail(index)
         self.qp_failures.increment()
-        self._trace("qp_fail", index=index)
         self._tinstant("component.fail", kind="qp", index=index)
         if self.health is None:
             self.failover_query_processor(index)
@@ -315,7 +317,6 @@ class DatabaseMachine:
     def repair_query_processor(self, index: int) -> None:
         """A repaired or replacement processor rejoins the pool."""
         self.qps.repair(index)
-        self._trace("qp_repair", index=index)
 
     def fail_data_disk(self, index: int) -> None:
         """Permanent media failure of data disk ``index``.
@@ -325,7 +326,6 @@ class DatabaseMachine:
         request errors out — only an archive restore helps (the functional
         layer's ``recover_from_media_failure``).
         """
-        self._trace("disk_fail", index=index)
         self._tinstant("component.fail", kind="disk", index=index)
         self.data_disks[index].fail()
 
@@ -462,7 +462,6 @@ class DatabaseMachine:
         env = self.env
         runtime = self.runtime(txn)
         txn.status = TransactionStatus.ACTIVE
-        self._trace("txn_begin", tid=txn.tid, attempt=txn.restarts + 1)
         tspan = self._tspan("txn", tid=txn.tid, attempt=txn.restarts + 1)
         yield from self.arch.on_begin(txn)
 
@@ -495,7 +494,6 @@ class DatabaseMachine:
             self._tend(aspan)
             self.locks.release_all(txn.tid)
             txn.status = TransactionStatus.ABORTED
-            self._trace("txn_abort", tid=txn.tid)
             self._tend(tspan, status="aborted")
             txn.reset_runtime()
             return False
@@ -506,7 +504,6 @@ class DatabaseMachine:
         self._tend(cspan)
         self.locks.release_all(txn.tid)
         txn.status = TransactionStatus.COMMITTED
-        self._trace("txn_commit", tid=txn.tid)
         if txn.write_pages and txn.last_durable_write is not None:
             txn.finish_time = txn.last_durable_write
         else:
@@ -529,48 +526,60 @@ class DatabaseMachine:
     # pipeline does, on every path.
     def _data_page_pipeline(self, txn, runtime, page: int, window: Container, tspan=None):
         env = self.env
+        # Span sites test ``tracer is not None`` inline: an untraced run
+        # pays one comparison per site and builds no span arguments.
+        tracer = self.tracer
+        tid = txn.tid
         is_update = page in txn.write_pages
         mode = LockMode.X if is_update else LockMode.S
         try:
-            lspan = self._tspan("lock.wait", parent=tspan, tid=txn.tid, page=page)
+            if tracer is not None:
+                lspan = tracer.begin("lock.wait", parent=tspan, tid=tid, page=page)
             try:
-                yield self.locks.acquire(txn.tid, page, mode)
+                yield self.locks.acquire(tid, page, mode)
             except DeadlockAbort as abort:
-                self._tend(lspan, outcome="deadlock")
+                if tracer is not None:
+                    tracer.end(lspan, outcome="deadlock")
                 runtime.aborted = True
                 runtime.abort_cause = abort
                 return
-            self._tend(lspan, outcome="granted")
+            if tracer is not None:
+                tracer.end(lspan, outcome="granted")
             if runtime.aborted:
                 return
-            ispan = self._tspan("indirection", parent=tspan, tid=txn.tid, page=page)
+            if tracer is not None:
+                ispan = tracer.begin("indirection", parent=tspan, tid=tid, page=page)
             yield from self.arch.before_page_read(txn, page)
-            self._tend(ispan)
+            if tracer is not None:
+                tracer.end(ispan)
             if runtime.aborted:
                 return
-            fspan = self._tspan("cache.wait", parent=tspan, tid=txn.tid, frames=1)
+            if tracer is not None:
+                fspan = tracer.begin("cache.wait", parent=tspan, tid=tid, frames=1)
             yield self.cache.acquire(1)
-            self._tend(fspan)
             if not runtime.started:
                 runtime.started = True
                 txn.start_time = env.now
             disk_idx, addresses = self.arch.read_addresses(txn, page)
-            rspan = self._tspan("io.data.read", parent=tspan, tid=txn.tid, page=page)
-            request = self.data_disks[disk_idx].read(addresses, tag="data")
-            yield request.done
-            self._tend(rspan)
+            if tracer is not None:
+                tracer.end(fspan)
+                rspan = tracer.begin("io.data.read", parent=tspan, tid=tid, page=page)
+            yield self.data_disks[disk_idx].read(addresses, tag="data").done
+            if tracer is not None:
+                tracer.end(rspan)
             self.pages_read.increment()
-            self._trace("page_read", tid=txn.tid, page=page)
             self.fault_hook("machine.page-read")
             if runtime.aborted:
                 self.cache.release(1)
                 return
-            qspan = self._tspan("qp.wait", parent=tspan, tid=txn.tid)
+            if tracer is not None:
+                qspan = tracer.begin("qp.wait", parent=tspan, tid=tid)
             qp_index, grant = yield from self.qps.acquire()
-            self._tend(qspan)
-            xspan = self._tspan(
-                "qp.exec", parent=tspan, tid=txn.tid, page=page, update=is_update
-            )
+            if tracer is not None:
+                tracer.end(qspan)
+                xspan = tracer.begin(
+                    "qp.exec", parent=tspan, tid=tid, page=page, update=is_update
+                )
             self._qp_holders[qp_index] = (txn, runtime)
             try:
                 yield env.timeout(self.arch.page_cpu_ms(txn, page, is_update))
@@ -579,7 +588,8 @@ class DatabaseMachine:
             finally:
                 self._qp_holders.pop(qp_index, None)
                 self.qps.release(qp_index, grant)
-                self._tend(xspan)
+                if tracer is not None:
+                    tracer.end(xspan)
             if is_update and not runtime.aborted:
                 self.spawn_writeback(txn, page, parent=tspan)
             else:
@@ -588,30 +598,33 @@ class DatabaseMachine:
             window.release(1)
 
     def _aux_read_pipeline(self, txn, runtime, item: AuxRead, window: Container, tspan=None):
+        tracer = self.tracer
+        tid = txn.tid
         n_frames = len(item.addresses)
         try:
-            fspan = self._tspan("cache.wait", parent=tspan, tid=txn.tid, frames=n_frames)
+            if tracer is not None:
+                fspan = tracer.begin("cache.wait", parent=tspan, tid=tid, frames=n_frames)
             yield self.cache.acquire(n_frames)
-            self._tend(fspan)
             if not runtime.started:
                 runtime.started = True
                 txn.start_time = self.env.now
-            rspan = self._tspan(
-                "io.aux.read", parent=tspan, tid=txn.tid, tag=item.tag, pages=n_frames
-            )
+            if tracer is not None:
+                tracer.end(fspan)
+                rspan = tracer.begin(
+                    "io.aux.read", parent=tspan, tid=tid, tag=item.tag, pages=n_frames
+                )
             yield from self.read_batched(item.disk_idx, item.addresses, item.tag)
-            self._tend(rspan)
+            if tracer is not None:
+                tracer.end(rspan)
             if item.cpu_ms > 0 and not runtime.aborted:
-                xspan = self._tspan("qp.exec", parent=tspan, tid=txn.tid, cpu_ms=item.cpu_ms)
+                if tracer is not None:
+                    xspan = tracer.begin("qp.exec", parent=tspan, tid=tid, cpu_ms=item.cpu_ms)
                 yield from self.qps.execute_ms(item.cpu_ms)
-                self._tend(xspan)
+                if tracer is not None:
+                    tracer.end(xspan)
             self.cache.release(n_frames)
         finally:
             window.release(1)
-
-    def _trace(self, category: str, **fields) -> None:
-        if self.timeline is not None:
-            self.timeline.record(self.env.now, category, **fields)
 
     # ------------------------------------------------------------------ results
     def _collect(self, transactions: Sequence[Transaction]) -> RunResult:

@@ -1,13 +1,10 @@
-"""Run-level metrics, timelines, and report rendering."""
+"""Run-level metrics and report rendering."""
 
 from repro.metrics.collectors import RunResult
 from repro.metrics.report import format_table, percentile_table, render_comparison
-from repro.metrics.timeline import Timeline, TimelineEvent
 
 __all__ = [
     "RunResult",
-    "Timeline",
-    "TimelineEvent",
     "format_table",
     "percentile_table",
     "render_comparison",

@@ -103,7 +103,7 @@ class Event:
         self._triggered = True
         env = self.env
         env._eid += 1
-        heappush(env._queue, (env._now, NORMAL, env._eid, self))
+        heappush(env._queue, (env.now, NORMAL, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -122,7 +122,7 @@ class Event:
         self._triggered = True
         env = self.env
         env._eid += 1
-        heappush(env._queue, (env._now, NORMAL, env._eid, self))
+        heappush(env._queue, (env.now, NORMAL, env._eid, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -172,7 +172,7 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         env._eid += 1
-        heappush(env._queue, (env._now + delay, NORMAL, env._eid, self))
+        heappush(env._queue, (env.now + delay, NORMAL, env._eid, self))
 
 
 class _Initialize(Event):
@@ -189,7 +189,7 @@ class _Initialize(Event):
         self._processed = False
         self._defused = False
         env._eid += 1
-        heappush(env._queue, (env._now, URGENT, env._eid, self))
+        heappush(env._queue, (env.now, URGENT, env._eid, self))
 
 
 class Process(Event):
@@ -204,7 +204,14 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator, name: Optional[str] = None):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        # One per page pipeline: set the slots (no Event.__init__ hop).
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process currently waits for (None when running).
@@ -234,7 +241,7 @@ class Process(Event):
         interrupt_evt.callbacks = [self._resume]
         env = self.env
         env._eid += 1
-        heappush(env._queue, (env._now, URGENT, env._eid, interrupt_evt))
+        heappush(env._queue, (env.now, URGENT, env._eid, interrupt_evt))
         # Detach from the old target so its firing no longer resumes us.
         if self._target is not None and self._target.callbacks is not None:
             try:
@@ -267,23 +274,17 @@ class Process(Event):
                 self._value = exc
                 break
 
-            if not isinstance(next_event, Event):
-                error = SimulationError(
+            try:
+                callbacks = next_event.callbacks
+            except AttributeError:
+                # Not an event: loop around with a failed stand-in so the
+                # misuse is thrown back into the generator.
+                event = Event(env)
+                event._ok = False
+                event._value = SimulationError(
                     f"process {self.name!r} yielded non-event {next_event!r}"
                 )
-                try:
-                    generator.throw(error)
-                except StopIteration as exc:
-                    self._ok = True
-                    self._value = exc.value
-                    break
-                except BaseException as exc:  # noqa: BLE001
-                    self._ok = False
-                    self._value = exc
-                    break
                 continue
-
-            callbacks = next_event.callbacks
             if callbacks is not None:
                 # Event still pending/triggered-not-processed: wait for it.
                 callbacks.append(self._resume)
@@ -295,7 +296,7 @@ class Process(Event):
         # The generator ended: the process event fires at this instant.
         self._triggered = True
         env._eid += 1
-        heappush(env._queue, (env._now, NORMAL, env._eid, self))
+        heappush(env._queue, (env.now, NORMAL, env._eid, self))
         env._active_process = None
 
 
@@ -374,7 +375,9 @@ class Environment:
     """The simulation clock and event calendar."""
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = initial_time
+        #: Current simulation time.  A plain attribute (the hottest read in
+        #: the kernel) that only :meth:`run` and :meth:`step` assign.
+        self.now = initial_time
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
@@ -385,11 +388,6 @@ class Environment:
         self.tracer: Optional[Any] = None
 
     @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently being stepped (None between steps)."""
         return self._active_process
@@ -397,7 +395,17 @@ class Environment:
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:
         """A fresh pending event, to be triggered manually."""
-        return Event(self)
+        # Set the slots here rather than through ``Event.__init__``: this
+        # is the factory the per-page lock and disk code calls.
+        event = object.__new__(Event)
+        event.env = self
+        event.callbacks = []
+        event._value = None
+        event._ok = True
+        event._triggered = False
+        event._processed = False
+        event._defused = False
+        return event
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` time units from now."""
@@ -435,7 +443,7 @@ class Environment:
         """
         if not self._queue:
             raise SimulationError("step() on empty schedule")
-        self._now, _, _, event = heappop(self._queue)
+        self.now, _, _, event = heappop(self._queue)
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
@@ -461,7 +469,7 @@ class Environment:
                     raise SimulationError(
                         "schedule ran dry before the awaited event fired"
                     )
-                self._now, _, _, event = heappop(queue)
+                self.now, _, _, event = heappop(queue)
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._processed = True
@@ -476,12 +484,12 @@ class Environment:
             horizon = float("inf")
         else:
             horizon = float(until)
-            if horizon < self._now:
+            if horizon < self.now:
                 raise SimulationError(
-                    f"until={horizon} lies in the past (now={self._now})"
+                    f"until={horizon} lies in the past (now={self.now})"
                 )
         while queue and queue[0][0] <= horizon:
-            self._now, _, _, event = heappop(queue)
+            self.now, _, _, event = heappop(queue)
             callbacks = event.callbacks
             event.callbacks = None
             event._processed = True
@@ -490,5 +498,5 @@ class Environment:
             if not event._ok and not event._defused:
                 raise event._value
         if until is not None:
-            self._now = horizon
+            self.now = horizon
         return None

@@ -130,7 +130,8 @@ class TimeWeightedStat:
         self._area += self._value * (t - self._last_t)
         self._last_t = t
         self._value = value
-        self._max = max(self._max, value)
+        if value > self._max:
+            self._max = value
 
     def add(self, t: float, delta: float) -> None:
         self.update(t, self._value + delta)
@@ -172,20 +173,20 @@ class UtilizationTracker:
         return self._busy
 
     def start(self, t: float) -> None:
-        self._accumulate(t)
+        if t < self._last_t:
+            raise ValueError(f"time went backwards: {t} < {self._last_t}")
+        self._busy_time += self._busy * (t - self._last_t)
+        self._last_t = t
         self._busy += 1
 
     def stop(self, t: float) -> None:
         if self._busy <= 0:
             raise ValueError(f"stop() on idle tracker {self.name!r}")
-        self._accumulate(t)
-        self._busy -= 1
-
-    def _accumulate(self, t: float) -> None:
         if t < self._last_t:
             raise ValueError(f"time went backwards: {t} < {self._last_t}")
         self._busy_time += self._busy * (t - self._last_t)
         self._last_t = t
+        self._busy -= 1
 
     def busy_time(self, t_end: Optional[float] = None) -> float:
         t = self._last_t if t_end is None else t_end

@@ -46,7 +46,14 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # Per-page hot path: set the slots directly (no Event.__init__ hop).
+        self.env = resource.env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self.resource = resource
 
     def __enter__(self) -> "Request":
@@ -280,7 +287,14 @@ class ContainerGet(Event):
     __slots__ = ("amount",)
 
     def __init__(self, env: Environment, amount: float):
-        super().__init__(env)
+        # Per-page hot path: set the slots directly (no Event.__init__ hop).
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self.amount = amount
 
 
@@ -334,12 +348,18 @@ class Container:
                 f"(capacity {self.capacity})"
             )
         self._level += amount
-        self._dispatch()
+        if self._getters:
+            self._dispatch()
 
     def get(self, amount: float) -> ContainerGet:
         if amount <= 0:
             raise SimulationError("get amount must be positive")
         evt = ContainerGet(self.env, amount)
+        if not self._getters and not self._putters and self._level >= amount:
+            # Nothing queued: the one grant ``_dispatch`` would make.
+            self._level -= amount
+            evt.succeed()
+            return evt
         self._getters.append(evt)
         self._dispatch()
         return evt

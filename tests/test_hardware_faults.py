@@ -60,6 +60,35 @@ class TestDiskFailure:
         assert first.done.triggered and second.done.triggered
         assert not second.ok
 
+    @pytest.mark.parametrize("kind", ["read", "write"])
+    def test_request_failed_in_service_moves_no_pages(self, kind):
+        env, disk = self.make_disk()
+        address = [DiskAddress.from_linear(0, IBM_3350)]
+        in_service = disk.submit(kind, address, tag="test")
+
+        def killer(env, disk):
+            yield env.timeout(0.1)  # the request is mid-transfer
+            disk.fail()
+
+        env.process(killer(env, disk))
+        env.run()
+        assert in_service.error == "disk-failed"
+        assert disk.failed_requests.count == 1
+        assert disk.accesses.count == 1  # the wasted access still happened
+        assert disk.pages_read.count == 0
+        assert disk.pages_written.count == 0
+
+    @pytest.mark.parametrize("kind", ["read", "write"])
+    def test_completed_request_counts_its_pages(self, kind):
+        env, disk = self.make_disk()
+        addresses = [DiskAddress.from_linear(i, IBM_3350) for i in range(3)]
+        request = disk.submit(kind, addresses, tag="test")
+        env.run()
+        assert request.ok
+        counted = disk.pages_read if kind == "read" else disk.pages_written
+        other = disk.pages_written if kind == "read" else disk.pages_read
+        assert (counted.count, other.count) == (3, 0)
+
     def test_fail_is_idempotent(self):
         env, disk = self.make_disk()
         disk.fail()

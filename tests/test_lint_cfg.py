@@ -107,6 +107,17 @@ def f(x):
         # Falling through both tests reaches the normal exit directly.
         assert edges(cfg)[(4,)] == {(5,), "exit"}
 
+    def test_assumed_test_has_no_false_edge(self):
+        func = ast.parse(self.SOURCE).body[0]
+        cfg = build_cfg(func, assume=lambda test: isinstance(test, ast.Name))
+        # The else arm is unreachable: only the then-arm leaves the test.
+        assert edges(cfg) == {(2, 3): {(4,)}, (4,): {(7,)}, (7,): {"exit"}}
+
+    def test_assumed_test_without_else_does_not_fall_through(self):
+        func = ast.parse("def f(x):\n    if x:\n        a = 1\n    b = 2\n").body[0]
+        cfg = build_cfg(func, assume=lambda test: True)
+        assert edges(cfg) == {(2,): {(3,)}, (3,): {(4,)}, (4,): {"exit"}}
+
 
 class TestLoopShapes:
     SOURCE = """\

@@ -28,7 +28,8 @@ def _cases(suffix):
 
 
 def _rule_of(case):
-    return case.rsplit("_", 1)[0].upper()
+    """``tr02_bad`` and ``tr02_guarded_bad`` both belong to TR02."""
+    return case.split("_", 1)[0].upper()
 
 
 def _materialize(case, tmp_path):
@@ -78,3 +79,15 @@ def test_good_fixture_clean(case, tmp_path):
         f"{case}: rule {rule} flagged disciplined code: "
         f"{[f.as_dict() for f in findings]}"
     )
+
+
+def test_guarded_span_idioms_each_fire(tmp_path):
+    """TR02 reads both guard idioms: the statement guard
+    (``if tracer is not None: span = tracer.begin(...)``) and the
+    expression guard (``tracer.begin(...) if tracer is not None else
+    None``); each skipped end in the bad fixture is its own finding."""
+    _, findings = _lint("tr02_guarded_bad", tmp_path)
+    flagged = sorted(f.message.split("()", 1)[0] for f in findings)
+    assert flagged == ["expression_guard", "statement_guard"], [
+        f.as_dict() for f in findings
+    ]

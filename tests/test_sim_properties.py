@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Container, Environment, Event, Resource, SimulationError
+from repro.sim.resources import ContainerGet
 
 
 @settings(max_examples=60)
@@ -249,4 +250,118 @@ def test_run_matches_stepping(soup, until):
     failures included."""
     assert _soup_run(soup, until, lambda env, t: env.run(until=t)) == _soup_run(
         soup, until, _stepwise
+    )
+
+
+class _GeneralPathContainer(Container):
+    """Oracle for the container's fast grants: every ``get`` and
+    ``release`` goes through a private copy of the general dispatch loop,
+    exactly as before ``Container`` learned to grant and release without
+    it."""
+
+    def get(self, amount):
+        if amount <= 0:
+            raise SimulationError("get amount must be positive")
+        evt = ContainerGet(self.env, amount)
+        self._getters.append(evt)
+        self._dispatch()
+        return evt
+
+    def release(self, amount):
+        if amount <= 0:
+            raise SimulationError("release amount must be positive")
+        if self._putters:
+            raise SimulationError("release while puts are pending")
+        if self._level + amount > self.capacity:
+            raise SimulationError("release overflows")
+        self._level += amount
+        self._dispatch()
+
+    def _dispatch(self):
+        progress = True
+        while progress:
+            progress = False
+            if self._putters:
+                put = self._putters[0]
+                if put.triggered:
+                    self._putters.popleft()
+                    progress = True
+                elif self._level + put.amount <= self.capacity:
+                    self._putters.popleft()
+                    self._level += put.amount
+                    put.succeed()
+                    progress = True
+            if self._getters:
+                get = self._getters[0]
+                if get.triggered:
+                    self._getters.popleft()
+                    progress = True
+                elif self._level >= get.amount:
+                    self._getters.popleft()
+                    self._level -= get.amount
+                    get.succeed()
+                    progress = True
+
+
+_CONTAINER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["get", "put", "release"]), st.integers(1, 3)),
+        # Withdraw the k-th still-pending get or put (an interrupted
+        # waiter's leftover, which dispatch must skip).
+        st.tuples(st.just("cancel"), st.integers(0, 5)),
+        st.tuples(st.just("step"), st.integers(1, 3)),
+    ),
+    max_size=40,
+)
+
+
+def _container_script(cls, capacity, init, ops):
+    """Replay ``ops`` on a fresh ``cls``; the observable history."""
+    env = Environment()
+    box = cls(env, capacity=capacity, init=init)
+    issued = []
+    processed = []
+    history = []
+    for op, arg in ops:
+        outcome = None
+        if op in ("get", "put"):
+            evt = getattr(box, op)(arg)
+            evt.callbacks.append(lambda e, i=len(issued): processed.append(i))
+            issued.append(evt)
+        elif op == "release":
+            try:
+                box.release(arg)
+            except SimulationError:
+                outcome = "refused"
+        elif op == "cancel":
+            pending = [e for e in issued if not e.triggered]
+            if pending:
+                pending[arg % len(pending)].succeed("cancelled")
+        else:
+            for _ in range(arg):
+                if env.peek() == float("inf"):
+                    break
+                env.step()
+        history.append(
+            (outcome, box.level, env.scheduled, [e.triggered for e in issued])
+        )
+    env.run()
+    return history, processed, box.level, env.scheduled
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    capacity=st.integers(1, 6),
+    init_share=st.floats(0, 1),
+    ops=_CONTAINER_OPS,
+)
+def test_container_fast_grants_match_general_dispatch(capacity, init_share, ops):
+    """``get`` granting at once with nothing queued, and ``release``
+    skipping dispatch with no getter waiting, change nothing observable:
+    after every operation the level, the calendar count and which events
+    have been granted equal the general path's, and the events are
+    processed in the same order."""
+    init = round(capacity * init_share)
+    assert _container_script(Container, capacity, init, ops) == _container_script(
+        _GeneralPathContainer, capacity, init, ops
     )

@@ -75,6 +75,39 @@ class TestAttribution:
             run_traced("logging", configuration="nonesuch", settings=SMALL)
 
 
+class TestTransactionLifecycle:
+    """Per-transaction events, read off the spans of a bare-machine run."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        tracer = Tracer()
+        config = MachineConfig()
+        txns = generate_transactions(
+            WorkloadConfig(n_transactions=4, max_pages=40),
+            config.db_pages,
+            RandomStreams(3).stream("workload"),
+        )
+        DatabaseMachine(config, None, tracer=tracer).run(txns)
+        return tracer, txns
+
+    def test_one_committed_txn_span_per_transaction(self, run):
+        tracer, txns = run
+        spans = tracer.named("txn")
+        assert sorted(s.tid for s in spans) == sorted(t.tid for t in txns)
+        assert all(s.args["status"] == "committed" for s in spans)
+        assert all(s.end >= s.start for s in spans)
+
+    def test_page_reads_and_durable_writes_match_the_load(self, run):
+        tracer, txns = run
+        assert len(tracer.named("io.data.read")) == sum(t.n_reads for t in txns)
+        durable = [m for m in tracer.instants if m.name == "page.durable"]
+        assert sum(m.args["pages"] for m in durable) == sum(t.n_writes for t in txns)
+
+    def test_every_pipeline_span_is_closed(self, run):
+        tracer, _ = run
+        assert not tracer.open_spans()
+
+
 class TestFaultInstants:
     def test_fault_point_and_crash_recorded(self):
         tracer = Tracer()
