@@ -17,15 +17,13 @@ from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
 from repro.bench import Grid
 from repro.faults import (
     ARCHITECTURES,
-    FaultInjector,
     FaultKind,
     FaultPlan,
     FaultSpec,
-    InjectedCrash,
     generate_ops,
-    make_manager,
+    recover_with_recrash,
+    run_prefix,
 )
-from repro.faults.harness import _apply_op
 
 PAPER_TEXT = paper_block(
     "Paper (Section 3):",
@@ -53,32 +51,12 @@ def _fault_plan(fault: str, seed: int) -> FaultPlan:
 def fault_recovery_cell(params: Dict[str, Any], seed: int) -> Dict[str, int]:
     """Run the seeded workload to the fault, recover, count the work."""
     arch, fault = params["architecture"], params["fault"]
-    manager = make_manager(arch)
-    injector = FaultInjector(_fault_plan(fault, seed))
-    manager.set_fault_callback(injector.reached)
-    tids, committed, pending = {}, {}, {}
-    try:
-        for op in generate_ops(seed, n_transactions=12):
-            injector.reached("op-boundary")
-            _apply_op(manager, op, tids, committed, pending)
-    except InjectedCrash:
-        pass
-    manager.set_fault_callback(None)
-    manager.crash()
+    ops = generate_ops(seed, n_transactions=12)
+    manager, *_ = run_prefix(arch, ops, _fault_plan(fault, seed))
     stable = manager.stable
     before = (stable.page_writes, stable.page_reads, stable.records_appended)
     if fault == "recrash":
-        recrash = FaultInjector(
-            FaultPlan.of(FaultSpec(FaultKind.CRASH, hook="*"), seed=seed)
-        )
-        manager.set_fault_callback(recrash.reached)
-        try:
-            manager.recover()
-        except InjectedCrash:
-            manager.set_fault_callback(None)
-            manager.crash()
-            manager.recover()
-        manager.set_fault_callback(None)
+        recover_with_recrash(manager, seed)
     else:
         manager.recover()
     return {

@@ -25,10 +25,11 @@ from repro.checkpoint import CheckpointScheduler
 from repro.faults.harness import (
     ARCHITECTURES,
     DEFAULT_PAGES,
-    _apply_op,
+    apply_op,
     generate_ops,
     make_manager,
 )
+from repro.jobs import map_jobs
 from repro.machine.config import MachineConfig
 
 __all__ = [
@@ -138,7 +139,7 @@ def run_with_checkpoints(
     committed: Dict[int, bytes] = {}
     pending: Dict[int, Dict[int, bytes]] = {}
     for op in ops:
-        _apply_op(manager, op, tids, committed, pending)
+        apply_op(manager, op, tids, committed, pending)
         if scheduler is not None:
             scheduler.note_op()
             scheduler.maybe_checkpoint(manager)
@@ -215,13 +216,7 @@ def checkpoint_interval_sweep(
         for arch in archs
         for interval in intervals
     ]
-    if jobs <= 1 or len(cells) <= 1:
-        stats = [_sweep_cell(cell) for cell in cells]
-    else:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=min(jobs, len(cells))) as pool:
-            stats = pool.map(_sweep_cell, cells)
+    stats = map_jobs(_sweep_cell, cells, jobs=jobs)
     out: Dict[str, List[CheckpointRunStats]] = {arch: [] for arch in archs}
     for (arch, *_), stat in zip(cells, stats):
         out[arch].append(stat)

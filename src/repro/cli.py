@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.analysis import checkpoint_interval_sweep, predict_bottleneck
 from repro.bench import (
@@ -62,10 +62,10 @@ from repro.experiments.tracing import (
     trace_diff,
 )
 from repro.loadgen.arrivals import PROCESSES, ArrivalConfig
-from repro.loadgen.loadtest import DEFAULT_MULTIPLIERS, run_loadtest
+from repro.loadgen.loadtest import DEFAULT_MULTIPLIERS, sweep_architectures
 from repro.loadgen.runner import DEGRADED_STATES
 from repro.machine import MachineConfig
-from repro.registry import add_arch_argument, entry_for, resolve_archs
+from repro.registry import add_arch_argument, resolve_archs
 from repro.resilience import run_scrubtest, run_survivetest
 from repro.trace import (
     render_flame,
@@ -162,13 +162,12 @@ def _build_parser() -> argparse.ArgumentParser:
     fidelity.add_argument("-n", "--transactions", type=int, default=30)
     fidelity.add_argument("--seed", type=int, default=1985)
 
-    crashtest = sub.add_parser(
+    crashtest = _harness_parser(
+        sub,
         "crashtest",
-        help="crash-recovery correctness sweep (see docs/FAULTS.md)",
-    )
-    crashtest.add_argument("--seed", type=int, default=1985, help="workload seed")
-    add_arch_argument(
-        crashtest, help_text="recovery architecture to crash (default: all)"
+        "crash-recovery correctness sweep (see docs/FAULTS.md)",
+        "crash",
+        "the full report(s)",
     )
     crashtest.add_argument(
         "-n",
@@ -184,24 +183,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="crash points per architecture (seeded sample; default: all)",
     )
     crashtest.add_argument(
-        "--json",
-        dest="json_path",
-        help="write the full report(s) to this JSON file",
-    )
-    crashtest.add_argument(
         "--plan",
         dest="plan_path",
         help="replay one failing fault-plan JSON instead of sweeping",
     )
 
-    survive = sub.add_parser(
+    survive = _harness_parser(
+        sub,
         "survivetest",
-        help="degraded-mode survival sweep over permanent component "
+        "degraded-mode survival sweep over permanent component "
         "failures (see docs/RESILIENCE.md)",
-    )
-    survive.add_argument("--seed", type=int, default=1985, help="workload seed")
-    add_arch_argument(
-        survive, help_text="recovery architecture to degrade (default: all)"
+        "degrade",
+        "the availability report(s)",
     )
     survive.add_argument(
         "-n",
@@ -210,36 +203,25 @@ def _build_parser() -> argparse.ArgumentParser:
         default=12,
         help="transactions in the seeded workload (default 12)",
     )
-    survive.add_argument(
-        "--json",
-        dest="json_path",
-        help="write the availability report(s) to this JSON file",
-    )
 
-    scrub = sub.add_parser(
+    _harness_parser(
+        sub,
         "scrubtest",
-        help="silent-corruption sweep: inject rot per target site, check "
+        "silent-corruption sweep: inject rot per target site, check "
         "detection before committed reads, repair, and re-verify "
         "(see docs/INTEGRITY.md)",
-    )
-    scrub.add_argument("--seed", type=int, default=1985, help="workload seed")
-    add_arch_argument(
-        scrub, help_text="recovery architecture to corrupt (default: all)"
-    )
-    scrub.add_argument(
-        "--json",
-        dest="json_path",
-        help="write the detection/repair report(s) to this JSON file",
+        "corrupt",
+        "the detection/repair report(s)",
     )
 
-    loadtest = sub.add_parser(
+    loadtest = _harness_parser(
+        sub,
         "loadtest",
-        help="open-system offered-load sweep: goodput vs load, collapse "
+        "open-system offered-load sweep: goodput vs load, collapse "
         "knee, degraded-state comparison (see docs/LOADGEN.md)",
-    )
-    loadtest.add_argument("--seed", type=int, default=1985, help="machine seed")
-    add_arch_argument(
-        loadtest, help_text="recovery architecture to sweep (default: all)"
+        "sweep",
+        "every sweep report",
+        seed_help="machine seed",
     )
     loadtest.add_argument(
         "-n",
@@ -277,11 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list of machine states to sweep "
         f"(subset of {','.join(DEGRADED_STATES)}; dead-lp needs "
         "log-processor quorum and is skipped elsewhere)",
-    )
-    loadtest.add_argument(
-        "--json",
-        dest="json_path",
-        help="write every sweep report to this JSON file",
     )
 
     sweep = sub.add_parser(
@@ -450,6 +427,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _harness_parser(
+    sub,
+    name: str,
+    help_text: str,
+    verb: str,
+    report: str,
+    seed_help: str = "workload seed",
+) -> argparse.ArgumentParser:
+    """A fault-harness subcommand with its shared --seed, --arch and --json."""
+    parser = sub.add_parser(name, help=help_text)
+    parser.add_argument("--seed", type=int, default=1985, help=seed_help)
+    add_arch_argument(
+        parser, help_text=f"recovery architecture to {verb} (default: all)"
+    )
+    parser.add_argument(
+        "--json", dest="json_path", help=f"write {report} to this JSON file"
+    )
+    return parser
+
+
 def _settings(args) -> ExperimentSettings:
     return ExperimentSettings(n_transactions=args.transactions, seed=args.seed)
 
@@ -469,104 +466,32 @@ def _run_crashtest(args) -> int:
             print(f"  {violation['kind']}: {violation['detail']}")
         return 1 if result.violations else 0
 
-    archs = resolve_archs(args.arch)
-    reports = {}
-    failed = False
-    for arch in archs:
-        report = run_crashtest(
-            arch,
-            args.seed,
-            n_transactions=args.transactions,
-            budget=args.budget,
-        )
-        reports[arch] = json.loads(report.to_json())
-        outcomes = ", ".join(
-            f"{k}={v}" for k, v in sorted(report.outcomes.items())
-        )
-        status = "ok" if report.ok else f"{len(report.violations)} VIOLATIONS"
-        print(
-            f"{arch:>12}: {len(report.points_tested)}/{report.total_crossings} "
-            f"crash points [{outcomes}] "
-            f"ckpt-hooks={len(report.checkpoint_hooks)} "
-            f"hash={report.state_hash[:12]} {status}"
-        )
-        if report.recovery_timeline:
-            print(f"              restart: {_squash(report.recovery_timeline)}")
-        for violation in report.violations[:5]:
-            print(
-                f"    {violation['kind']} at {violation['hook']} "
-                f"(crossing {violation['crossing']}): {violation['detail']}"
+    return _drive(
+        (
+            run_crashtest(
+                arch, args.seed, n_transactions=args.transactions, budget=args.budget
             )
-        failed = failed or not report.ok
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(reports, handle, sort_keys=True, indent=2)
-        print(f"wrote {args.json_path}")
-    return 1 if failed else 0
+            for arch in resolve_archs(args.arch)
+        ),
+        args.json_path,
+    )
 
 
 def _run_survivetest(args) -> int:
-    archs = resolve_archs(args.arch)
-    reports = {}
-    failed = False
-    for arch in archs:
-        report = run_survivetest(
-            arch, args.seed, n_transactions=args.transactions
-        )
-        reports[arch] = json.loads(report.to_json())
-        availability = ", ".join(
-            f"{k}={v:.3f}" for k, v in sorted(report.availability.items())
-        )
-        status = "ok" if report.ok else "VIOLATIONS"
-        print(
-            f"{arch:>12}: {len(report.scenarios)} scenarios "
-            f"[{availability}] {status}"
-        )
-        for scenario in report.scenarios:
-            if not scenario.ok:
-                for violation in scenario.violations[:5]:
-                    print(f"    {scenario.scenario}: {violation}")
-        failed = failed or not report.ok
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(reports, handle, sort_keys=True, indent=2)
-        print(f"wrote {args.json_path}")
-    return 1 if failed else 0
+    return _drive(
+        (
+            run_survivetest(arch, args.seed, n_transactions=args.transactions)
+            for arch in resolve_archs(args.arch)
+        ),
+        args.json_path,
+    )
 
 
 def _run_scrubtest(args) -> int:
-    archs = resolve_archs(args.arch)
-    reports = {}
-    failed = False
-    for arch in archs:
-        report = run_scrubtest(arch, args.seed)
-        reports[arch] = json.loads(report.to_json())
-        status = "ok" if report.ok else "VIOLATIONS"
-        detections = sum(
-            o.details.get("detections", o.details.get("scrub_detections", 0))
-            for o in report.outcomes
-        )
-        repairs = sum(
-            o.details.get("scrub_repairs", 0)
-            + o.details.get("pages_repaired", 0)
-            + o.details.get("records_repaired", 0)
-            + o.details.get("archives_rebuilt", 0)
-            for o in report.outcomes
-        )
-        print(
-            f"{arch:>12}: {len(report.outcomes)} scenarios "
-            f"detections={detections} repairs={repairs} {status}"
-        )
-        for outcome in report.outcomes:
-            if not outcome.ok:
-                for violation in outcome.violations[:5]:
-                    print(f"    {outcome.target}: {violation}")
-        failed = failed or not report.ok
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(reports, handle, sort_keys=True, indent=2)
-        print(f"wrote {args.json_path}")
-    return 1 if failed else 0
+    return _drive(
+        (run_scrubtest(arch, args.seed) for arch in resolve_archs(args.arch)),
+        args.json_path,
+    )
 
 
 def _run_loadtest(args) -> int:
@@ -586,52 +511,50 @@ def _run_loadtest(args) -> int:
             file=sys.stderr,
         )
         return 2
-    archs = resolve_archs(args.arch)
-    reports = []
-    failed = False
-    for arch in archs:
-        for state in states:
-            if state == "dead-lp" and not entry_for(arch).lp_failover:
-                continue
-            report = run_loadtest(
-                arch,
-                seed=args.seed,
-                n_per_cell=args.transactions,
-                multipliers=multipliers,
-                arrival=ArrivalConfig(process=args.arrival),
-                policy=args.policy,
-                slo_ms=args.slo_ms,
-                state=state,
-            )
-            reports.append(report)
-            print(report.summary())
-            print()
-            # The sweep contract: oracles hold in every cell AND the
-            # swept range actually exhibits the overload collapse.
-            failed = failed or not report.ok or report.knee() is None
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            json.dump(
-                [report.to_dict() for report in reports],
-                handle,
-                sort_keys=True,
-                indent=2,
-            )
-        print(f"wrote {args.json_path}")
-    return 1 if failed else 0
+    reports = sweep_architectures(
+        resolve_archs(args.arch),
+        states,
+        seed=args.seed,
+        n_per_cell=args.transactions,
+        multipliers=multipliers,
+        arrival=ArrivalConfig(process=args.arrival),
+        policy=args.policy,
+        slo_ms=args.slo_ms,
+    )
+    # The sweep contract: oracles hold in every cell AND the swept range
+    # actually exhibits the overload collapse.  Several reports share an
+    # architecture, so the JSON is a list.
+    return _drive(
+        reports,
+        args.json_path,
+        keyed=False,
+        passed=lambda report: report.ok and report.knee() is not None,
+        end="\n\n",
+    )
 
 
-def _squash(timeline: List[str]) -> str:
-    """Render an ordered hook timeline, folding consecutive repeats."""
-    parts: List[str] = []
-    i = 0
-    while i < len(timeline):
-        j = i
-        while j < len(timeline) and timeline[j] == timeline[i]:
-            j += 1
-        parts.append(timeline[i] if j - i == 1 else f"{timeline[i]} x{j - i}")
-        i = j
-    return " -> ".join(parts)
+def _drive(
+    reports: Iterable[Any],
+    json_path: Optional[str],
+    keyed: bool = True,
+    passed: Callable[[Any], bool] = lambda report: report.ok,
+    end: str = "\n",
+) -> int:
+    """The harness CLIs' one drive loop: print each report's ``summary()``,
+    write ``json_path`` (a dict keyed by architecture, or a list when not
+    ``keyed``), and exit 1 unless every report ``passed``."""
+    done = []
+    for report in reports:
+        print(report.summary(), end=end)
+        done.append(report)
+    if json_path:
+        payload: Any = [json.loads(report.to_json()) for report in done]
+        if keyed:
+            payload = {r.architecture: p for r, p in zip(done, payload)}
+        with open(json_path, "w") as handle:
+            json.dump(payload, handle, sort_keys=True, indent=2)
+        print(f"wrote {json_path}")
+    return 0 if all(passed(report) for report in done) else 1
 
 
 def _parse_intervals(text: str) -> List[Optional[int]]:

@@ -6,7 +6,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional
 
 from repro.core.base import RecoveryArchitecture
-from repro.jobs import map_jobs
 from repro.machine.config import MachineConfig
 from repro.machine.machine import DatabaseMachine
 from repro.metrics.collectors import RunResult
@@ -17,7 +16,6 @@ __all__ = [
     "CONFIGURATIONS",
     "Configuration",
     "ExperimentSettings",
-    "map_jobs",
     "run_configuration",
 ]
 

@@ -12,9 +12,12 @@ from repro.faults.harness import (
     CrashTestReport,
     DEFAULT_CHECKPOINT_EVERY,
     ScenarioResult,
+    apply_op,
     generate_ops,
     make_manager,
+    recover_with_recrash,
     run_crashtest,
+    run_prefix,
     run_scenario,
     state_dump,
 )
@@ -31,9 +34,12 @@ __all__ = [
     "FaultSpec",
     "InjectedCrash",
     "ScenarioResult",
+    "apply_op",
     "generate_ops",
     "make_manager",
+    "recover_with_recrash",
     "run_crashtest",
+    "run_prefix",
     "run_scenario",
     "state_dump",
 ]

@@ -25,7 +25,7 @@ import hashlib
 import json
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint import CHECKPOINT_FILE, CheckpointUnsupported
 from repro.registry import ARCHITECTURES
@@ -39,9 +39,12 @@ __all__ = [
     "CrashTestReport",
     "DEFAULT_CHECKPOINT_EVERY",
     "ScenarioResult",
+    "apply_op",
     "generate_ops",
     "make_manager",
+    "recover_with_recrash",
     "run_crashtest",
+    "run_prefix",
     "run_scenario",
     "state_dump",
 ]
@@ -191,7 +194,14 @@ class ScenarioResult:
         return not self.violations
 
 
-def _apply_op(manager, op, tids, committed, pending, checkpoints=None) -> None:
+def apply_op(manager, op, tids, committed, pending, checkpoints=None) -> None:
+    """Apply one :func:`generate_ops` op to ``manager``, tracking the oracle.
+
+    ``tids`` maps script slots to live transaction ids, ``pending`` each
+    active slot's uncommitted writes and ``committed`` the committed
+    prefix; a commit moves the slot's writes from one to the other.
+    Completed (non-skipped) checkpoints are appended to ``checkpoints``.
+    """
     kind = op[0]
     if kind == "checkpoint":
         try:
@@ -225,6 +235,25 @@ def _apply_op(manager, op, tids, committed, pending, checkpoints=None) -> None:
         del tids[slot]
     else:
         raise ValueError(f"unknown op {op!r}")
+
+
+def _violation(
+    kind: str,
+    arch: str,
+    plan: FaultPlan,
+    crashed_at: Optional[Tuple[str, int]],
+    detail: str,
+) -> Dict[str, Any]:
+    """One violation record: what broke, and the (seed, plan) replaying it."""
+    return {
+        "kind": kind,
+        "architecture": arch,
+        "seed": plan.seed,
+        "hook": crashed_at[0] if crashed_at else None,
+        "crossing": crashed_at[1] if crashed_at else None,
+        "detail": detail,
+        "plan": plan.to_json(),
+    }
 
 
 def _verify(
@@ -269,27 +298,18 @@ def _verify(
         else:
             kind = "durability"
             detail = f"page {page}: expected {want!r}, found {got!r}"
-        violations.append(
-            {
-                "kind": kind,
-                "architecture": arch,
-                "seed": plan.seed,
-                "hook": crashed_at[0] if crashed_at else None,
-                "crossing": crashed_at[1] if crashed_at else None,
-                "detail": detail,
-                "plan": plan.to_json(),
-            }
-        )
+        violations.append(_violation(kind, arch, plan, crashed_at, detail))
     return "violation", violations
 
 
-def _run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
+def run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
     """Apply ``ops`` to a fresh manager until ``plan``'s crash, then crash it.
 
     Returns ``(manager, injector, committed, pending, checkpoints,
-    crashed_at, in_flight)``, the arguments :func:`_finish` takes after
-    its first four.  A pure function of ``(arch, ops, plan)``: managers
-    draw only from seeded streams.
+    crashed_at, in_flight)``: the crashed manager, what its run crossed,
+    and the committed-prefix oracle's state at the crash.  A pure
+    function of ``(arch, ops, plan)``: managers draw only from seeded
+    streams.
     """
     manager = make_manager(arch)
     injector = FaultInjector(plan)
@@ -303,7 +323,7 @@ def _run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
     try:
         for op in ops:
             injector.reached("op-boundary")
-            _apply_op(manager, op, tids, committed, pending, checkpoints)
+            apply_op(manager, op, tids, committed, pending, checkpoints)
     except InjectedCrash as crash:
         crashed_at = (crash.hook, crash.crossing)
         if op[0] == "commit" and crash.hook != "op-boundary":
@@ -313,6 +333,36 @@ def _run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
     manager.set_fault_callback(None)
     manager.crash()
     return manager, injector, committed, pending, checkpoints, crashed_at, in_flight
+
+
+def recover_with_recrash(
+    manager: RecoveryManager,
+    seed: int,
+    hook: str = "*",
+    recover: Optional[Callable[[], Any]] = None,
+) -> bool:
+    """Run ``recover`` (default ``manager.recover``), crashing it once.
+
+    A crash is armed at the first crossing of ``hook``; when it fires the
+    manager crashes and ``recover`` runs again from the top, uninjected.
+    Recovery must be re-runnable from any prefix of itself.  Returns
+    whether the armed crash fired.
+    """
+    if recover is None:
+        recover = manager.recover
+    injector = FaultInjector(
+        FaultPlan.of(FaultSpec(FaultKind.CRASH, hook=hook), seed=seed)
+    )
+    manager.set_fault_callback(injector.reached)
+    try:
+        recover()
+    except InjectedCrash:
+        manager.set_fault_callback(None)
+        manager.crash()
+        recover()
+        return True
+    manager.set_fault_callback(None)
+    return False
 
 
 def _clone_crashed(manager: RecoveryManager) -> RecoveryManager:
@@ -339,22 +389,10 @@ def _finish(
     in_flight: Optional[Dict[int, bytes]],
 ) -> ScenarioResult:
     """Recover a crashed ``manager`` and judge it.  Only ``manager`` is
-    mutated, so two passes may share the rest of a :func:`_run_prefix`."""
+    mutated, so two passes may share the rest of a :func:`run_prefix`."""
     recovery_timeline: List[str] = []
     if recrash_during_recovery:
-        # Crash again at the first recovery hook crossing, then restart
-        # cleanly: recovery must be re-runnable from any prefix.
-        recrash = FaultInjector(
-            FaultPlan.of(FaultSpec(FaultKind.CRASH, hook="*"), seed=plan.seed)
-        )
-        manager.set_fault_callback(recrash.reached)
-        try:
-            manager.recover()
-        except InjectedCrash:
-            manager.set_fault_callback(None)
-            manager.crash()
-            manager.recover()
-        manager.set_fault_callback(None)
+        recover_with_recrash(manager, plan.seed)
     else:
         # Record the recovery pass's own hook crossings, in order: the
         # restart timeline (which phases ran, and how many times).
@@ -369,37 +407,21 @@ def _finish(
     # compaction must never truncate the checkpoint file).
     durable_checkpoints = manager.stable.file_length(CHECKPOINT_FILE)
     if durable_checkpoints < len(checkpoints):
-        violations.append(
-            {
-                "kind": "checkpoint-lost",
-                "architecture": arch,
-                "seed": plan.seed,
-                "hook": crashed_at[0] if crashed_at else None,
-                "crossing": crashed_at[1] if crashed_at else None,
-                "detail": (
-                    f"{len(checkpoints)} checkpoints completed before the "
-                    f"crash but only {durable_checkpoints} survived recovery"
-                ),
-                "plan": plan.to_json(),
-            }
-        )
+        violations.append(_violation(
+            "checkpoint-lost", arch, plan, crashed_at,
+            f"{len(checkpoints)} checkpoints completed before the "
+            f"crash but only {durable_checkpoints} survived recovery",
+        ))
         outcome = "violation"
     dump = state_dump(manager)
     # Idempotence: another crash/recover round must be a no-op.
     manager.crash()
     manager.recover()
     if state_dump(manager) != dump:
-        violations.append(
-            {
-                "kind": "recovery-not-idempotent",
-                "architecture": arch,
-                "seed": plan.seed,
-                "hook": crashed_at[0] if crashed_at else None,
-                "crossing": crashed_at[1] if crashed_at else None,
-                "detail": "second crash/recover round changed stable state",
-                "plan": plan.to_json(),
-            }
-        )
+        violations.append(_violation(
+            "recovery-not-idempotent", arch, plan, crashed_at,
+            "second crash/recover round changed stable state",
+        ))
         outcome = "violation"
     return ScenarioResult(
         architecture=arch,
@@ -432,22 +454,15 @@ def run_scenario(
     a second replay would rebuild.
     """
     ops = _script(seed, n_transactions, n_pages, checkpoint_every)
-    manager, *shared = _run_prefix(arch, ops, plan)
+    manager, *shared = run_prefix(arch, ops, plan)
     clone = _clone_crashed(manager)
     plain = _finish(arch, plan, n_pages, False, manager, *shared)
     recrash = _finish(arch, plan, n_pages, True, clone, *shared)
     if recrash.dump != plain.dump:
-        plain.violations.append(
-            {
-                "kind": "recrash-divergence",
-                "architecture": arch,
-                "seed": seed,
-                "hook": plain.crashed_at[0] if plain.crashed_at else None,
-                "crossing": plain.crashed_at[1] if plain.crashed_at else None,
-                "detail": "re-crash during recovery converged to a different state",
-                "plan": plan.to_json(),
-            }
-        )
+        plain.violations.append(_violation(
+            "recrash-divergence", arch, plan, plain.crashed_at,
+            "re-crash during recovery converged to a different state",
+        ))
         plain.outcome = "violation"
     plain.violations.extend(recrash.violations)
     return plain
@@ -499,6 +514,38 @@ class CrashTestReport:
             indent=2,
         )
 
+    def summary(self) -> str:
+        """The CLI line: crash points, outcomes, restart timeline, faults."""
+        outcomes = ", ".join(f"{k}={v}" for k, v in sorted(self.outcomes.items()))
+        status = "ok" if self.ok else f"{len(self.violations)} VIOLATIONS"
+        lines = [
+            f"{self.architecture:>12}: {len(self.points_tested)}/"
+            f"{self.total_crossings} crash points [{outcomes}] "
+            f"ckpt-hooks={len(self.checkpoint_hooks)} "
+            f"hash={self.state_hash[:12]} {status}"
+        ]
+        if self.recovery_timeline:
+            lines.append(f"              restart: {_squash(self.recovery_timeline)}")
+        for violation in self.violations[:5]:
+            lines.append(
+                f"    {violation['kind']} at {violation['hook']} "
+                f"(crossing {violation['crossing']}): {violation['detail']}"
+            )
+        return "\n".join(lines)
+
+
+def _squash(timeline: List[str]) -> str:
+    """Render an ordered hook timeline, folding consecutive repeats."""
+    parts: List[str] = []
+    i = 0
+    while i < len(timeline):
+        j = i
+        while j < len(timeline) and timeline[j] == timeline[i]:
+            j += 1
+        parts.append(timeline[i] if j - i == 1 else f"{timeline[i]} x{j - i}")
+        i = j
+    return " -> ".join(parts)
+
 
 def run_crashtest(
     arch: str,
@@ -518,7 +565,7 @@ def run_crashtest(
     """
     ops = _script(seed, n_transactions, n_pages, checkpoint_every)
     plan = FaultPlan.of(seed=seed)
-    baseline = _finish(arch, plan, n_pages, False, *_run_prefix(arch, ops, plan))
+    baseline = _finish(arch, plan, n_pages, False, *run_prefix(arch, ops, plan))
     total = baseline.crossings
     points = list(range(1, total + 1))
     if budget is not None and budget < len(points):

@@ -2,9 +2,9 @@
 
 Lives at the very bottom of the layering (below even ``sim`` — see
 ``_LAYERS`` in the API02 rule): it imports nothing from ``repro``, so any
-layer may use it without tangling the graph.  Moved here from
-``repro.experiments.runner`` (which still re-exports it) when the linter
-grew a ``--jobs`` flag and layer 0 needed the fan-out too.
+layer may use it without tangling the graph.  It is the one process
+fan-out in the package: experiments, the bench runner, the checkpoint
+sweep and the linter all map their cells through it.
 """
 
 from __future__ import annotations

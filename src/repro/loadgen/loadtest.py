@@ -37,6 +37,7 @@ from repro.loadgen.runner import (
     build_open_machine,
     run_open_load,
 )
+from repro.registry import entry_for
 
 __all__ = [
     "Calibration",
@@ -279,11 +280,15 @@ def sweep_architectures(
     states: Sequence[str] = ("healthy",),
     **kwargs,
 ) -> List[LoadTestReport]:
-    """Loadtest every (architecture, state) pair; skip impossible pairs."""
+    """Loadtest every (architecture, state) pair; skip impossible pairs.
+
+    ``dead-lp`` runs only for the architectures whose registry entry can
+    lose a log processor and keep quorum (``lp_failover``).
+    """
     reports = []
     for arch in archs:
         for state in states:
-            if state == "dead-lp" and arch != "wal":
+            if state == "dead-lp" and not entry_for(arch).lp_failover:
                 continue
             reports.append(run_loadtest(arch, state=state, **kwargs))
     return reports

@@ -24,16 +24,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core import RecoveryArchitecture
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.faults.plan import FaultKind, FaultSpec
 from repro.loadgen.arrivals import ArrivalConfig, ArrivalSchedule, generate_arrivals
-from repro.machine.config import MachineConfig
 from repro.machine.machine import DatabaseMachine
+from repro.machine.testbed import build_survive_machine
 from repro.metrics.collectors import RunResult
-from repro.registry import entry_for, machine_overrides, survive_factory
+from repro.registry import entry_for
 from repro.sim.rng import RandomStreams
-from repro.workload.generator import WorkloadConfig, generate_transactions
 from repro.workload.transaction import Transaction, TransactionStatus
 
 __all__ = [
@@ -42,27 +39,11 @@ __all__ = [
     "build_open_machine",
     "run_open_load",
     "score_open_run",
-    "sim_architecture",
 ]
 
 #: Degraded machine states (PR 5) an open sweep can be re-run under.
 #: ``dead-lp`` only applies to the multi-log-processor architectures.
 DEGRADED_STATES = ("healthy", "dead-lp", "mirrored-degraded")
-
-#: Loadtest workloads cap transaction size for CI speed (survivetest
-#: convention); the workload seed is fixed so every architecture and
-#: every sweep cell offers the same transactions.
-_MAX_PAGES = 60
-_WORKLOAD_SEED = 7
-
-
-def sim_architecture(arch: str) -> RecoveryArchitecture:
-    """A fresh simulated recovery architecture by crashtest name.
-
-    The survive-variant factory from :mod:`repro.registry` — the logging
-    designs run three log processors so a dead LP leaves quorum.
-    """
-    return survive_factory(arch)()
 
 
 @dataclass
@@ -159,29 +140,19 @@ def build_open_machine(
     schedule: Optional[ArrivalSchedule] = None,
     config_overrides: Optional[Dict[str, Any]] = None,
 ) -> Tuple[DatabaseMachine, List[Transaction]]:
-    """Build the machine + seeded workload for one open-system run."""
-    overrides: Dict[str, Any] = {"seed": seed, "parallel_data_disks": True}
-    overrides.update(machine_overrides(arch))
+    """Build the machine + seeded workload for one open-system run:
+    the shared harness testbed, with ``state``'s faults armed when a
+    ``schedule`` places them."""
+    overrides: Dict[str, Any] = {}
     if state == "mirrored-degraded":
         overrides["mirrored_data_disks"] = True
-    if config_overrides:
-        overrides.update(config_overrides)
-    config = MachineConfig().with_overrides(**overrides)
-    transactions = generate_transactions(
-        WorkloadConfig(n_transactions=n_transactions, max_pages=_MAX_PAGES),
-        config.db_pages,
-        RandomStreams(_WORKLOAD_SEED).stream("workload"),
-    )
+    overrides.update(config_overrides or {})
     specs = (
         _degraded_specs(arch, state, schedule, seed)
         if schedule is not None
         else ()
     )
-    injector = FaultInjector(FaultPlan.of(*specs, seed=seed)) if specs else None
-    machine = DatabaseMachine(config, sim_architecture(arch), faults=injector)
-    if injector is not None:
-        injector.arm(machine)
-    return machine, transactions
+    return build_survive_machine(arch, seed, n_transactions, specs, **overrides)
 
 
 def run_open_load(
@@ -194,12 +165,9 @@ def run_open_load(
 ) -> OpenRunResult:
     """Offer one arrival schedule to one architecture and score the run.
 
-    ``slo_ms == 0`` disables the SLO cut (``within_slo == committed``).
+    ``slo_ms == 0`` disables the SLO cut (``within_slo == committed``);
+    an unknown ``state`` is rejected by :func:`build_open_machine`.
     """
-    if state not in DEGRADED_STATES:
-        raise ValueError(
-            f"unknown degraded state {state!r}; pick one of {DEGRADED_STATES}"
-        )
     schedule = generate_arrivals(
         arrival_config, RandomStreams(seed).fork("arrivals")
     )

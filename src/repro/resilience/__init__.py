@@ -32,7 +32,6 @@ from repro.resilience.health import HealthConfig, HealthMonitor
 from repro.resilience.scrubber import Scrubber
 from repro.resilience.scrubtest import (
     CORRUPTION_TARGETS,
-    ScrubOutcome,
     ScrubReport,
     run_clean_scenario,
     run_corruption_scenario,
@@ -41,7 +40,7 @@ from repro.resilience.scrubtest import (
 )
 from repro.resilience.survivetest import (
     SCENARIO_KINDS,
-    ScenarioOutcome,
+    Outcome,
     SurviveReport,
     run_media_scenario,
     run_survivetest,
@@ -51,10 +50,9 @@ __all__ = [
     "CORRUPTION_TARGETS",
     "HealthConfig",
     "HealthMonitor",
+    "Outcome",
     "SCENARIO_KINDS",
-    "ScenarioOutcome",
     "Scrubber",
-    "ScrubOutcome",
     "ScrubReport",
     "SurviveReport",
     "run_clean_scenario",

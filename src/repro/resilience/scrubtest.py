@@ -28,24 +28,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
-from repro.faults.harness import ARCHITECTURES, _apply_op, generate_ops, make_manager
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.checkpoint import CHECKPOINT_FILE
+from repro.faults.harness import (
+    DEFAULT_CHECKPOINT_EVERY,
+    apply_op,
+    generate_ops,
+    make_manager,
+)
+from repro.faults.plan import FaultKind, FaultSpec
 from repro.hardware.params import IBM_3350
 from repro.integrity import IntegrityError
-from repro.machine.config import MachineConfig
-from repro.machine.machine import DatabaseMachine
-from repro.registry import machine_overrides, survive_factory
+from repro.machine.testbed import build_survive_machine
 from repro.resilience.scrubber import Scrubber
+from repro.resilience.survivetest import Outcome
 from repro.sim.rng import RandomStreams
-from repro.workload.generator import WorkloadConfig, generate_transactions
 from repro.workload.transaction import TransactionStatus
 
 __all__ = [
     "CORRUPTION_TARGETS",
-    "ScrubOutcome",
     "ScrubReport",
     "run_clean_scenario",
     "run_corruption_scenario",
@@ -59,17 +61,15 @@ CORRUPTION_TARGETS = ("data-page", "log-record", "checkpoint", "archive")
 #: Files on the archive medium for every manager layout.
 _ARCHIVE_NAMES = ("archive_pages", "archive_files", "archive_log")
 
-_CHECKPOINT_FILE = "checkpoints"
+#: The ``repair_corruption()`` stats that each count one repair action.
+_REPAIR_KEYS = ("pages_repaired", "records_repaired", "archives_rebuilt", "escalations")
 
 #: Functional-workload shape (crashtest conventions).
 SCRUB_TRANSACTIONS = 8
 SCRUB_PAGES = 6
-_CHECKPOINT_EVERY = 9
 
 #: Sim-scenario shape: enough traffic that rot lands on hot sectors.
 SIM_TRANSACTIONS = 10
-_SIM_MAX_PAGES = 60
-_SIM_WORKLOAD_SEED = 7
 _SIM_ROT_PROBABILITY = 0.05
 #: A small drive so a full scrub patrol fits inside the workload's
 #: makespan (a production pass over a 555-cylinder 3350 takes hours of
@@ -84,24 +84,12 @@ _SIM_DRAIN_MS = 10_000.0
 
 
 @dataclass
-class ScrubOutcome:
-    """One corruption scenario against one architecture."""
-
-    architecture: str
-    target: str  # one of CORRUPTION_TARGETS, "clean", or "sim-scrubber"
-    ok: bool
-    violations: List[str] = field(default_factory=list)
-    #: Injection site, detection/repair accounting, latency figures.
-    details: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
 class ScrubReport:
     """Integrity verdict of one architecture across every scenario."""
 
     architecture: str
     seed: int
-    outcomes: List[ScrubOutcome] = field(default_factory=list)
+    outcomes: List[Outcome] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -113,38 +101,51 @@ class ScrubReport:
                 "architecture": self.architecture,
                 "seed": self.seed,
                 "ok": self.ok,
-                "scenarios": [
-                    {
-                        "target": o.target,
-                        "ok": o.ok,
-                        "violations": o.violations,
-                        "details": o.details,
-                    }
-                    for o in self.outcomes
-                ],
+                "scenarios": [o.to_dict("target") for o in self.outcomes],
             },
             sort_keys=True,
             indent=2,
         )
+
+    def summary(self) -> str:
+        """The CLI line: detections and repairs summed over every
+        scenario, functional and sim (docs/INTEGRITY.md lists the keys)."""
+        detections = repairs = 0
+        for o in self.outcomes:
+            details = o.details
+            detections += details.get("detected", 0)
+            detections += details.get("scrub_detections", 0)
+            repairs += details.get("scrub_repairs", 0)
+            repairs += sum(details.get(key, 0) for key in _REPAIR_KEYS)
+        status = "ok" if self.ok else "VIOLATIONS"
+        lines = [
+            f"{self.architecture:>12}: {len(self.outcomes)} scenarios "
+            f"detections={detections} repairs={repairs} {status}"
+        ]
+        for o in self.outcomes:
+            for violation in o.violations[:5]:
+                lines.append(f"    {o.scenario}: {violation}")
+        return "\n".join(lines)
 
 
 # -- functional sweep ---------------------------------------------------------
 def _run_workload(arch: str, seed: int):
     """Drive one manager through the seeded script; returns committed map."""
     ops = generate_ops(
-        seed, SCRUB_TRANSACTIONS, SCRUB_PAGES, checkpoint_every=_CHECKPOINT_EVERY
+        seed, SCRUB_TRANSACTIONS, SCRUB_PAGES,
+        checkpoint_every=DEFAULT_CHECKPOINT_EVERY,
     )
     manager = make_manager(arch)
     tids: Dict[int, int] = {}
     committed: Dict[int, bytes] = {}
     pending: Dict[int, Dict[int, bytes]] = {}
     for op in ops:
-        _apply_op(manager, op, tids, committed, pending)
+        apply_op(manager, op, tids, committed, pending)
     return manager, committed
 
 
 def _verify_committed_reads(
-    manager, committed: Dict[int, bytes], outcome: ScrubOutcome, when: str
+    manager, committed: Dict[int, bytes], outcome: Outcome, when: str
 ) -> int:
     """The before-committed-read oracle: typed failure or right bytes.
 
@@ -181,18 +182,18 @@ def _inject(manager, target: str, rng) -> Dict[str, Any]:
         stable.corrupt_page(page, position)
         return {"page": page, "position": position}
     if target == "checkpoint":
-        length = stable.file_length(_CHECKPOINT_FILE)
+        length = stable.file_length(CHECKPOINT_FILE)
         if not length:
             return {"skipped": "no durable checkpoint records"}
         index = rng.randrange(length)
-        stable.corrupt_record(_CHECKPOINT_FILE, index)
-        return {"file": _CHECKPOINT_FILE, "index": index}
+        stable.corrupt_record(CHECKPOINT_FILE, index)
+        return {"file": CHECKPOINT_FILE, "index": index}
     if target == "log-record":
         candidates = [
             name
             for name in stable.files()
             if name not in _ARCHIVE_NAMES
-            and name != _CHECKPOINT_FILE
+            and name != CHECKPOINT_FILE
             and stable.file_length(name)
         ]
         if not candidates:
@@ -214,9 +215,9 @@ def _inject(manager, target: str, rng) -> Dict[str, Any]:
     raise ValueError(f"unknown corruption target {target!r}")
 
 
-def run_corruption_scenario(arch: str, target: str, seed: int) -> ScrubOutcome:
+def run_corruption_scenario(arch: str, target: str, seed: int) -> Outcome:
     """Inject one corruption, then detect / repair / verify."""
-    outcome = ScrubOutcome(arch, target, ok=False)
+    outcome = Outcome(arch, target)
     manager, committed = _run_workload(arch, seed)
     stable = manager.stable
     # The archive is current as of the injection point: dump after the
@@ -231,7 +232,6 @@ def run_corruption_scenario(arch: str, target: str, seed: int) -> ScrubOutcome:
     site = _inject(manager, target, rng)
     outcome.details["injected"] = site
     if "skipped" in site:
-        outcome.ok = True
         return outcome
     # Oracle: the scrub detects the rot...
     report = stable.scrub()
@@ -252,13 +252,7 @@ def run_corruption_scenario(arch: str, target: str, seed: int) -> ScrubOutcome:
         outcome.violations.append(
             f"stable image still corrupt after repair: {after}"
         )
-    repaired = (
-        stats["pages_repaired"]
-        + stats["records_repaired"]
-        + stats["archives_rebuilt"]
-        + stats["escalations"]
-    )
-    if repaired == 0:
+    if not sum(stats[key] for key in _REPAIR_KEYS):
         outcome.violations.append("repair reported no action taken")
     # No committed loss: every page reads back exactly, with no raise.
     for page in range(SCRUB_PAGES):
@@ -281,13 +275,12 @@ def run_corruption_scenario(arch: str, target: str, seed: int) -> ScrubOutcome:
     manager.recover()
     _verify_committed_reads(manager, committed, outcome, "after restart")
     outcome.details["corruptions_injected"] = stable.corruptions_injected
-    outcome.ok = not outcome.violations
     return outcome
 
 
-def run_clean_scenario(arch: str, seed: int) -> ScrubOutcome:
+def run_clean_scenario(arch: str, seed: int) -> Outcome:
     """The false-positive oracle: a clean run must scrub clean."""
-    outcome = ScrubOutcome(arch, "clean", ok=False)
+    outcome = Outcome(arch, "clean")
     manager, committed = _run_workload(arch, seed)
     manager.dump()
     report = manager.stable.scrub()
@@ -305,52 +298,34 @@ def run_clean_scenario(arch: str, seed: int) -> ScrubOutcome:
         )
     _verify_committed_reads(manager, committed, outcome, "on a clean run")
     outcome.details["checksum_failures"] = manager.stable.checksum_failures
-    outcome.ok = not outcome.violations
     return outcome
 
 
 # -- simulation scenario ------------------------------------------------------
 def run_scrub_sim_scenario(
     arch: str, seed: int, n_transactions: int = SIM_TRANSACTIONS
-) -> ScrubOutcome:
+) -> Outcome:
     """Mirrored machine under probabilistic bit rot, scrubber patrolling.
 
     Oracle: the workload completes, the mirror masks every foreground
     read that hit a rotted side, and every scrub detection was repaired
     (detection latency recorded per sector).
     """
-    outcome = ScrubOutcome(arch, "sim-scrubber", ok=False)
-    overrides: Dict[str, Any] = {
-        "seed": seed,
-        "parallel_data_disks": True,
-        "mirrored_data_disks": True,
-        "scrub_enabled": True,
-        "scrub_io_share": 1.0,
-        "scrub_interval_ms": 5.0,
-    }
-    overrides.update(machine_overrides(arch))
-    # The small-drive testbed wins over any per-architecture db sizing.
-    overrides.update(
-        {
-            "disk": _SIM_DISK,
-            "reserved_cylinders": _SIM_RESERVED_CYLINDERS,
-            "db_pages": _SIM_DB_PAGES,
-        }
+    outcome = Outcome(arch, "sim-scrubber")
+    machine, transactions = build_survive_machine(
+        arch,
+        seed,
+        n_transactions,
+        (FaultSpec(FaultKind.BIT_ROT, probability=_SIM_ROT_PROBABILITY),),
+        mirrored_data_disks=True,
+        scrub_enabled=True,
+        scrub_io_share=1.0,
+        scrub_interval_ms=5.0,
+        # The small-drive testbed wins over any per-architecture db sizing.
+        disk=_SIM_DISK,
+        reserved_cylinders=_SIM_RESERVED_CYLINDERS,
+        db_pages=_SIM_DB_PAGES,
     )
-    config = MachineConfig().with_overrides(**overrides)
-    transactions = generate_transactions(
-        WorkloadConfig(n_transactions=n_transactions, max_pages=_SIM_MAX_PAGES),
-        config.db_pages,
-        RandomStreams(_SIM_WORKLOAD_SEED).stream("workload"),
-    )
-    injector = FaultInjector(
-        FaultPlan.of(
-            FaultSpec(FaultKind.BIT_ROT, probability=_SIM_ROT_PROBABILITY),
-            seed=seed,
-        )
-    )
-    machine = DatabaseMachine(config, survive_factory(arch)(), faults=injector)
-    injector.arm(machine)
     scrubber = Scrubber(machine)
     result = machine.run(transactions)
     # Let the patrol catch up over the now-idle machine: during the run
@@ -407,17 +382,15 @@ def run_scrub_sim_scenario(
         if min(latencies) < 0:
             outcome.violations.append("negative detection latency recorded")
     outcome.details["makespan_ms"] = result.makespan_ms
-    outcome.ok = not outcome.violations
     return outcome
 
 
 # -- the full sweep -----------------------------------------------------------
 def run_scrubtest(arch: str, seed: int = 1985) -> ScrubReport:
-    """Every corruption scenario against one architecture."""
-    if arch not in ARCHITECTURES:
-        raise ValueError(
-            f"unknown architecture {arch!r}; pick one of {sorted(ARCHITECTURES)}"
-        )
+    """Every corruption scenario against one architecture.
+
+    The first scenario's :func:`make_manager` rejects an unknown ``arch``.
+    """
     report = ScrubReport(architecture=arch, seed=seed)
     report.outcomes.append(run_clean_scenario(arch, seed))
     for target in CORRUPTION_TARGETS:

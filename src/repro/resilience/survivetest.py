@@ -30,21 +30,24 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.faults.harness import ARCHITECTURES, generate_ops, make_manager
-from repro.faults.injector import FaultInjector, InjectedCrash
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.faults.harness import (
+    apply_op,
+    generate_ops,
+    make_manager,
+    recover_with_recrash,
+)
+from repro.faults.plan import FaultKind, FaultSpec
 from repro.machine.config import MachineConfig
-from repro.machine.machine import DatabaseMachine
-from repro.registry import entry_for, machine_overrides, survive_factory
+from repro.machine.testbed import build_survive_machine
+from repro.registry import entry_for
 from repro.resilience.health import HealthConfig, HealthMonitor
 from repro.sim.rng import RandomStreams
 from repro.storage.wal import DistributedWalManager
-from repro.workload.generator import WorkloadConfig, generate_transactions
 from repro.workload.transaction import TransactionStatus
 
 __all__ = [
+    "Outcome",
     "SCENARIO_KINDS",
-    "ScenarioOutcome",
     "SurviveReport",
     "run_media_scenario",
     "run_survivetest",
@@ -56,8 +59,6 @@ SCENARIO_KINDS = ("qp-fail", "lp-fail", "disk-fail-mirrored", "media-restore")
 #: Workload small enough for CI yet long enough that a mid-run failure
 #: leaves real work on both sides of it.
 DEFAULT_TRANSACTIONS = 12
-_MAX_PAGES = 60
-_WORKLOAD_SEED = 7
 
 #: Ops/pages of the functional media workload (crashtest conventions).
 MEDIA_TRANSACTIONS = 8
@@ -67,15 +68,28 @@ MEDIA_DUMP_EVERY = 6
 
 
 @dataclass
-class ScenarioOutcome:
-    """One injected failure against one architecture."""
+class Outcome:
+    """One injected fault scenario against one architecture: a
+    :data:`SCENARIO_KINDS` entry, or a scrubtest corruption target."""
 
     architecture: str
-    scenario: str  # one of SCENARIO_KINDS
-    ok: bool
+    scenario: str
     violations: List[str] = field(default_factory=list)
-    #: Availability / detection latency / degraded-mode counters.
+    #: Availability, detection latency, repair and degraded-mode counters.
     details: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def to_dict(self, name_key: str = "scenario") -> Dict[str, Any]:
+        """The report entry, the scenario name under ``name_key``."""
+        return {
+            name_key: self.scenario,
+            "ok": self.ok,
+            "violations": self.violations,
+            "details": self.details,
+        }
 
 
 @dataclass
@@ -86,7 +100,7 @@ class SurviveReport:
     seed: int
     n_transactions: int
     baseline_makespan_ms: float
-    scenarios: List[ScenarioOutcome] = field(default_factory=list)
+    scenarios: List[Outcome] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -109,19 +123,26 @@ class SurviveReport:
                 "n_transactions": self.n_transactions,
                 "baseline_makespan_ms": self.baseline_makespan_ms,
                 "ok": self.ok,
-                "scenarios": [
-                    {
-                        "scenario": s.scenario,
-                        "ok": s.ok,
-                        "violations": s.violations,
-                        "details": s.details,
-                    }
-                    for s in self.scenarios
-                ],
+                "scenarios": [s.to_dict() for s in self.scenarios],
             },
             sort_keys=True,
             indent=2,
         )
+
+    def summary(self) -> str:
+        """The CLI line: availability per scenario, then any violations."""
+        availability = ", ".join(
+            f"{k}={v:.3f}" for k, v in sorted(self.availability.items())
+        )
+        status = "ok" if self.ok else "VIOLATIONS"
+        lines = [
+            f"{self.architecture:>12}: {len(self.scenarios)} scenarios "
+            f"[{availability}] {status}"
+        ]
+        for scenario in self.scenarios:
+            for violation in scenario.violations[:5]:
+                lines.append(f"    {scenario.scenario}: {violation}")
+        return "\n".join(lines)
 
 
 # -- simulated machine scenarios ----------------------------------------------
@@ -130,31 +151,20 @@ def _build_and_run(
     seed: int,
     n_transactions: int,
     specs: Tuple[FaultSpec, ...] = (),
-    mirrored: bool = False,
     monitor: bool = True,
+    **overrides: Any,
 ):
     """One sim run; returns ``(machine, health, result, transactions)``."""
-    overrides: Dict[str, Any] = {"seed": seed, "parallel_data_disks": True}
-    overrides.update(machine_overrides(arch))
-    if mirrored:
-        overrides["mirrored_data_disks"] = True
-    config = MachineConfig().with_overrides(**overrides)
-    transactions = generate_transactions(
-        WorkloadConfig(n_transactions=n_transactions, max_pages=_MAX_PAGES),
-        config.db_pages,
-        RandomStreams(_WORKLOAD_SEED).stream("workload"),
+    machine, transactions = build_survive_machine(
+        arch, seed, n_transactions, specs, **overrides
     )
-    injector = FaultInjector(FaultPlan.of(*specs, seed=seed)) if specs else None
-    machine = DatabaseMachine(config, survive_factory(arch)(), faults=injector)
-    if injector is not None:
-        injector.arm(machine)
     health = HealthMonitor(machine, HealthConfig()) if monitor else None
     result = machine.run(transactions)
     return machine, health, result, transactions
 
 
 def _survival_checks(
-    outcome: ScenarioOutcome,
+    outcome: Outcome,
     machine,
     health: Optional[HealthMonitor],
     result,
@@ -194,13 +204,12 @@ def _survival_checks(
     if result.makespan_ms > 0:
         outcome.details["availability"] = baseline_makespan / result.makespan_ms
     outcome.details["restarts"] = result.n_restarts
-    outcome.ok = not outcome.violations
 
 
 def _qp_scenario(
     arch: str, seed: int, n: int, baseline_makespan: float, rng
-) -> ScenarioOutcome:
-    outcome = ScenarioOutcome(arch, "qp-fail", ok=False)
+) -> Outcome:
+    outcome = Outcome(arch, "qp-fail")
     at = (0.2 + 0.4 * rng.random()) * baseline_makespan
     target = rng.randrange(MachineConfig().n_query_processors)
     spec = FaultSpec(FaultKind.QP_FAIL, at_time=at, target=target)
@@ -220,8 +229,8 @@ def _qp_scenario(
 
 def _lp_scenario(
     arch: str, seed: int, n: int, baseline_makespan: float, rng
-) -> ScenarioOutcome:
-    outcome = ScenarioOutcome(arch, "lp-fail", ok=False)
+) -> Outcome:
+    outcome = Outcome(arch, "lp-fail")
     at = (0.2 + 0.4 * rng.random()) * baseline_makespan
     target = rng.randrange(3)
     spec = FaultSpec(FaultKind.LP_FAIL, at_time=at, target=target)
@@ -240,12 +249,12 @@ def _lp_scenario(
 
 def _mirrored_disk_scenario(
     arch: str, seed: int, n: int, rng
-) -> ScenarioOutcome:
-    outcome = ScenarioOutcome(arch, "disk-fail-mirrored", ok=False)
+) -> Outcome:
+    outcome = Outcome(arch, "disk-fail-mirrored")
     # Mirrored baseline: mirroring changes service-time draws, so the
     # availability figure compares against the fault-free *mirrored* run.
     _m, _h, base, _t = _build_and_run(
-        arch, seed, n, mirrored=True, monitor=False
+        arch, seed, n, monitor=False, mirrored_data_disks=True
     )
     at = (0.2 + 0.4 * rng.random()) * base.makespan_ms
     target = rng.randrange(MachineConfig().n_data_disks)
@@ -253,7 +262,7 @@ def _mirrored_disk_scenario(
         FaultKind.DISK_FAIL, at_time=at, target=target, repair_after=100.0
     )
     machine, health, result, txns = _build_and_run(
-        arch, seed, n, specs=(spec,), mirrored=True
+        arch, seed, n, specs=(spec,), mirrored_data_disks=True
     )
     lost = result.counters.get("mirror_lost_requests", 0)
     if lost:
@@ -283,7 +292,7 @@ def run_media_scenario(
     n_pages: int = MEDIA_PAGES,
     dump_every: int = MEDIA_DUMP_EVERY,
     crash_during_restore: bool = False,
-) -> ScenarioOutcome:
+) -> Outcome:
     """Dump / media-failure / restore against one recovery manager.
 
     Drives the crashtest's seeded op script with archive dumps woven in
@@ -307,7 +316,7 @@ def run_media_scenario(
         raise ValueError(
             f"fail_index {fail_index} outside ({dump_every}, {len(ops)}]"
         )
-    outcome = ScenarioOutcome(arch, "media-restore", ok=False)
+    outcome = Outcome(arch, "media-restore")
     outcome.details["fail_index"] = fail_index
     outcome.details["crash_during_restore"] = crash_during_restore
     manager = make_manager(arch)
@@ -317,51 +326,6 @@ def run_media_scenario(
     committed: Dict[int, bytes] = {}
     archived: Optional[Dict[int, bytes]] = None
     dumps = 0
-
-    def apply(op: Tuple) -> None:
-        kind = op[0]
-        if kind == "begin":
-            tids[op[1]] = manager.begin()
-            pending[op[1]] = {}
-        elif kind == "write":
-            _k, slot, page, data = op
-            manager.write(tids[slot], page, data)
-            pending[slot][page] = data
-        elif kind == "flush":
-            flush = getattr(manager, "flush_page", None)
-            if flush is not None:
-                flush(op[1])
-        elif kind == "commit":
-            slot = op[1]
-            manager.commit(tids[slot])
-            committed.update(pending.pop(slot))
-            del tids[slot]
-        elif kind == "abort":
-            slot = op[1]
-            manager.abort(tids[slot])
-            pending.pop(slot)
-            del tids[slot]
-        else:  # pragma: no cover - generate_ops emits nothing else here
-            raise ValueError(f"unknown op {op!r}")
-
-    def restore() -> None:
-        if crash_during_restore:
-            injector = FaultInjector(
-                FaultPlan.of(FaultSpec(FaultKind.CRASH, hook="media.*"), seed=seed)
-            )
-            manager.set_fault_callback(injector.reached)
-            try:
-                manager.recover_from_media_failure()
-                outcome.violations.append(
-                    "restore crossed no media.* fault point to crash at"
-                )
-            except InjectedCrash:
-                manager.set_fault_callback(None)
-                manager.crash()
-                manager.recover_from_media_failure()
-            manager.set_fault_callback(None)
-        else:
-            manager.recover_from_media_failure()
 
     for index, op in enumerate(ops):
         if index and index % dump_every == 0:
@@ -373,7 +337,14 @@ def run_media_scenario(
             # online logs, so restore loses nothing (the WAL advantage).
             manager.archive_append()
         if index == fail_index:
-            restore()
+            if not crash_during_restore:
+                manager.recover_from_media_failure()
+            elif not recover_with_recrash(
+                manager, seed, "media.*", manager.recover_from_media_failure
+            ):
+                outcome.violations.append(
+                    "restore crossed no media.* fault point to crash at"
+                )
             # The no-log managers roll back to the archive point; WAL
             # rolls forward through the archive log.
             if not is_wal:
@@ -385,7 +356,7 @@ def run_media_scenario(
                 tids[slot] = manager.begin()
                 for page in sorted(pending[slot]):
                     manager.write(tids[slot], page, pending[slot][page])
-        apply(op)
+        apply_op(manager, op, tids, committed, pending)
     if tids:
         outcome.violations.append(
             f"workload did not complete: slots {sorted(tids)} left active"
@@ -408,7 +379,6 @@ def run_media_scenario(
         outcome.violations.append("final dump/restore round-trip diverged")
     outcome.details["dumps"] = dumps
     outcome.details["rolled_back_to_archive"] = not is_wal
-    outcome.ok = not outcome.violations
     return outcome
 
 
@@ -425,10 +395,7 @@ def run_survivetest(
     its simulated counterpart, the media scenarios its functional
     recovery manager.
     """
-    if arch not in ARCHITECTURES:
-        raise ValueError(
-            f"unknown architecture {arch!r}; pick one of {sorted(ARCHITECTURES)}"
-        )
+    make_manager(arch)  # rejects an unknown name before any sim work
     rng = RandomStreams(seed).stream("survivetest.points")
     _m, _h, baseline, base_txns = _build_and_run(
         arch, seed, n_transactions, monitor=False
@@ -444,11 +411,10 @@ def run_survivetest(
     ]
     if not_committed:
         report.scenarios.append(
-            ScenarioOutcome(
+            Outcome(
                 arch,
                 "baseline",
-                ok=False,
-                violations=[f"fault-free baseline left {not_committed} uncommitted"],
+                [f"fault-free baseline left {not_committed} uncommitted"],
             )
         )
         return report

@@ -8,7 +8,8 @@ here are kept tiny: the point is path equivalence, not statistics.
 
 from repro.analysis.checkpoints import checkpoint_interval_sweep
 from repro.experiments.report import generate_report
-from repro.experiments.runner import ExperimentSettings, map_jobs
+from repro.experiments.runner import ExperimentSettings
+from repro.jobs import map_jobs
 
 SMALL = ExperimentSettings(n_transactions=6)
 

@@ -11,21 +11,18 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultSpec,
+    ScenarioResult,
+    apply_op,
     generate_ops,
     make_manager,
+    recover_with_recrash,
     run_crashtest,
+    run_prefix,
     run_scenario,
-)
-from repro.faults import harness
-from repro.faults.harness import (
-    ScenarioResult,
-    _apply_op,
-    _clone_crashed,
-    _run_prefix,
-    _script,
-    _verify,
     state_dump,
 )
+from repro.faults import harness
+from repro.faults.harness import _clone_crashed, _script, _verify
 from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.sim.rng import RandomStreams
 from repro.storage.interface import RecoveryManager
@@ -68,7 +65,7 @@ class TestWorkloadGeneration:
             manager = make_manager(arch)
             tids, committed, pending = {}, {}, {}
             for op in ops:
-                _apply_op(manager, op, tids, committed, pending)
+                apply_op(manager, op, tids, committed, pending)
             for page, data in committed.items():
                 assert manager.read_committed(page) == data
 
@@ -254,7 +251,7 @@ def _reference_run_once(
     try:
         for op in ops:
             injector.reached("op-boundary")
-            _apply_op(manager, op, tids, committed, pending, checkpoints)
+            apply_op(manager, op, tids, committed, pending, checkpoints)
     except InjectedCrash as crash:
         crashed_at = (crash.hook, crash.crossing)
         if op[0] == "commit" and crash.hook != "op-boundary":
@@ -415,7 +412,7 @@ class TestCrashedManagerClone:
     def _crashed(arch: str, where: str) -> RecoveryManager:
         total = _crossings(arch, 5)
         point = {"start": 1, "middle": total // 2, "end": total}[where]
-        manager, *_shared = _run_prefix(arch, _ops(5), _crash_at(point, 5))
+        manager, *_shared = run_prefix(arch, _ops(5), _crash_at(point, 5))
         return manager
 
     @staticmethod
@@ -445,3 +442,10 @@ class TestCrashedManagerClone:
         assert self._committed(original) == committed
         assert self._committed(clone) != committed
 
+
+def test_recover_with_recrash_reports_an_uncrossed_hook():
+    manager, *_shared = run_prefix("wal", _ops(5), _crash_at(15, 5))
+    clone = _clone_crashed(manager)
+    manager.recover()
+    assert recover_with_recrash(clone, 5, hook="no.such.hook") is False
+    assert state_dump(clone) == state_dump(manager)

@@ -130,6 +130,15 @@ class TestSweepArchitectures:
         )
         assert [r.state for r in reports] == ["healthy"]
 
+    def test_dead_lp_runs_for_every_lp_failover_arch(self):
+        # The registry's lp_failover rule, not a hard-coded "wal": the
+        # command-logging variant also runs three log processors.
+        reports = sweep_architectures(
+            ["command"], states=("healthy", "dead-lp"), n_per_cell=8,
+            multipliers=(0.5, 3.0), extend=False,
+        )
+        assert [r.state for r in reports] == ["healthy", "dead-lp"]
+
 
 class TestCalibrate:
     def test_capacity_from_closed_makespan(self):

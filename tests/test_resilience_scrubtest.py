@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.registry import ARCHITECTURES
 from repro.resilience import (
     CORRUPTION_TARGETS,
+    Outcome,
+    ScrubReport,
     run_clean_scenario,
     run_corruption_scenario,
     run_scrubtest,
@@ -39,7 +42,7 @@ class TestFullSweep:
     def test_report_is_green(self, arch):
         report = run_scrubtest(arch)
         assert report.ok
-        targets = [outcome.target for outcome in report.outcomes]
+        targets = [outcome.scenario for outcome in report.outcomes]
         assert targets[0] == "clean"
         assert targets[-1] == "sim-scrubber"
         for target in CORRUPTION_TARGETS:
@@ -69,3 +72,26 @@ class TestDeterminism:
     def test_unknown_architecture_raises(self):
         with pytest.raises((KeyError, ValueError)):
             run_scrubtest("no-such-arch")
+
+
+class TestSummaryCounts:
+    """The CLI line counts every detection and repair the report holds."""
+
+    def test_cli_counts_functional_and_sim_detections(self, tmp_path, capsys):
+        path = tmp_path / "scrub.json"
+        assert main(["scrubtest", "--arch", "wal", "--json", str(path)]) == 0
+        details = [s["details"] for s in json.loads(path.read_text())["wal"]["scenarios"]]
+        functional = sum(d.get("detected", 0) for d in details)
+        sim = sum(d.get("scrub_detections", 0) for d in details)
+        assert functional and sim
+        assert f"detections={functional + sim} " in capsys.readouterr().out
+
+    def test_escalations_count_as_repairs(self):
+        report = ScrubReport("wal", 1, [
+            Outcome("wal", "log-record", details={"detected": 2, "escalations": 1}),
+            Outcome("wal", "sim-scrubber",
+                    details={"scrub_detections": 3, "scrub_repairs": 3}),
+        ])
+        assert report.summary() == (
+            "         wal: 2 scenarios detections=5 repairs=4 ok"
+        )

@@ -87,3 +87,8 @@ class TestSurvivetestCommand:
         assert "overwrite" in out and "ok" in out
         data = json.loads(path.read_text())
         assert data["overwrite"]["ok"] is True
+
+
+def test_unknown_architecture_rejected():
+    with pytest.raises(ValueError, match="unknown architecture"):
+        run_survivetest("no-such-arch")

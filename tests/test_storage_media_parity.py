@@ -11,15 +11,7 @@ forward with.
 
 import pytest
 
-from repro.faults import (
-    ARCHITECTURES,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    InjectedCrash,
-    make_manager,
-)
+from repro.faults import ARCHITECTURES, make_manager, recover_with_recrash
 from repro.storage import ArchiveDumpMixin
 from repro.storage.errors import RecoveryStateError
 
@@ -122,15 +114,10 @@ class TestCrashDuringRestore:
         committed_write(manager, 1, b"one")
         committed_write(manager, 2, b"two")
         manager.dump()
-        injector = FaultInjector(
-            FaultPlan.of(FaultSpec(FaultKind.CRASH, hook="media.restore.*"), seed=1)
+        # The restore crashes mid-way and re-runs: the archive is intact.
+        assert recover_with_recrash(
+            manager, 1, "media.restore.*", manager.recover_from_media_failure
         )
-        manager.set_fault_callback(injector.reached)
-        with pytest.raises(InjectedCrash):
-            manager.recover_from_media_failure()
-        manager.set_fault_callback(None)
-        manager.crash()
-        manager.recover_from_media_failure()  # the archive is still intact
         assert manager.read_committed(1) == b"one"
         assert manager.read_committed(2) == b"two"
 
