@@ -17,10 +17,21 @@ corruption — injected by :meth:`StableStorage.corrupt_page` /
 reads go through :meth:`read_log`, which additionally applies the
 torn-tail stop rule (see :func:`repro.integrity.split_torn_tail` and
 docs/INTEGRITY.md).
+
+A file read verifies every slot, but encodes a slot only when it might
+have changed.  Each slot remembers the record object its sum was
+computed over when that object is *sealed* — deeply immutable (exact
+scalars inside exact tuples or NamedTuples), so its canonical bytes can
+never move.  A slot still holding that very object reuses its sum; any
+change to a slot (corruption, repair, an unsealed record such as a
+``(name, [records])`` archive pair) puts a different or mutable object
+there, and the slot is re-encoded exactly as if nothing were
+remembered.  The scrub probes and repair checks always re-encode.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.integrity import (
@@ -35,6 +46,27 @@ from repro.integrity import (
 
 __all__ = ["StableStorage"]
 
+#: Exact types whose instances cannot change (subclasses may override
+#: ``__str__`` or carry state, so they are excluded).
+_SCALARS = frozenset((int, float, bool, str, bytes, type(None)))
+#: The seal of a slot whose record is not sealed: never a stored record.
+_UNSEALED = object()
+
+
+def _sealed(value: Any) -> bool:
+    """Can ``value``'s canonical bytes never change?  True for exact
+    scalars, and for exact tuples and NamedTuples of sealed items."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return True
+    if kind is tuple or (
+        isinstance(value, tuple)
+        and hasattr(kind, "_fields")
+        and kind.__iter__ is tuple.__iter__
+    ):
+        return _SCALARS.issuperset(map(type, value)) or all(map(_sealed, value))
+    return False
+
 
 class StableStorage:
     """Crash-surviving page store and append-only files."""
@@ -46,6 +78,9 @@ class StableStorage:
         #: page images and file contents render exactly as before.
         self._page_sums: Dict[int, int] = {}
         self._file_sums: Dict[str, List[int]] = {}
+        #: Per file slot: the sealed record its sum was computed over,
+        #: or ``_UNSEALED`` (see the module docstring).
+        self._file_sealed: Dict[str, List[Any]] = {}
         #: Cumulative I/O counters (for recovery-cost instrumentation).
         self.page_writes = 0
         self.page_reads = 0
@@ -100,13 +135,33 @@ class StableStorage:
         """Append one record to a named file (forced; survives crash)."""
         self._files.setdefault(file, []).append(record)
         self._file_sums.setdefault(file, []).append(record_checksum(record))
+        self._file_sealed.setdefault(file, []).append(
+            record if _sealed(record) else _UNSEALED
+        )
         self.records_appended += 1
 
     def extend(self, file: str, records) -> None:
         records = list(records)
         self._files.setdefault(file, []).extend(records)
         self._file_sums.setdefault(file, []).extend(map(record_checksum, records))
+        self._file_sealed.setdefault(file, []).extend(
+            record if _sealed(record) else _UNSEALED for record in records
+        )
         self.records_appended += len(records)
+
+    def _current_sums(
+        self, file: str, records: List[Any], sums: List[int]
+    ) -> List[int]:
+        """The sums ``file``'s ``records`` encode to now: a slot still
+        holding its sealed record reuses its stored sum (in ``sums``; the
+        bytes cannot have moved), every other slot is re-encoded."""
+        sealed = self._file_sealed.get(file, [])
+        if len(records) == len(sealed) and all(map(operator.is_, records, sealed)):
+            return sums
+        return [
+            stored if record is seal else record_checksum(record)
+            for record, seal, stored in zip(records, sealed, sums)
+        ]
 
     def read_file(self, file: str) -> List[Any]:
         """The full contents of a file (empty if never written).
@@ -114,11 +169,13 @@ class StableStorage:
         Every record is verified against its checksum envelope; a
         mismatch anywhere raises :class:`RecordIntegrityError` — plain
         files (page tables, transaction lists, archives) have no
-        torn-tail excuse, unlike logs (:meth:`read_log`).
+        torn-tail excuse, unlike logs (:meth:`read_log`).  A slot still
+        holding the sealed record its sum was computed over is verified
+        without re-encoding; every other slot is re-encoded.
         """
         records = list(self._files.get(file, ()))
         sums = self._file_sums.get(file, [])
-        computed = list(map(record_checksum, records))
+        computed = self._current_sums(file, records, sums)
         if computed != sums:
             bad = next(
                 index
@@ -140,11 +197,12 @@ class StableStorage:
         A corrupt record *followed by clean ones* cannot be a tear — it
         is rot inside committed history — and raises
         :class:`RecordIntegrityError` so restart escalates to media
-        recovery instead of replaying poisoned state.
+        recovery instead of replaying poisoned state.  Slots are verified
+        as in :meth:`read_file`.
         """
         records = list(self._files.get(file, ()))
         sums = self._file_sums.get(file, [])
-        computed = list(map(record_checksum, records))
+        computed = self._current_sums(file, records, sums)
         if computed == sums:
             self.records_read += len(records)
             return records
@@ -161,10 +219,29 @@ class StableStorage:
         return records[:keep]
 
     def truncate(self, file: str, keep: Optional[List[Any]] = None) -> None:
-        """Replace a file's contents with ``keep`` (default: empty)."""
+        """Replace a file's contents with ``keep`` (default: empty).
+
+        A kept record that is the sealed record of an old slot keeps that
+        slot's sum; every other record is encoded afresh.
+        """
         kept = list(keep or ())
+        # The old seals stay alive through the loop, so a kept record with
+        # a seal's id is that very seal (the unsealed marker is never kept).
+        seals = self._file_sealed.get(file, ()) if kept else ()
+        reuse = dict(zip(map(id, seals), self._file_sums.get(file, ())))
+        sums: List[int] = []
+        sealed: List[Any] = []
+        for record in kept:
+            stored = reuse.get(id(record))
+            if stored is not None:
+                sums.append(stored)
+                sealed.append(record)
+            else:
+                sums.append(record_checksum(record))
+                sealed.append(record if _sealed(record) else _UNSEALED)
         self._files[file] = kept
-        self._file_sums[file] = list(map(record_checksum, kept))
+        self._file_sums[file] = sums
+        self._file_sealed[file] = sealed
 
     def file_length(self, file: str) -> int:
         return len(self._files.get(file, ()))
