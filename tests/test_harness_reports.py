@@ -18,6 +18,11 @@ REPORTS = {
         ["crashtest", "--seed", "1985", "--budget", "8", "-n", "4"],
         "ff80e3128d2c16fa909ae844fce60f8d7ff983d2407ff39e5ab177fab347a593",
     ),
+    # Every hook crossing of every manager (no budget): about 1.2 s.
+    "crashtest-full": (
+        ["crashtest", "--arch", "all"],
+        "d526560028783f88c113c5b910206d8aa4fd97184fdbfbdc780f390a5e3134f5",
+    ),
     "survivetest": (
         ["survivetest", "--seed", "1985", "-n", "4"],
         "89b96f4ca3eca4513d133c3815d7ee31e03d4b5da19e799b4972440b4eeba5ed",
