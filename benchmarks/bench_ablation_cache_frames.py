@@ -19,8 +19,7 @@ from benchmarks._harness import (
     run_grid_bench,
 )
 from repro.bench import Grid
-from repro.experiments import CONFIGURATIONS
-from repro.experiments.sweeps import sweep_machine
+from repro.experiments import CONFIGURATIONS, run_configuration
 
 FRAME_COUNTS = (40, 70, 100, 150)
 
@@ -36,13 +35,12 @@ PAPER_TEXT = paper_block(
 
 
 def cache_frames_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
-    rows = sweep_machine(
+    result = run_configuration(
         CONFIGURATIONS[params["configuration"]],
-        field="cache_frames",
-        values=[params["cache_frames"]],
         settings=BENCH_SETTINGS.with_overrides(seed=seed),
+        machine_overrides={"cache_frames": params["cache_frames"]},
     )
-    return {"exec_ms_per_page": float(rows[0]["exec_ms_per_page"])}
+    return {"exec_ms_per_page": round(result.execution_time_per_page, 2)}
 
 
 GRID = Grid(

@@ -1,24 +1,13 @@
 """Checkpointing: bounded-restart recovery across the five architectures.
 
 ``policy`` defines the three checkpoint disciplines of the paper's design
-space (quiescent, fuzzy, snapshot-consistent), ``adapters`` binds one to
-each recovery architecture by name, and ``scheduler`` decides when to take
-one (operation count, record volume, or simulated time).  See
-docs/CHECKPOINT.md for the policy catalogue and the per-architecture
-mapping to the paper's Section 6 restart assumptions.
+space (quiescent, fuzzy, snapshot-consistent) as templates over each
+recovery manager's own checkpoint steps, and ``scheduler`` decides when
+to take one (operation count or simulated time).  See docs/CHECKPOINT.md
+for the policy catalogue and the per-architecture mapping to the paper's
+Section 6 restart assumptions.
 """
 
-from repro.checkpoint.adapters import (
-    CommandLoggingCheckpointAdapter,
-    DifferentialCheckpointAdapter,
-    OverwriteCheckpointAdapter,
-    RedoOnlyCheckpointAdapter,
-    ShadowCheckpointAdapter,
-    VersionCheckpointAdapter,
-    WalCheckpointAdapter,
-    adapter_for,
-    recovery_volume,
-)
 from repro.checkpoint.policy import (
     CHECKPOINT_FILE,
     CheckpointError,
@@ -40,17 +29,8 @@ __all__ = [
     "CheckpointScheduler",
     "CheckpointStats",
     "CheckpointUnsupported",
-    "CommandLoggingCheckpointAdapter",
-    "DifferentialCheckpointAdapter",
     "FuzzyCheckpoint",
-    "OverwriteCheckpointAdapter",
     "QuiescentCheckpoint",
-    "RedoOnlyCheckpointAdapter",
-    "ShadowCheckpointAdapter",
     "SnapshotCheckpoint",
-    "VersionCheckpointAdapter",
-    "WalCheckpointAdapter",
-    "adapter_for",
-    "recovery_volume",
     "sim_checkpointer",
 ]

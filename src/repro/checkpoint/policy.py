@@ -18,19 +18,19 @@ space the five architectures occupy:
   *is* the checkpoint; taking one just flips/merges and reclaims garbage.
 
 A policy is a template: :meth:`CheckpointPolicy.take` brackets the
-architecture-specific :meth:`~CheckpointPolicy.prepare` compaction with
-the shared bookkeeping — quiescence check, active/dirty capture, durable
+manager's own checkpoint steps — ``checkpoint_compact()``,
+``recovery_volume()`` and ``checkpoint_dirty_pages()`` — with the shared
+bookkeeping — quiescence check, active/dirty capture, durable
 :data:`CHECKPOINT_FILE` record — and crosses ``_fault_point`` hooks at
 every step so the crashtest sweep covers crash-during-checkpoint.
-Concrete per-architecture subclasses live in
-:mod:`repro.checkpoint.adapters`; recovery managers declare which policy
-they support via the ``checkpoint_policy`` class attribute (reprolint
-rule ARCH03).
+Recovery managers declare which policy they follow via the
+``checkpoint_policy`` class attribute (reprolint rule ARCH03), and
+``take_checkpoint()`` runs that template directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 __all__ = [
     "CHECKPOINT_FILE",
@@ -89,51 +89,37 @@ class CheckpointPolicy:
     kind = "abstract"
     requires_quiescence = False
 
-    def take(self, manager) -> CheckpointStats:
+    @classmethod
+    def take(cls, manager) -> CheckpointStats:
         """Run the checkpoint protocol; returns what happened.
 
         Crash-safe at every hook crossing: the compaction steps are
         individually atomic-or-redundant, and the checkpoint record is
         pure metadata appended last.
         """
-        manager._fault_point(f"checkpoint.{self.kind}.begin")
-        if self.requires_quiescence and manager.active_transactions:
+        manager._fault_point(f"checkpoint.{cls.kind}.begin")
+        if cls.requires_quiescence and manager.active_transactions:
             # Sticky deferral: the caller (scheduler/harness) retries at a
             # later operation boundary instead of force-draining.
-            manager._fault_point(f"checkpoint.{self.kind}.skip")
+            manager._fault_point(f"checkpoint.{cls.kind}.skip")
             return CheckpointStats(None, True, "active-transactions", 0)
         active = tuple(sorted(manager.active_transactions))
-        dirty = tuple(self.dirty_pages(manager))
-        before = self.volume(manager)
-        payload = self.prepare(manager)
-        after = self.volume(manager)
+        dirty = manager.checkpoint_dirty_pages()
+        before = manager.recovery_volume()
+        payload = manager.checkpoint_compact()
+        after = manager.recovery_volume()
         record = CheckpointRecord(
             seq=manager.stable.file_length(CHECKPOINT_FILE) + 1,
-            kind=self.kind,
+            kind=cls.kind,
             active=active,
             dirty_pages=dirty,
             retained=after,
             payload=tuple(sorted(payload.items())),
         )
-        manager._fault_point(f"checkpoint.{self.kind}.pre-record")
+        manager._fault_point(f"checkpoint.{cls.kind}.pre-record")
         manager.stable.append(CHECKPOINT_FILE, record)
-        manager._fault_point(f"checkpoint.{self.kind}.post-record")
+        manager._fault_point(f"checkpoint.{cls.kind}.post-record")
         return CheckpointStats(record, False, None, max(0, before - after))
-
-    # -- architecture-specific steps (adapters override) ----------------------
-    def prepare(self, manager) -> Dict[str, int]:
-        """Compact the manager's recovery data; returns payload facts."""
-        raise CheckpointUnsupported(
-            f"{type(self).__name__} has no prepare step for {manager.name!r}"
-        )
-
-    def volume(self, manager) -> int:
-        """Recovery-data records restart would have to scan right now."""
-        return 0
-
-    def dirty_pages(self, manager) -> Tuple[int, ...]:
-        """Pages dirty in the buffer pool at checkpoint begin (the DPT)."""
-        return ()
 
 
 class QuiescentCheckpoint(CheckpointPolicy):

@@ -1,8 +1,7 @@
-"""When to checkpoint: operation-count, log-volume, or sim-time triggers.
+"""When to checkpoint: operation-count or sim-time triggers.
 
 The scheduler is deliberately dumb and deterministic: callers feed it
-progress (:meth:`CheckpointScheduler.note_op`,
-:meth:`~CheckpointScheduler.note_records`) and poll
+progress (:meth:`CheckpointScheduler.note_op`) and poll
 :meth:`~CheckpointScheduler.maybe_checkpoint` at operation boundaries.
 Once a trigger fires the scheduler stays *due* until a checkpoint
 actually completes — a quiescent policy may skip while transactions are
@@ -26,21 +25,13 @@ __all__ = ["CheckpointScheduler", "sim_checkpointer"]
 
 
 class CheckpointScheduler:
-    """Sticky-due checkpoint trigger on operation count or record volume."""
+    """Sticky-due checkpoint trigger on operation count."""
 
-    def __init__(
-        self,
-        every_ops: Optional[int] = None,
-        every_records: Optional[int] = None,
-    ):
+    def __init__(self, every_ops: Optional[int] = None):
         if every_ops is not None and every_ops < 1:
             raise ValueError("every_ops must be at least 1")
-        if every_records is not None and every_records < 1:
-            raise ValueError("every_records must be at least 1")
         self.every_ops = every_ops
-        self.every_records = every_records
         self._ops = 0
-        self._records = 0
         self._due = False
         self.taken = 0
         self.skipped = 0
@@ -51,11 +42,6 @@ class CheckpointScheduler:
         if self.every_ops is not None and self._ops >= self.every_ops:
             self._due = True
 
-    def note_records(self, n: int) -> None:
-        self._records += n
-        if self.every_records is not None and self._records >= self.every_records:
-            self._due = True
-
     @property
     def due(self) -> bool:
         return self._due
@@ -63,7 +49,6 @@ class CheckpointScheduler:
     def mark_taken(self) -> None:
         self._due = False
         self._ops = 0
-        self._records = 0
         self.taken += 1
 
     # -- the poll ------------------------------------------------------------

@@ -16,7 +16,7 @@ the same contract on every CFG path and through helper calls.
 ARCH03 keeps the checkpoint contract total over the functional engines
 (``repro.storage``): every ``RecoveryManager`` subclass must declare its
 checkpoint capability — a ``checkpoint_policy`` class attribute naming
-the :mod:`repro.checkpoint` policy its adapter implements, or an explicit
+the :mod:`repro.checkpoint` policy its checkpoint steps follow, or an explicit
 ``checkpoint_unsupported`` opt-out.  A silent default would let a new
 architecture ship without bounded-restart support and nobody would
 notice until a restart scanned an unbounded log.

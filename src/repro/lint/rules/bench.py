@@ -1,11 +1,8 @@
-"""Benchmark reproducibility: pinned seeds, declarative grid specs.
+"""Benchmark reproducibility: declarative grid specs with pinned seeds.
 
 The paper's tables are paired comparisons; a benchmark whose seed floats
-produces numbers that cannot be compared across commits.  BENCH01
-requires every ``benchmarks/bench_*.py`` to declare its seed explicitly.
-
-BENCH02 is the stronger contract that supersedes it wherever a grid is
-in play: every benchmark module must declare a :class:`repro.bench.Grid`
+produces numbers that cannot be compared across commits.  BENCH02
+requires every benchmark module to declare a :class:`repro.bench.Grid`
 spec (directly, or through a ``benchmarks._harness`` factory) at module
 level, with an explicit ``seed=`` keyword — that is what makes the
 benchmark discoverable by ``repro bench``, gives its cells stable run
@@ -22,7 +19,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.lint.astutil import ImportMap
 from repro.lint.engine import ModuleContext, Project, Rule, register
 
-__all__ = ["Bench01DeclaredSeed", "Bench02GridSpec"]
+__all__ = ["Bench02GridSpec"]
 
 #: Dotted origins that construct a grid spec.  ``Grid`` is the canonical
 #: constructor; the ``_harness`` factories wrap it for the paper-table
@@ -60,34 +57,6 @@ def _keyword(call: ast.Call, name: str) -> Optional[ast.keyword]:
         if keyword.arg == name:
             return keyword
     return None
-
-
-@register
-class Bench01DeclaredSeed(Rule):
-    code = "BENCH01"
-    summary = "every benchmarks/bench_*.py declares a seed"
-
-    def check(self, module: ModuleContext, project: Project) -> Iterator:
-        if not _is_benchmark(module):
-            return
-        if _grid_calls(module):
-            # A declared grid pins its seed in the spec; BENCH02 owns
-            # (and strengthens) the check from here.
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and "seed" in target.id.lower():
-                        return
-            elif isinstance(node, ast.Call):
-                if any(kw.arg == "seed" for kw in node.keywords):
-                    return
-        yield module.finding(
-            self.code,
-            module.tree,
-            "benchmark declares no seed (add a SEED constant or pass seed=...); "
-            "unseeded runs cannot be compared across commits",
-        )
 
 
 @register

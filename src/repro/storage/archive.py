@@ -1,15 +1,16 @@
-"""Archive dumps and media restore for the non-logging managers.
+"""Archive dumps, media restore and detect-and-repair.
 
 The paper's Section 5 observation: every architecture needs a *media*
 recovery story (the data disks themselves can die), and for the
 architectures that keep no log the only possible baseline is a periodic
 archive dump — after a media failure the database rolls back to the most
 recent dump, because there is no redo log to roll forward with.  (The
-distributed-WAL manager has the richer dump-plus-archive-log scheme in
-:meth:`repro.storage.wal.DistributedWalManager.recover_from_media_failure`;
-this mixin gives the shadow, version, overwrite, and differential managers
-the dump-only counterpart with the same method names, so harnesses can
-drive all five uniformly.)
+distributed-WAL manager overrides ``dump`` and
+``recover_from_media_failure`` with the richer dump-plus-archive-log
+scheme; every other manager uses the dump-only methods here, so
+harnesses drive all seven uniformly.)  :meth:`ArchiveDumpMixin.repair_corruption`
+is the one detect-and-repair algorithm for every manager; where a clean
+archived copy of a record is found is its only per-layout step.
 
 Semantics:
 
@@ -33,7 +34,7 @@ exercises exactly this via the ``media.*`` fault points).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.storage.errors import RecoveryStateError
 from repro.storage.repair import repair_stats, split_corruption
@@ -46,12 +47,12 @@ ARCHIVE_PAGES = "archive_pages"
 #: Reserved archive file holding ``(file_name, records)`` pairs.
 ARCHIVE_FILES = "archive_files"
 
-#: Files that live on the archive medium, not the data disks.
-_ARCHIVE_SET = (ARCHIVE_PAGES, ARCHIVE_FILES)
-
 
 class ArchiveDumpMixin:
     """Dump-only media recovery (mix in before :class:`RecoveryManager`)."""
+
+    #: Files that live on the archive medium, not the data disks.
+    _archive_set: Tuple[str, ...] = (ARCHIVE_PAGES, ARCHIVE_FILES)
 
     def dump(self) -> Dict[str, int]:
         """Archive the full stable image; returns ``{"pages", "files"}``.
@@ -70,7 +71,7 @@ class ArchiveDumpMixin:
         files: List[Tuple[str, List[Any]]] = [
             (name, self.stable.read_file(name))
             for name in self.stable.files()
-            if name not in _ARCHIVE_SET
+            if name not in self._archive_set
         ]
         self.stable.truncate(ARCHIVE_FILES, files)
         self._fault_point("media.dump.files")
@@ -94,7 +95,7 @@ class ArchiveDumpMixin:
         for page in sorted(self.stable.pages):
             self.stable.delete_page(page)
         for name in self.stable.files():
-            if name not in _ARCHIVE_SET:
+            if name not in self._archive_set:
                 self.stable.truncate(name)
         self._fault_point("media.restore.wipe")
         for page, data, seq in self.stable.read_file(ARCHIVE_PAGES):
@@ -112,18 +113,20 @@ class ArchiveDumpMixin:
 
         A corrupt archive is rebuilt from the intact online image
         (re-dump); a corrupt page or record is restored *in place* from
-        its archive copy when that copy still matches the stored
-        checksum envelope (proving it is the original bits); anything
-        unprovable escalates to :meth:`recover_from_media_failure`.
-        Corruption on both sides at once leaves nothing clean to repair
-        from and raises :class:`RecoveryStateError`.
+        an archive copy that still matches the stored checksum envelope
+        (proving it is the original bits); anything unprovable escalates
+        to :meth:`recover_from_media_failure`.  Corruption on both sides
+        at once leaves nothing clean to repair from and raises
+        :class:`RecoveryStateError`, as does corruption with no dump.
+        Where a record's archived copy is found is the one per-layout
+        step (:meth:`_archived_copies`).
 
         Returns the accounting dict of :func:`repro.storage.repair.repair_stats`.
         """
         stats = repair_stats()
         report = self.stable.scrub()
         bad_pages, bad_archive, bad_online = split_corruption(
-            report, _ARCHIVE_SET
+            report, self._archive_set
         )
         if not bad_pages and not bad_archive and not bad_online:
             return stats
@@ -138,14 +141,15 @@ class ArchiveDumpMixin:
             self._fault_point("scrub.repair.archive")
             stats["archives_rebuilt"] = 1
             return stats
-        archived_pages: Dict[int, bytes] = {}
-        archived_files: Dict[str, List[Any]] = {}
-        if ARCHIVE_PAGES in self.stable.files():
-            archived_pages = {
-                page: data
-                for page, data, _seq in self.stable.read_file(ARCHIVE_PAGES)
-            }
-            archived_files = dict(self.stable.read_file(ARCHIVE_FILES))
+        if ARCHIVE_PAGES not in self.stable.files():
+            raise RecoveryStateError(
+                f"{self.name!r} manager: corruption with no archive dump to "
+                "repair from; call dump() first"
+            )
+        archived_pages = {
+            page: data for page, data, _seq in self.stable.read_file(ARCHIVE_PAGES)
+        }
+        copies = self._archived_copies()
         escalate = False
         for page in bad_pages:
             candidate = archived_pages.get(page)
@@ -156,12 +160,17 @@ class ArchiveDumpMixin:
             else:
                 escalate = True
         for name in bad_online:
-            records = archived_files.get(name, [])
             for index in report["files"][name]:
-                if index < len(records) and self.stable.record_matches(
-                    name, index, records[index]
-                ):
-                    self.stable.replace_record(name, index, records[index])
+                copy = next(
+                    (
+                        record
+                        for record in copies(name, index)
+                        if self.stable.record_matches(name, index, record)
+                    ),
+                    None,
+                )
+                if copy is not None:
+                    self.stable.replace_record(name, index, copy)
                     self._fault_point("scrub.repair.record")
                     stats["records_repaired"] += 1
                 else:
@@ -169,8 +178,16 @@ class ArchiveDumpMixin:
         if escalate:
             # The rot predates the last dump (or there is none to match):
             # targeted repair cannot prove a candidate, so fall back to
-            # the full archive restore and accept its rollback semantics.
+            # the full archive restore (a roll-back to the dump for the
+            # dump-only layout; the WAL rolls forward from its archive log).
             self.recover_from_media_failure()
             self._fault_point("scrub.repair.media")
             stats["escalations"] = 1
         return stats
+
+    def _archived_copies(self) -> Callable[[str, int], List[Any]]:
+        """Archived candidates for record ``index`` of online file ``name``,
+        read from the archive once per repair.  The dump-only layout holds
+        exactly one: the same index of the archived file."""
+        archived = dict(self.stable.read_file(ARCHIVE_FILES))
+        return lambda name, index: archived.get(name, [])[index : index + 1]

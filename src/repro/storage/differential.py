@@ -223,3 +223,11 @@ class DifferentialFileManager(ArchiveDumpMixin, RecoveryManager):
         a = self.stable.file_length(self._A_FILE)
         d = self.stable.file_length(self._D_FILE)
         return a, d
+
+    # -- checkpoint steps ------------------------------------------------------------------
+    def checkpoint_compact(self) -> Dict[str, int]:
+        return {"base_tuples": self.merge()}
+
+    def recovery_volume(self) -> int:
+        a, d = self.differential_sizes()
+        return a + d + self.stable.file_length(self._COMMITS)

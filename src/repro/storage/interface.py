@@ -24,9 +24,14 @@ The contract (checked by the shared property-based tests in
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set, Tuple
 
-from repro.checkpoint import CHECKPOINT_FILE, CheckpointRecord, CheckpointStats
+from repro.checkpoint import (
+    CHECKPOINT_FILE,
+    CheckpointRecord,
+    CheckpointStats,
+    CheckpointUnsupported,
+)
 from repro.storage.errors import LockConflict, RecoveryStateError, UnknownTransaction
 from repro.storage.stable import StableStorage
 
@@ -125,15 +130,31 @@ class RecoveryManager:
     def take_checkpoint(self) -> CheckpointStats:
         """Run this architecture's checkpoint protocol (see docs/CHECKPOINT.md).
 
-        Compacts the recovery data so restart is bounded by the checkpoint
-        interval, then appends a durable :class:`CheckpointRecord`.  Raises
-        :class:`repro.checkpoint.CheckpointUnsupported` on a manager with
-        no declared capability; a quiescent policy may *skip* (returned in
-        the stats) while transactions are active.
+        Runs the declared ``checkpoint_policy`` template over this
+        manager's checkpoint steps: compacts the recovery data so restart
+        is bounded by the checkpoint interval, then appends a durable
+        :class:`CheckpointRecord`.  Raises :class:`CheckpointUnsupported`
+        on a manager with no declared policy; a quiescent policy may
+        *skip* (returned in the stats) while transactions are active.
         """
-        from repro.checkpoint.adapters import adapter_for
+        if self.checkpoint_unsupported or self.checkpoint_policy is None:
+            raise CheckpointUnsupported(
+                f"{self.name!r} manager declares no checkpoint policy"
+            )
+        return self.checkpoint_policy.take(self)
 
-        return adapter_for(self).take(self)
+    # -- checkpoint steps (the policy template calls these) ------------------
+    def checkpoint_compact(self) -> Dict[str, int]:
+        """Compact the recovery data; returns the record's payload facts."""
+        raise CheckpointUnsupported(f"{self.name!r} manager has no compaction")
+
+    def recovery_volume(self) -> int:
+        """Recovery-data records a restart would have to scan right now."""
+        return 0
+
+    def checkpoint_dirty_pages(self) -> Tuple[int, ...]:
+        """Pages dirty in the buffer pool at checkpoint begin (the DPT)."""
+        return ()
 
     def checkpoint_count(self) -> int:
         """Durable checkpoints taken so far (survives crashes)."""

@@ -12,29 +12,27 @@ the verdict can be re-judged on level ground:
   the commit-record append and single-pass analysis+redo restart
   (Sauer & Härder).
 
-Both speak the full :class:`repro.storage.RecoveryManager` contract and
-take checkpoints through the fuzzy policy; ``docs/MODERN.md`` maps the
-papers' vocabulary onto this repo's.
+Both are stated as their difference from the distributed WAL's log core
+(:mod:`repro.storage.logcore`), speak the full
+:class:`repro.storage.RecoveryManager` contract and take checkpoints
+through the fuzzy policy; ``docs/MODERN.md`` maps the papers' vocabulary
+onto this repo's.
 """
 
-from repro.storage.modern.clock import StepClock
 from repro.storage.modern.command import (
     CommandLoggingManager,
     CommandRecord,
     PhysicalRecord,
 )
-from repro.storage.modern.logbuf import BufferedLog
 from repro.storage.modern.redo import RedoOnlyWalManager, RedoRecord
 from repro.storage.modern.replay import build_waves, wave_stats
 
 __all__ = [
-    "BufferedLog",
     "CommandLoggingManager",
     "CommandRecord",
     "PhysicalRecord",
     "RedoOnlyWalManager",
     "RedoRecord",
-    "StepClock",
     "build_waves",
     "wave_stats",
 ]

@@ -35,13 +35,10 @@ manager.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional
 
-from repro.checkpoint import FuzzyCheckpoint
 from repro.storage.archive import ArchiveDumpMixin
-from repro.storage.interface import RecoveryManager
-from repro.storage.modern.clock import StepClock
-from repro.storage.modern.logbuf import BufferedLog
+from repro.storage.logcore import LogCore
 from repro.storage.modern.replay import build_waves, wave_stats
 from repro.storage.stable import StableStorage
 
@@ -67,11 +64,11 @@ class PhysicalRecord(NamedTuple):
     after: bytes
 
 
-class CommandLoggingManager(ArchiveDumpMixin, RecoveryManager):
+class CommandLoggingManager(ArchiveDumpMixin, LogCore):
     """N-log adaptive command logging; see module docstring."""
 
     name = "command-logging"
-    checkpoint_policy = FuzzyCheckpoint
+    hook_prefix = "cmd"
 
     def __init__(
         self,
@@ -81,35 +78,13 @@ class CommandLoggingManager(ArchiveDumpMixin, RecoveryManager):
         enforce_locks: bool = True,
         tracer=None,
     ):
-        super().__init__(stable, enforce_locks)
-        if n_logs < 1:
-            raise ValueError("need at least one log")
+        super().__init__(
+            [f"cmdlog{i}" for i in range(n_logs)], stable, enforce_locks, tracer
+        )
         if physical_threshold < 1:
             raise ValueError("physical_threshold must be positive")
-        self.n_logs = n_logs
         self.physical_threshold = physical_threshold
-        self._logs = [BufferedLog(self.stable, f"cmdlog{i}") for i in range(n_logs)]
         self._round_robin = 0
-        #: Optional :class:`repro.trace.Tracer` (duck-typed; never imported
-        #: here to respect the layer map).  Restart phases record
-        #: ``log.analysis`` / ``replay.wave`` / ``recovery.redo`` spans.
-        self.tracer = tracer
-        self._clock = None
-        if tracer is not None and getattr(tracer, "env", None) is None:
-            self._clock = StepClock()
-            tracer.env = self._clock
-        # -- volatile state --
-        #: page -> (data, seq, writer-tid or None once committed).
-        self._pool: Dict[int, Tuple[bytes, int, Optional[int]]] = {}
-        self._page_seq: Dict[int, int] = {}
-        #: tid -> page -> the committed image the transaction overwrote.
-        self._txn_first_before: Dict[int, Dict[int, bytes]] = {}
-        self._txn_pages: Dict[int, Set[int]] = {}
-        self._txn_logs: Dict[int, Set[int]] = {}
-        #: page -> logs holding unforced records of that page (WAL rule).
-        self._page_logs: Dict[int, Set[int]] = {}
-        #: tids that crossed the fan-in threshold (record mode is sticky).
-        self._physical_tids: Set[int] = set()
         # -- statistics --
         self.command_records = 0
         self.physical_records = 0
@@ -117,37 +92,12 @@ class CommandLoggingManager(ArchiveDumpMixin, RecoveryManager):
         #: Schedule of the most recent restart (see :func:`wave_stats`).
         self.last_replay: Dict[str, int] = {}
 
-    # -- internals -----------------------------------------------------------
-    def _tick(self) -> None:
-        if self._clock is not None:
-            self._clock.tick()
-
-    def _force_log(self, index: int) -> None:
-        self._logs[index].force()
-
     def _select_log(self) -> int:
         index = self._round_robin
         self._round_robin = (self._round_robin + 1) % self.n_logs
         return index
 
-    def _current(self, page: int) -> bytes:
-        entry = self._pool.get(page)
-        if entry is not None:
-            return entry[0]
-        return self.stable.read_page(page)
-
-    def _next_seq(self, page: int) -> int:
-        seq = self._page_seq.get(page)
-        if seq is None:
-            seq = self.stable.page_seq(page)
-        seq += 1
-        self._page_seq[page] = seq
-        return seq
-
-    # -- reads / writes ----------------------------------------------------------
-    def _do_read(self, tid: int, page: int) -> bytes:
-        return self._current(page)
-
+    # -- writes ------------------------------------------------------------------
     def _do_write(self, tid: int, page: int, data: bytes) -> None:
         if not isinstance(data, bytes):
             raise TypeError("page data must be bytes")
@@ -155,12 +105,11 @@ class CommandLoggingManager(ArchiveDumpMixin, RecoveryManager):
         seq = self._next_seq(page)
         pages = self._txn_pages.setdefault(tid, set())
         pages.add(page)
-        # Adaptive knob: past the fan-in threshold the transaction ships
-        # physical records for the rest of its life (sticky, per Yao et al.).
-        if len(pages) >= self.physical_threshold:
-            self._physical_tids.add(tid)
         log_index = self._select_log()
-        if tid in self._physical_tids:
+        # Adaptive knob: past the fan-in threshold the transaction ships
+        # physical records for the rest of its life (sticky, per Yao et
+        # al.: its page set only grows).
+        if len(pages) >= self.physical_threshold:
             self._logs[log_index].append(
                 ("phys", PhysicalRecord(tid, page, seq, before, data))
             )
@@ -197,61 +146,7 @@ class CommandLoggingManager(ArchiveDumpMixin, RecoveryManager):
         self.stable.write_page(page, data, seq)
         self._fault_point("cmd.flush.post-write")
 
-    def flush_all(self) -> None:
-        for page in list(self._pool):
-            self.flush_page(page)
-
-    @property
-    def dirty_pages(self) -> List[int]:
-        return [
-            page
-            for page, (_data, seq, _writer) in self._pool.items()
-            if seq > self.stable.page_seq(page)
-        ]
-
-    # -- commit / abort ------------------------------------------------------------
-    def _do_commit(self, tid: int) -> None:
-        self._fault_point("cmd.commit.pre-force")
-        for log_index in sorted(self._txn_logs.get(tid, ())):
-            self._force_log(log_index)
-            self._fault_point("cmd.commit.mid-force")
-        self._fault_point("cmd.commit.pre-record")
-        home_index = tid % self.n_logs
-        self._logs[home_index].append(("commit", tid))
-        self._fault_point("cmd.commit.pre-commit-force")
-        self._force_log(home_index)
-        self._fault_point("cmd.commit.post")
-        for page in self._txn_pages.pop(tid, set()):
-            entry = self._pool.get(page)
-            if entry is not None and entry[2] == tid:
-                self._pool[page] = (entry[0], entry[1], None)
-        self._txn_first_before.pop(tid, None)
-        self._txn_logs.pop(tid, None)
-        self._physical_tids.discard(tid)
-
-    def _do_abort(self, tid: int) -> None:
-        # In-memory undo: restore the committed image (a transaction with
-        # no commit record is ignored by restart anyway).  The restored
-        # entry is committed data, so it is flushable again.
-        for page, before in self._txn_first_before.pop(tid, {}).items():
-            seq = self._next_seq(page)
-            self._pool[page] = (before, seq, None)
-        self._txn_pages.pop(tid, None)
-        self._txn_logs.pop(tid, None)
-        self._physical_tids.discard(tid)
-
-    # -- crash / restart ------------------------------------------------------------
-    def _on_crash(self) -> None:
-        self._pool.clear()
-        self._page_seq.clear()
-        self._txn_first_before.clear()
-        self._txn_pages.clear()
-        self._txn_logs.clear()
-        self._page_logs.clear()
-        self._physical_tids.clear()
-        for log in self._logs:
-            log.lose_volatile()
-
+    # -- restart ------------------------------------------------------------------
     def _on_recover(self) -> None:
         # Analysis: one scan of every log — committed set, each committed
         # transaction's records, and the per-page chains the replay DAG
@@ -259,7 +154,16 @@ class CommandLoggingManager(ArchiveDumpMixin, RecoveryManager):
         span = None
         if self.tracer is not None:
             span = self.tracer.begin("log.analysis")
-        committed, by_txn, page_chains = self._scan_logs()
+        committed, by_page = self._scan_logs()
+        by_txn: Dict[int, list] = {}
+        page_chains: Dict[int, list] = {}
+        for page, chain in by_page.items():
+            for entry in chain:
+                if entry.tid in committed:
+                    by_txn.setdefault(entry.tid, []).append(
+                        (page, entry.seq, entry.after)
+                    )
+                    page_chains.setdefault(page, []).append((entry.seq, entry.tid))
         waves = build_waves(committed, page_chains)
         self.last_replay = wave_stats(waves)
         self._tick()
@@ -277,8 +181,7 @@ class CommandLoggingManager(ArchiveDumpMixin, RecoveryManager):
                     "replay.wave", wave=wave_index, width=len(wave)
                 )
             for tid in wave:
-                for record in sorted(by_txn.get(tid, [])):
-                    _page_first, (page, seq, after) = record
+                for page, seq, after in sorted(by_txn.get(tid, [])):
                     if seq > self.stable.page_seq(page):
                         self.stable.write_page(page, after, seq)
                         self._tick()
@@ -286,103 +189,4 @@ class CommandLoggingManager(ArchiveDumpMixin, RecoveryManager):
             if wspan is not None:
                 self.tracer.end(wspan)
             self._fault_point("cmd.recover.wave")
-        # Truncation is two-phase, exactly as in the distributed-WAL
-        # manager: dropping a commit record from log A while the
-        # transaction's records survive in log B would make a re-run of
-        # restart skip its redo.  Phase 1 drops update records only.
-        for log in self._logs:
-            commits = [r for r in log.stable_records() if r[0] == "commit"]
-            self.stable.truncate(log.name, commits)
-            self._fault_point("cmd.recover.truncate-updates")
-        for log in self._logs:
-            self.stable.truncate(log.name)
-            self._fault_point("cmd.recover.truncate-commits")
-
-    def _scan_logs(self):
-        """One pass over every log: commits, per-txn records, page chains."""
-        committed: Set[int] = set()
-        updates: List[Tuple] = []
-        for log in self._logs:
-            for record in log.stable_records():
-                kind = record[0]
-                if kind == "commit":
-                    committed.add(record[1])
-                elif kind in ("cmd", "phys"):
-                    updates.append(record[1])
-        by_txn: Dict[int, List[Tuple]] = {}
-        page_chains: Dict[int, List[Tuple[int, int]]] = {}
-        for entry in updates:
-            if entry.tid not in committed:
-                continue
-            by_txn.setdefault(entry.tid, []).append(
-                ((entry.page, entry.seq), (entry.page, entry.seq, entry.after))
-            )
-        for tid, records in by_txn.items():
-            for _key, (page, seq, _after) in records:
-                page_chains.setdefault(page, []).append((seq, tid))
-        return committed, by_txn, page_chains
-
-    # -- checkpointing ---------------------------------------------------------------
-    def checkpoint(self, flush: bool = False) -> Dict[str, int]:
-        """Fuzzy checkpoint: truncate logs without quiescing transactions.
-
-        Keeps (a) every record of a still-active transaction (it may yet
-        commit, and redo-only restart would need them) and (b) every
-        committed record not yet reflected by its stable page.  Records
-        of aborted transactions are dropped — with no undo phase they can
-        never matter again.  ``flush=True`` flushes committed dirty pages
-        first (the gate holds back uncommitted ones), maximizing
-        truncation.  Returns per-log retained record counts.
-        """
-        for index in range(self.n_logs):
-            self._force_log(index)
-        if flush:
-            self.flush_all()
-        committed, _by_txn, _chains = self._scan_logs()
-        retained_tids: Set[int] = set()
-        kept_per_log: Dict[str, List[Tuple]] = {}
-        for log in self._logs:
-            kept = []
-            for record in log.stable_records():
-                if record[0] not in ("cmd", "phys"):
-                    continue
-                entry = record[1]
-                unreflected = entry.seq > self.stable.page_seq(entry.page)
-                if (entry.tid in committed and unreflected) or (
-                    entry.tid not in committed and entry.tid in self._active
-                ):
-                    kept.append(record)
-                    retained_tids.add(entry.tid)
-            kept_per_log[log.name] = kept
-        # Two-phase truncation (same discipline as restart).
-        commits_per_log: Dict[str, List[Tuple]] = {}
-        for log in self._logs:
-            commits_per_log[log.name] = [
-                r for r in log.stable_records() if r[0] == "commit"
-            ]
-            self.stable.truncate(
-                log.name, kept_per_log[log.name] + commits_per_log[log.name]
-            )
-            self._fault_point("cmd.checkpoint.truncate-updates")
-        stats = {}
-        for log in self._logs:
-            kept = list(kept_per_log[log.name])
-            for record in commits_per_log[log.name]:
-                if record[1] in retained_tids:
-                    kept.append(record)
-            self.stable.truncate(log.name, kept)
-            self._fault_point("cmd.checkpoint.truncate-commits")
-            stats[log.name] = len(kept)
-        return stats
-
-    # -- inspection -------------------------------------------------------------------
-    def read_committed(self, page: int) -> bytes:
-        for tid in self._active:
-            before = self._txn_first_before.get(tid, {}).get(page)
-            if before is not None:
-                return before
-        return self._current(page)
-
-    def log_lengths(self) -> Dict[str, int]:
-        """Stable record count per log (buffered tails excluded)."""
-        return {log.name: len(log.stable_records()) for log in self._logs}
+        self._truncate_after_restart()

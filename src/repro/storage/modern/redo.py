@@ -34,13 +34,10 @@ the harnesses assert.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, NamedTuple, Optional, Set
 
-from repro.checkpoint import FuzzyCheckpoint
 from repro.storage.archive import ArchiveDumpMixin
-from repro.storage.interface import RecoveryManager
-from repro.storage.modern.clock import StepClock
-from repro.storage.modern.logbuf import BufferedLog
+from repro.storage.logcore import LogCore
 from repro.storage.stable import StableStorage
 
 __all__ = ["RedoOnlyWalManager", "RedoRecord"]
@@ -55,11 +52,11 @@ class RedoRecord(NamedTuple):
     after: bytes
 
 
-class RedoOnlyWalManager(ArchiveDumpMixin, RecoveryManager):
+class RedoOnlyWalManager(ArchiveDumpMixin, LogCore):
     """Sequential redo-only WAL with ELR; see module docstring."""
 
     name = "redo-only-wal"
-    checkpoint_policy = FuzzyCheckpoint
+    hook_prefix = "redo"
 
     LOG_NAME = "redolog"
 
@@ -69,52 +66,15 @@ class RedoOnlyWalManager(ArchiveDumpMixin, RecoveryManager):
         enforce_locks: bool = True,
         tracer=None,
     ):
-        super().__init__(stable, enforce_locks)
-        self._log = BufferedLog(self.stable, self.LOG_NAME)
-        #: Optional :class:`repro.trace.Tracer` (duck-typed).  Restart
-        #: records ``log.analysis`` + ``recovery.redo`` spans and commit
-        #: records ``lock.release`` instants.
-        self.tracer = tracer
-        self._clock = None
-        if tracer is not None and getattr(tracer, "env", None) is None:
-            self._clock = StepClock()
-            tracer.env = self._clock
-        # -- volatile state --
-        #: page -> (data, seq, writer-tid or None once committed).
-        self._pool: Dict[int, Tuple[bytes, int, Optional[int]]] = {}
-        self._page_seq: Dict[int, int] = {}
-        #: tid -> page -> the committed image the transaction overwrote.
-        self._txn_first_before: Dict[int, Dict[int, bytes]] = {}
-        self._txn_pages: Dict[int, Set[int]] = {}
+        super().__init__([self.LOG_NAME], stable, enforce_locks, tracer)
+        self._log = self._logs[0]
         # -- statistics --
         self.writes_gated = 0
         self.early_lock_releases = 0
         #: Pages redone by the most recent restart.
         self.last_redo_pages = 0
 
-    # -- internals -----------------------------------------------------------
-    def _tick(self) -> None:
-        if self._clock is not None:
-            self._clock.tick()
-
-    def _current(self, page: int) -> bytes:
-        entry = self._pool.get(page)
-        if entry is not None:
-            return entry[0]
-        return self.stable.read_page(page)
-
-    def _next_seq(self, page: int) -> int:
-        seq = self._page_seq.get(page)
-        if seq is None:
-            seq = self.stable.page_seq(page)
-        seq += 1
-        self._page_seq[page] = seq
-        return seq
-
-    # -- reads / writes ----------------------------------------------------------
-    def _do_read(self, tid: int, page: int) -> bytes:
-        return self._current(page)
-
+    # -- writes ------------------------------------------------------------------
     def _do_write(self, tid: int, page: int, data: bytes) -> None:
         if not isinstance(data, bytes):
             raise TypeError("page data must be bytes")
@@ -145,19 +105,7 @@ class RedoOnlyWalManager(ArchiveDumpMixin, RecoveryManager):
         self.stable.write_page(page, data, seq)
         self._fault_point("redo.flush.post-write")
 
-    def flush_all(self) -> None:
-        for page in list(self._pool):
-            self.flush_page(page)
-
-    @property
-    def dirty_pages(self) -> List[int]:
-        return [
-            page
-            for page, (_data, seq, _writer) in self._pool.items()
-            if seq > self.stable.page_seq(page)
-        ]
-
-    # -- commit / abort ------------------------------------------------------------
+    # -- commit ------------------------------------------------------------------
     def _do_commit(self, tid: int) -> None:
         self._fault_point("redo.commit.pre-append")
         self._log.append(("commit", tid))
@@ -169,11 +117,7 @@ class RedoOnlyWalManager(ArchiveDumpMixin, RecoveryManager):
         self._fault_point("redo.commit.elr")
         self._log.force()
         self._fault_point("redo.commit.post")
-        for page in self._txn_pages.pop(tid, set()):
-            entry = self._pool.get(page)
-            if entry is not None and entry[2] == tid:
-                self._pool[page] = (entry[0], entry[1], None)
-        self._txn_first_before.pop(tid, None)
+        self._forget_committed(tid)
 
     def _release_locks_early(self, tid: int) -> None:
         released = [page for page, holder in self._locks.items() if holder == tid]
@@ -183,23 +127,7 @@ class RedoOnlyWalManager(ArchiveDumpMixin, RecoveryManager):
         if self.tracer is not None:
             self.tracer.instant("lock.release", tid=tid, pages=len(released))
 
-    def _do_abort(self, tid: int) -> None:
-        # In-memory undo: restore the committed image (a transaction with
-        # no commit record is ignored by restart anyway).  The restored
-        # entry is committed data, so it is flushable again.
-        for page, before in self._txn_first_before.pop(tid, {}).items():
-            seq = self._next_seq(page)
-            self._pool[page] = (before, seq, None)
-        self._txn_pages.pop(tid, None)
-
-    # -- crash / restart ------------------------------------------------------------
-    def _on_crash(self) -> None:
-        self._pool.clear()
-        self._page_seq.clear()
-        self._txn_first_before.clear()
-        self._txn_pages.clear()
-        self._log.lose_volatile()
-
+    # -- restart ------------------------------------------------------------------
     def _on_recover(self) -> None:
         # Single pass: scan the log once, classifying commit records and
         # remembering each page's newest update per transaction; redo
@@ -208,7 +136,7 @@ class RedoOnlyWalManager(ArchiveDumpMixin, RecoveryManager):
         span = None
         if self.tracer is not None:
             span = self.tracer.begin("log.analysis")
-        committed, by_page = self._scan_log()
+        committed, by_page = self._scan_logs()
         self._tick()
         if span is not None:
             self.tracer.end(span, committed=len(committed))
@@ -238,67 +166,17 @@ class RedoOnlyWalManager(ArchiveDumpMixin, RecoveryManager):
         self.stable.truncate(self._log.name)
         self._fault_point("redo.recover.truncate")
 
-    def _scan_log(self):
-        committed: Set[int] = set()
-        by_page: Dict[int, List[RedoRecord]] = {}
-        for record in self._log.stable_records():
-            kind = record[0]
-            if kind == "commit":
-                committed.add(record[1])
-            elif kind == "upd":
-                entry: RedoRecord = record[1]
-                by_page.setdefault(entry.page, []).append(entry)
-        return committed, by_page
-
     # -- checkpointing ---------------------------------------------------------------
-    def checkpoint(self, flush: bool = False) -> Dict[str, int]:
-        """Fuzzy checkpoint: truncate the log without quiescing.
-
-        Keeps (a) every record of a still-active transaction (it may yet
-        commit) and (b) every committed record not yet reflected by its
-        stable page, plus the commit records of transactions whose
-        records survive.  Records of aborted transactions are dropped —
-        with no undo phase they can never matter again.  ``flush=True``
-        flushes committed dirty pages first (the gate holds back
-        uncommitted ones), maximizing truncation.
-        """
-        self._log.force()
-        if flush:
-            self.flush_all()
-        committed, _by_page = self._scan_log()
-        records = self._log.stable_records()
-        retained_tids: Set[int] = set()
-        keep: Set[int] = set()
-        for index, record in enumerate(records):
-            if record[0] != "upd":
-                continue
-            entry = record[1]
-            unreflected = entry.seq > self.stable.page_seq(entry.page)
-            if (entry.tid in committed and unreflected) or (
-                entry.tid not in committed and entry.tid in self._active
-            ):
-                keep.add(index)
-                retained_tids.add(entry.tid)
-        final: List[Tuple] = []
-        for index, record in enumerate(records):
-            if index in keep or (
-                record[0] == "commit" and record[1] in retained_tids
-            ):
-                final.append(record)
-        # One sequential log, one atomic truncation: a commit record and
-        # its surviving updates move (or vanish) together.
-        self.stable.truncate(self._log.name, final)
+    def _truncate_checkpoint(self, scanned, retained: Set[int]) -> Dict[str, int]:
+        # One sequential log, one atomic truncation in log order: a commit
+        # record and its surviving updates move (or vanish) together.
+        [(log, records, kept)] = scanned
+        keep = set(map(id, kept))
+        final = [
+            record
+            for record in records
+            if id(record) in keep or (record[0] == "commit" and record[1] in retained)
+        ]
+        self.stable.truncate(log.name, final)
         self._fault_point("redo.checkpoint.truncate")
-        return {self._log.name: len(final)}
-
-    # -- inspection -------------------------------------------------------------------
-    def read_committed(self, page: int) -> bytes:
-        for tid in self._active:
-            before = self._txn_first_before.get(tid, {}).get(page)
-            if before is not None:
-                return before
-        return self._current(page)
-
-    def log_lengths(self) -> Dict[str, int]:
-        """Stable record count (the buffered tail excluded)."""
-        return {self._log.name: len(self._log.stable_records())}
+        return {log.name: len(final)}

@@ -179,8 +179,8 @@ class OverwritingManager(ArchiveDumpMixin, RecoveryManager):
                 return data
         return self.stable.read_page(page)
 
-    # -- checkpoint maintenance ----------------------------------------------------------
-    def compact_transaction_lists(self) -> Dict[str, int]:
+    # -- checkpoint steps ----------------------------------------------------------------
+    def checkpoint_compact(self) -> Dict[str, int]:
         """Prune the committed/applied lists (the fuzzy checkpoint's work).
 
         Restart only consults the lists for tids still present in the
@@ -205,6 +205,12 @@ class OverwritingManager(ArchiveDumpMixin, RecoveryManager):
             "applied_dropped": len(applied) - len(keep_applied),
             "committed_dropped": len(committed) - len(keep_committed),
         }
+
+    def recovery_volume(self) -> int:
+        return sum(
+            self.stable.file_length(name)
+            for name in (self._SCRATCH, self._COMMITTED, self._APPLIED)
+        )
 
     # -- inspection ----------------------------------------------------------------------
     def scratch_length(self) -> int:

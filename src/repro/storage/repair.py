@@ -2,11 +2,11 @@
 
 Every recovery manager exposes ``repair_corruption()`` — the functional
 half of the scrub story (docs/INTEGRITY.md).  The algorithm is the same
-across architectures; only the archive layout differs (the
-:class:`~repro.storage.archive.ArchiveDumpMixin` managers keep
-``archive_pages``/``archive_files``, the distributed-WAL manager keeps
-``archive_pages``/``archive_log``), so the classification and accounting
-helpers live here and each manager keeps only its layout-specific half:
+across architectures and lives once, in
+:meth:`~repro.storage.archive.ArchiveDumpMixin.repair_corruption`; only
+the archive layout differs (the dump-only managers keep
+``archive_pages``/``archive_files``, the distributed-WAL manager adds
+``archive_log``).  The classification and accounting helpers live here:
 
 1. **scrub** the stable image (:meth:`StableStorage.scrub`);
 2. corruption *only in the archive* → the online image is intact, so

@@ -118,8 +118,8 @@ class ShadowPageTableManager(ArchiveDumpMixin, RecoveryManager):
             return b""
         return self.stable.read_page(self._slot_page(slot))
 
-    # -- checkpoint maintenance -------------------------------------------------------
-    def collect_garbage(self) -> Dict[str, int]:
+    # -- checkpoint steps --------------------------------------------------------------
+    def checkpoint_compact(self) -> Dict[str, int]:
         """Reclaim slots nothing references (the snapshot checkpoint's work).
 
         The committed snapshot is already durable (the root names it), so
@@ -148,7 +148,8 @@ class ShadowPageTableManager(ArchiveDumpMixin, RecoveryManager):
 
     # -- inspection -------------------------------------------------------------------
     def garbage_slots(self) -> int:
-        """Stable slots no page-table version references (reclaimable)."""
+        """Stable slots no page-table version references (reclaimable):
+        the snapshot checkpoint's recovery volume."""
         referenced = set()
         for table in self._TABLE:
             for _page, slot in self.stable.read_file(table):
@@ -157,3 +158,5 @@ class ShadowPageTableManager(ArchiveDumpMixin, RecoveryManager):
             -key - 1 for key in self.stable.pages if key < 0
         }
         return len(allocated - referenced)
+
+    recovery_volume = garbage_slots

@@ -54,8 +54,10 @@ class VersionSelectionManager(ArchiveDumpMixin, RecoveryManager):
         tid_text, _, payload = raw.partition(b":")
         return int(tid_text), payload
 
-    def _write_block(self, page: int, which: int, tid: int, data: bytes) -> None:
-        self.stable.write_page(self._block(page, which), str(tid).encode() + b":" + data)
+    @staticmethod
+    def _block_image(tid: int, data: bytes) -> bytes:
+        """The stored bytes of a block written by ``tid`` (see _read_block)."""
+        return str(tid).encode() + b":" + data
 
     # -- version selection ----------------------------------------------------------
     def _commit_rank(self) -> Dict[int, int]:
@@ -93,7 +95,7 @@ class VersionSelectionManager(ArchiveDumpMixin, RecoveryManager):
         current_block, _ = self._select_current(page)
         target = 1 if current_block == 0 else 0
         self._fault_point("versions.write.pre-block")
-        self._write_block(page, target, tid, data)
+        self.stable.write_page(self._block(page, target), self._block_image(tid, data))
         self._fault_point("versions.write.post-block")
         self._txn_writes[tid][page] = data
 
@@ -120,8 +122,8 @@ class VersionSelectionManager(ArchiveDumpMixin, RecoveryManager):
         _block, data = self._select_current(page)
         return data
 
-    # -- checkpoint maintenance ----------------------------------------------------------
-    def compact_commit_order(self) -> Dict[str, int]:
+    # -- checkpoint steps ----------------------------------------------------------------
+    def checkpoint_compact(self) -> Dict[str, int]:
         """Truncate the commit-order file (the quiescent checkpoint's work).
 
         Every read scans the whole commit order, so it must not grow with
@@ -148,12 +150,16 @@ class VersionSelectionManager(ArchiveDumpMixin, RecoveryManager):
             winner, data = self._select_current(page)
             if winner is None:
                 continue
-            self._write_block(page, 1 - winner, GENESIS, data)
+            image = self._block_image(GENESIS, data)
+            self.stable.write_page(self._block(page, 1 - winner), image)
             self._fault_point("versions.checkpoint.loser-block")
-            self._write_block(page, winner, GENESIS, data)
+            self.stable.write_page(self._block(page, winner), image)
             self._fault_point("versions.checkpoint.winner-block")
             rewritten += 1
         self._fault_point("versions.checkpoint.pre-truncate")
         self.stable.truncate(self._COMMITS)
         self._fault_point("versions.checkpoint.post-truncate")
         return {"commit_records_dropped": before, "pages_rewritten": rewritten}
+
+    def recovery_volume(self) -> int:
+        return self.stable.file_length(self._COMMITS)

@@ -25,24 +25,24 @@ crash.
 ``checkpoint()`` implements fuzzy checkpointing without quiescing (the
 paper's Section 3.1 claim): logs are truncated to the records not yet
 reflected by stable pages, while transactions stay active.
+
+The buffer pool, N-log commit, two-phase truncation and fuzzy-checkpoint
+skeleton are the log core this design shares with the two modern log
+managers (:mod:`repro.storage.logcore`); this module holds only the
+WAL's difference — steal flush with monitor tokens, undo+redo restart,
+and archive-log media recovery.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.checkpoint import FuzzyCheckpoint
 from repro.sim.monitor import WALInvariantMonitor
 from repro.sim.rng import RandomStreams
-from repro.storage.errors import RecoveryStateError
-from repro.storage.interface import RecoveryManager
-from repro.storage.repair import repair_stats, split_corruption
+from repro.storage.archive import ARCHIVE_FILES, ARCHIVE_PAGES, ArchiveDumpMixin
+from repro.storage.logcore import LogCore
 from repro.storage.stable import StableStorage
-
-#: Files on the archive medium, not the data disks (the WAL layout:
-#: page snapshot + continuously-appended log + auxiliary-file snapshot).
-_WAL_ARCHIVE_SET = ("archive_pages", "archive_log", "archive_files")
 
 __all__ = ["DistributedWalManager", "LogRecord"]
 
@@ -57,36 +57,14 @@ class LogRecord(NamedTuple):
     after: bytes
 
 
-class _Log:
-    """One log: a stable append-only file plus a volatile buffer."""
-
-    def __init__(self, stable: StableStorage, name: str):
-        self.stable = stable
-        self.name = name
-        self.buffer: List[Tuple] = []
-
-    def append(self, record: Tuple) -> None:
-        self.buffer.append(record)
-
-    def force(self) -> None:
-        if self.buffer:
-            self.stable.extend(self.name, self.buffer)
-            self.buffer = []
-
-    def lose_volatile(self) -> None:
-        self.buffer = []
-
-    def stable_records(self) -> List[Tuple]:
-        # read_log: replay trusts only the checksum-clean prefix (the
-        # torn-tail stop rule); interior rot raises RecordIntegrityError.
-        return self.stable.read_log(self.name)
-
-
-class DistributedWalManager(RecoveryManager):
+class DistributedWalManager(ArchiveDumpMixin, LogCore):
     """N-log write-ahead logging; see module docstring."""
 
     name = "distributed-wal"
-    checkpoint_policy = FuzzyCheckpoint
+    hook_prefix = "wal"
+    #: Files on the archive medium, not the data disks (the WAL layout:
+    #: page snapshot + continuously-appended log + auxiliary-file snapshot).
+    _archive_set = (ARCHIVE_PAGES, "archive_log", ARCHIVE_FILES)
 
     def __init__(
         self,
@@ -96,11 +74,7 @@ class DistributedWalManager(RecoveryManager):
         selection_seed: Optional[int] = None,
         monitor: Optional[WALInvariantMonitor] = None,
     ):
-        super().__init__(stable, enforce_locks)
-        if n_logs < 1:
-            raise ValueError("need at least one log")
-        self.n_logs = n_logs
-        self._logs = [_Log(self.stable, f"log{i}") for i in range(n_logs)]
+        super().__init__([f"log{i}" for i in range(n_logs)], stable, enforce_locks)
         self._rng: Optional[random.Random] = (
             RandomStreams(selection_seed).stream("wal.log-selection")
             if selection_seed is not None
@@ -111,14 +85,6 @@ class DistributedWalManager(RecoveryManager):
         #: log index -> tokens of still-buffered records (monitor bookkeeping).
         self._log_tokens: Dict[int, List[Tuple[int, int]]] = {}
         self._token_counter = 0
-        # -- volatile state --
-        self._pool: Dict[int, Tuple[bytes, int]] = {}
-        self._page_seq: Dict[int, int] = {}
-        #: tid -> page -> (first-before-image, logs used)
-        self._txn_first_before: Dict[int, Dict[int, bytes]] = {}
-        self._txn_logs: Dict[int, Set[int]] = {}
-        #: page -> logs holding unflushed records of that page (WAL rule).
-        self._page_logs: Dict[int, Set[int]] = {}
 
     # -- selection -----------------------------------------------------------
     def _force_log(self, index: int) -> None:
@@ -135,24 +101,7 @@ class DistributedWalManager(RecoveryManager):
         self._round_robin = (self._round_robin + 1) % self.n_logs
         return index
 
-    # -- reads / writes ----------------------------------------------------------
-    def _do_read(self, tid: int, page: int) -> bytes:
-        return self._current(page)
-
-    def _current(self, page: int) -> bytes:
-        entry = self._pool.get(page)
-        if entry is not None:
-            return entry[0]
-        return self.stable.read_page(page)
-
-    def _next_seq(self, page: int) -> int:
-        seq = self._page_seq.get(page)
-        if seq is None:
-            seq = self.stable.page_seq(page)
-        seq += 1
-        self._page_seq[page] = seq
-        return seq
-
+    # -- writes ------------------------------------------------------------------
     def _do_write(self, tid: int, page: int, data: bytes) -> None:
         if not isinstance(data, bytes):
             raise TypeError("page data must be bytes")
@@ -162,7 +111,7 @@ class DistributedWalManager(RecoveryManager):
         self._logs[log_index].append(
             ("update", LogRecord(tid, page, seq, before, data))
         )
-        self._pool[page] = (data, seq)
+        self._pool[page] = (data, seq, None)
         self._txn_first_before.setdefault(tid, {}).setdefault(page, before)
         self._txn_logs.setdefault(tid, set()).add(log_index)
         self._page_logs.setdefault(page, set()).add(log_index)
@@ -183,57 +132,15 @@ class DistributedWalManager(RecoveryManager):
         self._fault_point("wal.flush.between-force-and-write")
         if self._monitor is not None:
             self._monitor.note_flush(page)
-        data, seq = entry
-        self.stable.write_page(page, data, seq)
+        self.stable.write_page(page, entry[0], entry[1])
         self._fault_point("wal.flush.post-write")
-
-    def flush_all(self) -> None:
-        for page in list(self._pool):
-            self.flush_page(page)
-
-    @property
-    def dirty_pages(self) -> List[int]:
-        return [
-            page
-            for page, (_data, seq) in self._pool.items()
-            if seq > self.stable.page_seq(page)
-        ]
-
-    # -- commit / abort ------------------------------------------------------------------
-    def _do_commit(self, tid: int) -> None:
-        self._fault_point("wal.commit.pre-force")
-        for log_index in sorted(self._txn_logs.get(tid, ())):
-            self._force_log(log_index)
-            self._fault_point("wal.commit.mid-force")
-        self._fault_point("wal.commit.pre-record")
-        home_index = tid % self.n_logs
-        self._logs[home_index].append(("commit", tid))
-        self._fault_point("wal.commit.pre-commit-force")
-        self._force_log(home_index)
-        self._fault_point("wal.commit.post")
-        self._txn_first_before.pop(tid, None)
-        self._txn_logs.pop(tid, None)
-
-    def _do_abort(self, tid: int) -> None:
-        # In-memory undo; no compensation records are needed because a
-        # transaction without a commit record is undone at restart anyway.
-        for page, before in self._txn_first_before.pop(tid, {}).items():
-            seq = self._next_seq(page)
-            self._pool[page] = (before, seq)
-        self._txn_logs.pop(tid, None)
 
     # -- crash / restart ------------------------------------------------------------------
     def _on_crash(self) -> None:
-        self._pool.clear()
-        self._page_seq.clear()
-        self._txn_first_before.clear()
-        self._txn_logs.clear()
-        self._page_logs.clear()
+        super()._on_crash()
         self._log_tokens.clear()
         if self._monitor is not None:
             self._monitor.reset()
-        for log in self._logs:
-            log.lose_volatile()
 
     def _on_recover(self) -> None:
         committed, by_page = self._scan_logs()
@@ -260,90 +167,12 @@ class DistributedWalManager(RecoveryManager):
             elif rolled_back is not None:
                 self.stable.write_page(page, rolled_back, seq)
             self._fault_point("wal.recover.page")
-        # Restart leaves stable storage exactly at the committed state, so
-        # every surviving record is reflected and every uncommitted record
-        # is permanently dead: the logs can be emptied.  (This also stops
-        # reused page sequence numbers from colliding with dead records.)
-        #
-        # Truncation is two-phase so a crash *during recovery* stays safe:
-        # dropping a commit record from log A while transaction t's update
-        # records survive in log B would make a re-run of restart undo t.
-        # Phase 1 drops update records only (keeping every commit record);
-        # phase 2 drops the now-unreferenced commit records.
-        for log in self._logs:
-            commits = [r for r in log.stable_records() if r[0] == "commit"]
-            self.stable.truncate(log.name, commits)
-            self._fault_point("wal.recover.truncate-updates")
-        for log in self._logs:
-            self.stable.truncate(log.name)
-            self._fault_point("wal.recover.truncate-commits")
-
-    def _scan_logs(self):
-        """Scan each log independently; union commits, group by page."""
-        committed: Set[int] = set()
-        by_page: Dict[int, List[LogRecord]] = {}
-        for log in self._logs:
-            for record in log.stable_records():
-                kind = record[0]
-                if kind == "commit":
-                    committed.add(record[1])
-                elif kind == "update":
-                    entry: LogRecord = record[1]
-                    by_page.setdefault(entry.page, []).append(entry)
-        return committed, by_page
+        self._truncate_after_restart()
 
     # -- checkpointing -------------------------------------------------------------------
-    def checkpoint(self, flush: bool = False) -> Dict[str, int]:
-        """Fuzzy checkpoint: truncate logs without quiescing transactions.
-
-        Keeps (a) every record of a transaction without a commit record and
-        (b) every committed record not yet reflected by the stable page;
-        commit records survive while any of their records do.  With
-        ``flush=True``, dirty pages are flushed first, maximizing truncation.
-        Returns per-log retained record counts.
-        """
-        for index in range(self.n_logs):
-            self._force_log(index)
-        if flush:
-            self.flush_all()
-        committed, _ = self._scan_logs()
-        # Which committed transactions still have unreflected records?
-        retained_tids: Set[int] = set()
-        kept_per_log: Dict[str, List[Tuple]] = {}
-        for log in self._logs:
-            kept = []
-            for record in log.stable_records():
-                if record[0] != "update":
-                    continue
-                entry: LogRecord = record[1]
-                unreflected = entry.seq > self.stable.page_seq(entry.page)
-                if entry.tid not in committed or unreflected:
-                    kept.append(record)
-                    retained_tids.add(entry.tid)
-            kept_per_log[log.name] = kept
-        # Two-phase truncation (same discipline as restart): never drop a
-        # commit record while another log still holds that transaction's
-        # update records — a crash between per-log truncations would make
-        # restart undo committed work.  Phase 1 drops update records only.
-        commits_per_log: Dict[str, List[Tuple]] = {}
-        for log in self._logs:
-            commits_per_log[log.name] = [
-                r for r in log.stable_records() if r[0] == "commit"
-            ]
-            self.stable.truncate(
-                log.name, kept_per_log[log.name] + commits_per_log[log.name]
-            )
-            self._fault_point("wal.checkpoint.truncate-updates")
-        stats = {}
-        for log in self._logs:
-            kept = list(kept_per_log[log.name])
-            for record in commits_per_log[log.name]:
-                if record[1] in retained_tids:
-                    kept.append(record)
-            self.stable.truncate(log.name, kept)
-            self._fault_point("wal.checkpoint.truncate-commits")
-            stats[log.name] = len(kept)
-        return stats
+    def _keep_record(self, tid: int, committed: Set[int], unreflected: bool) -> bool:
+        # Steal: a loser's before-images may still be needed for undo.
+        return tid not in committed or unreflected
 
     # -- media recovery --------------------------------------------------------------------
     def dump(self) -> Dict[str, int]:
@@ -382,7 +211,7 @@ class DistributedWalManager(RecoveryManager):
         others = [
             (name, self.stable.read_file(name))
             for name in self.stable.files()
-            if name not in log_names and name not in _WAL_ARCHIVE_SET
+            if name not in log_names and name not in self._archive_set
         ]
         self.stable.truncate("archive_files", others)
         self._fault_point("media.dump.files")
@@ -396,7 +225,6 @@ class DistributedWalManager(RecoveryManager):
         the online logs.
         """
         existing = self.stable.read_file("archive_log")
-        seen = len(existing)
         merged = list(existing)
         current = []
         for log in self._logs:
@@ -404,7 +232,6 @@ class DistributedWalManager(RecoveryManager):
         for record in current:
             if record not in merged:
                 merged.append(record)
-        del seen
         self.stable.truncate("archive_log", merged)
 
     def recover_from_media_failure(self) -> None:
@@ -427,7 +254,7 @@ class DistributedWalManager(RecoveryManager):
         if "archive_files" in self.stable.files():
             log_names = {log.name for log in self._logs}
             for name in self.stable.files():
-                if name not in log_names and name not in _WAL_ARCHIVE_SET:
+                if name not in log_names and name not in self._archive_set:
                     self.stable.truncate(name)
             for name, records in self.stable.read_file("archive_files"):
                 self.stable.truncate(name, records)
@@ -446,90 +273,11 @@ class DistributedWalManager(RecoveryManager):
         self.recover()
         self._fault_point("media.restore.restart")
 
-    def repair_corruption(self) -> Dict[str, int]:
-        """Detect-and-repair (the WAL layout of the shared algorithm).
-
-        A corrupt archive is rebuilt whole from the intact online image
-        (re-dump).  A corrupt page is restored from the archive dump; a
-        corrupt online record (log or auxiliary file) is restored from
-        any archived copy that still matches its stored checksum
-        envelope — the archive log, being continuously appended, holds a
-        clean copy of every forced record.  Anything unprovable
-        escalates to the full dump-plus-log media recovery, which for
-        WAL loses nothing (the roll-forward advantage).
-        """
-        stats = repair_stats()
-        report = self.stable.scrub()
-        bad_pages, bad_archive, bad_online = split_corruption(
-            report, _WAL_ARCHIVE_SET
-        )
-        if not bad_pages and not bad_archive and not bad_online:
-            return stats
-        if bad_archive:
-            if bad_pages or bad_online:
-                raise RecoveryStateError(
-                    f"{self.name!r} manager: corruption in both the online "
-                    "image and the archive; no clean copy to repair from"
-                )
-            self.dump()
-            self._fault_point("scrub.repair.archive")
-            stats["archives_rebuilt"] = 1
-            return stats
-        files = self.stable.files()
-        if "archive_pages" not in files:
-            raise RecoveryStateError(
-                f"{self.name!r} manager: corruption with no archive dump to "
-                "repair from; call dump() first"
-            )
-        archived_pages = {
-            page: data
-            for page, data, _seq in self.stable.read_file("archive_pages")
-        }
-        candidates: List[Tuple] = list(self.stable.read_file("archive_log"))
-        if "archive_files" in files:
-            for _name, records in self.stable.read_file("archive_files"):
-                candidates.extend(records)
-        escalate = False
-        for page in bad_pages:
-            candidate = archived_pages.get(page)
-            if candidate is not None and self.stable.page_matches(page, candidate):
-                self.stable.restore_page(page, candidate)
-                self._fault_point("scrub.repair.page")
-                stats["pages_repaired"] += 1
-            else:
-                escalate = True
-        for name in bad_online:
-            for index in report["files"][name]:
-                copy = next(
-                    (
-                        record
-                        for record in candidates
-                        if self.stable.record_matches(name, index, record)
-                    ),
-                    None,
-                )
-                if copy is not None:
-                    self.stable.replace_record(name, index, copy)
-                    self._fault_point("scrub.repair.record")
-                    stats["records_repaired"] += 1
-                else:
-                    escalate = True
-        if escalate:
-            # An unforced or never-archived record rotted: fall back to
-            # the dump-plus-archive-log restore and roll forward.
-            self.recover_from_media_failure()
-            self._fault_point("scrub.repair.media")
-            stats["escalations"] = 1
-        return stats
-
-    # -- inspection ----------------------------------------------------------------------
-    def read_committed(self, page: int) -> bytes:
-        for tid in self._active:
-            before = self._txn_first_before.get(tid, {}).get(page)
-            if before is not None:
-                return before
-        return self._current(page)
-
-    def log_lengths(self) -> Dict[str, int]:
-        """Stable record count per log (buffered tails excluded)."""
-        return {log.name: len(log.stable_records()) for log in self._logs}
+    def _archived_copies(self) -> Callable[[str, int], List[Any]]:
+        # The archive log, being continuously appended, holds a clean copy
+        # of every forced record: any archived record matching the stored
+        # checksum envelope will do.
+        candidates: List[Any] = list(self.stable.read_file("archive_log"))
+        for _name, records in self.stable.read_file(ARCHIVE_FILES):
+            candidates.extend(records)
+        return lambda name, index: candidates

@@ -1,20 +1,16 @@
-"""Tests for the checkpoint subsystem: policies, adapters, scheduler."""
+"""Tests for the checkpoint subsystem: policy templates and the scheduler."""
 
 import pytest
 
 from repro.checkpoint import (
     CHECKPOINT_FILE,
-    CheckpointError,
     CheckpointRecord,
     CheckpointScheduler,
     CheckpointUnsupported,
     FuzzyCheckpoint,
     QuiescentCheckpoint,
-    adapter_for,
-    recovery_volume,
     sim_checkpointer,
 )
-from repro.checkpoint.adapters import _ADAPTERS
 from repro.faults import ARCHITECTURES, make_manager
 from repro.storage.interface import RecoveryManager
 
@@ -31,6 +27,7 @@ class TestPolicyTemplate:
             assert stats.record.seq == 1, arch
             assert stats.record.active == (), arch
             assert manager.checkpoint_count() == 1, arch
+            assert stats.record.kind == manager.checkpoint_policy.kind, arch
             assert manager.last_checkpoint().kind == stats.record.kind, arch
 
     def test_checkpoint_records_are_durable_across_crash(self):
@@ -47,7 +44,7 @@ class TestPolicyTemplate:
 
     def test_quiescent_policy_skips_under_load(self):
         manager = make_manager("versions")
-        assert isinstance(adapter_for(manager), QuiescentCheckpoint)
+        assert manager.checkpoint_policy is QuiescentCheckpoint
         tid = manager.begin()
         manager.write(tid, 0, b"x")
         stats = manager.take_checkpoint()
@@ -58,7 +55,7 @@ class TestPolicyTemplate:
 
     def test_fuzzy_policy_records_active_transactions(self):
         manager = make_manager("wal")
-        assert isinstance(adapter_for(manager), FuzzyCheckpoint)
+        assert manager.checkpoint_policy is FuzzyCheckpoint
         tid = manager.begin()
         manager.write(tid, 0, b"x")
         stats = manager.take_checkpoint()
@@ -72,11 +69,11 @@ class TestPolicyTemplate:
             tid = manager.begin()
             manager.write(tid, 0, b"x")
             manager.commit(tid)
-        volume = recovery_volume(manager)
+        volume = manager.recovery_volume()
         assert volume > 0
         stats = manager.take_checkpoint()
         assert stats.reclaimed > 0
-        assert recovery_volume(manager) < volume
+        assert manager.recovery_volume() < volume
 
     def test_record_sequence_increments(self):
         manager = make_manager("shadow")
@@ -87,39 +84,19 @@ class TestPolicyTemplate:
         assert [CheckpointRecord(*r).seq for r in records] == [1, 2]
 
 
-class TestAdapterRegistry:
-    def test_every_architecture_has_an_adapter(self):
-        for arch in sorted(ARCHITECTURES):
-            manager = make_manager(arch)
-            assert manager.name in _ADAPTERS
-
-    def test_declared_policy_matches_adapter(self):
-        for arch in sorted(ARCHITECTURES):
-            manager = make_manager(arch)
-            adapter = adapter_for(manager)
-            assert isinstance(adapter, manager.checkpoint_policy), arch
-
-    def test_unknown_manager_unsupported(self):
+    def test_undeclared_manager_unsupported(self):
         class StrangeManager(RecoveryManager):
             name = "strange"
             checkpoint_unsupported = True
 
         with pytest.raises(CheckpointUnsupported):
-            adapter_for(StrangeManager())
-
-    def test_policy_mismatch_rejected(self):
-        manager = make_manager("wal")
-        manager.checkpoint_policy = QuiescentCheckpoint
-        with pytest.raises(CheckpointError, match="declares"):
-            adapter_for(manager)
+            StrangeManager().take_checkpoint()
 
 
 class TestScheduler:
     def test_rejects_degenerate_thresholds(self):
         with pytest.raises(ValueError):
             CheckpointScheduler(every_ops=0)
-        with pytest.raises(ValueError):
-            CheckpointScheduler(every_records=0)
 
     def test_op_threshold_triggers(self):
         scheduler = CheckpointScheduler(every_ops=3)
@@ -132,13 +109,6 @@ class TestScheduler:
         stats = scheduler.maybe_checkpoint(manager)
         assert stats is not None and not stats.skipped
         assert scheduler.taken == 1 and not scheduler.due
-
-    def test_record_threshold_triggers(self):
-        scheduler = CheckpointScheduler(every_records=10)
-        scheduler.note_records(9)
-        assert not scheduler.due
-        scheduler.note_records(1)
-        assert scheduler.due
 
     def test_skip_keeps_the_checkpoint_due(self):
         scheduler = CheckpointScheduler(every_ops=1)

@@ -414,3 +414,52 @@ class TestGrandComparisonShape:
                     logging_results[name].execution_time_per_page
                     <= 1.05 * rival.execution_time_per_page
                 ), name
+
+
+class TestSensitivities:
+    """One machine or workload knob varied on the bare machine."""
+
+    SETTINGS8 = ExperimentSettings(n_transactions=8)
+
+    def run(self, config, machine=None, workload=None):
+        return run_configuration(
+            config,
+            None,
+            self.SETTINGS8,
+            machine_overrides=machine,
+            workload_overrides=workload,
+        )
+
+    def test_cache_frames_matter_for_parallel_sequential(self):
+        """The paper's anticipatory-reading argument: parallel-access disks
+        need free frames to batch big reads; starving the cache hurts."""
+        starved = self.run(PAR_SEQ, machine={"cache_frames": 40})
+        ample = self.run(PAR_SEQ, machine={"cache_frames": 100})
+        assert (
+            starved.execution_time_per_page > 1.2 * ample.execution_time_per_page
+        )
+
+    def test_cache_frames_do_not_matter_for_conventional_random(self):
+        """Random loads on conventional disks are seek-bound; frames beyond
+        the working set buy nothing."""
+        a = self.run(CONV_RAND, machine={"cache_frames": 40}).execution_time_per_page
+        b = self.run(CONV_RAND, machine={"cache_frames": 150}).execution_time_per_page
+        assert abs(a - b) / max(a, b) < 0.10
+
+    def test_more_writes_cost_more(self):
+        # Completion time grows with the write set (more write-backs),
+        # even though exec/page normalizes by operations.
+        reads = self.run(CONV_RAND, workload={"write_fraction": 0.0})
+        writes = self.run(CONV_RAND, workload={"write_fraction": 0.5})
+        assert writes.mean_completion_ms > reads.mean_completion_ms
+
+    def test_mpl_stretches_completion_not_throughput(self):
+        """With a 32-deep read-ahead window, even one transaction keeps
+        both disks busy: raising the multiprogramming level leaves
+        machine throughput flat and only stretches per-transaction
+        completion times (the queueing view of the paper's metrics)."""
+        solo = self.run(CONV_RAND, machine={"mpl": 1})
+        crowded = self.run(CONV_RAND, machine={"mpl": 4})
+        a, b = solo.execution_time_per_page, crowded.execution_time_per_page
+        assert abs(a - b) / max(a, b) < 0.05
+        assert crowded.mean_completion_ms > 1.5 * solo.mean_completion_ms

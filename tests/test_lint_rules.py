@@ -25,7 +25,6 @@ EXPECTED_RULES = {
     "API02",
     "ARCH01",
     "ARCH03",
-    "BENCH01",
     "BENCH02",
     "DET01",
     "DET02",
@@ -1219,75 +1218,6 @@ class TestApi02Layering:
         assert codes(findings) == ["API02"]
 
 
-class TestBench01DeclaredSeed:
-    def test_seedless_benchmark_flagged(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {
-                "benchmarks/bench_toy.py": """
-                def test_toy(benchmark):
-                    benchmark(lambda: 1)
-                """
-            },
-            rules=["BENCH01"],
-        )
-        assert codes(findings) == ["BENCH01"]
-        assert "seed" in findings[0].message
-
-    def test_seed_constant_satisfies(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {
-                "benchmarks/bench_toy.py": """
-                SEED = 1985
-
-                def test_toy(benchmark):
-                    benchmark(lambda: SEED)
-                """
-            },
-            rules=["BENCH01"],
-        )
-        assert findings == []
-
-    def test_seed_keyword_satisfies(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {
-                "benchmarks/bench_toy.py": """
-                def test_toy(benchmark, run):
-                    benchmark(lambda: run(seed=7))
-                """
-            },
-            rules=["BENCH01"],
-        )
-        assert findings == []
-
-    def test_non_benchmark_file_ignored(self, tmp_path):
-        findings = lint(
-            tmp_path,
-            {"benchmarks/_helper.py": "def helper():\n    return 1\n"},
-            rules=["BENCH01"],
-        )
-        assert findings == []
-
-    def test_grid_declaration_defers_to_bench02(self, tmp_path):
-        # A grid spec pins the seed declaratively; BENCH01 steps aside
-        # even though no SEED constant or seed= call keyword appears in
-        # the module body outside the grid.
-        findings = lint(
-            tmp_path,
-            {
-                "benchmarks/bench_toy.py": """
-                from repro.bench import Grid
-
-                GRID = Grid(name="toy", seed=1, runner=len, primary_metric="x")
-                """
-            },
-            rules=["BENCH01"],
-        )
-        assert findings == []
-
-
 _GRIDDED = """
 from repro.bench import Grid
 
@@ -1310,6 +1240,20 @@ class TestBench02GridSpec:
 
                 def test_toy(benchmark):
                     benchmark(lambda: SEED)
+                """
+            },
+            rules=["BENCH02"],
+        )
+        assert codes(findings) == ["BENCH02"]
+        assert "grid spec" in findings[0].message
+
+    def test_seedless_gridless_benchmark_flagged(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            {
+                "benchmarks/bench_toy.py": """
+                def test_toy(benchmark):
+                    benchmark(lambda: 1)
                 """
             },
             rules=["BENCH02"],
