@@ -21,12 +21,13 @@ def main() -> None:
     print(render(result))
     print()
 
-    columns = [key for key in result["rows"][0] if key != "configuration"]
-    paper_rows = []
-    for row in result["rows"]:
-        config = row["configuration"]
-        paper = PAPER["table12"][config]
-        paper_rows.append([config] + [paper[k] for k in columns])
+    # The 1985 table has no column for the modern challengers, so the
+    # paper's rows are printed over the paper's own keys.
+    paper_table = PAPER["table12"]
+    columns = list(next(iter(paper_table.values())))
+    paper_rows = [
+        [config] + [paper[k] for k in columns] for config, paper in paper_table.items()
+    ]
     print(
         format_table(
             ["configuration"] + columns,

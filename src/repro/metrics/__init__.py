@@ -1,11 +1,9 @@
 """Run-level metrics and report rendering."""
 
 from repro.metrics.collectors import RunResult
-from repro.metrics.report import format_table, percentile_table, render_comparison
+from repro.metrics.report import format_table
 
 __all__ = [
     "RunResult",
     "format_table",
-    "percentile_table",
-    "render_comparison",
 ]

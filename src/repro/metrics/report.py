@@ -6,9 +6,9 @@ uses so measured numbers can be compared against it cell by cell.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-__all__ = ["format_table", "percentile_table", "render_comparison"]
+__all__ = ["format_table"]
 
 
 def _fmt(value) -> str:
@@ -42,61 +42,3 @@ def format_table(
     for row in text_rows:
         lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def percentile_table(results: Dict[str, object], title: Optional[str] = None) -> str:
-    """Completion-time percentile table, one row per named run.
-
-    ``results`` maps a label to anything carrying the
-    ``completion_percentiles`` dict a :class:`~repro.metrics.RunResult`
-    has (``p50``/``p95``/``p99``, in ms); the mean rides along so tail
-    latency can be read against it.
-    """
-    rows = []
-    for label in results:
-        result = results[label]
-        p = result.completion_percentiles
-        rows.append(
-            [
-                label,
-                round(result.mean_completion_ms, 1),
-                round(p.get("p50", 0.0), 1),
-                round(p.get("p95", 0.0), 1),
-                round(p.get("p99", 0.0), 1),
-            ]
-        )
-    return format_table(
-        ["run", "mean (ms)", "p50 (ms)", "p95 (ms)", "p99 (ms)"], rows, title=title
-    )
-
-
-def render_comparison(
-    measured: Dict[str, float],
-    paper: Dict[str, float],
-    metric: str = "ms/page",
-    title: Optional[str] = None,
-) -> str:
-    """Side-by-side measured-vs-paper table with ratios.
-
-    Keys present in only one of the dicts are still shown (blank partner).
-    """
-    keys: List[str] = list(measured)
-    keys += [k for k in paper if k not in measured]
-    rows = []
-    for key in keys:
-        m = measured.get(key)
-        p = paper.get(key)
-        ratio = "" if (m is None or p is None or p == 0) else f"{m / p:.2f}"
-        rows.append(
-            [
-                key,
-                "" if m is None else f"{m:.2f}",
-                "" if p is None else f"{p:.2f}",
-                ratio,
-            ]
-        )
-    return format_table(
-        ["case", f"measured ({metric})", f"paper ({metric})", "ratio"],
-        rows,
-        title=title,
-    )

@@ -6,7 +6,6 @@ __all__ = [
     "LockConflict",
     "RecoveryStateError",
     "StorageError",
-    "TransactionAborted",
     "UnknownTransaction",
 ]
 
@@ -25,10 +24,6 @@ class RecoveryStateError(StorageError):
 
 class UnknownTransaction(StorageError):
     """An operation named a transaction id that is not active."""
-
-
-class TransactionAborted(StorageError):
-    """An operation touched a transaction that has already aborted."""
 
 
 class LockConflict(StorageError):

@@ -7,7 +7,6 @@ of its read set.
 """
 
 from repro.workload.generator import WorkloadConfig, generate_transactions
-from repro.workload.tracefile import load_trace, save_trace
 from repro.workload.transaction import Transaction, TransactionStatus
 
 __all__ = [
@@ -15,6 +14,4 @@ __all__ = [
     "TransactionStatus",
     "WorkloadConfig",
     "generate_transactions",
-    "load_trace",
-    "save_trace",
 ]

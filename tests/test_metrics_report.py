@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import RunResult, format_table, percentile_table, render_comparison
+from repro.metrics import RunResult, format_table
 
 
 class TestRunResult:
@@ -70,52 +70,3 @@ class TestFormatTable:
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [[1]])
-
-
-class TestPercentileTable:
-    def make(self, p50, p95, p99, mean):
-        return RunResult(
-            architecture="x",
-            makespan_ms=1.0,
-            pages_processed=1,
-            mean_completion_ms=mean,
-            completion_percentiles={"p50": p50, "p95": p95, "p99": p99},
-        )
-
-    def test_rows_and_headers(self):
-        text = percentile_table(
-            {
-                "logging": self.make(40.0, 90.0, 120.0, 50.0),
-                "shadow-pt": self.make(60.0, 110.0, 150.0, 70.0),
-            },
-            title="tails",
-        )
-        lines = text.splitlines()
-        assert lines[0] == "tails"
-        assert "p99 (ms)" in lines[2]
-        assert any("logging" in line and "120.00" in line for line in lines)
-        assert any("shadow-pt" in line and "150.00" in line for line in lines)
-
-    def test_missing_percentiles_render_zero(self):
-        result = RunResult(
-            architecture="x",
-            makespan_ms=1.0,
-            pages_processed=1,
-            mean_completion_ms=0.0,
-        )
-        text = percentile_table({"bare": result})
-        assert "0.0" in text
-
-
-class TestRenderComparison:
-    def test_ratio_column(self):
-        text = render_comparison({"case": 20.0}, {"case": 10.0})
-        assert "2.00" in text
-
-    def test_missing_paper_value_leaves_blank_ratio(self):
-        text = render_comparison({"only-measured": 5.0}, {})
-        assert "only-measured" in text
-
-    def test_paper_only_key_included(self):
-        text = render_comparison({}, {"only-paper": 5.0})
-        assert "only-paper" in text
