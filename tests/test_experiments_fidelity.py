@@ -5,6 +5,8 @@ change that silently drifts the calibration away from the paper fails
 here before it fails a reviewer.
 """
 
+import hashlib
+
 import pytest
 
 from repro.cli import main
@@ -66,6 +68,22 @@ class TestCalibrationRegression:
         report = fidelity_summary(QUICK, tables=("table1", "table8"))
         # Table 1 pairs 8 cells (4 configs x with/without); Table 8 six.
         assert len(report.cells) == 14
+
+
+class TestFidelityPin:
+    """Every scored cell, in order, with its measured and paper value.
+
+    Labels are left out: they are presentation, the numbers are not."""
+
+    def test_cells_pinned_at_four_transactions(self):
+        cells = fidelity_summary(ExperimentSettings(n_transactions=4)).cells
+        assert len(cells) == 122
+        digest = hashlib.sha256(
+            repr([(c.table, c.measured, c.paper) for c in cells]).encode()
+        ).hexdigest()
+        assert digest == (
+            "9b1534a09bd229eddda35652a3c2209ca65b4e6caf8d635e9bcd876228455ac7"
+        )
 
 
 class TestCliFidelity:
