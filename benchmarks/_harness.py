@@ -1,7 +1,8 @@
 """Shared plumbing for the benchmark harness.
 
 Every ``bench_*`` module declares a :class:`repro.bench.Grid` (directly,
-or through :func:`table_grid` for the paper-table benchmarks) and runs it
+or through :func:`table_grid` for a catalogued table, see
+:mod:`repro.experiments.tables`) and runs it
 through :func:`run_grid_bench`: the grid executes exactly once under
 pytest-benchmark (``pedantic`` with one round — the interesting number is
 the *simulated* result, the wall-clock time is a bonus), prints the
@@ -30,8 +31,9 @@ from repro.bench import (
     run_grid,
     write_grid_artifacts,
 )
-from repro.experiments import ExperimentSettings
-from repro.experiments.tables import render
+from repro.experiments import PAPER, ExperimentSettings
+from repro.experiments.tables import Table, render
+from repro.metrics import format_table
 
 #: Master seed for the benchmark harness: every table draws the same
 #: transaction streams, so numbers are comparable across runs and machines.
@@ -73,7 +75,7 @@ def flatten_rows(
 
 
 def run_table_cell(
-    table_func: Callable[[ExperimentSettings], Dict[str, Any]],
+    table_func: Table,
     label_field: str,
     params: Dict[str, Any],
     seed: int,
@@ -88,21 +90,23 @@ def run_table_cell(
 
 def table_grid(
     name: str,
-    table_func: Callable[[ExperimentSettings], Dict[str, Any]],
+    table_func: Table,
     *,
     primary_metric: str,
     seed: int,
-    label_field: str = "configuration",
     title: str = "",
     tolerance: float = 0.15,
     higher_is_better: bool = False,
 ) -> Grid:
-    """A single-cell grid wrapping one paper-table function."""
+    """A single-cell grid wrapping one catalogued table (title defaults
+    to the table's; rows are labelled by its label field)."""
     return Grid(
         name=name,
-        title=title or name,
+        title=title or table_func.title,
         seed=seed,
-        runner=functools.partial(run_table_cell, table_func, label_field),
+        runner=functools.partial(
+            run_table_cell, table_func, table_func.label_field
+        ),
         primary_metric=primary_metric,
         tolerance=tolerance,
         higher_is_better=higher_is_better,
@@ -134,6 +138,17 @@ def run_grid_bench(
         handle.write(text + "\n")
     write_grid_artifacts(result, OUTPUT_DIR, baseline_dir=REPO_ROOT)
     return result
+
+
+def paper_text(table: Table) -> str:
+    """The paper's numbers for a catalogued table, laid out like its rows."""
+    paper = PAPER[table.key]
+    columns = list(dict.fromkeys(key for row in paper.values() for key in row))
+    return format_table(
+        [table.label_field] + columns,
+        [[label] + [row.get(c, "") for c in columns] for label, row in paper.items()],
+        title=f"Paper {table.title}",
+    )
 
 
 def paper_block(title: str, lines) -> str:

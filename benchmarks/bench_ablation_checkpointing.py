@@ -23,7 +23,6 @@ GRID = table_grid(
     ablation_checkpointing,
     primary_metric="mean.every_500ms",
     seed=BENCH_SEED,
-    title="Ablation (Sec 3.1): checkpointing in parallel with processing",
 )
 
 PAPER_TEXT = paper_block(

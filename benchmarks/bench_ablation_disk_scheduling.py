@@ -22,7 +22,6 @@ GRID = table_grid(
     ablation_disk_scheduling,
     primary_metric="mean.sstf",
     seed=BENCH_SEED,
-    title="Ablation (extension): FCFS vs SSTF disk scheduling",
 )
 
 PAPER_TEXT = paper_block(

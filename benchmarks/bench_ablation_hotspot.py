@@ -21,8 +21,6 @@ GRID = table_grid(
     ablation_hotspot,
     primary_metric="mean.exec_ms_per_page",
     seed=BENCH_SEED,
-    label_field="workload",
-    title="Ablation (extension): hotspot skew under parallel logging",
 )
 
 PAPER_TEXT = paper_block(

@@ -22,7 +22,6 @@ GRID = table_grid(
     ablation_interconnect,
     primary_metric="mean.through_cache",
     seed=BENCH_SEED,
-    title="Ablation (Sec 4.1.3): QP-LP interconnect bandwidth and routing",
 )
 
 PAPER_TEXT = paper_block(

@@ -24,7 +24,6 @@ GRID = table_grid(
     ablation_overwriting_variants,
     primary_metric="mean.no_undo",
     seed=BENCH_SEED,
-    title="Ablation (Sec 3.2.2.2): overwriting no-undo vs no-redo",
 )
 
 PAPER_TEXT = paper_block(

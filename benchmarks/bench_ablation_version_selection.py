@@ -25,7 +25,6 @@ GRID = table_grid(
     ablation_version_selection,
     primary_metric="mean.version_selection",
     seed=BENCH_SEED,
-    title="Ablation (Sec 4.2.5): version selection vs thru page-table",
 )
 
 PAPER_TEXT = paper_block(

@@ -8,29 +8,21 @@ of recovery data overlaps data processing) and nudges completion times.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
+    paper_text,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table1_logging_impact
+from repro.experiments import table1_logging_impact
 
 GRID = table_grid(
     "table01",
     table1_logging_impact,
     primary_metric="mean.exec_with_log",
     seed=BENCH_SEED,
-    title="Table 1. Impact of Logging",
 )
 
-PAPER_TEXT = paper_block(
-    "Paper Table 1 (exec ms/page without -> with log):",
-    [
-        f"{name}: {PAPER['table1']['exec_without_log'][name]} -> "
-        f"{PAPER['table1']['exec_with_log'][name]}"
-        for name in PAPER["table1"]["exec_without_log"]
-    ],
-)
+PAPER_TEXT = paper_text(table1_logging_impact)
 
 
 def test_table1_logging_impact(benchmark):

@@ -8,25 +8,21 @@ suffices.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
+    paper_text,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table2_log_utilization
+from repro.experiments import table2_log_utilization
 
 GRID = table_grid(
     "table02",
     table2_log_utilization,
     primary_metric="mean.log_disk_utilization",
     seed=BENCH_SEED,
-    title="Table 2. Log Characteristics (one log processor)",
 )
 
-PAPER_TEXT = paper_block(
-    "Paper Table 2 (log-disk utilization):",
-    [f"{name}: {value}" for name, value in PAPER["table2"].items()],
-)
+PAPER_TEXT = paper_text(table2_log_utilization)
 
 
 def test_table2_log_utilization(benchmark):

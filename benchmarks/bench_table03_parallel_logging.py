@@ -9,30 +9,22 @@ cyclic / random / qp-mod selection are comparable, txn-mod is the loser.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
+    paper_text,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table3_parallel_logging
+from repro.experiments import table3_parallel_logging
 
 GRID = table_grid(
     "table03",
     table3_parallel_logging,
     primary_metric="mean.exec_cyclic",
     seed=BENCH_SEED,
-    label_field="n_log_disks",
     title="Table 3. Parallel Logging and Selection Algorithms",
 )
 
-PAPER_TEXT = paper_block(
-    "Paper Table 3 (exec ms/page, cyclic column):",
-    [
-        f"{n} log disks: {PAPER['table3']['exec'][(n, 'cyclic')]}"
-        for n in (1, 2, 3, 4, 5)
-    ]
-    + [f"w/o logging: {PAPER['table3']['exec_without_logging']}"],
-)
+PAPER_TEXT = paper_text(table3_parallel_logging)
 
 
 def test_table3_parallel_logging(benchmark):

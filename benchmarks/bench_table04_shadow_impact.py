@@ -8,30 +8,21 @@ and barely notice the mechanism.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
+    paper_text,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table4_shadow_impact
+from repro.experiments import table4_shadow_impact
 
 GRID = table_grid(
     "table04",
     table4_shadow_impact,
     primary_metric="mean.exec_1ptp",
     seed=BENCH_SEED,
-    title="Table 4. Impact of the Shadow Mechanism",
 )
 
-PAPER_TEXT = paper_block(
-    "Paper Table 4 (exec ms/page bare / 1 PT proc / 2 PT procs):",
-    [
-        f"{name}: {PAPER['table4']['exec_bare'][name]} / "
-        f"{PAPER['table4']['exec_1ptp'][name]} / "
-        f"{PAPER['table4']['exec_2ptp'][name]}"
-        for name in PAPER["table4"]["exec_bare"]
-    ],
-)
+PAPER_TEXT = paper_text(table4_shadow_impact)
 
 
 def test_table4_shadow_impact(benchmark):

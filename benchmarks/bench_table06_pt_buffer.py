@@ -7,28 +7,21 @@ turning PT-disk reads into buffer hits (and avoiding commit-time rereads).
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
+    paper_text,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table6_pt_buffer
+from repro.experiments import table6_pt_buffer
 
 GRID = table_grid(
     "table06",
     table6_pt_buffer,
     primary_metric="mean.buffer_50",
     seed=BENCH_SEED,
-    title="Table 6. Execution Time per Page (1 Page-Table Processor)",
 )
 
-PAPER_TEXT = paper_block(
-    "Paper Table 6 (exec ms/page, bare / buf 10 / 25 / 50):",
-    [
-        f"{kind}: {row['bare']} / {row[10]} / {row[25]} / {row[50]}"
-        for kind, row in PAPER["table6"].items()
-    ],
-)
+PAPER_TEXT = paper_text(table6_pt_buffer)
 
 
 def test_table6_pt_buffer(benchmark):

@@ -9,29 +9,21 @@ disks (its scratch reads and overwrites batch into few accesses).
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
+    paper_text,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table7_sequential_shadow
+from repro.experiments import table7_sequential_shadow
 
 GRID = table_grid(
     "table07",
     table7_sequential_shadow,
     primary_metric="mean.clustered",
     seed=BENCH_SEED,
-    title="Table 7. Execution Time per Page (Sequential Transactions)",
 )
 
-PAPER_TEXT = paper_block(
-    "Paper Table 7 (bare / clustered / scrambled / overwriting):",
-    [
-        f"{kind}: {row['bare']} / {row['clustered']} / "
-        f"{row['scrambled']} / {row['overwriting']}"
-        for kind, row in PAPER["table7"].items()
-    ],
-)
+PAPER_TEXT = paper_text(table7_sequential_shadow)
 
 
 def test_table7_sequential_shadow(benchmark):

@@ -8,28 +8,21 @@ processing.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
+    paper_text,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table8_random_overwriting
+from repro.experiments import table8_random_overwriting
 
 GRID = table_grid(
     "table08",
     table8_random_overwriting,
     primary_metric="mean.thru_pt",
     seed=BENCH_SEED,
-    title="Table 8. Execution Time per Page (Random Transactions)",
 )
 
-PAPER_TEXT = paper_block(
-    "Paper Table 8 (bare / thru page-table / overwriting):",
-    [
-        f"{kind}: {row['bare']} / {row['thru_pt']} / {row['overwriting']}"
-        for kind, row in PAPER["table8"].items()
-    ],
-)
+PAPER_TEXT = paper_text(table8_random_overwriting)
 
 
 def test_table8_random_overwriting(benchmark):

@@ -9,30 +9,21 @@ sequential loads badly.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
+    paper_text,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table9_differential_impact
+from repro.experiments import table9_differential_impact
 
 GRID = table_grid(
     "table09",
     table9_differential_impact,
     primary_metric="mean.exec_optimal",
     seed=BENCH_SEED,
-    title="Table 9. Impact of the Differential File Mechanism",
 )
 
-PAPER_TEXT = paper_block(
-    "Paper Table 9 (exec ms/page bare / basic / optimal):",
-    [
-        f"{name}: {PAPER['table9']['exec_bare'][name]} / "
-        f"{PAPER['table9']['exec_basic'][name]} / "
-        f"{PAPER['table9']['exec_optimal'][name]}"
-        for name in PAPER["table9"]["exec_bare"]
-    ],
-)
+PAPER_TEXT = paper_text(table9_differential_impact)
 
 
 def test_table9_differential_impact(benchmark):

@@ -8,28 +8,21 @@ sublinear growth.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
+    paper_text,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table10_output_fraction
+from repro.experiments import table10_output_fraction
 
 GRID = table_grid(
     "table10",
     table10_output_fraction,
     primary_metric="mean.output_20pct",
     seed=BENCH_SEED,
-    title="Table 10. Effect of Output Fraction on Execution Time per Page",
 )
 
-PAPER_TEXT = paper_block(
-    "Paper Table 10 (exec ms/page, bare / 10% / 20% / 50%):",
-    [
-        f"{name}: {row['bare']} / {row[0.10]} / {row[0.20]} / {row[0.50]}"
-        for name, row in PAPER["table10"].items()
-    ],
-)
+PAPER_TEXT = paper_text(table10_output_fraction)
 
 
 def test_table10_output_fraction(benchmark):

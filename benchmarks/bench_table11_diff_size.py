@@ -8,28 +8,21 @@ set-difference work saturate the query processors (paper: 19.2 -> 24.8 ->
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
+    paper_text,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table11_differential_size
+from repro.experiments import table11_differential_size
 
 GRID = table_grid(
     "table11",
     table11_differential_size,
     primary_metric="mean.size_15pct",
     seed=BENCH_SEED,
-    title="Table 11. Effect of Size of Differential Files",
 )
 
-PAPER_TEXT = paper_block(
-    "Paper Table 11 (exec ms/page, bare / 10% / 15% / 20%):",
-    [
-        f"{name}: {row['bare']} / {row[0.10]} / {row[0.15]} / {row[0.20]}"
-        for name, row in PAPER["table11"].items()
-    ],
-)
+PAPER_TEXT = paper_text(table11_differential_size)
 
 
 def test_table11_differential_size(benchmark):

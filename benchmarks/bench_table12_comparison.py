@@ -10,34 +10,21 @@ parallel-access + sequential.
 
 from benchmarks._harness import (
     BENCH_SEED,
-    paper_block,
+    paper_text,
     run_grid_bench,
     table_grid,
     table_text,
 )
-from repro.experiments import PAPER, table12_comparison
+from repro.experiments import table12_comparison
 
 GRID = table_grid(
     "table12",
     table12_comparison,
     primary_metric="mean.logging",
     seed=BENCH_SEED,
-    title="Table 12. Average Execution Time per Page (in ms)",
 )
 
-PAPER_TEXT = paper_block(
-    "Paper Table 12 (bare/logging/shadow b10/b50/2ptp/scrambled/overwrite/diff):",
-    [
-        f"{name}: " + " / ".join(
-            str(row[k])
-            for k in (
-                "bare", "logging", "shadow_b10", "shadow_b50",
-                "shadow_2ptp", "scrambled", "overwriting", "differential",
-            )
-        )
-        for name, row in PAPER["table12"].items()
-    ],
-)
+PAPER_TEXT = paper_text(table12_comparison)
 
 
 def test_table12_comparison(benchmark):

@@ -11,7 +11,7 @@ The package contains:
 * :mod:`repro.storage` — a functional crash-recovery engine implementing
   the actual algorithms (WAL without log merging, shadow page tables,
   overwriting rings, version selection, differential files);
-* :mod:`repro.experiments` — one runnable configuration per paper table.
+* :mod:`repro.experiments` — one catalogue declaring every paper table.
 
 Quickstart::
 

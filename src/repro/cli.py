@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.analysis import checkpoint_interval_sweep, predict_bottleneck
 from repro.bench import (
@@ -30,31 +30,10 @@ from repro.bench import (
 from repro.bench.spec import BenchSpecError
 from repro.faults import FaultPlan, run_crashtest, run_scenario
 from repro.metrics import format_table
-from repro.experiments import (
-    ExperimentSettings,
-    ablation_checkpointing,
-    ablation_disk_scheduling,
-    ablation_hotspot,
-    ablation_interconnect,
-    ablation_overwriting_variants,
-    ablation_version_selection,
-    table1_logging_impact,
-    table2_log_utilization,
-    table3_parallel_logging,
-    table4_shadow_impact,
-    table5_shadow_utilization,
-    table6_pt_buffer,
-    table7_sequential_shadow,
-    table8_random_overwriting,
-    table9_differential_impact,
-    table10_output_fraction,
-    table11_differential_size,
-    table12_comparison,
-)
+from repro.experiments import ExperimentSettings
 from repro.experiments.fidelity import fidelity_summary
-from repro.experiments.report import generate_report
 from repro.experiments.runner import CONFIGURATIONS
-from repro.experiments.tables import render
+from repro.experiments.tables import ABLATIONS, TABLES, render
 from repro.experiments.tracing import (
     SIM_ARCHITECTURES,
     render_diff,
@@ -76,31 +55,6 @@ from repro.trace import (
 )
 
 __all__ = ["main"]
-
-TABLES: Dict[int, Callable] = {
-    1: table1_logging_impact,
-    2: table2_log_utilization,
-    3: table3_parallel_logging,
-    4: table4_shadow_impact,
-    5: table5_shadow_utilization,
-    6: table6_pt_buffer,
-    7: table7_sequential_shadow,
-    8: table8_random_overwriting,
-    9: table9_differential_impact,
-    10: table10_output_fraction,
-    11: table11_differential_size,
-    12: table12_comparison,
-}
-
-ABLATIONS: Dict[str, Callable] = {
-    "checkpointing": ablation_checkpointing,
-    "disk-scheduling": ablation_disk_scheduling,
-    "hotspot": ablation_hotspot,
-    "interconnect": ablation_interconnect,
-    "version-selection": ablation_version_selection,
-    "overwriting-variants": ablation_overwriting_variants,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -129,32 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ablation.add_argument("name", choices=sorted(ABLATIONS))
     ablation.add_argument("-n", "--transactions", type=int, default=30)
     ablation.add_argument("--seed", type=int, default=1985)
-
-    report = sub.add_parser(
-        "report", help="regenerate the full measured-vs-paper report"
-    )
-    report.add_argument("-n", "--transactions", type=int, default=30)
-    report.add_argument("--seed", type=int, default=1985)
-    report.add_argument(
-        "-t",
-        "--table",
-        type=int,
-        action="append",
-        dest="only_tables",
-        help="limit to specific tables (repeatable)",
-    )
-    report.add_argument(
-        "--ablations", action="store_true", help="include the ablation studies"
-    )
-    report.add_argument("-o", "--output", help="write to a file instead of stdout")
-    report.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the independent experiments "
-        "(output is identical to -j 1; default 1)",
-    )
 
     fidelity = sub.add_parser(
         "fidelity", help="score the reproduction against the paper, cell by cell"
@@ -740,11 +668,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "tables":
         for number in sorted(TABLES):
-            doc = (TABLES[number].__doc__ or "").strip().splitlines()[0]
-            print(f"table {number:>2}: {doc}")
+            print(f"table {number:>2}: {TABLES[number].description}")
         for name in sorted(ABLATIONS):
-            doc = (ABLATIONS[name].__doc__ or "").strip().splitlines()[0]
-            print(f"ablation {name}: {doc}")
+            print(f"ablation {name}: {ABLATIONS[name].description}")
         return 0
 
     if args.command == "table":
@@ -755,21 +681,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "ablation":
         result = ABLATIONS[args.name](_settings(args))
         print(render(result))
-        return 0
-
-    if args.command == "report":
-        text = generate_report(
-            _settings(args),
-            tables=args.only_tables,
-            include_ablations=args.ablations,
-            jobs=args.jobs,
-        )
-        if args.output:
-            with open(args.output, "w") as handle:
-                handle.write(text)
-            print(f"wrote {args.output}")
-        else:
-            print(text)
         return 0
 
     if args.command == "fidelity":

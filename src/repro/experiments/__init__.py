@@ -1,8 +1,13 @@
-"""Per-table experiment configurations and runners.
+"""The paper's experiments: one catalogue of tables, their runner, fidelity.
 
-Every table (1-12) of the paper's evaluation has a function here that runs
-the corresponding simulations and returns structured rows; the benchmark
-harness under ``benchmarks/`` prints them next to the paper's numbers.
+Every table (1-12) of the paper's evaluation, and each ablation, is one
+declared :class:`~repro.experiments.tables.Table` in
+:data:`~repro.experiments.tables.CATALOGUE`: its rows, its named
+architectures and its columns.  Calling an entry, e.g.
+``table1_logging_impact(settings)``, runs its simulations and returns
+structured rows; ``PAPER[table][row][column]`` holds the published numbers
+under the same labels.  The CLI, ``repro fidelity`` and the benchmark
+grids under ``benchmarks/`` all read the catalogue.
 """
 
 from repro.experiments.paper import PAPER

@@ -1,14 +1,26 @@
-"""One function per paper table (plus the ablations the text describes).
+"""The catalogue: every paper table and ablation, declared once.
 
-Each function runs the simulations for its table and returns a dict with a
-``"rows"`` list (one dict per table row, measured values) and a ``"paper"``
-reference to the published numbers.  ``render(result)`` on any of them
-produces an aligned plain-text table.
+Almost every table of the paper's Section 4 has one shape: configurations
+as rows, recovery-architecture variants as columns, one metric of one run
+in each cell.  A :class:`Table` declares that layout — its rows, its named
+architectures (each a factory plus machine overrides), its columns as
+``(key, architecture, metric, digits)`` and the columns fidelity scores —
+and calling it runs each (row, architecture) pair once and returns
+``{"title", "rows", "paper"}``, each row's keys in declared order.
+``render(result)`` turns any result into an aligned plain-text table.
+
+Table 3 (log-disk counts as rows) and the hotspot ablation (workloads as
+rows, counters in the cells) keep a plain row builder, registered the
+same way.  The CLI, fidelity scoring and the benchmark grids all read
+:data:`CATALOGUE`; none keeps a table list of its own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter, methodcaller
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro.core.bare import BareArchitecture
 from repro.core.differential import DifferentialConfig, DifferentialFileArchitecture
@@ -36,6 +48,11 @@ from repro.experiments.runner import (
 from repro.metrics.report import format_table
 
 __all__ = [
+    "ABLATIONS",
+    "CATALOGUE",
+    "TABLES",
+    "Arch",
+    "Table",
     "ablation_checkpointing",
     "ablation_disk_scheduling",
     "ablation_hotspot",
@@ -64,13 +81,115 @@ TABLE3_MACHINE = {
     "prefetch_window": 48,
 }
 
+#: Cell metrics: each maps a ``RunResult`` to one number.
+EXEC = attrgetter("execution_time_per_page")
+COMPLETION = attrgetter("mean_completion_ms")
 
-def _settings(settings: Optional[ExperimentSettings]) -> ExperimentSettings:
-    return settings or ExperimentSettings()
+
+def _utilization(resource: str) -> Callable:
+    return methodcaller("utilization", resource)
+
+
+class Arch(NamedTuple):
+    """A named column architecture: a zero-argument factory (``None`` runs
+    the bare machine) and the machine overrides its runs use."""
+
+    factory: Optional[Callable] = None
+    machine: Optional[Mapping[str, Any]] = None
+
+
+BARE = Arch()
+
+
+def _logging(**config) -> Arch:
+    return Arch(partial(ParallelLoggingArchitecture, LoggingConfig(**config)))
+
+
+def _shadow(**config) -> Arch:
+    return Arch(partial(PageTableShadowArchitecture, ShadowConfig(**config)))
+
+
+def _differential(**config) -> Arch:
+    return Arch(partial(DifferentialFileArchitecture, DifferentialConfig(**config)))
+
+
+Column = Tuple[str, str, Callable, int]
+
+
+@dataclass(frozen=True)
+class Table:
+    """One paper table or ablation, declared once.
+
+    ``columns`` defaults to one execution-time column per architecture,
+    keyed by its name.  ``scored`` names the columns fidelity pairs with
+    the paper (``True``: every column).  ``paper_field`` repeats that
+    column's paper value in each row under ``"paper"``.  ``build``
+    replaces the engine with a plain row builder.  An entry pickles by
+    reference to its module-level ``name``.
+    """
+
+    name: str
+    key: str  # "table1".."table12" (the PAPER key) or the ablation's CLI name
+    title: str
+    description: str
+    archs: Mapping[str, Arch]
+    columns: Tuple[Column, ...] = ()
+    rows: Tuple[str, ...] = CONFIG_NAMES
+    scored: Union[bool, Tuple[str, ...]] = ()
+    label_field: str = "configuration"
+    paper_field: Optional[str] = None
+    build: Optional[Callable[[ExperimentSettings], List[Dict]]] = None
+
+    def __post_init__(self) -> None:
+        if not self.columns:
+            columns = tuple((name, name, EXEC, 2) for name in self.archs)
+            object.__setattr__(self, "columns", columns)
+
+    def __reduce__(self) -> str:
+        return self.name
+
+    def __call__(self, settings: Optional[ExperimentSettings] = None) -> Dict:
+        settings = settings or ExperimentSettings()
+        rows = (self.build or self._rows)(settings)
+        return {"title": self.title, "rows": rows, "paper": PAPER.get(self.key)}
+
+    @property
+    def scored_columns(self) -> Tuple[str, ...]:
+        if self.scored is True:
+            return tuple(key for key, *_ in self.columns)
+        return self.scored or ()
+
+    def _rows(self, settings: ExperimentSettings) -> List[Dict]:
+        rows = []
+        for label in self.rows:
+            config = CONFIGURATIONS[label]
+            runs = {
+                name: run_configuration(
+                    config, arch.factory, settings, machine_overrides=arch.machine
+                )
+                for name, arch in self.archs.items()
+            }
+            row: Dict[str, Any] = {self.label_field: label}
+            for key, arch, metric, digits in self.columns:
+                row[key] = round(metric(runs[arch]), digits)
+            if self.paper_field:
+                row["paper"] = PAPER[self.key][label][self.paper_field]
+            rows.append(row)
+        return rows
+
+
+#: Every table and ablation, by key, in declaration order.
+CATALOGUE: Dict[str, Table] = {}
+
+
+def _declare(**fields) -> Table:
+    table = Table(**fields)
+    CATALOGUE[table.key] = table
+    return table
 
 
 def render(result: Dict) -> str:
-    """Render any table-function result as aligned text."""
+    """Render any table result as aligned text."""
     rows = result["rows"]
     headers = list(rows[0].keys())
     return format_table(
@@ -80,605 +199,306 @@ def render(result: Dict) -> str:
     )
 
 
-# --------------------------------------------------------------------------- 1
-def table1_logging_impact(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Table 1: impact of (logical) logging with one log disk."""
-    settings = _settings(settings)
-    rows: List[Dict] = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        logged = run_configuration(
-            config, lambda: ParallelLoggingArchitecture(LoggingConfig()), settings
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "exec_without_log": round(bare.execution_time_per_page, 2),
-                "exec_with_log": round(logged.execution_time_per_page, 2),
-                "completion_without_log": round(bare.mean_completion_ms, 1),
-                "completion_with_log": round(logged.mean_completion_ms, 1),
-            }
-        )
-    return {"title": "Table 1. Impact of Logging", "rows": rows, "paper": PAPER["table1"]}
+_RANDOM = ("conventional-random", "parallel-random")
+_SEQUENTIAL = ("conventional-sequential", "parallel-sequential")
+_SHADOW_1PTP = _shadow(n_pt_processors=1)
+_SHADOW_2PTP = _shadow(n_pt_processors=2)
 
 
-# --------------------------------------------------------------------------- 2
-def table2_log_utilization(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Table 2: log-disk utilization with one log processor."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        result = run_configuration(
-            CONFIGURATIONS[name],
-            lambda: ParallelLoggingArchitecture(LoggingConfig()),
-            settings,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "log_disk_utilization": round(result.utilization("log_disks"), 3),
-                "paper": PAPER["table2"][name],
-            }
-        )
-    return {
-        "title": "Table 2. Log Characteristics (one log processor)",
-        "rows": rows,
-        "paper": PAPER["table2"],
-    }
+table1_logging_impact = _declare(
+    name="table1_logging_impact",
+    key="table1",
+    title="Table 1. Impact of Logging",
+    description="Table 1: impact of (logical) logging with one log disk.",
+    archs={"bare": BARE, "logged": _logging()},
+    columns=(
+        ("exec_without_log", "bare", EXEC, 2),
+        ("exec_with_log", "logged", EXEC, 2),
+        ("completion_without_log", "bare", COMPLETION, 1),
+        ("completion_with_log", "logged", COMPLETION, 1),
+    ),
+    scored=("exec_without_log", "exec_with_log"),
+)
+
+table2_log_utilization = _declare(
+    name="table2_log_utilization",
+    key="table2",
+    title="Table 2. Log Characteristics (one log processor)",
+    description="Table 2: log-disk utilization with one log processor.",
+    archs={"logged": _logging()},
+    columns=(("log_disk_utilization", "logged", _utilization("log_disks"), 3),),
+    scored=True,
+    paper_field="log_disk_utilization",
+)
 
 
-# --------------------------------------------------------------------------- 3
-def table3_parallel_logging(
-    settings: Optional[ExperimentSettings] = None,
-    n_log_disks=(1, 2, 3, 4, 5),
-) -> Dict:
-    """Table 3: physical logging, 1-5 log disks x 4 selection policies.
-
-    Testbed: 75 query processors, 2 parallel-access data disks, 150 cache
-    frames, sequential transactions.
-    """
-    settings = _settings(settings)
+def _table3_rows(settings: ExperimentSettings) -> List[Dict]:
+    """Physical logging on the Table 3 testbed, one row per log-disk count;
+    the last row repeats the bare machine across the policy columns."""
     config = CONFIGURATIONS["parallel-sequential"]
-    policies = [
-        SelectionPolicy.CYCLIC,
-        SelectionPolicy.RANDOM,
-        SelectionPolicy.QP_MOD,
-        SelectionPolicy.TXN_MOD,
-    ]
+    bare = run_configuration(config, None, settings, machine_overrides=TABLE3_MACHINE)
     rows = []
-    for n in n_log_disks:
-        row: Dict = {"n_log_disks": n}
-        for policy in policies:
-            result = run_configuration(
-                config,
-                lambda: ParallelLoggingArchitecture(
-                    LoggingConfig(
-                        n_log_processors=n,
-                        mode=LogMode.PHYSICAL,
-                        selection=policy,
-                    )
-                ),
-                settings,
-                machine_overrides=TABLE3_MACHINE,
-            )
+    for n in (1, 2, 3, 4, 5, "w/o logging"):
+        row: Dict[str, Any] = {"n_log_disks": n}
+        for policy in SelectionPolicy:
+            if n == "w/o logging":
+                result = bare
+            else:
+                logging = _logging(
+                    n_log_processors=n, mode=LogMode.PHYSICAL, selection=policy
+                )
+                result = run_configuration(
+                    config, logging.factory, settings, machine_overrides=TABLE3_MACHINE
+                )
             row[f"exec_{policy.value}"] = round(result.execution_time_per_page, 2)
             row[f"compl_{policy.value}"] = round(result.mean_completion_ms, 1)
         rows.append(row)
-    bare = run_configuration(config, None, settings, machine_overrides=TABLE3_MACHINE)
-    rows.append(
-        {
-            "n_log_disks": "w/o logging",
-            **{
-                f"exec_{p.value}": round(bare.execution_time_per_page, 2)
-                for p in policies
-            },
-            **{
-                f"compl_{p.value}": round(bare.mean_completion_ms, 1)
-                for p in policies
-            },
-        }
-    )
-    return {
-        "title": "Table 3. Parallel Logging and Selection Algorithms "
-        "(75 QPs, 2 parallel-access disks, 150 frames)",
-        "rows": rows,
-        "paper": PAPER["table3"],
-    }
+    return rows
 
 
-# --------------------------------------------------------------------------- 4
-def table4_shadow_impact(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Table 4: impact of the shadow mechanism, 1 vs 2 PT processors."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        one = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(n_pt_processors=1)),
-            settings,
-        )
-        two = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(n_pt_processors=2)),
-            settings,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "exec_bare": round(bare.execution_time_per_page, 2),
-                "exec_1ptp": round(one.execution_time_per_page, 2),
-                "exec_2ptp": round(two.execution_time_per_page, 2),
-                "completion_bare": round(bare.mean_completion_ms, 1),
-                "completion_1ptp": round(one.mean_completion_ms, 1),
-                "completion_2ptp": round(two.mean_completion_ms, 1),
-            }
-        )
-    return {
-        "title": "Table 4. Impact of the Shadow Mechanism",
-        "rows": rows,
-        "paper": PAPER["table4"],
-    }
+table3_parallel_logging = _declare(
+    name="table3_parallel_logging",
+    key="table3",
+    title="Table 3. Parallel Logging and Selection Algorithms "
+    "(75 QPs, 2 parallel-access disks, 150 frames)",
+    description="Table 3: physical logging, 1-5 log disks x 4 selection policies.",
+    archs={},
+    label_field="n_log_disks",
+    build=_table3_rows,
+)
 
+table4_shadow_impact = _declare(
+    name="table4_shadow_impact",
+    key="table4",
+    title="Table 4. Impact of the Shadow Mechanism",
+    description="Table 4: impact of the shadow mechanism, 1 vs 2 PT processors.",
+    archs={"bare": BARE, "1ptp": _SHADOW_1PTP, "2ptp": _SHADOW_2PTP},
+    columns=(
+        ("exec_bare", "bare", EXEC, 2),
+        ("exec_1ptp", "1ptp", EXEC, 2),
+        ("exec_2ptp", "2ptp", EXEC, 2),
+        ("completion_bare", "bare", COMPLETION, 1),
+        ("completion_1ptp", "1ptp", COMPLETION, 1),
+        ("completion_2ptp", "2ptp", COMPLETION, 1),
+    ),
+    scored=("exec_bare", "exec_1ptp", "exec_2ptp"),
+)
 
-# --------------------------------------------------------------------------- 5
-def table5_shadow_utilization(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Table 5: average utilization of data and page-table disks."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        one = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(n_pt_processors=1)),
-            settings,
-        )
-        two = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(n_pt_processors=2)),
-            settings,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "bare_data": round(bare.utilization("data_disks"), 2),
-                "1ptp_data": round(one.utilization("data_disks"), 2),
-                "1ptp_pt": round(one.utilization("pt_disks"), 2),
-                "2ptp_data": round(two.utilization("data_disks"), 2),
-                "2ptp_pt": round(two.utilization("pt_disks"), 2),
-            }
-        )
-    return {
-        "title": "Table 5. Average Utilization of Data and Page-Table Disks",
-        "rows": rows,
-        "paper": PAPER["table5"],
-    }
+table5_shadow_utilization = _declare(
+    name="table5_shadow_utilization",
+    key="table5",
+    title="Table 5. Average Utilization of Data and Page-Table Disks",
+    description="Table 5: average utilization of data and page-table disks.",
+    archs={"bare": BARE, "1ptp": _SHADOW_1PTP, "2ptp": _SHADOW_2PTP},
+    columns=(
+        ("bare_data", "bare", _utilization("data_disks"), 2),
+        ("1ptp_data", "1ptp", _utilization("data_disks"), 2),
+        ("1ptp_pt", "1ptp", _utilization("pt_disks"), 2),
+        ("2ptp_data", "2ptp", _utilization("data_disks"), 2),
+        ("2ptp_pt", "2ptp", _utilization("pt_disks"), 2),
+    ),
+)
 
+table6_pt_buffer = _declare(
+    name="table6_pt_buffer",
+    key="table6",
+    title="Table 6. Execution Time per Page (1 Page-Table Processor)",
+    description="Table 6: page-table buffer size, 1 PT processor, random txns.",
+    rows=_RANDOM,
+    archs={
+        "bare": BARE,
+        **{f"buffer_{n}": _shadow(pt_buffer_pages=n) for n in (10, 25, 50)},
+    },
+    scored=True,
+)
 
-# --------------------------------------------------------------------------- 6
-def table6_pt_buffer(
-    settings: Optional[ExperimentSettings] = None, buffer_sizes=(10, 25, 50)
-) -> Dict:
-    """Table 6: page-table buffer size, 1 PT processor, random txns."""
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-random", "parallel-random"):
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        bare = run_configuration(config, None, settings)
-        row["bare"] = round(bare.execution_time_per_page, 2)
-        for size in buffer_sizes:
-            result = run_configuration(
-                config,
-                lambda: PageTableShadowArchitecture(
-                    ShadowConfig(pt_buffer_pages=size)
-                ),
-                settings,
-            )
-            row[f"buffer_{size}"] = round(result.execution_time_per_page, 2)
-        rows.append(row)
-    return {
-        "title": "Table 6. Execution Time per Page (1 Page-Table Processor)",
-        "rows": rows,
-        "paper": PAPER["table6"],
-    }
+table7_sequential_shadow = _declare(
+    name="table7_sequential_shadow",
+    key="table7",
+    title="Table 7. Execution Time per Page (Sequential Transactions)",
+    description="Table 7: sequential txns — clustered / scrambled / overwriting.",
+    rows=_SEQUENTIAL,
+    archs={
+        "bare": BARE,
+        "clustered": _shadow(clustered=True),
+        "scrambled": _shadow(clustered=False),
+        "overwriting": Arch(OverwritingArchitecture),
+    },
+    scored=True,
+)
 
+table8_random_overwriting = _declare(
+    name="table8_random_overwriting",
+    key="table8",
+    title="Table 8. Execution Time per Page (Random Transactions)",
+    description="Table 8: random txns — thru page-table vs overwriting.",
+    rows=_RANDOM,
+    archs={
+        "bare": BARE,
+        "thru_pt": _shadow(),
+        "overwriting": Arch(OverwritingArchitecture),
+    },
+    scored=True,
+)
 
-# --------------------------------------------------------------------------- 7
-def table7_sequential_shadow(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Table 7: sequential txns — clustered / scrambled / overwriting."""
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-sequential", "parallel-sequential"):
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        clustered = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(clustered=True)),
-            settings,
-        )
-        scrambled = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig(clustered=False)),
-            settings,
-        )
-        overwriting = run_configuration(
-            config, lambda: OverwritingArchitecture(), settings
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "bare": round(bare.execution_time_per_page, 2),
-                "clustered": round(clustered.execution_time_per_page, 2),
-                "scrambled": round(scrambled.execution_time_per_page, 2),
-                "overwriting": round(overwriting.execution_time_per_page, 2),
-            }
-        )
-    return {
-        "title": "Table 7. Execution Time per Page (Sequential Transactions)",
-        "rows": rows,
-        "paper": PAPER["table7"],
-    }
+table9_differential_impact = _declare(
+    name="table9_differential_impact",
+    key="table9",
+    title="Table 9. Impact of the Differential File Mechanism",
+    description="Table 9: differential files, basic vs optimal query processing.",
+    archs={
+        "bare": BARE,
+        "basic": _differential(optimal=False),
+        "optimal": _differential(optimal=True),
+    },
+    columns=(
+        ("exec_bare", "bare", EXEC, 2),
+        ("exec_basic", "basic", EXEC, 2),
+        ("exec_optimal", "optimal", EXEC, 2),
+        ("completion_bare", "bare", COMPLETION, 1),
+        ("completion_basic", "basic", COMPLETION, 1),
+        ("completion_optimal", "optimal", COMPLETION, 1),
+    ),
+    scored=("exec_bare", "exec_basic", "exec_optimal"),
+)
 
+table10_output_fraction = _declare(
+    name="table10_output_fraction",
+    key="table10",
+    title="Table 10. Effect of Output Fraction on Execution Time per Page",
+    description="Table 10: effect of the output fraction (optimal strategy).",
+    archs={
+        "bare": BARE,
+        **{
+            f"output_{int(f * 100)}pct": _differential(output_fraction=f)
+            for f in (0.10, 0.20, 0.50)
+        },
+    },
+    scored=True,
+)
 
-# --------------------------------------------------------------------------- 8
-def table8_random_overwriting(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Table 8: random txns — thru page-table vs overwriting."""
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-random", "parallel-random"):
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        thru_pt = run_configuration(
-            config, lambda: PageTableShadowArchitecture(ShadowConfig()), settings
-        )
-        overwriting = run_configuration(
-            config, lambda: OverwritingArchitecture(), settings
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "bare": round(bare.execution_time_per_page, 2),
-                "thru_pt": round(thru_pt.execution_time_per_page, 2),
-                "overwriting": round(overwriting.execution_time_per_page, 2),
-            }
-        )
-    return {
-        "title": "Table 8. Execution Time per Page (Random Transactions)",
-        "rows": rows,
-        "paper": PAPER["table8"],
-    }
+table11_differential_size = _declare(
+    name="table11_differential_size",
+    key="table11",
+    title="Table 11. Effect of Size of Differential Files",
+    description="Table 11: effect of differential-file size (nonlinear degradation).",
+    archs={
+        "bare": BARE,
+        **{
+            f"size_{int(s * 100)}pct": _differential(size_fraction=s)
+            for s in (0.10, 0.15, 0.20)
+        },
+    },
+    scored=True,
+)
 
-
-# --------------------------------------------------------------------------- 9
-def table9_differential_impact(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Table 9: differential files, basic vs optimal query processing."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings)
-        basic = run_configuration(
-            config,
-            lambda: DifferentialFileArchitecture(DifferentialConfig(optimal=False)),
-            settings,
-        )
-        optimal = run_configuration(
-            config,
-            lambda: DifferentialFileArchitecture(DifferentialConfig(optimal=True)),
-            settings,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "exec_bare": round(bare.execution_time_per_page, 2),
-                "exec_basic": round(basic.execution_time_per_page, 2),
-                "exec_optimal": round(optimal.execution_time_per_page, 2),
-                "completion_bare": round(bare.mean_completion_ms, 1),
-                "completion_basic": round(basic.mean_completion_ms, 1),
-                "completion_optimal": round(optimal.mean_completion_ms, 1),
-            }
-        )
-    return {
-        "title": "Table 9. Impact of the Differential File Mechanism",
-        "rows": rows,
-        "paper": PAPER["table9"],
-    }
-
-
-# -------------------------------------------------------------------------- 10
-def table10_output_fraction(
-    settings: Optional[ExperimentSettings] = None, fractions=(0.10, 0.20, 0.50)
-) -> Dict:
-    """Table 10: effect of the output fraction (optimal strategy)."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        bare = run_configuration(config, None, settings)
-        row["bare"] = round(bare.execution_time_per_page, 2)
-        for fraction in fractions:
-            result = run_configuration(
-                config,
-                lambda: DifferentialFileArchitecture(
-                    DifferentialConfig(output_fraction=fraction)
-                ),
-                settings,
-            )
-            row[f"output_{int(fraction * 100)}pct"] = round(
-                result.execution_time_per_page, 2
-            )
-        rows.append(row)
-    return {
-        "title": "Table 10. Effect of Output Fraction on Execution Time per Page",
-        "rows": rows,
-        "paper": PAPER["table10"],
-    }
-
-
-# -------------------------------------------------------------------------- 11
-def table11_differential_size(
-    settings: Optional[ExperimentSettings] = None, sizes=(0.10, 0.15, 0.20)
-) -> Dict:
-    """Table 11: effect of differential-file size (nonlinear degradation)."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        bare = run_configuration(config, None, settings)
-        row["bare"] = round(bare.execution_time_per_page, 2)
-        for size in sizes:
-            result = run_configuration(
-                config,
-                lambda: DifferentialFileArchitecture(
-                    DifferentialConfig(size_fraction=size)
-                ),
-                settings,
-            )
-            row[f"size_{int(size * 100)}pct"] = round(
-                result.execution_time_per_page, 2
-            )
-        rows.append(row)
-    return {
-        "title": "Table 11. Effect of Size of Differential Files",
-        "rows": rows,
-        "paper": PAPER["table11"],
-    }
-
-
-# -------------------------------------------------------------------------- 12
-def table12_comparison(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Table 12: grand comparison of all recovery architectures."""
-    settings = _settings(settings)
-    architectures = {
-        "bare": lambda: BareArchitecture(),
-        "logging": lambda: ParallelLoggingArchitecture(LoggingConfig()),
-        "shadow_b10": lambda: PageTableShadowArchitecture(
-            ShadowConfig(pt_buffer_pages=10)
-        ),
-        "shadow_b50": lambda: PageTableShadowArchitecture(
-            ShadowConfig(pt_buffer_pages=50)
-        ),
-        "shadow_2ptp": lambda: PageTableShadowArchitecture(
-            ShadowConfig(n_pt_processors=2)
-        ),
-        "scrambled": lambda: PageTableShadowArchitecture(
-            ShadowConfig(clustered=False)
-        ),
-        "overwriting": lambda: OverwritingArchitecture(),
-        "differential": lambda: DifferentialFileArchitecture(DifferentialConfig()),
-        "command_logging": lambda: CommandLoggingArchitecture(),
-        "redo_wal": lambda: RedoOnlyWalArchitecture(),
-    }
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        for arch_name, factory in architectures.items():
-            result = run_configuration(config, factory, settings)
-            row[arch_name] = round(result.execution_time_per_page, 2)
-        rows.append(row)
-    return {
-        "title": "Table 12. Average Execution Time per Page (in ms)",
-        "rows": rows,
-        "paper": PAPER["table12"],
-    }
+table12_comparison = _declare(
+    name="table12_comparison",
+    key="table12",
+    title="Table 12. Average Execution Time per Page (in ms)",
+    description="Table 12: grand comparison of all recovery architectures.",
+    archs={
+        "bare": Arch(BareArchitecture),
+        "logging": _logging(),
+        "shadow_b10": _shadow(pt_buffer_pages=10),
+        "shadow_b50": _shadow(pt_buffer_pages=50),
+        "shadow_2ptp": _SHADOW_2PTP,
+        "scrambled": _shadow(clustered=False),
+        "overwriting": Arch(OverwritingArchitecture),
+        "differential": _differential(),
+        "command_logging": Arch(CommandLoggingArchitecture),
+        "redo_wal": Arch(RedoOnlyWalArchitecture),
+    },
+    scored=True,
+)
 
 
 # ----------------------------------------------------------------- ablations
-def ablation_interconnect(
-    settings: Optional[ExperimentSettings] = None,
-    bandwidths=(1.0, 0.1, 0.01),
-) -> Dict:
-    """Section 4.1.3: logging is insensitive to the QP<->LP medium."""
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-random", "parallel-sequential"):
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        for bandwidth in bandwidths:
-            result = run_configuration(
-                config,
-                lambda: ParallelLoggingArchitecture(
-                    LoggingConfig(
-                        routing=FragmentRouting.LINK,
-                        link_bandwidth_mb_s=bandwidth,
-                    )
-                ),
-                settings,
+ablation_interconnect = _declare(
+    name="ablation_interconnect",
+    key="interconnect",
+    title="Ablation (Sec 4.1.3): QP-LP interconnect bandwidth and routing",
+    description="Section 4.1.3: logging is insensitive to the QP<->LP medium.",
+    rows=("conventional-random", "parallel-sequential"),
+    archs={
+        **{
+            f"link_{mb_s}MBs": _logging(
+                routing=FragmentRouting.LINK, link_bandwidth_mb_s=mb_s
             )
-            row[f"link_{bandwidth}MBs"] = round(result.execution_time_per_page, 2)
-        through_cache = run_configuration(
-            config,
-            lambda: ParallelLoggingArchitecture(
-                LoggingConfig(routing=FragmentRouting.CACHE)
-            ),
-            settings,
-        )
-        row["through_cache"] = round(through_cache.execution_time_per_page, 2)
-        rows.append(row)
-    return {
-        "title": "Ablation (Sec 4.1.3): QP-LP interconnect bandwidth and routing",
-        "rows": rows,
-        "paper": None,
-    }
+            for mb_s in (1.0, 0.1, 0.01)
+        },
+        "through_cache": _logging(routing=FragmentRouting.CACHE),
+    },
+)
+
+# Version selection doubles disk space, so the database is halved to fit
+# the same drives; every column runs on the shrunken database.
+_HALF_DB = {"db_pages": 60_000}
+
+ablation_version_selection = _declare(
+    name="ablation_version_selection",
+    key="version-selection",
+    title="Ablation (Sec 4.2.5): version selection vs thru page-table",
+    description="Section 4.2.5: version selection vs thru page-table.",
+    archs={
+        "bare": Arch(None, _HALF_DB),
+        "thru_pt": Arch(_shadow().factory, _HALF_DB),
+        "version_selection": Arch(VersionSelectionArchitecture, _HALF_DB),
+    },
+)
+
+ablation_overwriting_variants = _declare(
+    name="ablation_overwriting_variants",
+    key="overwriting-variants",
+    title="Ablation (Sec 3.2.2.2): overwriting no-undo vs no-redo",
+    description="Section 3.2.2.2: the no-undo vs the no-redo overwriting variant.",
+    archs={
+        "no_undo": Arch(partial(OverwritingArchitecture, OverwritingMode.NO_UNDO)),
+        "no_redo": Arch(partial(OverwritingArchitecture, OverwritingMode.NO_REDO)),
+    },
+)
+
+# The paper's controllers serve requests in arrival order; this prices what
+# a shortest-seek-time-first queue would have bought the conventional
+# configurations (parallel-access drives already coalesce whole cylinders).
+ablation_disk_scheduling = _declare(
+    name="ablation_disk_scheduling",
+    key="disk-scheduling",
+    title="Ablation (extension): FCFS vs SSTF disk scheduling",
+    description="Extension: FCFS vs SSTF data-disk scheduling on the bare machine.",
+    rows=("conventional-random", "conventional-sequential"),
+    archs={
+        policy: Arch(None, {"disk_scheduling": policy}) for policy in ("fcfs", "sstf")
+    },
+)
+
+# Background checkpoints force every log processor's partial page and write
+# one checkpoint page per log disk, overlapped with data processing, so
+# throughput should not move even at aggressive intervals.
+ablation_checkpointing = _declare(
+    name="ablation_checkpointing",
+    key="checkpointing",
+    title="Ablation (Sec 3.1): checkpointing in parallel with processing",
+    description="Section 3.1's claim: parallel checkpointing costs ~nothing.",
+    rows=("conventional-random", "parallel-sequential"),
+    archs={
+        "no_checkpoints": _logging(checkpoint_interval_ms=None),
+        **{
+            f"every_{int(ms)}ms": _logging(checkpoint_interval_ms=ms)
+            for ms in (2000.0, 500.0)
+        },
+    },
+)
 
 
-def ablation_version_selection(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Section 4.2.5: version selection vs thru page-table.
-
-    Version selection doubles disk space, so the database is halved to fit
-    the same drives — the comparison keeps both architectures on the
-    shrunken database.
-    """
-    settings = _settings(settings)
-    overrides = {"db_pages": 60_000}
+def _hotspot_rows(settings: ExperimentSettings) -> List[Dict]:
+    """Parallel logging on conventional-random under b/c-rule skew: one row
+    per hot-set size, with the lock conflicts and restarts it causes."""
     rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        bare = run_configuration(config, None, settings, machine_overrides=overrides)
-        thru_pt = run_configuration(
-            config,
-            lambda: PageTableShadowArchitecture(ShadowConfig()),
-            settings,
-            machine_overrides=overrides,
-        )
-        version = run_configuration(
-            config,
-            lambda: VersionSelectionArchitecture(),
-            settings,
-            machine_overrides=overrides,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "bare": round(bare.execution_time_per_page, 2),
-                "thru_pt": round(thru_pt.execution_time_per_page, 2),
-                "version_selection": round(version.execution_time_per_page, 2),
-            }
-        )
-    return {
-        "title": "Ablation (Sec 4.2.5): version selection vs thru page-table",
-        "rows": rows,
-        "paper": None,
-    }
-
-
-def ablation_overwriting_variants(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Section 3.2.2.2: the no-undo vs the no-redo overwriting variant."""
-    settings = _settings(settings)
-    rows = []
-    for name in CONFIG_NAMES:
-        config = CONFIGURATIONS[name]
-        no_undo = run_configuration(
-            config,
-            lambda: OverwritingArchitecture(OverwritingMode.NO_UNDO),
-            settings,
-        )
-        no_redo = run_configuration(
-            config,
-            lambda: OverwritingArchitecture(OverwritingMode.NO_REDO),
-            settings,
-        )
-        rows.append(
-            {
-                "configuration": name,
-                "no_undo": round(no_undo.execution_time_per_page, 2),
-                "no_redo": round(no_redo.execution_time_per_page, 2),
-            }
-        )
-    return {
-        "title": "Ablation (Sec 3.2.2.2): overwriting no-undo vs no-redo",
-        "rows": rows,
-        "paper": None,
-    }
-
-
-def ablation_disk_scheduling(settings: Optional[ExperimentSettings] = None) -> Dict:
-    """Extension: FCFS vs SSTF data-disk scheduling on the bare machine.
-
-    The paper's controllers serve requests in arrival order; this ablation
-    quantifies what a shortest-seek-time-first queue would have bought the
-    conventional configurations (parallel-access drives already coalesce
-    whole cylinders, so they are omitted).
-    """
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-random", "conventional-sequential"):
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        for policy in ("fcfs", "sstf"):
-            result = run_configuration(
-                config,
-                None,
-                settings,
-                machine_overrides={"disk_scheduling": policy},
-            )
-            row[policy] = round(result.execution_time_per_page, 2)
-        rows.append(row)
-    return {
-        "title": "Ablation (extension): FCFS vs SSTF disk scheduling",
-        "rows": rows,
-        "paper": None,
-    }
-
-
-def ablation_checkpointing(
-    settings: Optional[ExperimentSettings] = None,
-    intervals=(None, 2000.0, 500.0),
-) -> Dict:
-    """Section 3.1's claim: parallel checkpointing costs ~nothing.
-
-    Background checkpoints force every log processor's partial page and
-    write one checkpoint page per log disk, fully overlapped with data
-    processing — throughput should not move even at aggressive intervals.
-    """
-    settings = _settings(settings)
-    rows = []
-    for name in ("conventional-random", "parallel-sequential"):
-        config = CONFIGURATIONS[name]
-        row: Dict = {"configuration": name}
-        for interval in intervals:
-            label = "no_checkpoints" if interval is None else f"every_{int(interval)}ms"
-            result = run_configuration(
-                config,
-                lambda: ParallelLoggingArchitecture(
-                    LoggingConfig(checkpoint_interval_ms=interval)
-                ),
-                settings,
-            )
-            row[label] = round(result.execution_time_per_page, 2)
-        rows.append(row)
-    return {
-        "title": "Ablation (Sec 3.1): checkpointing in parallel with processing",
-        "rows": rows,
-        "paper": None,
-    }
-
-
-def ablation_hotspot(
-    settings: Optional[ExperimentSettings] = None,
-    hotspots=(None, 0.1, 0.005),
-) -> Dict:
-    """Extension: skewed (hotspot) reference strings under logging.
-
-    The paper's workload is uniform; this ablation adds b/c-rule skew to
-    show the architecture's performance is driven by I/O patterns, not by
-    lock contention, until the hot set becomes pathologically small.
-    """
-    settings = _settings(settings)
-    rows = []
-    config = CONFIGURATIONS["conventional-random"]
-    for hotspot in hotspots:
-        label = "uniform" if hotspot is None else f"hot_{hotspot:g}"
+    for hotspot in (None, 0.1, 0.005):
         result = run_configuration(
-            config,
-            lambda: ParallelLoggingArchitecture(LoggingConfig()),
+            CONFIGURATIONS["conventional-random"],
+            _logging().factory,
             settings,
             workload_overrides={
                 "hotspot_fraction": hotspot,
@@ -687,14 +507,33 @@ def ablation_hotspot(
         )
         rows.append(
             {
-                "workload": label,
+                "workload": "uniform" if hotspot is None else f"hot_{hotspot:g}",
                 "exec_ms_per_page": round(result.execution_time_per_page, 2),
                 "lock_blocks": result.counter("lock_blocks"),
                 "restarts": result.n_restarts,
             }
         )
-    return {
-        "title": "Ablation (extension): hotspot skew under parallel logging",
-        "rows": rows,
-        "paper": None,
-    }
+    return rows
+
+
+# The paper's workload is uniform; skew shows performance is driven by I/O
+# patterns, not lock contention, until the hot set is pathologically small.
+ablation_hotspot = _declare(
+    name="ablation_hotspot",
+    key="hotspot",
+    title="Ablation (extension): hotspot skew under parallel logging",
+    description="Extension: skewed (hotspot) reference strings under logging.",
+    archs={},
+    label_field="workload",
+    build=_hotspot_rows,
+)
+
+#: The CLI's two views of the catalogue.
+TABLES: Dict[int, Table] = {
+    int(key[len("table"):]): table
+    for key, table in CATALOGUE.items()
+    if key in PAPER
+}
+ABLATIONS: Dict[str, Table] = {
+    key: table for key, table in CATALOGUE.items() if key not in PAPER
+}

@@ -1,14 +1,14 @@
 """Parallel fan-out (`--jobs`) must be invisible in the output.
 
 Every experiment cell is independently seeded, so fanning cells out over
-worker processes may only change wall-clock time — the report text and
-the sweep statistics must be byte-identical to the serial path.  Sizes
+worker processes may only change wall-clock time — the table rows and
+the sweep statistics must be identical to the serial path.  Sizes
 here are kept tiny: the point is path equivalence, not statistics.
 """
 
 from repro.analysis.checkpoints import checkpoint_interval_sweep
-from repro.experiments.report import generate_report
 from repro.experiments.runner import ExperimentSettings
+from repro.experiments.tables import table1_logging_impact, table5_shadow_utilization
 from repro.jobs import map_jobs
 
 SMALL = ExperimentSettings(n_transactions=6)
@@ -16,6 +16,11 @@ SMALL = ExperimentSettings(n_transactions=6)
 
 def _square(x):
     return x * x
+
+
+def _run_table(item):
+    table, settings = item
+    return table(settings)
 
 
 class TestMapJobs:
@@ -33,10 +38,12 @@ class TestMapJobs:
         assert map_jobs(_square, [], jobs=4) == []
 
 
-class TestReportJobs:
-    def test_report_byte_identical_across_jobs(self):
-        serial = generate_report(settings=SMALL, tables=[1, 5], jobs=1)
-        parallel = generate_report(settings=SMALL, tables=[1, 5], jobs=2)
+class TestTableJobs:
+    def test_tables_identical_across_jobs(self):
+        # Catalogue entries pickle by reference, so they ship to workers.
+        items = [(table1_logging_impact, SMALL), (table5_shadow_utilization, SMALL)]
+        serial = map_jobs(_run_table, items, jobs=1)
+        parallel = map_jobs(_run_table, items, jobs=2)
         assert parallel == serial
 
 

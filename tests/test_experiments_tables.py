@@ -38,11 +38,12 @@ class TestTableStructures:
         result = table2_log_utilization(TINY)
         for row in result["rows"]:
             assert 0.0 <= row["log_disk_utilization"] <= 1.0
-            assert row["paper"] == PAPER["table2"][row["configuration"]]
+            paper = PAPER["table2"][row["configuration"]]
+            assert row["paper"] == paper["log_disk_utilization"]
 
     def test_table6_buffer_columns(self):
-        result = table6_pt_buffer(TINY, buffer_sizes=(10,))
-        assert {"bare", "buffer_10"} <= set(result["rows"][0])
+        result = table6_pt_buffer(TINY)
+        assert {"bare", "buffer_10", "buffer_25", "buffer_50"} <= set(result["rows"][0])
         assert len(result["rows"]) == 2  # the two random configurations
 
     def test_table7_columns(self):
@@ -56,12 +57,12 @@ class TestTableStructures:
         assert {"bare", "thru_pt", "overwriting"} <= set(result["rows"][0])
 
     def test_table10_fraction_columns(self):
-        result = table10_output_fraction(TINY, fractions=(0.10,))
-        assert "output_10pct" in result["rows"][0]
+        result = table10_output_fraction(TINY)
+        assert {"output_10pct", "output_20pct", "output_50pct"} <= set(result["rows"][0])
 
     def test_table11_size_columns(self):
-        result = table11_differential_size(TINY, sizes=(0.10,))
-        assert "size_10pct" in result["rows"][0]
+        result = table11_differential_size(TINY)
+        assert {"size_10pct", "size_15pct", "size_20pct"} <= set(result["rows"][0])
 
     def test_render_produces_aligned_text(self):
         result = table2_log_utilization(TINY)
@@ -72,14 +73,14 @@ class TestTableStructures:
 
 class TestAblations:
     def test_interconnect_ablation_structure(self):
-        result = ablation_interconnect(TINY, bandwidths=(1.0,))
+        result = ablation_interconnect(TINY)
         row = result["rows"][0]
-        assert "link_1.0MBs" in row and "through_cache" in row
+        assert {"link_1.0MBs", "link_0.1MBs", "link_0.01MBs", "through_cache"} <= set(row)
 
     def test_interconnect_insensitivity(self):
         """Section 4.1.3: bandwidth barely matters, cache routing is free."""
         settings = ExperimentSettings(n_transactions=10)
-        result = ablation_interconnect(settings, bandwidths=(1.0, 0.01))
+        result = ablation_interconnect(settings)
         row = next(
             r for r in result["rows"] if r["configuration"] == "conventional-random"
         )
@@ -105,4 +106,10 @@ class TestPaperNumbers:
             assert len(row) == 8, config
 
     def test_table3_grid_complete(self):
-        assert len(PAPER["table3"]["exec"]) == 20  # 5 disk counts x 4 policies
+        # 5 disk counts x 4 policies x (exec, completion), plus the
+        # paper's single no-logging figure of each metric.
+        table3 = PAPER["table3"]
+        assert list(table3) == [1, 2, 3, 4, 5, "w/o logging"]
+        for n in (1, 2, 3, 4, 5):
+            assert len(table3[n]) == 8, n
+        assert table3["w/o logging"] == {"exec_cyclic": 0.9, "compl_cyclic": 430.6}
