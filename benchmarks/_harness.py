@@ -1,9 +1,9 @@
 """Shared plumbing for the benchmark harness.
 
 Every ``bench_*`` module declares a :class:`repro.bench.Grid` (directly,
-or through :func:`table_grid` for a catalogued table, see
-:mod:`repro.experiments.tables`) and runs it
-through :func:`run_grid_bench`: the grid executes exactly once under
+or through :func:`table_grid` for an entry of the table catalogue in
+:mod:`repro.experiments.tables`) and runs it through
+:func:`run_grid_bench`: the grid executes exactly once under
 pytest-benchmark (``pedantic`` with one round — the interesting number is
 the *simulated* result, the wall-clock time is a bonus), prints the
 measured rows next to the paper's, writes the text to
