@@ -22,9 +22,10 @@ CONFIG_NAMES = (
 def _policies(exec_ms, completion_ms):
     """One Table 3 row: exec and completion for the four selection policies."""
     row = {}
-    for policy, e, c in zip(("cyclic", "random", "qp_mod", "txn_mod"), exec_ms, completion_ms):
-        row[f"exec_{policy}"] = e
-        row[f"compl_{policy}"] = c
+    policies = ("cyclic", "random", "qp_mod", "txn_mod")
+    for policy, exec_value, completion in zip(policies, exec_ms, completion_ms):
+        row[f"exec_{policy}"] = exec_value
+        row[f"compl_{policy}"] = completion
     return row
 
 

@@ -20,7 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter, methodcaller
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.bare import BareArchitecture
 from repro.core.differential import DifferentialConfig, DifferentialFileArchitecture
