@@ -25,7 +25,7 @@ import hashlib
 import json
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.checkpoint import CHECKPOINT_FILE, CheckpointUnsupported
 from repro.registry import ARCHITECTURES
@@ -302,28 +302,75 @@ def _verify(
     return "violation", violations
 
 
+class _Snapshot(NamedTuple):
+    """A :func:`run_prefix` run between two ops, ready to resume from."""
+
+    #: The op script and ``ARCHITECTURES[arch]``, compared by identity.
+    ops: Tuple[Tuple, ...]
+    factory: Callable[[], RecoveryManager]
+    #: Ops applied so far.
+    index: int
+    #: The run's hook crossings so far, in order.
+    trail: Tuple[str, ...]
+    #: Pickle of ``(manager, tids, committed, pending, checkpoints)``.
+    state: bytes
+
+
+#: The latest op-boundary snapshot per architecture name: one each, a few
+#: KB apiece.
+_SNAPSHOTS: Dict[str, _Snapshot] = {}
+
+
 def run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
-    """Apply ``ops`` to a fresh manager until ``plan``'s crash, then crash it.
+    """Run ``ops`` on an ``arch`` manager until ``plan``'s crash; crash it.
 
     Returns ``(manager, injector, committed, pending, checkpoints,
     crashed_at, in_flight)``: the crashed manager, what its run crossed,
     and the committed-prefix oracle's state at the crash.  A pure
     function of ``(arch, ops, plan)``: managers draw only from seeded
     streams.
+
+    A crash-only plan on a tuple script resumes from the architecture's
+    latest op-boundary snapshot when that snapshot was taken on the same
+    script and factory and no spec would have fired within its trail;
+    the run then holds exactly what a replay from op 0 would.  A sweep
+    that crashes at ascending points thus applies each op about once.
     """
-    manager = make_manager(arch)
+    factory = ARCHITECTURES.get(arch)
     injector = FaultInjector(plan)
-    manager.set_fault_callback(injector.reached)
-    tids: Dict[int, int] = {}
-    committed: Dict[int, bytes] = {}
-    pending: Dict[int, Dict[int, bytes]] = {}
-    checkpoints: List[Any] = []
+    snapshots = isinstance(ops, tuple) and all(
+        spec.kind is FaultKind.CRASH for spec in plan.specs
+    )
+    snapshot = _SNAPSHOTS.get(arch) if snapshots else None
+    resumed = (snapshot is not None and snapshot.ops is ops
+               and snapshot.factory is factory and injector.resume(snapshot.trail))
+    if resumed:
+        start = snapshot.index
+        manager, tids, committed, pending, checkpoints = pickle.loads(snapshot.state)
+    else:
+        start = 0
+        manager = make_manager(arch)
+        tids: Dict[int, int] = {}
+        committed: Dict[int, bytes] = {}
+        pending: Dict[int, Dict[int, bytes]] = {}
+        checkpoints: List[Any] = []
     crashed_at = None
     in_flight: Optional[Dict[int, bytes]] = None
     try:
-        for op in ops:
+        for index in range(start, len(ops)):
+            # Snapshot between ops, callback detached; a resumed run's
+            # first op boundary is the stored snapshot already.
+            if snapshots and (index > start or not resumed):
+                _SNAPSHOTS[arch] = _Snapshot(
+                    ops, factory, index, tuple(injector.trail),
+                    pickle.dumps((manager, tids, committed, pending, checkpoints),
+                                 pickle.HIGHEST_PROTOCOL),
+                )
+            op = ops[index]
+            manager.set_fault_callback(injector.reached)
             injector.reached("op-boundary")
             apply_op(manager, op, tids, committed, pending, checkpoints)
+            manager.set_fault_callback(None)
     except InjectedCrash as crash:
         crashed_at = (crash.hook, crash.crossing)
         if op[0] == "commit" and crash.hook != "op-boundary":

@@ -16,7 +16,8 @@ Every random decision draws from a ``RandomStreams``-derived stream, so a
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import Counter
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.sim.rng import RandomStreams
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -45,18 +46,44 @@ class FaultInjector:
         #: plans without BIT_ROT specs leave the stream table — and every
         #: fault-free trace — byte-identical to pre-integrity runs.
         self._corrupt_rng = None
-        #: total hook crossings so far (the clock "*"-specs count against).
-        self.crossings = 0
+        #: Every hook crossing so far, in order.
+        self.trail: List[str] = []
         #: The CRASH specs, split out once (hook crossings only ever look
         #: for a due crash), and per-spec counts of matching crossings.
         self._crash_specs = [s for s in plan.specs if s.kind is FaultKind.CRASH]
         self._crash_hits = [0] * len(self._crash_specs)
         #: record of fired faults: (kind, hook-or-target, crossing).
         self.fired: List[Tuple[str, str, int]] = []
-        #: distinct hook names this injector has seen cross (coverage map).
-        self.hooks_seen: set = set()
+
+    @property
+    def crossings(self) -> int:
+        """Total hook crossings so far (the clock "*"-specs count against)."""
+        return len(self.trail)
+
+    @property
+    def hooks_seen(self) -> Set[str]:
+        """Distinct hook names this injector has seen cross (coverage map)."""
+        return set(self.trail)
 
     # -- hook crossings -------------------------------------------------------
+    def resume(self, trail: Sequence[str]) -> bool:
+        """Take ``trail`` as the crossings so far, without firing anything.
+
+        Afterwards the injector is exactly what crossing ``trail`` one hook
+        at a time would have left.  Returns False, and changes nothing, if
+        a CRASH spec would already have fired within ``trail``.
+        """
+        counts = Counter(trail)
+        hits = [
+            sum(n for name, n in counts.items() if spec.matches_hook(name))
+            for spec in self._crash_specs
+        ]
+        if any(hit >= spec.occurrence for hit, spec in zip(hits, self._crash_specs)):
+            return False
+        self.trail = list(trail)
+        self._crash_hits = hits
+        return True
+
     def _crash_due(self, name: str) -> bool:
         """Advance per-spec counters; True if a CRASH spec fires now."""
         due = False
@@ -69,8 +96,7 @@ class FaultInjector:
 
     def reached(self, name: str) -> None:
         """A functional-layer hook crossing: raises on a due CRASH spec."""
-        self.crossings += 1
-        self.hooks_seen.add(name)
+        self.trail.append(name)
         if self._crash_due(name):
             self.fired.append(("crash", name, self.crossings))
             raise InjectedCrash(name, self.crossings)
@@ -81,8 +107,7 @@ class FaultInjector:
         Non-raising: the simulation reacts by scheduling its crash event
         rather than unwinding the current process with an exception.
         """
-        self.crossings += 1
-        self.hooks_seen.add(name)
+        self.trail.append(name)
         if self._crash_due(name):
             self.fired.append(("crash", name, self.crossings))
             return True

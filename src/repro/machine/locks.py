@@ -69,7 +69,9 @@ class LockManager:
     def acquire(self, tid: int, page: int, mode: LockMode) -> Event:
         """Request a lock; the event fires on grant, fails on deadlock."""
         event = self.env.event()
-        entry = self._table.setdefault(page, _LockEntry())
+        entry = self._table.get(page)
+        if entry is None:
+            entry = self._table[page] = _LockEntry()
 
         held = entry.holders.get(tid)
         if held is not None:

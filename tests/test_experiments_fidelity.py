@@ -9,6 +9,7 @@ import hashlib
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.experiments import ExperimentSettings
 from repro.experiments.fidelity import CellComparison, FidelityReport, fidelity_summary
@@ -70,13 +71,23 @@ class TestCalibrationRegression:
         assert len(report.cells) == 14
 
 
+#: The CLI default seed at four transactions: the pinned run.
+FOUR = ExperimentSettings(n_transactions=4)
+
+
+@pytest.fixture(scope="module")
+def four_transaction_report() -> FidelityReport:
+    """The 122-cell report at ``FOUR``, computed once for this module."""
+    return fidelity_summary(FOUR)
+
+
 class TestFidelityPin:
     """Every scored cell, in order, with its measured and paper value.
 
     Labels are left out: they are presentation, the numbers are not."""
 
-    def test_cells_pinned_at_four_transactions(self):
-        cells = fidelity_summary(ExperimentSettings(n_transactions=4)).cells
+    def test_cells_pinned_at_four_transactions(self, four_transaction_report):
+        cells = four_transaction_report.cells
         assert len(cells) == 122
         digest = hashlib.sha256(
             repr([(c.table, c.measured, c.paper) for c in cells]).encode()
@@ -87,8 +98,14 @@ class TestFidelityPin:
 
 
 class TestCliFidelity:
-    def test_fidelity_command(self, capsys):
+    def test_fidelity_command(self, capsys, monkeypatch, four_transaction_report):
+        calls = []
+
+        def spy(settings):
+            calls.append(settings)
+            return four_transaction_report
+
+        monkeypatch.setattr(cli, "fidelity_summary", spy)
         assert main(["fidelity", "-n", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "mean |relative error|" in out
-        assert "worst cells:" in out
+        assert calls == [FOUR]
+        assert capsys.readouterr().out == four_transaction_report.render() + "\n"

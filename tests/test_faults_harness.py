@@ -1,5 +1,6 @@
 """The crash-recovery harness: determinism, zero violations, and teeth."""
 
+import functools
 from typing import Dict, Optional, Sequence, Tuple
 
 import pytest
@@ -370,7 +371,7 @@ class TestSharedPrefixMatchesReference:
         assert total > 0
         for point in range(total + 2):  # 0 = no crash; total + 1 is never reached
             plan = _crash_at(point, 5) if point else FaultPlan.of(seed=5)
-            assert run_scenario(arch, 5, plan) == reference_run_scenario(arch, 5, plan)
+            assert run_scenario(arch, 5, plan) == _cached_reference(arch, 5, plan)
 
     @pytest.mark.parametrize("arch", ARCH_NAMES)
     def test_sampled_seed21_crossings(self, arch):
@@ -389,20 +390,170 @@ class TestSharedPrefixMatchesReference:
         )
         assert new == run_crashtest(arch, 1985, budget=40).to_json()
 
-    def test_one_prefix_replay_per_scenario(self, monkeypatch):
+    def test_ascending_sweep_does_linear_prefix_work(self, monkeypatch):
+        built, applied = [], []
+
+        def counting_make_manager(arch):
+            built.append(arch)
+            return make_manager(arch)
+
+        def counting_apply_op(manager, op, *books):
+            applied.append(op)
+            apply_op(manager, op, *books)
+
+        ops = _ops(5)
+        totals = {arch: _crossings(arch, 5) for arch in ARCH_NAMES}
+        harness._SNAPSHOTS.clear()
+        monkeypatch.setattr(harness, "make_manager", counting_make_manager)
+        monkeypatch.setattr(harness, "apply_op", counting_apply_op)
+        for arch in ARCH_NAMES:
+            built.clear()
+            applied.clear()
+            for point in range(1, totals[arch] + 1):
+                run_scenario(arch, 5, _crash_at(point, 5))
+            # Each scenario applies ops from the previous crash's op on.
+            assert built == [arch]
+            assert len(applied) <= len(ops) + totals[arch]
+        built.clear()
+        reference_run_scenario("wal", 5, _crash_at(15, 5))
+        assert built == ["wal", "wal"]
+
+
+#: The reference, memoised for the sweeps that revisit the same points.
+_cached_reference = functools.lru_cache(maxsize=None)(reference_run_scenario)
+
+
+def _commit_hooks(arch: str, seed: int) -> str:
+    """``<family>.commit.*``: every commit hook of ``arch``'s manager."""
+    hooks = run_scenario(arch, seed, FaultPlan.of(seed=seed)).hooks
+    families = {h.split(".")[0] for h in hooks if h.split(".")[1:2] == ["commit"]}
+    assert len(families) == 1, hooks
+    return f"{families.pop()}.commit.*"
+
+
+class TestSnapshotResume:
+    """Scenarios resume from the latest op-boundary snapshot; any order of
+    points and any crash-only plan still matches the two-replay reference."""
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_descending_seed5_sweep(self, arch):
+        for point in range(_crossings(arch, 5), 0, -1):
+            plan = _crash_at(point, 5)
+            assert run_scenario(arch, 5, plan) == _cached_reference(arch, 5, plan)
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_shuffled_seed5_sweep(self, arch):
+        points = list(range(1, _crossings(arch, 5) + 1))
+        RandomStreams(5).stream("test.shuffled-sweep").shuffle(points)
+        for point in points:
+            plan = _crash_at(point, 5)
+            assert run_scenario(arch, 5, plan) == _cached_reference(arch, 5, plan)
+
+    def test_round_robin_over_every_manager(self):
+        # perfbench's crash-sweep order: one script per manager, each
+        # with its own seed, crash points interleaved across managers.
+        seeds = {arch: 40 + index for index, arch in enumerate(ARCH_NAMES)}
+        sampler = RandomStreams(40).stream("test.round-robin")
+        points = {
+            arch: sorted(sampler.sample(range(1, _crossings(arch, seed) + 1), 12))
+            for arch, seed in seeds.items()
+        }
+        for step in range(12):
+            for arch, seed in seeds.items():
+                plan = _crash_at(points[arch][step], seed)
+                assert run_scenario(arch, seed, plan) == reference_run_scenario(
+                    arch, seed, plan
+                )
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_hook_specific_and_two_spec_plans(self, arch):
+        commit = _commit_hooks(arch, 5)  # e.g. "wal.commit.*"
+        total = _crossings(arch, 5)
+        for occurrence in range(1, 8):
+            plans = [
+                # A "*" crash first, so the next plan finds a snapshot.
+                _crash_at(occurrence * total // 8, 5),
+                FaultPlan.of(
+                    FaultSpec(FaultKind.CRASH, hook=commit, occurrence=occurrence),
+                    seed=5,
+                ),
+                FaultPlan.of(
+                    FaultSpec(FaultKind.CRASH, hook="op-boundary", occurrence=occurrence * 4),
+                    FaultSpec(FaultKind.CRASH, hook=commit, occurrence=occurrence + 1),
+                    seed=5,
+                ),
+            ]
+            for plan in plans:
+                result = run_scenario(arch, 5, plan)
+                assert result == reference_run_scenario(arch, 5, plan)
+                assert result.crashed_at is not None
+
+    def test_non_crash_spec_takes_the_fresh_path(self, monkeypatch):
         built = []
 
         def counting_make_manager(arch):
             built.append(arch)
             return make_manager(arch)
 
+        run_scenario("wal", 5, _crash_at(60, 5))
+        kept = harness._SNAPSHOTS["wal"]
+        plan = FaultPlan.of(
+            FaultSpec(FaultKind.CRASH, hook="*", occurrence=70),
+            FaultSpec(FaultKind.TORN_WRITE, probability=0.5),
+            seed=5,
+        )
         monkeypatch.setattr(harness, "make_manager", counting_make_manager)
-        for arch in ARCH_NAMES:
-            run_scenario(arch, 5, _crash_at(15, 5))
-        assert built == ARCH_NAMES
-        built.clear()
-        reference_run_scenario("wal", 5, _crash_at(15, 5))
-        assert built == ["wal", "wal"]
+        result = run_scenario("wal", 5, plan)
+        assert built == ["wal"]
+        assert harness._SNAPSHOTS["wal"] is kept
+        assert result == reference_run_scenario("wal", 5, plan)
+
+    def test_re_registered_name_does_not_resume(self):
+        name = "re-registered"
+        try:
+            ARCHITECTURES[name] = ARCHITECTURES["shadow"]
+            for point in (10, 30):
+                plan = _crash_at(point, 5)
+                assert run_scenario(name, 5, plan) == reference_run_scenario(name, 5, plan)
+            ARCHITECTURES[name] = ARCHITECTURES["versions"]
+            for point in (40, 50):
+                plan = _crash_at(point, 5)
+                result = run_scenario(name, 5, plan)
+                assert result == reference_run_scenario(name, 5, plan)
+                assert all(h.split(".")[0] != "shadow" for h in result.hooks)
+        finally:
+            del ARCHITECTURES[name]
+            harness._SNAPSHOTS.pop(name, None)
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_resumed_prefix_equals_a_fresh_replay(self, arch, monkeypatch):
+        built = []
+
+        def counting_make_manager(name):
+            built.append(name)
+            return make_manager(name)
+
+        ops, total = _ops(5), _crossings(arch, 5)
+        plan = _crash_at(2 * total // 3, 5)
+        harness._SNAPSHOTS.clear()
+        run_prefix(arch, ops, _crash_at(total // 3, 5))
+        monkeypatch.setattr(harness, "make_manager", counting_make_manager)
+        resumed = run_prefix(arch, ops, plan)
+        assert built == []
+        harness._SNAPSHOTS.clear()
+        fresh = run_prefix(arch, ops, plan)
+        assert built == [arch]
+        for run in (resumed, fresh):
+            assert run[5] is not None  # crashed_at
+        (manager, injector, *books), (fresh_manager, fresh_injector, *fresh_books) = (
+            resumed, fresh
+        )
+        assert state_dump(manager) == state_dump(fresh_manager)
+        assert books == fresh_books
+        assert injector.trail == fresh_injector.trail
+        assert injector.crossings == fresh_injector.crossings
+        assert injector.hooks_seen == fresh_injector.hooks_seen
+        assert injector.fired == fresh_injector.fired
 
 
 class TestCrashedManagerClone:
