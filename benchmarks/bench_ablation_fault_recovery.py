@@ -37,11 +37,23 @@ PAPER_TEXT = paper_block(
 #: fault label -> plan factory (the harness's hook grammar; docs/FAULTS.md).
 FAULT_TYPES = ("clean-crash", "mid-commit", "recrash")
 
+#: Each manager's commit hooks.  A trailing ``*`` is a plain prefix match,
+#: so the family must be spelled out: ``"*.commit.*"`` matches no hook.
+COMMIT_HOOKS = {
+    "command": "cmd.commit.*",
+    "differential": "diff.commit.*",
+    "overwrite": "overwrite.commit.*",
+    "redo": "redo.commit.*",
+    "shadow": "shadow.commit.*",
+    "versions": "versions.commit.*",
+    "wal": "wal.commit.*",
+}
 
-def _fault_plan(fault: str, seed: int) -> FaultPlan:
+
+def _fault_plan(arch: str, fault: str, seed: int) -> FaultPlan:
     if fault == "mid-commit":
         return FaultPlan.of(
-            FaultSpec(FaultKind.CRASH, hook="*.commit.*", occurrence=3), seed=seed
+            FaultSpec(FaultKind.CRASH, hook=COMMIT_HOOKS[arch], occurrence=3), seed=seed
         )
     return FaultPlan.of(
         FaultSpec(FaultKind.CRASH, hook="op-boundary", occurrence=20), seed=seed
@@ -52,7 +64,9 @@ def fault_recovery_cell(params: Dict[str, Any], seed: int) -> Dict[str, int]:
     """Run the seeded workload to the fault, recover, count the work."""
     arch, fault = params["architecture"], params["fault"]
     ops = generate_ops(seed, n_transactions=12)
-    manager, *_ = run_prefix(arch, ops, _fault_plan(fault, seed))
+    manager, *_, crashed_at, _ = run_prefix(arch, ops, _fault_plan(arch, fault, seed))
+    if crashed_at is None:
+        raise AssertionError(f"{arch}/{fault}: the planned crash never fired")
     stable = manager.stable
     before = (stable.page_writes, stable.page_reads, stable.records_appended)
     if fault == "recrash":
