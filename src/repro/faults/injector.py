@@ -16,6 +16,7 @@ Every random decision draws from a ``RandomStreams``-derived stream, so a
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -39,9 +40,11 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan, streams: Optional[RandomStreams] = None):
         self.plan = plan
-        streams = streams if streams is not None else RandomStreams(plan.seed)
+        #: The streams and the ``faults`` stream are made on the first
+        #: probabilistic draw: crash-only plans never draw, and a stream
+        #: is keyed by its name alone, so making it late changes no draw.
         self._streams = streams
-        self._rng = streams.stream("faults")
+        self._rng = None
         #: Dedicated stream for silent-corruption draws, created lazily so
         #: plans without BIT_ROT specs leave the stream table — and every
         #: fault-free trace — byte-identical to pre-integrity runs.
@@ -114,13 +117,23 @@ class FaultInjector:
         return False
 
     # -- media / component predicates ----------------------------------------
+    def _stream(self, name: str) -> random.Random:
+        """The named stream of this injector's seed (or given streams)."""
+        if self._streams is None:
+            self._streams = RandomStreams(self.plan.seed)
+        return self._streams.stream(name)
+
     def _probabilistic(self, kind: FaultKind, target: Optional[int]) -> bool:
         for spec in self.plan.specs:
             if spec.kind is not kind:
                 continue
             if spec.target is not None and target is not None and spec.target != target:
                 continue
-            if spec.probability >= 1.0 or self._rng.random() < spec.probability:
+            if spec.probability >= 1.0:
+                return True
+            if self._rng is None:
+                self._rng = self._stream("faults")
+            if self._rng.random() < spec.probability:
                 return True
         return False
 
@@ -147,7 +160,7 @@ class FaultInjector:
         if not specs:
             return False
         if self._corrupt_rng is None:
-            self._corrupt_rng = self._streams.stream("corrupt")
+            self._corrupt_rng = self._stream("corrupt")
         for spec in specs:
             if spec.probability >= 1.0 or self._corrupt_rng.random() < spec.probability:
                 self.fired.append(("bit-rot", str(target), self.crossings))

@@ -282,6 +282,8 @@ class Disk:
         the injector returns False without drawing, so clean runs make no
         extra random draws and stay byte-identical.
         """
+        if self.faults is None and not self.corrupt_sectors:
+            return  # nothing can rot and nothing rotted can heal
         for addr in req.addresses:
             linear = addr.linear(self.params)
             if self.faults is not None and self.faults.bit_rot():

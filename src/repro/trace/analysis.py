@@ -35,6 +35,18 @@ __all__ = [
 ]
 
 
+def _committed_window(span: Span) -> Optional[Tuple[float, float]]:
+    """The paper's window stamped on a committed ``txn`` span, if any."""
+    args = span.args
+    if args.get("status") != "committed":
+        return None
+    start = args.get("window_start")
+    end = args.get("window_end")
+    if start is None or end is None:
+        return None
+    return start, end
+
+
 def transaction_windows(tracer: Tracer) -> Dict[int, Tuple[float, float]]:
     """Completion window of every committed transaction.
 
@@ -44,14 +56,64 @@ def transaction_windows(tracer: Tracer) -> Dict[int, Tuple[float, float]]:
     """
     windows: Dict[int, Tuple[float, float]] = {}
     for span in tracer.spans:
-        if span.name != TXN or span.args.get("status") != "committed":
-            continue
-        start = span.args.get("window_start")
-        end = span.args.get("window_end")
-        if start is None or end is None:
-            continue
-        windows[span.tid] = (start, end)
+        if span.name == TXN:
+            window = _committed_window(span)
+            if window is not None:
+                windows[span.tid] = window
     return windows
+
+
+#: Width in bits of one phase's live-span count in the sweep's packed
+#: counter; no transaction has 2**32 spans live at once.
+_FIELD_BITS = 32
+#: Phase names by ascending priority: field ``i`` of the packed counter
+#: counts the live spans of ``_BY_FIELD[i]``.
+_BY_FIELD = sorted(PRIORITY, key=PRIORITY.__getitem__)
+#: A phase name's one-span increment of the packed counter.
+_UNIT = {name: 1 << (_FIELD_BITS * i) for i, name in enumerate(_BY_FIELD)}
+
+
+def _sweep(spans: Iterable[Span], start: float, end: float) -> Dict[str, float]:
+    """The priority sweep over closed spans with prioritised names."""
+    if end <= start:
+        return {}
+    # Cut -> change of the packed live count there.  Every cut is a key,
+    # so a span clipped to zero length still splits its segment.
+    change: Dict[float, int] = {start: 0, end: 0}
+    get = change.get
+    for s in spans:
+        a = s.start
+        b = s.end
+        if not (a < end and b > start):
+            continue
+        # max(start, a) and min(end, b), keeping max's and min's ties.
+        if not a > start:
+            a = start
+        if not b < end:
+            b = end
+        if a < b:
+            unit = _UNIT[s.name]
+            change[a] = get(a, 0) + unit
+            change[b] = get(b, 0) - unit
+        else:
+            change.setdefault(a, 0)
+            change.setdefault(b, 0)
+    out: Dict[str, float] = {}
+    live = 0
+    phase = OTHER_PHASE
+    cuts = sorted(change)
+    a = cuts[0]
+    for i in range(1, len(cuts)):
+        b = cuts[i]
+        delta = change[a]
+        if delta:
+            live += delta
+            # The highest non-zero field names the live phase of highest
+            # priority.
+            phase = _BY_FIELD[(live.bit_length() - 1) // _FIELD_BITS] if live else OTHER_PHASE
+        out[phase] = out.get(phase, 0.0) + (b - a)
+        a = b
+    return out
 
 
 def phase_breakdown(
@@ -64,66 +126,48 @@ def phase_breakdown(
     exactly (one ``"other"`` bucket absorbs uncovered time).
 
     The sweep visits the cuts in ascending order, keeping a live count
-    per phase name: at each cut the spans clipped to close there leave,
-    those clipped to open there join, and the segment up to the next cut
-    goes to the live name of highest priority.  Priorities are distinct
-    (``tests/test_trace_analysis.py`` pins that), so this is the same
-    phase the "first span of highest priority active over the segment"
-    rule picks.  A span clipped to zero length still cuts the window
-    but is never live.
+    per phase name, packed into one integer with a 32-bit field per name
+    in priority order: at each cut the spans clipped to close there
+    leave, those clipped to open there join, and the segment up to the
+    next cut goes to the name of the highest non-zero field.  Priorities
+    are distinct (``tests/test_trace_analysis.py`` pins that), so this is
+    the same phase the "first span of highest priority active over the
+    segment" rule picks.  A span clipped to zero length still cuts the
+    window but is never live.
     """
-    start, end = window
-    if end <= start:
-        return {}
-    bounds = {start, end}
-    opens: Dict[float, List[str]] = {}
-    closes: Dict[float, List[str]] = {}
-    for s in spans:
-        name = s.name
-        if s.end is None or name not in PRIORITY or not (s.start < end and s.end > start):
-            continue
-        a = max(start, s.start)
-        b = min(end, s.end)
-        bounds.add(a)
-        bounds.add(b)
-        if a < b:
-            opens.setdefault(a, []).append(name)
-            closes.setdefault(b, []).append(name)
-    cuts = sorted(bounds)
-    out: Dict[str, float] = {}
-    live: Dict[str, int] = {}
-    phase = OTHER_PHASE
-    a = cuts[0]
-    for b in cuts[1:]:
-        leaving = closes.get(a)
-        joining = opens.get(a)
-        if leaving is not None or joining is not None:
-            for name in leaving or ():
-                if live[name] == 1:
-                    del live[name]
-                else:
-                    live[name] -= 1
-            for name in joining or ():
-                live[name] = live.get(name, 0) + 1
-            phase = max(live, key=PRIORITY.__getitem__) if live else OTHER_PHASE
-        out[phase] = out.get(phase, 0.0) + (b - a)
-        a = b
-    return out
+    return _sweep([s for s in spans if s.end is not None and s.name in _UNIT], *window)
 
 
 def aggregate_breakdown(tracer: Tracer) -> Dict[str, float]:
     """Mean phase breakdown over the run's committed transactions.
 
     The values sum to the run's mean completion time (same windows the
-    machine's ``completion_ms`` statistic measures).
+    machine's ``completion_ms`` statistic measures).  One pass over the
+    spans gathers both the committed windows and each transaction's
+    closed, prioritised spans.
     """
-    windows = transaction_windows(tracer)
+    windows: Dict[int, Tuple[float, float]] = {}
+    by_tid: Dict[Optional[int], List[Span]] = {}
+    for span in tracer.spans:
+        name = span.name
+        if name in _UNIT:
+            if span.end is not None:
+                tid = span.tid
+                group = by_tid.get(tid)
+                if group is None:
+                    by_tid[tid] = [span]
+                else:
+                    group.append(span)
+        elif name == TXN:
+            window = _committed_window(span)
+            if window is not None:
+                windows[span.tid] = window
     if not windows:
         return {}
-    by_tid = tracer.spans_by_tid()
     totals: Dict[str, float] = {}
     for tid in sorted(windows):
-        for name, ms in phase_breakdown(by_tid.get(tid, ()), windows[tid]).items():
+        start, end = windows[tid]
+        for name, ms in _sweep(by_tid.get(tid, ()), start, end).items():
             totals[name] = totals.get(name, 0.0) + ms
     n = len(windows)
     return {name: ms / n for name, ms in totals.items()}

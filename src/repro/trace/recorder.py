@@ -70,6 +70,15 @@ class Span:
         return f"<Span {self.sid} {self.name} [{self.start:.3f}, {end}] tid={self.tid}>"
 
 
+class _RecordedSpan(Span):
+    """A :class:`Span` as the recorder makes it: ``object.__init__``
+    replaces ``Span.__init__``, so making one runs no Python frame, and
+    the recorder fills every slot itself."""
+
+    __slots__ = ()
+    __init__ = object.__init__
+
+
 class Tracer:
     """Deterministic recorder of spans and instants for one run.
 
@@ -107,13 +116,22 @@ class Tracer:
         if name not in CATALOGUE:
             self._check_name(name)
         self._seq = seq = self._seq + 1
-        parent_sid = None
-        if parent is not None:
-            parent_sid = parent.sid
+        spans = self.spans
+        span = _RecordedSpan()
+        span.sid = len(spans)
+        if parent is None:
+            span.parent_sid = None
+        else:
+            span.parent_sid = parent.sid
             if tid is None:
                 tid = parent.tid
-        spans = self.spans
-        span = Span(len(spans), name, self.env.now, seq, parent_sid, tid, track, args)
+        span.name = name
+        span.start = self.env.now
+        span.seq = seq
+        span.end = None
+        span.tid = tid
+        span.track = track
+        span.args = args
         spans.append(span)
         return span
 
@@ -137,10 +155,17 @@ class Tracer:
         if name not in CATALOGUE:
             self._check_name(name)
         self._seq = seq = self._seq + 1
-        now = self.env.now
-        mark = Span(len(self.instants), name, now, seq, None, tid, track, args)
-        mark.end = now
-        self.instants.append(mark)
+        instants = self.instants
+        mark = _RecordedSpan()
+        mark.sid = len(instants)
+        mark.parent_sid = None
+        mark.name = name
+        mark.start = mark.end = self.env.now
+        mark.seq = seq
+        mark.tid = tid
+        mark.track = track
+        mark.args = args
+        instants.append(mark)
         return mark
 
     # -- queries ---------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Unit tests for fault plans and the deterministic injector."""
 
+import random
+
 import pytest
 
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec, InjectedCrash
+from repro.sim import RandomStreams
 
 
 class TestFaultSpec:
@@ -130,3 +133,101 @@ class TestFaultInjector:
         injector = FaultInjector(plan)
         assert len(injector.timed_faults(FaultKind.CRASH)) == 1
         assert len(injector.timed_faults(FaultKind.LP_FAIL)) == 1
+
+
+def eager_decisions(plan, calls):
+    """Each call's verdict with both streams made up front: the draw
+    model of :class:`FaultInjector`, stated directly."""
+    streams = RandomStreams(plan.seed)
+    rngs = {"faults": streams.stream("faults"), "corrupt": streams.stream("corrupt")}
+    out = []
+    for kind, target in calls:
+        rng = rngs["corrupt" if kind is FaultKind.BIT_ROT else "faults"]
+        hit = False
+        for spec in plan.specs:
+            if spec.kind is not kind:
+                continue
+            if spec.target is not None and target is not None and spec.target != target:
+                continue
+            if spec.probability >= 1.0 or rng.random() < spec.probability:
+                hit = True
+                break
+        out.append(hit)
+    return out
+
+
+_PREDICATES = {
+    FaultKind.TORN_WRITE: FaultInjector.torn_write,
+    FaultKind.MSG_LOSS: FaultInjector.drop_message,
+    FaultKind.BIT_ROT: FaultInjector.bit_rot,
+}
+
+
+class TestLazyStreams:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every ``random.Random`` constructed while the test runs."""
+        made = []
+
+        class Counting(random.Random):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Counting)
+        return made
+
+    def test_crash_only_injector_makes_no_random(self, made):
+        plan = FaultPlan.of(
+            FaultSpec(FaultKind.CRASH, hook="*", occurrence=9),
+            FaultSpec(FaultKind.CRASH, at_time=3.0),
+            seed=4,
+        )
+        injector = FaultInjector(plan)
+        for hook in ("a", "b", "c"):
+            injector.reached(hook)
+            assert not injector.poll(hook)
+        assert not injector.torn_write(1)
+        assert not injector.drop_message()
+        assert not injector.bit_rot(2)
+        assert made == []
+
+    def test_first_draw_makes_the_stream(self, made):
+        injector = FaultInjector(
+            FaultPlan.of(FaultSpec(FaultKind.MSG_LOSS, probability=0.5), seed=4)
+        )
+        assert made == []
+        injector.drop_message()
+        injector.drop_message()
+        assert len(made) == 1
+
+    def test_certain_faults_draw_nothing(self, made):
+        injector = FaultInjector(
+            FaultPlan.of(FaultSpec(FaultKind.TORN_WRITE, probability=1.0), seed=4)
+        )
+        assert injector.torn_write()
+        assert made == []
+
+    @pytest.mark.parametrize("seed", [0, 7, 1985])
+    def test_draw_sequences_equal_the_eager_ones(self, seed):
+        plan = FaultPlan.of(
+            FaultSpec(FaultKind.TORN_WRITE, probability=0.3),
+            FaultSpec(FaultKind.TORN_WRITE, target=2, probability=0.6),
+            FaultSpec(FaultKind.MSG_LOSS, probability=0.5),
+            FaultSpec(FaultKind.BIT_ROT, probability=0.2),
+            FaultSpec(FaultKind.BIT_ROT, target=1, probability=0.4),
+            FaultSpec(FaultKind.CRASH, hook="*", occurrence=1000),
+            seed=seed,
+        )
+        order = random.Random(seed)  # the call interleaving only, not a fault draw
+        calls = [
+            (order.choice(sorted(_PREDICATES, key=lambda k: k.value)), order.choice([None, 1, 2]))
+            for _ in range(200)
+        ]
+        injector = FaultInjector(plan)
+        got = []
+        for kind, target in calls:
+            injector.reached("op-boundary")
+            got.append(_PREDICATES[kind](injector, target))
+        assert got == eager_decisions(plan, calls)
+        assert any(got) and not all(got)

@@ -122,6 +122,17 @@ class TestConventionalDisk:
         assert disk.pages_read.count == 1
         assert disk.pages_written.count == 2
 
+    def test_clean_writes_heal_rot_without_an_injector(self):
+        env = Environment()
+        disk = ConventionalDisk(env, IBM_3350, rng=fixed_latency_rng(0.0))
+        assert disk.faults is None
+        rotted = DiskAddress(2, 0, 0)
+        disk.corrupt_sectors[rotted.linear(IBM_3350)] = 0.0
+        run_request(disk, "write", [DiskAddress(1, 0, 0)])
+        assert list(disk.corrupt_sectors) == [rotted.linear(IBM_3350)]
+        run_request(disk, "write", [rotted])
+        assert disk.corrupt_sectors == {}
+
     def test_utilization_is_busy_fraction(self):
         env = Environment()
         disk = ConventionalDisk(env, IBM_3350, rng=fixed_latency_rng(8.0))
