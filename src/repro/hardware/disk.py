@@ -20,8 +20,8 @@ transfer completes.
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Deque, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from collections import OrderedDict, deque
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.hardware.params import DiskParams
 from repro.sim.core import Environment, Event, SimulationError
@@ -112,9 +112,9 @@ class DiskRequest:
         #: corruption the checksum layer would reject); the scrubber and
         #: the mirror fallback path react to it.
         self.corrupt = False
-        #: the one cylinder a parallel-access request spans, found at
-        #: submit; ``None`` when it spans several (or the disk is
-        #: conventional, which never reads it).
+        #: the one cylinder a parallel-access request spans, found when
+        #: a parallel-access disk queues it; ``None`` when it spans
+        #: several (or the disk is conventional, which never reads it).
         self.cylinder: Optional[int] = None
 
     @property
@@ -130,6 +130,9 @@ class Disk:
     """Common queueing/metrics machinery; service policy lives in subclasses."""
 
     parallel_access = False
+    #: Container of the waiting requests: it must offer ``append``,
+    #: ``len``, ``clear`` and iteration in arrival order.
+    _queue_type = deque
 
     def __init__(
         self,
@@ -144,7 +147,7 @@ class Disk:
         # Latency samples come from a named stream even when the caller does
         # not wire one up, so stand-alone disks stay reproducible too.
         self.rng = rng if rng is not None else RandomStreams(0).stream(f"disk.{name}")
-        self._queue: Deque[DiskRequest] = deque()
+        self._queue = self._queue_type()
         self._wakeup: Optional[Event] = None
         self._head_cylinder = 0
         self._head_linear = -2  # "nowhere": first access never streams
@@ -194,8 +197,9 @@ class Disk:
         if self.failed:
             return
         self.failed = True
-        while self._queue:
-            req = self._queue.popleft()
+        drained = list(self._queue)  # arrival order
+        self._queue.clear()
+        for req in drained:
             req.error = "disk-failed"
             self.failed_requests.increment()
             req.done.succeed(self.env.now)
@@ -373,43 +377,78 @@ class ConventionalDisk(Disk):
         return cost
 
 
+class _CylinderQueue:
+    """The waiting requests of a parallel-access disk, by coalescing group.
+
+    ``_groups`` maps ``(kind, cylinder)`` to that group's ``(arrival,
+    request)`` entries in arrival order; a request that spans several
+    cylinders is a group of its own, keyed by itself.  A group is created
+    by its oldest member and is served whole, so the groups' order is that
+    of their oldest members.  The first group is therefore exactly the
+    batch a scan of the arrival-ordered queue coalesces behind its head,
+    and taking it costs O(batch) rather than O(queue).
+    """
+
+    __slots__ = ("_groups", "_arrivals", "_len")
+
+    def __init__(self) -> None:
+        self._groups: "OrderedDict[object, List[Tuple[int, DiskRequest]]]" = OrderedDict()
+        self._arrivals = 0
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[DiskRequest]:
+        """The waiting requests in arrival order."""
+        entries = sorted(entry for group in self._groups.values() for entry in group)
+        return iter([req for _, req in entries])
+
+    def append(self, req: DiskRequest) -> None:
+        # Every service groups by cylinder: find it once here.  A
+        # multi-cylinder request keeps ``None`` and the server rejects it.
+        cylinder = req.addresses[0].cylinder
+        for addr in req.addresses:
+            if addr.cylinder != cylinder:
+                key: object = req
+                break
+        else:
+            req.cylinder = cylinder
+            key = (req.kind, cylinder)
+        self._arrivals += 1
+        self._len += 1
+        group = self._groups.get(key)
+        if group is None:
+            self._groups[key] = [(self._arrivals, req)]
+        else:
+            group.append((self._arrivals, req))
+
+    def clear(self) -> None:
+        self._groups.clear()
+        self._len = 0
+
+    def pop_batch(self) -> List[DiskRequest]:
+        """Remove the oldest request's group; its requests in arrival order."""
+        _, group = self._groups.popitem(last=False)
+        self._len -= len(group)
+        return [req for _, req in group]
+
+
 class ParallelAccessDisk(Disk):
     """All pages of one cylinder are transferable in a single access."""
 
     parallel_access = True
-
-    def submit(
-        self, kind: str, addresses: Sequence[DiskAddress], tag: str = ""
-    ) -> DiskRequest:
-        req = super().submit(kind, addresses, tag)
-        # Every service compares each queued request's cylinder: find it
-        # once here.  A multi-cylinder request is rejected by the server.
-        cylinder = req.addresses[0].cylinder
-        for addr in req.addresses:
-            if addr.cylinder != cylinder:
-                break
-        else:
-            req.cylinder = cylinder
-        return req
+    _queue_type = _CylinderQueue
 
     def _select_batch(self) -> List[DiskRequest]:
-        first = self._queue.popleft()
-        cylinder = first.cylinder
-        if cylinder is None:
+        batch = self._queue.pop_batch()
+        first = batch[0]
+        if first.cylinder is None:
             cylinders = sorted({addr.cylinder for addr in first.addresses})
             raise SimulationError(
                 f"parallel-access request spans cylinders {cylinders}; "
                 "split requests with split_by_cylinder()"
             )
-        kind = first.kind
-        batch = [first]
-        survivors: Deque[DiskRequest] = deque()
-        for req in self._queue:
-            if req.kind == kind and req.cylinder == cylinder:
-                batch.append(req)
-            else:
-                survivors.append(req)
-        self._queue = survivors
         return batch
 
     def _service_time(self, batch: List[DiskRequest]) -> float:

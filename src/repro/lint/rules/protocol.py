@@ -20,8 +20,8 @@ the shadow/scratch copy (``tag="scratch"`` traffic, ``update_entry``,
 
 FP01 — fault-point coverage (ROADMAP norm, machine-checked): every method
 on a ``RecoveryManager`` (``repro.storage``) that is reachable from the
-commit / recover / checkpoint / garbage-collection entry points and that
-directly mutates stable storage must cross a ``_fault_point(...)`` on
+commit, recover and corruption-repair entry points, or from any method
+named for checkpointing, and that directly mutates stable storage must cross a ``_fault_point(...)`` on
 *all* non-exceptional paths — otherwise crashtest can never schedule a
 crash inside that mutation window and the recovery discipline there is
 untested.  A call to a helper that faults on all of its own paths counts.
@@ -318,7 +318,7 @@ class Proto02ShadowOrdering(_ProtoRule):
 
 _MANAGER_CLASS = "RecoveryManager"
 #: Methods the crashtest harness drives — the roots of the reachability walk.
-_ENTRY_NAMES = {"_do_commit", "_on_recover", "collect_garbage", "repair_corruption"}
+_ENTRY_NAMES = {"_do_commit", "_on_recover", "repair_corruption"}
 #: Mutating methods on the stable-media object (repro.hardware mirrors this).
 _STABLE_MUTATORS = {
     "write_page",

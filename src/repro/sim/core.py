@@ -6,8 +6,10 @@ The design follows the classic event-callback architecture used by simpy:
   (or an exception) and later *processed*, at which point its callbacks run;
 * a :class:`Process` wraps a generator; every value the generator yields must
   be an event, and the process resumes when that event is processed;
-* the :class:`Environment` owns the event calendar (a heap ordered by time,
-  priority, and insertion order, which makes runs fully deterministic).
+* the :class:`Environment` owns the event calendar, ordered by time,
+  priority, and insertion order, which makes runs fully deterministic.
+  Entries due at the current instant wait in two FIFO lanes (urgent, then
+  normal); only entries strictly in the future go through a heap.
 
 Time is a float; the unit is chosen by the model (the database-machine models
 in this package use **milliseconds**, matching the paper).
@@ -15,8 +17,9 @@ in this package use **milliseconds**, matching the paper).
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "AllOf",
@@ -29,13 +32,6 @@ __all__ = [
     "SimulationError",
     "Timeout",
 ]
-
-#: Priority for ordinary events scheduled at the same instant.
-NORMAL = 1
-#: Priority used when resuming a process; makes resumption happen before
-#: same-time ordinary events, mirroring simpy's URGENT ordering.
-URGENT = 0
-
 
 class SimulationError(Exception):
     """Raised for misuse of the kernel (yielding non-events, etc.)."""
@@ -103,7 +99,7 @@ class Event:
         self._triggered = True
         env = self.env
         env._eid += 1
-        heappush(env._queue, (env.now, NORMAL, env._eid, self))
+        env._normal.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -122,7 +118,7 @@ class Event:
         self._triggered = True
         env = self.env
         env._eid += 1
-        heappush(env._queue, (env.now, NORMAL, env._eid, self))
+        env._normal.append(self)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -172,7 +168,14 @@ class Timeout(Event):
         self._defused = False
         self.delay = delay
         env._eid += 1
-        heappush(env._queue, (env.now + delay, NORMAL, env._eid, self))
+        now = env.now
+        at = now + delay
+        # The float test, not ``delay == 0``: a delay below the clock's
+        # resolution also lands at this instant.
+        if at == now:
+            env._normal.append(self)
+        else:
+            heappush(env._queue, (at, env._eid, self))
 
 
 class _Initialize(Event):
@@ -189,7 +192,7 @@ class _Initialize(Event):
         self._processed = False
         self._defused = False
         env._eid += 1
-        heappush(env._queue, (env.now, URGENT, env._eid, self))
+        env._urgent.append(self)
 
 
 class Process(Event):
@@ -226,8 +229,8 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        The process is detached from whatever event it was waiting for (that
-        event stays valid and may be re-yielded).
+        On delivery the process is detached from whatever event it is
+        waiting for (that event stays valid and may be re-yielded).
         """
         if self._triggered:
             raise SimulationError(f"cannot interrupt dead process {self.name!r}")
@@ -238,19 +241,27 @@ class Process(Event):
         interrupt_evt._value = Interrupt(cause)
         interrupt_evt._defused = True
         interrupt_evt._triggered = True
-        interrupt_evt.callbacks = [self._resume]
+        interrupt_evt.callbacks = [self._interrupted]
         env = self.env
         env._eid += 1
-        heappush(env._queue, (env.now, URGENT, env._eid, interrupt_evt))
-        # Detach from the old target so its firing no longer resumes us.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
+        env._urgent.append(interrupt_evt)
 
     # -- internal ----------------------------------------------------------
+    def _interrupted(self, event: Event) -> None:
+        """Deliver an interrupt.  The process may have started, or caught
+        an earlier interrupt, since it was sent: detach it from what it
+        waits for now, and drop the interrupt if it has ended."""
+        if self._triggered:
+            return
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            # Its firing must no longer resume us.
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+        self._resume(event)
+
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         env = self.env
@@ -296,7 +307,7 @@ class Process(Event):
         # The generator ended: the process event fires at this instant.
         self._triggered = True
         env._eid += 1
-        heappush(env._queue, (env.now, NORMAL, env._eid, self))
+        env._normal.append(self)
         env._active_process = None
 
 
@@ -372,13 +383,34 @@ class AnyOf(ConditionEvent):
 
 
 class Environment:
-    """The simulation clock and event calendar."""
+    """The simulation clock and event calendar.
+
+    The calendar's order is ``(time, priority, insertion)``, with process
+    starts and interrupts *urgent* (before ordinary events at the same
+    instant, as in simpy).  It is kept in three places:
+
+    * ``_urgent``: process starts and interrupts, which only ever arise at
+      ``now``;
+    * ``_normal``: ordinary entries due at ``now`` (``succeed``/``fail``,
+      process ends, timeouts whose delay does not move the clock);
+    * ``_queue``: a heap of ``(time, insertion, event)`` for entries strictly
+      in the future.
+
+    The lanes are served first, urgent before normal, and both are FIFO.
+    When the heap advances the clock to ``T``, every other heap entry at
+    ``T`` moves into the (empty) normal lane in heap order first: each was
+    inserted while the clock stood before ``T``, so it precedes anything
+    the lanes receive at ``T``.  The result is exactly the order of a
+    single heap over all entries.
+    """
 
     def __init__(self, initial_time: float = 0.0):
         #: Current simulation time.  A plain attribute (the hottest read in
         #: the kernel) that only :meth:`run` and :meth:`step` assign.
         self.now = initial_time
-        self._queue: List[Tuple[float, int, int, Event]] = []
+        self._urgent: Deque[Event] = deque()
+        self._normal: Deque[Event] = deque()
+        self._queue: List[Tuple[float, int, Event]] = []
         self._eid = 0
         self._active_process: Optional[Process] = None
         #: Optional deterministic span recorder (see ``repro.trace``).
@@ -433,6 +465,8 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
+        if self._urgent or self._normal:
+            return self.now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
@@ -441,9 +475,21 @@ class Environment:
         :meth:`run` inlines this body in its loops; the two must stay in
         step (``tests/test_sim_properties.py`` checks they agree).
         """
-        if not self._queue:
+        normal = self._normal
+        queue = self._queue
+        if self._urgent:
+            event = self._urgent.popleft()
+        elif normal:
+            event = normal.popleft()
+        elif queue:
+            # The clock moves: every other entry due then joins the normal
+            # lane first, in heap (that is, insertion) order.
+            self.now, _, event = heappop(queue)
+            now = self.now
+            while queue and queue[0][0] == now:
+                normal.append(heappop(queue)[2])
+        else:
             raise SimulationError("step() on empty schedule")
-        self.now, _, _, event = heappop(self._queue)
         callbacks = event.callbacks
         event.callbacks = None
         event._processed = True
@@ -461,15 +507,25 @@ class Environment:
         * ``until`` is an :class:`Event`: run until it is processed and return
           its value (raising if it failed).
         """
+        urgent = self._urgent
+        normal = self._normal
         queue = self._queue
         if isinstance(until, Event):
             stop = until
             while not stop._processed:
-                if not queue:
+                if urgent:
+                    event = urgent.popleft()
+                elif normal:
+                    event = normal.popleft()
+                elif queue:
+                    self.now, _, event = heappop(queue)
+                    now = self.now
+                    while queue and queue[0][0] == now:
+                        normal.append(heappop(queue)[2])
+                else:
                     raise SimulationError(
                         "schedule ran dry before the awaited event fired"
                     )
-                self.now, _, _, event = heappop(queue)
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._processed = True
@@ -488,8 +544,18 @@ class Environment:
                 raise SimulationError(
                     f"until={horizon} lies in the past (now={self.now})"
                 )
-        while queue and queue[0][0] <= horizon:
-            self.now, _, _, event = heappop(queue)
+        while True:
+            if urgent:
+                event = urgent.popleft()
+            elif normal:
+                event = normal.popleft()
+            elif queue and queue[0][0] <= horizon:
+                self.now, _, event = heappop(queue)
+                now = self.now
+                while queue and queue[0][0] == now:
+                    normal.append(heappop(queue)[2])
+            else:
+                break
             callbacks = event.callbacks
             event.callbacks = None
             event._processed = True

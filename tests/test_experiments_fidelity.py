@@ -109,3 +109,22 @@ class TestCliFidelity:
         assert main(["fidelity", "-n", "4"]) == 0
         assert calls == [FOUR]
         assert capsys.readouterr().out == four_transaction_report.render() + "\n"
+
+
+def test_only_architectures_with_paper_values_run(monkeypatch):
+    """Table 12's ``command_logging`` and ``redo_wal`` columns have no
+    paper value, so scoring never runs them: 4 rows x 8 architectures."""
+    from repro.experiments import tables
+
+    runs = []
+    real = tables.run_configuration
+
+    def counting(config, factory, settings, machine_overrides=None):
+        runs.append(factory)
+        return real(config, factory, settings, machine_overrides=machine_overrides)
+
+    monkeypatch.setattr(tables, "run_configuration", counting)
+    report = fidelity_summary(ExperimentSettings(n_transactions=2), tables=("table12",))
+    assert len(runs) == 32
+    assert len(report.cells) == 32
+    assert not {c.cell.split("/")[1] for c in report.cells} & {"command_logging", "redo_wal"}

@@ -1,8 +1,11 @@
 """Unit tests for the disk models."""
 
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware import (
     ConventionalDisk,
@@ -220,3 +223,104 @@ class TestFactoryAndHelpers:
         disk = ConventionalDisk(env, IBM_3350)
         with pytest.raises(SimulationError):
             disk.submit("erase", [DiskAddress(0, 0, 0)])
+
+
+class _RebuildParallelDisk(ParallelAccessDisk):
+    """The parallel-access disk before its queue was indexed, kept as the
+    oracle: one arrival-ordered deque that every service scans and
+    rebuilds around the head request's batch."""
+
+    _queue_type = deque
+
+    def submit(self, kind, addresses, tag=""):
+        req = super().submit(kind, addresses, tag)
+        cylinder = req.addresses[0].cylinder
+        for addr in req.addresses:
+            if addr.cylinder != cylinder:
+                break
+        else:
+            req.cylinder = cylinder
+        return req
+
+    def _select_batch(self):
+        first = self._queue.popleft()
+        cylinder = first.cylinder
+        if cylinder is None:
+            cylinders = sorted({addr.cylinder for addr in first.addresses})
+            raise SimulationError(
+                f"parallel-access request spans cylinders {cylinders}; "
+                "split requests with split_by_cylinder()"
+            )
+        kind = first.kind
+        batch = [first]
+        survivors = deque()
+        for req in self._queue:
+            if req.kind == kind and req.cylinder == cylinder:
+                batch.append(req)
+            else:
+                survivors.append(req)
+        self._queue = survivors
+        return batch
+
+
+_ADDRESS = st.builds(
+    DiskAddress,
+    cylinder=st.integers(min_value=0, max_value=3),
+    track=st.integers(min_value=0, max_value=2),
+    sector=st.integers(min_value=0, max_value=5),
+)
+_DISK_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("submit"),
+            st.sampled_from(["read", "write"]),
+            st.lists(_ADDRESS, min_size=1, max_size=3),
+        ),
+        st.tuples(st.just("serve"), st.sampled_from([0.0, 5.0, 20.0, 60.0])),
+        st.tuples(st.just("fail")),
+    ),
+    max_size=30,
+)
+
+
+def _disk_script(cls, ops):
+    """Run ``ops`` against a fresh ``cls`` disk and return what it showed:
+    each completion (time, request, error), the waiting requests in
+    arrival order after every op, the counters, and any server error."""
+    env = Environment()
+    disk = cls(env, IBM_3350, rng=random.Random(3))
+    requests = []
+    seen = []
+
+    def serve(until):
+        try:
+            env.run(until=until)
+        except SimulationError as exc:
+            seen.append(("error", env.now, str(exc)))
+
+    for op in ops:
+        if op[0] == "submit":
+            req = disk.submit(op[1], op[2])
+            index = len(requests)
+            requests.append(req)
+            req.done.callbacks.append(
+                lambda _evt, i=index, r=req: seen.append((env.now, i, r.error))
+            )
+        elif op[0] == "serve":
+            serve(env.now + op[1])
+        else:
+            disk.fail()
+        by_id = {id(r): i for i, r in enumerate(requests)}
+        seen.append(("waiting", disk.pending, [by_id[id(r)] for r in disk._queue]))
+    serve(None)
+    counters = (disk.accesses.count, disk.pages_read.count, disk.pages_written.count,
+                disk.failed_requests.count)
+    return seen, counters, vars(disk.queue_length), env.now
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_DISK_OPS)
+def test_indexed_queue_matches_rebuilt_queue(ops):
+    """Batches, survivors, the multi-cylinder error, ``pending``, the
+    queue-length stat and ``fail()`` draining are the rebuild's."""
+    assert _disk_script(ParallelAccessDisk, ops) == _disk_script(_RebuildParallelDisk, ops)

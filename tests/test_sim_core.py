@@ -320,6 +320,52 @@ class TestInterrupt:
         with pytest.raises(SimulationError):
             p.interrupt()
 
+    def test_interrupt_before_start_detaches_on_delivery(self):
+        # The target starts (and waits) between the interrupt being sent
+        # and delivered; the event it waits for must not resume it again.
+        env = Environment()
+        seen = []
+
+        def sleeper(env):
+            try:
+                yield env.timeout(0)
+            except Interrupt as interrupt:
+                seen.append(interrupt.cause)
+            return "done"
+
+        procs = {}
+
+        def killer(env):
+            procs["sleeper"].interrupt("early")
+            yield env.timeout(1)
+
+        env.process(killer(env))  # starts first
+        procs["sleeper"] = env.process(sleeper(env))
+        env.run()
+        assert seen == ["early"]
+        assert procs["sleeper"].value == "done"
+
+    def test_interrupt_of_process_ended_before_delivery_is_dropped(self):
+        env = Environment()
+        seen = []
+
+        def sleeper(env):
+            try:
+                yield env.timeout(5)
+            except Interrupt as interrupt:
+                seen.append(interrupt.cause)
+
+        def killer(env, target):
+            yield env.timeout(1)
+            target.interrupt("first")
+            target.interrupt("second")  # delivered after the target ends
+
+        target = env.process(sleeper(env))
+        env.process(killer(env, target))
+        env.run()
+        assert seen == ["first"]
+        assert target.ok
+
 
 class TestConditions:
     def test_all_of_waits_for_all(self):

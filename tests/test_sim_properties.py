@@ -5,10 +5,12 @@ properties pin down the guarantees the models rely on: monotonic time,
 deterministic tie-breaking, FIFO resources, and conservation in containers.
 """
 
+from heapq import heappop, heappush
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, Event, Resource, SimulationError
+from repro.sim import Container, Environment, Event, Interrupt, Resource, SimulationError
 from repro.sim.resources import ContainerGet
 
 
@@ -143,11 +145,83 @@ class _SoupError(Exception):
     """Raised by soup processes; unhandled ones must surface from run()."""
 
 
+class _HeapOnlyEnvironment(Environment):
+    """The calendar before it had lanes, kept as the reference kernel.
+
+    Every entry, due now or later, goes through one heap ordered by
+    ``(time, key, event)``.  The key folds the old ``(priority, eid)``
+    pair into one number: urgent entries (process starts, interrupts)
+    carry ``eid - 2**62`` and ordinary ones ``eid``, so at equal times
+    urgent entries come first and each kind keeps insertion order.  The
+    lanes the event classes append to are stand-ins that push onto that
+    heap; ``peek``, ``step`` and ``run`` are the heap-only ones.
+    """
+
+    def __init__(self, initial_time=0.0):
+        super().__init__(initial_time)
+        self._urgent = _HeapLane(self, -(2**62))
+        self._normal = _HeapLane(self, 0)
+
+    def peek(self):
+        return self._queue[0][0] if self._queue else float("inf")
+
+    def step(self):
+        if not self._queue:
+            raise SimulationError("step() on empty schedule")
+        self.now, _, event = heappop(self._queue)
+        callbacks = event.callbacks
+        event.callbacks = None
+        event._processed = True
+        for callback in callbacks:
+            callback(event)
+        if not event._ok and not event._defused:
+            raise event._value
+
+    def run(self, until=None):
+        queue = self._queue
+        if isinstance(until, Event):
+            while not until._processed:
+                if not queue:
+                    raise SimulationError("schedule ran dry before the awaited event fired")
+                self.step()
+            if not until._ok:
+                raise until._value
+            return until._value
+        horizon = float("inf") if until is None else float(until)
+        if horizon < self.now:
+            raise SimulationError(f"until={horizon} lies in the past (now={self.now})")
+        while queue and queue[0][0] <= horizon:
+            self.step()
+        if until is not None:
+            self.now = horizon
+        return None
+
+
+class _HeapLane:
+    """A lane of the reference kernel: pushes onto its heap at ``now``."""
+
+    def __init__(self, env, offset):
+        self.env = env
+        self.offset = offset
+
+    def append(self, event):
+        env = self.env
+        heappush(env._queue, (env.now, env._eid + self.offset, event))
+
+
+#: Timeout delays.  From a clock at 1e17 (where one ulp is 16) the first
+#: four do not move the clock: 1 and 3 are sub-ulp, 8 rounds back to even.
+_DELAYS = (0, 1, 3, 8, 16, 40)
+_DELAY = st.integers(min_value=0, max_value=len(_DELAYS) - 1)
+_SHARED = st.integers(min_value=0, max_value=3)
 _OPS = st.one_of(
-    st.tuples(st.just("timeout"), st.integers(min_value=0, max_value=4)),
-    st.tuples(st.just("wait"), st.integers(min_value=0, max_value=3)),
-    st.tuples(st.just("trigger"), st.integers(min_value=0, max_value=3), st.booleans()),
-    st.tuples(st.just("spawn"), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("timeout"), _DELAY),
+    st.tuples(st.just("wait"), _SHARED),
+    st.tuples(st.just("trigger"), _SHARED, st.booleans(), st.booleans()),
+    st.tuples(st.just("spawn"), _DELAY),
+    st.tuples(st.just("spawn-on"), _SHARED, _DELAY),
+    st.tuples(st.just("interrupt"), st.integers(min_value=0, max_value=5)),
+    st.tuples(st.sampled_from(["all", "any"]), _SHARED, _DELAY),
     st.tuples(st.just("raise")),
 )
 _SOUPS = st.lists(st.lists(_OPS, max_size=6), min_size=1, max_size=6)
@@ -157,18 +231,21 @@ _UNTIL = st.one_of(
     st.tuples(st.just("process"), st.integers(min_value=0, max_value=5)),
     st.tuples(st.just("shared"), st.integers(min_value=0, max_value=3)),
 )
+_CLOCKS = st.sampled_from([0.0, 1e17])
 
 
-def _soup_run(soup, until, drive):
+def _soup_run(soup, until, drive, kernel=Environment, initial_time=0.0):
     """Build a random process soup, drive it, and return what happened.
 
     Every processed event the soup yields on is logged as ``(time, label)``
     by a callback, and every process step as ``(time, pid, op)``; the
     outcome is the value ``drive`` returned or the error it raised.
+    ``drive(env, target, log)`` may log too.
     """
-    env = Environment()
+    env = kernel(initial_time)
     log = []
     shared = [env.event() for _ in range(4)]
+    procs = []
 
     def watch(event, label):
         if event.callbacks is not None:
@@ -179,14 +256,20 @@ def _soup_run(soup, until, drive):
         watch(event, f"shared{index}")
 
     def child(delay):
-        yield watch(env.timeout(delay), "child-timeout")
+        yield watch(env.timeout(_DELAYS[delay]), "child-timeout")
+
+    def spawn_on(event, delay, label):
+        # A process started from a callback, at whatever instant ``event``
+        # is processed.
+        if event.callbacks is not None:
+            event.callbacks.append(lambda _evt: watch(env.process(child(delay)), label))
 
     def proc(pid, ops):
         for step, op in enumerate(ops):
             log.append((env.now, pid, step))
             try:
                 if op[0] == "timeout":
-                    yield watch(env.timeout(op[1]), f"timeout{pid}")
+                    yield watch(env.timeout(_DELAYS[op[1]]), f"timeout{pid}")
                 elif op[0] == "wait":
                     yield shared[op[1]]
                 elif op[0] == "trigger":
@@ -196,33 +279,55 @@ def _soup_run(soup, until, drive):
                             event.succeed(pid)
                         else:
                             event.fail(_SoupError(f"shared{op[1]}"))
+                            if op[3]:
+                                event.defuse()
                 elif op[0] == "spawn":
                     yield watch(env.process(child(op[1])), f"child{pid}")
+                elif op[0] == "spawn-on":
+                    spawn_on(shared[op[1]], op[2], f"cb-child{pid}")
+                    timer = watch(env.timeout(_DELAYS[op[2]]), f"timer{pid}")
+                    spawn_on(timer, op[2], f"timer-child{pid}")
+                elif op[0] == "interrupt":
+                    target = procs[op[1] % len(procs)]
+                    if target.is_alive and target is not env.active_process:
+                        target.interrupt(pid)
+                elif op[0] in ("all", "any"):
+                    parts = [shared[op[1]], env.timeout(_DELAYS[op[2]])]
+                    condition = env.all_of(parts) if op[0] == "all" else env.any_of(parts)
+                    value = yield watch(condition, f"{op[0]}{pid}")
+                    log.append((env.now, pid, "got", len(value)))
                 else:
                     raise _SoupError(f"proc{pid}")
             except _SoupError as exc:
                 if op[0] == "raise":
                     raise
                 log.append((env.now, pid, "caught", str(exc)))
+            except Interrupt as exc:
+                log.append((env.now, pid, "interrupted", exc.cause))
         return pid
 
-    procs = [watch(env.process(proc(pid, ops)), f"proc{pid}") for pid, ops in enumerate(soup)]
+    for pid, ops in enumerate(soup):
+        procs.append(watch(env.process(proc(pid, ops)), f"proc{pid}"))
     if until[0] == "none":
         target = None
     elif until[0] == "time":
-        target = until[1]
+        target = env.now + until[1]
     elif until[0] == "process":
         target = procs[until[1] % len(procs)]
     else:
         target = shared[until[1]]
     try:
-        outcome = ("ok", drive(env, target))
+        outcome = ("ok", drive(env, target, log))
     except (SimulationError, _SoupError) as exc:
         outcome = ("error", type(exc).__name__, str(exc))
-    return log, outcome, env.now, env.scheduled
+    return log, outcome, env.now, env.scheduled, env.peek()
 
 
-def _stepwise(env, until):
+def _run(env, until, log):
+    return env.run(until=until)
+
+
+def _stepwise(env, until, log):
     """``Environment.run`` spelled out with the public single-step API
     (the soup never schedules at +inf, so ``peek`` tells an empty calendar)."""
     if until is None:
@@ -242,14 +347,44 @@ def _stepwise(env, until):
     return env.run(until=until)  # nothing left to process: lands the clock
 
 
+def _peeking(env, until, log):
+    """Step while logging what ``peek`` promised before each step, then
+    hand the rest to ``run``."""
+    for _ in range(8):
+        if env.peek() == float("inf"):
+            break
+        log.append(("peek", env.peek()))
+        env.step()
+    if isinstance(until, Event) and until.processed:
+        return env.run(until=until)
+    if until is not None and not isinstance(until, Event) and until < env.now:
+        return None
+    return env.run(until=until)
+
+
 @settings(max_examples=150, deadline=None)
 @given(soup=_SOUPS, until=_UNTIL)
 def test_run_matches_stepping(soup, until):
     """The inlined loops of ``run`` process exactly what ``step`` would, in
     the same order, and end the same way — dry schedule and unhandled
     failures included."""
-    assert _soup_run(soup, until, lambda env, t: env.run(until=t)) == _soup_run(
-        soup, until, _stepwise
+    assert _soup_run(soup, until, _run) == _soup_run(soup, until, _stepwise)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    soup=_SOUPS,
+    until=_UNTIL,
+    clock=_CLOCKS,
+    drive=st.sampled_from([_run, _stepwise, _peeking]),
+)
+def test_lanes_match_heap_only_calendar(soup, until, clock, drive):
+    """The laned calendar processes every entry in the heap-only order,
+    counts the same entries and peeks the same times: zero and sub-ulp
+    delays, callback-started processes, interrupts, conditions, failed
+    and defused events, and every way of driving the run."""
+    assert _soup_run(soup, until, drive, Environment, clock) == _soup_run(
+        soup, until, drive, _HeapOnlyEnvironment, clock
     )
 
 
