@@ -44,6 +44,7 @@ from repro.loadgen.arrivals import PROCESSES, ArrivalConfig
 from repro.loadgen.loadtest import DEFAULT_MULTIPLIERS, sweep_architectures
 from repro.loadgen.runner import DEGRADED_STATES
 from repro.machine import MachineConfig
+from repro.machine.config import ADMISSION_POLICIES
 from repro.registry import add_arch_argument, resolve_archs
 from repro.resilience import run_scrubtest, run_survivetest
 from repro.trace import (
@@ -172,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--policy",
         default="drop",
-        choices=("drop", "block", "token-bucket"),
+        choices=ADMISSION_POLICIES,
         help="admission policy of the bounded queue (default: drop)",
     )
     loadtest.add_argument(

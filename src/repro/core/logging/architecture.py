@@ -84,12 +84,6 @@ class LoggingConfig:
     #: forces every log processor's partial page and writes one checkpoint
     #: page per log disk, and nothing ever stops.
     checkpoint_interval_ms: Optional[float] = None
-    #: Group-commit window, in ms (None = force immediately at commit).
-    #: An extension beyond the paper: commits arriving within the window
-    #: share one forced log write per log processor, trading a little
-    #: commit latency for fewer partial-page writes — the optimization
-    #: later systems layered on exactly this architecture.
-    group_commit_window_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_log_processors < 1:
@@ -163,8 +157,6 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
                 sim_checkpointer(machine.env, self, cfg.checkpoint_interval_ms),
                 name="checkpointer",
             )
-        #: Per-LP pending group-commit event (None = no window open).
-        self._group_pending: Dict[int, Optional[object]] = {}
 
     # -- log-processor failure (graceful degradation) ------------------------------
     def alive_mask(self) -> List[bool]:
@@ -410,10 +402,7 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
                 # fragments were orphaned and re-shipped (and re-forced) on
                 # a survivor, whose durable event gates us below.
                 continue
-            if self.config_log.group_commit_window_ms is None:
-                self.log_processors[lp_index].force()
-            else:
-                yield from self._group_force(lp_index)
+            self.log_processors[lp_index].force()
         pending = [
             fragment.durable
             for fragment in fragments.values()
@@ -422,22 +411,6 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
         if pending:
             yield self.machine.env.all_of(pending)
         yield from self.machine.wait_writebacks(txn)
-
-    def _group_force(self, lp_index: int):
-        """Group commit: commits within the window share one force."""
-        env = self.machine.env
-        pending = self._group_pending.get(lp_index)
-        if pending is None:
-            pending = env.event()
-            self._group_pending[lp_index] = pending
-            env.process(self._group_fire(lp_index, pending), name=f"gc.lp{lp_index}")
-        yield pending
-
-    def _group_fire(self, lp_index: int, pending):
-        yield self.machine.env.timeout(self.config_log.group_commit_window_ms)
-        self._group_pending[lp_index] = None
-        self.log_processors[lp_index].force()
-        pending.succeed()
 
     def on_abort(self, txn):
         """Unblock the aborted transaction's write-backs.

@@ -78,10 +78,7 @@ class RedoOnlyWalArchitecture(ParallelLoggingArchitecture):
         for lp_index in sorted(txn.recovery_state.get("log_processors", ())):
             if not self.log_processors[lp_index].alive:
                 continue
-            if self.config_log.group_commit_window_ms is None:
-                self.log_processors[lp_index].force()
-            else:
-                yield from self._group_force(lp_index)
+            self.log_processors[lp_index].force()
         pending = [
             fragment.durable
             for fragment in fragments.values()

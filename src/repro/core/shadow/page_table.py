@@ -123,15 +123,6 @@ class PageTableSubsystem:
             self._buffer[pt_page] = True
             self._buffer.move_to_end(pt_page)
 
-    def flush_all(self) -> List[Event]:
-        """Write out every dirty buffered PT page (checkpoint flush)."""
-        events = []
-        for pt_page in list(self._buffer):
-            if self._buffer[pt_page]:
-                self._buffer[pt_page] = False
-                events.append(self._write(pt_page))
-        return events
-
     def flush(self, data_pages) -> List[Event]:
         """Write out the dirty PT pages covering ``data_pages``.
 

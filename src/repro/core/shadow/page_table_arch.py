@@ -113,20 +113,6 @@ class PageTableShadowArchitecture(RecoveryArchitecture):
                 yield self.machine.env.all_of(events)
             self.machine._tend(fspan)
 
-    # -- checkpoint ---------------------------------------------------------------
-    def take_checkpoint(self):
-        """Snapshot checkpoint: push every dirty PT page to the PT disks.
-
-        Once the buffered page-table updates are durable the committed
-        root *is* the checkpoint — restart reads it back and runs.
-        """
-        span = self.machine._tspan("checkpoint", kind="snapshot")
-        events = self.page_table.flush_all()
-        if events:
-            yield self.machine.env.all_of(events)
-        self.checkpoints_taken += 1
-        self.machine._tend(span)
-
     # -- reporting ----------------------------------------------------------------
     def extra_utilizations(self, t_end: float) -> Dict[str, float]:
         return self.page_table.utilizations(t_end)

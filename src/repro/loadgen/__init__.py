@@ -3,12 +3,12 @@
 The paper evaluates its recovery architectures under a *closed batch*:
 every transaction exists at time zero and the multiprogramming level
 paces the run.  This package supplies the open-system complement —
-seeded arrival processes (Poisson, bursty, diurnal, scripted spikes,
-per-client think times), a runner that offers them to the machine's
-admission-controlled :meth:`~repro.machine.machine.DatabaseMachine.run_open`
-mode, and the ``repro loadtest`` sweep harness that plots goodput against
-offered load and locates the overload collapse knee per architecture,
-healthy or degraded.
+seeded arrival processes (Poisson and diurnal, with scripted spikes), a
+runner that offers them to the machine's admission-controlled
+:meth:`~repro.machine.machine.DatabaseMachine.run_open` mode, and the
+``repro loadtest`` sweep harness that plots goodput against offered load
+and locates the overload collapse knee per architecture, healthy or
+degraded.
 """
 
 from repro.loadgen.arrivals import (

@@ -5,40 +5,34 @@ zero and the multiprogramming level alone paces them.  An open system
 instead *offers* transactions on a schedule independent of completions.
 This module generates those schedules, deterministically, from named
 :class:`~repro.sim.rng.RandomStreams` streams (``arrival.poisson``,
-``arrival.bursty``, ``arrival.diurnal``, ``arrival.think``), so the same
-seed yields the same arrival instants under every architecture — the
-common-random-numbers discipline the experiments rely on.
+``arrival.diurnal``), so the same seed yields the same arrival instants
+under every architecture — the common-random-numbers discipline the
+experiments rely on.
 
-Three processes, all expressed as a time-varying rate ``r(t)`` sampled by
+Two processes, both expressed as a time-varying rate ``r(t)`` sampled by
 thinning (candidates at the peak rate, accepted with ``r(t)/r_max``):
 
 * **poisson** — homogeneous rate ``rate_tps``;
-* **bursty** — a Markov-modulated on/off process: exponential ON windows
-  (mean ``burst_on_ms``) at rate ``rate_tps * (on+off)/on`` alternate
-  with silent OFF windows (mean ``burst_off_ms``), preserving the
-  long-run offered rate while concentrating it into bursts;
 * **diurnal** — a sinusoidal profile
   ``rate_tps * (1 + amplitude * sin(2*pi*t/period))``, the classic
   day/night load shape compressed to simulation scale.
 
 Scripted **spikes** multiply the rate inside ``[start, start+duration)``
-windows, and optional **per-client pacing** (``n_clients`` round-robin
-clients with exponential think times) lower-bounds the spacing between
-one client's consecutive submissions, approximating interactive users.
+windows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Tuple
 
 from repro.sim.rng import RandomStreams
 
 __all__ = ["ArrivalConfig", "ArrivalSchedule", "PROCESSES", "Spike", "generate_arrivals"]
 
 #: The registered arrival processes.
-PROCESSES = ("poisson", "bursty", "diurnal")
+PROCESSES = ("poisson", "diurnal")
 
 
 @dataclass(frozen=True)
@@ -68,17 +62,9 @@ class ArrivalConfig:
     rate_tps: float = 4.0
     #: Schedule length (the generator stops after this many arrivals).
     n_arrivals: int = 30
-    #: Mean ON / OFF window durations of the bursty process, in ms.
-    burst_on_ms: float = 500.0
-    burst_off_ms: float = 500.0
     #: Period and relative amplitude of the diurnal profile.
     diurnal_period_ms: float = 60_000.0
     diurnal_amplitude: float = 0.8
-    #: Interactive clients: arrivals are assigned round-robin and one
-    #: client's consecutive submissions are spaced by a think time drawn
-    #: Exp(think_time_ms).  None disables pacing (pure open arrivals).
-    n_clients: Optional[int] = None
-    think_time_ms: float = 0.0
     spikes: Tuple[Spike, ...] = ()
 
     def __post_init__(self) -> None:
@@ -91,20 +77,12 @@ class ArrivalConfig:
             raise ValueError(f"offered rate must be > 0 tps, got {self.rate_tps}")
         if self.n_arrivals < 1:
             raise ValueError("need at least one arrival")
-        if self.burst_on_ms <= 0 or self.burst_off_ms < 0:
-            raise ValueError(
-                f"bad burst windows on={self.burst_on_ms} off={self.burst_off_ms}"
-            )
         if self.diurnal_period_ms <= 0:
             raise ValueError(f"diurnal period must be > 0, got {self.diurnal_period_ms}")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ValueError(
                 f"diurnal amplitude {self.diurnal_amplitude} not in [0, 1)"
             )
-        if self.n_clients is not None and self.n_clients < 1:
-            raise ValueError("need at least one client")
-        if self.think_time_ms < 0:
-            raise ValueError("think time must be >= 0")
 
     def with_overrides(self, **kwargs) -> "ArrivalConfig":
         return replace(self, **kwargs)
@@ -124,12 +102,8 @@ class ArrivalSchedule:
 
     config: ArrivalConfig
     times_ms: Tuple[float, ...]
-    #: ON windows of the bursty process (empty for the other processes).
-    on_windows_ms: Tuple[Tuple[float, float], ...] = ()
     #: Scripted spike starts (traced as ``arrival.spike`` instants).
     spike_starts_ms: Tuple[float, ...] = ()
-    #: Round-robin client of each arrival (empty without client pacing).
-    clients: Tuple[int, ...] = field(default=())
 
     @property
     def span_ms(self) -> float:
@@ -167,22 +141,17 @@ def _base_rate_per_ms(config: ArrivalConfig, t_ms: float) -> float:
     return rate
 
 
-def _thinned_times(config: ArrivalConfig, rng, on_rate_scale: float = 1.0):
+def _thinned_times(config: ArrivalConfig, rng):
     """Generator of accepted arrival instants by thinning at the peak rate."""
     peak = (
         (config.rate_tps / 1000.0)
-        * on_rate_scale
         * (1.0 + config.diurnal_amplitude if config.process == "diurnal" else 1.0)
         * _peak_multiplier(config)
     )
     t = 0.0
     while True:
         t += rng.expovariate(peak)
-        rate = (
-            _base_rate_per_ms(config, t)
-            * on_rate_scale
-            * config.spike_multiplier(t)
-        )
+        rate = _base_rate_per_ms(config, t) * config.spike_multiplier(t)
         if rng.random() < rate / peak:
             yield t
 
@@ -196,52 +165,6 @@ def _poisson_like(config: ArrivalConfig, rng) -> List[float]:
     return out
 
 
-def _bursty(config: ArrivalConfig, rng):
-    """Markov-modulated on/off arrivals; returns (times, on_windows)."""
-    # The ON-state rate is scaled up so the long-run offered rate stays
-    # rate_tps: arrivals only happen during the ON fraction of time.
-    duty = config.burst_on_ms / (config.burst_on_ms + config.burst_off_ms)
-    on_scale = 1.0 / duty
-    peak = (config.rate_tps / 1000.0) * on_scale * _peak_multiplier(config)
-    times: List[float] = []
-    windows: List[Tuple[float, float]] = []
-    t = 0.0
-    while len(times) < config.n_arrivals:
-        on_end = t + rng.expovariate(1.0 / config.burst_on_ms)
-        windows.append((t, on_end))
-        while len(times) < config.n_arrivals:
-            t += rng.expovariate(peak)
-            if t >= on_end:
-                t = on_end
-                break
-            rate = (config.rate_tps / 1000.0) * on_scale * config.spike_multiplier(t)
-            if rng.random() < rate / peak:
-                times.append(t)
-        if config.burst_off_ms > 0:
-            t = on_end + rng.expovariate(1.0 / config.burst_off_ms)
-        else:
-            t = on_end
-    # Trim the last window to the final arrival for duty-cycle accounting.
-    return times, windows
-
-
-def _pace_clients(config: ArrivalConfig, times: List[float], streams: RandomStreams):
-    """Assign arrivals round-robin to clients and enforce think-time gaps."""
-    rng = streams.stream("arrival.think")
-    n = config.n_clients
-    last: List[Optional[float]] = [None] * n
-    paced: List[Tuple[float, int]] = []
-    for i, t in enumerate(times):
-        client = i % n
-        if last[client] is not None and config.think_time_ms > 0:
-            think = rng.expovariate(1.0 / config.think_time_ms)
-            t = max(t, last[client] + think)
-        last[client] = t
-        paced.append((t, client))
-    paced.sort(key=lambda pair: pair[0])
-    return [t for t, _c in paced], [c for _t, c in paced]
-
-
 def generate_arrivals(
     config: ArrivalConfig, streams: RandomStreams
 ) -> ArrivalSchedule:
@@ -251,22 +174,12 @@ def generate_arrivals(
     ``RandomStreams(seed).fork("arrivals")``) so arrival draws never
     interleave with the machine's own streams.
     """
-    on_windows: Tuple[Tuple[float, float], ...] = ()
-    if config.process == "bursty":
-        times, windows = _bursty(config, streams.stream("arrival.bursty"))
-        on_windows = tuple(windows)
-    elif config.process == "diurnal":
+    if config.process == "diurnal":
         times = _poisson_like(config, streams.stream("arrival.diurnal"))
     else:
         times = _poisson_like(config, streams.stream("arrival.poisson"))
-    clients: Tuple[int, ...] = ()
-    if config.n_clients is not None:
-        times, assigned = _pace_clients(config, times, streams)
-        clients = tuple(assigned)
     return ArrivalSchedule(
         config=config,
         times_ms=tuple(times),
-        on_windows_ms=on_windows,
         spike_starts_ms=tuple(s.start_ms for s in config.spikes),
-        clients=clients,
     )

@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.loadgen.arrivals import ArrivalConfig, Spike
+from repro.loadgen.arrivals import ArrivalConfig
 from repro.loadgen.runner import (
     DEGRADED_STATES,
     OpenRunResult,
@@ -45,7 +45,6 @@ __all__ = [
     "LoadCell",
     "LoadTestReport",
     "calibrate",
-    "demo_spike_config",
     "run_loadtest",
     "sweep_architectures",
 ]
@@ -292,11 +291,3 @@ def sweep_architectures(
                 continue
             reports.append(run_loadtest(arch, state=state, **kwargs))
     return reports
-
-
-def demo_spike_config() -> ArrivalConfig:
-    """A bursty schedule with a scripted mid-run spike (docs/CLI demo)."""
-    return ArrivalConfig(
-        process="bursty",
-        spikes=(Spike(start_ms=2_000.0, duration_ms=1_000.0, multiplier=3.0),),
-    )

@@ -1,4 +1,4 @@
-"""Overload protection: bounded admission, token buckets, backpressure.
+"""Overload protection: bounded admission and backpressure.
 
 The paper drives its machine with a closed batch, so the back-end
 controller never has to say *no*.  An open system must: when offered
@@ -8,7 +8,7 @@ machine-layer half of the open-system story (the arrival processes live
 in :mod:`repro.loadgen`):
 
 * :class:`AdmissionQueue` — a bounded queue in front of the machine with
-  three policies (``drop``, ``block``-with-timeout, ``token-bucket``),
+  two policies (``drop``, ``block``-with-timeout),
   client-side retry with capped exponential backoff, and deadline-based
   shedding.  Every offered transaction ends in exactly one disposition:
   **admitted**, **rejected** (turned away, retries exhausted), or
@@ -176,28 +176,6 @@ class AdmissionQueue:
         self.rejected = CounterStat("admission.rejected")
         self.shed = CounterStat("admission.shed")
         self.retries = CounterStat("admission.retries")
-        #: Token bucket state (lazily refilled; exact, no process needed).
-        self._tokens = float(config.admission_token_burst)
-        self._tokens_at = machine.env.now
-
-    # ------------------------------------------------------------------ tokens
-    def _refill_tokens(self) -> None:
-        config = self.machine.config
-        now = self.machine.env.now
-        if config.admission_tokens_per_s > 0:
-            self._tokens = min(
-                float(config.admission_token_burst),
-                self._tokens
-                + config.admission_tokens_per_s * (now - self._tokens_at) / 1000.0,
-            )
-        self._tokens_at = now
-
-    def _take_token(self) -> bool:
-        self._refill_tokens()
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
 
     # ------------------------------------------------------------------ protocol
     def _deadline_of(self, arrival_ms: float) -> Optional[float]:
@@ -216,8 +194,6 @@ class AdmissionQueue:
         """Generator: one admission attempt; returns True when a slot is held."""
         machine = self.machine
         if self.backpressure.update():
-            return False
-        if self.policy == "token-bucket" and not self._take_token():
             return False
         if self.queue.try_acquire():
             return True

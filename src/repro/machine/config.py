@@ -12,7 +12,10 @@ from dataclasses import dataclass, field, replace
 
 from repro.hardware.params import IBM_3350, VAX_11_750, CostModel, CpuParams, DiskParams
 
-__all__ = ["MachineConfig"]
+__all__ = ["ADMISSION_POLICIES", "MachineConfig"]
+
+#: The admission policies of an open-system run (see ``admission_policy``).
+ADMISSION_POLICIES = ("drop", "block")
 
 
 @dataclass(frozen=True)
@@ -69,18 +72,12 @@ class MachineConfig:
     #: closed-batch ``run()`` is untouched and stays byte-identical.
     admission_queue_limit: int = 16
     #: Admission policy when an offered transaction arrives:
-    #: ``drop`` (turn away instantly when the queue is full),
-    #: ``block`` (wait up to ``admission_block_timeout_ms`` for room), or
-    #: ``token-bucket`` (admit only while tokens remain; they refill at
-    #: ``admission_tokens_per_s`` up to ``admission_token_burst``).
+    #: ``drop`` (turn away instantly when the queue is full) or
+    #: ``block`` (wait up to ``admission_block_timeout_ms`` for room).
     admission_policy: str = "drop"
     #: How long a ``block``-policy arrival waits for queue room before the
     #: attempt counts as a turn-away, in ms.
     admission_block_timeout_ms: float = 250.0
-    #: Token refill rate for ``token-bucket`` admission (tokens/second).
-    admission_tokens_per_s: float = 0.0
-    #: Token bucket capacity (burst size) for ``token-bucket`` admission.
-    admission_token_burst: int = 8
     #: Client-side attempts per offered transaction (first try + retries);
     #: a turned-away client retries with capped exponential backoff.
     admission_retry_max_attempts: int = 3
@@ -139,18 +136,12 @@ class MachineConfig:
             raise ValueError("log-ship backoff must be >= 0")
         if self.admission_queue_limit < 1:
             raise ValueError("admission queue needs at least one slot")
-        if self.admission_policy not in ("drop", "block", "token-bucket"):
+        if self.admission_policy not in ADMISSION_POLICIES:
             raise ValueError(
                 f"unknown admission policy {self.admission_policy!r}"
             )
         if self.admission_block_timeout_ms < 0:
             raise ValueError("admission block timeout must be >= 0")
-        if self.admission_policy == "token-bucket" and self.admission_tokens_per_s <= 0:
-            raise ValueError(
-                "token-bucket admission needs admission_tokens_per_s > 0"
-            )
-        if self.admission_token_burst < 1:
-            raise ValueError("token bucket needs a burst of at least 1")
         if self.admission_retry_max_attempts < 1:
             raise ValueError("need at least one admission attempt")
         if self.admission_retry_base_ms < 0 or self.admission_retry_cap_ms < 0:

@@ -25,7 +25,6 @@ from repro.sim.core import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -40,12 +39,7 @@ from repro.sim.monitor import (
     WALInvariantMonitor,
     WALViolation,
 )
-from repro.sim.resources import (
-    Container,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim.resources import Container, Resource
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -55,8 +49,6 @@ __all__ = [
     "CounterStat",
     "Environment",
     "Event",
-    "Interrupt",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",
@@ -64,7 +56,6 @@ __all__ = [
     "ShadowInstallMonitor",
     "ShadowInstallViolation",
     "SimulationError",
-    "Store",
     "TimeWeightedStat",
     "Timeout",
     "UtilizationTracker",

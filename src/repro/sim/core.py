@@ -27,7 +27,6 @@ __all__ = [
     "ConditionEvent",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Timeout",
@@ -35,18 +34,6 @@ __all__ = [
 
 class SimulationError(Exception):
     """Raised for misuse of the kernel (yielding non-events, etc.)."""
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -121,17 +108,6 @@ class Event:
         env._normal.append(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger with the state of another (processed) event.
-
-        Useful as a callback: ``evt_a.callbacks.append(evt_b.trigger)``.
-        """
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            event._defused = True
-            self.fail(event._value)
-
     def defuse(self) -> None:
         """Mark a failure as handled so it does not crash the run."""
         self._defused = True
@@ -202,7 +178,7 @@ class Process(Event):
     or the exception that terminated it.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env: "Environment", generator: Generator, name: Optional[str] = None):
         if not hasattr(generator, "throw"):
@@ -217,8 +193,6 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process currently waits for (None when running).
-        self._target: Optional[Event] = None
         _Initialize(env, self)
 
     @property
@@ -226,47 +200,9 @@ class Process(Event):
         """True while the generator has not terminated."""
         return not self._triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        On delivery the process is detached from whatever event it is
-        waiting for (that event stays valid and may be re-yielded).
-        """
-        if self._triggered:
-            raise SimulationError(f"cannot interrupt dead process {self.name!r}")
-        if self._target is None and self.env.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        interrupt_evt = Event(self.env)
-        interrupt_evt._ok = False
-        interrupt_evt._value = Interrupt(cause)
-        interrupt_evt._defused = True
-        interrupt_evt._triggered = True
-        interrupt_evt.callbacks = [self._interrupted]
-        env = self.env
-        env._eid += 1
-        env._urgent.append(interrupt_evt)
-
-    # -- internal ----------------------------------------------------------
-    def _interrupted(self, event: Event) -> None:
-        """Deliver an interrupt.  The process may have started, or caught
-        an earlier interrupt, since it was sent: detach it from what it
-        waits for now, and drop the interrupt if it has ended."""
-        if self._triggered:
-            return
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            # Its firing must no longer resume us.
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._resume(event)
-
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         env = self.env
-        env._active_process = self
-        self._target = None
         generator = self._generator
         while True:
             try:
@@ -299,8 +235,6 @@ class Process(Event):
             if callbacks is not None:
                 # Event still pending/triggered-not-processed: wait for it.
                 callbacks.append(self._resume)
-                self._target = next_event
-                env._active_process = None
                 return
             # Event already processed: loop around immediately with it.
             event = next_event
@@ -308,7 +242,6 @@ class Process(Event):
         self._triggered = True
         env._eid += 1
         env._normal.append(self)
-        env._active_process = None
 
 
 class ConditionEvent(Event):
@@ -386,11 +319,10 @@ class Environment:
     """The simulation clock and event calendar.
 
     The calendar's order is ``(time, priority, insertion)``, with process
-    starts and interrupts *urgent* (before ordinary events at the same
-    instant, as in simpy).  It is kept in three places:
+    starts *urgent* (before ordinary events at the same instant, as in
+    simpy).  It is kept in three places:
 
-    * ``_urgent``: process starts and interrupts, which only ever arise at
-      ``now``;
+    * ``_urgent``: process starts, which only ever arise at ``now``;
     * ``_normal``: ordinary entries due at ``now`` (``succeed``/``fail``,
       process ends, timeouts whose delay does not move the clock);
     * ``_queue``: a heap of ``(time, insertion, event)`` for entries strictly
@@ -412,17 +344,11 @@ class Environment:
         self._normal: Deque[Event] = deque()
         self._queue: List[Tuple[float, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         #: Optional deterministic span recorder (see ``repro.trace``).
         #: Components that model time (disks, interconnects) duck-type it
         #: via ``getattr(env, "tracer", None)``; ``None`` disables tracing
         #: at zero cost.  Attached by whoever builds the model.
         self.tracer: Optional[Any] = None
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped (None between steps)."""
-        return self._active_process
 
     # -- event factories ----------------------------------------------------
     def event(self) -> Event:

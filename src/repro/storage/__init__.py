@@ -30,14 +30,9 @@ All managers implement the same :class:`RecoveryManager` interface and the
 same contract, checked by shared property-based tests: after any sequence
 of operations, crashes, and recoveries, every committed transaction's
 effects are durable and no uncommitted effect is visible.
-
-:class:`BTree` stores its nodes as pages of any manager, encoded with the
-record codec (:func:`encode_record`/:func:`decode_record`), so its page
-splits commit, abort and survive crashes under every architecture.
 """
 
 from repro.storage.archive import ArchiveDumpMixin
-from repro.storage.btree import BTree, KeyTooLargeError
 from repro.storage.differential import DifferentialFileManager
 from repro.storage.errors import (
     LockConflict,
@@ -47,7 +42,6 @@ from repro.storage.errors import (
 from repro.storage.interface import RecoveryManager
 from repro.storage.modern import CommandLoggingManager, RedoOnlyWalManager
 from repro.storage.overwrite import OverwritingManager, OverwriteVariant
-from repro.storage.records import RecordCodecError, decode_record, encode_record
 from repro.storage.shadow import ShadowPageTableManager
 from repro.storage.stable import StableStorage
 from repro.storage.versions import VersionSelectionManager
@@ -55,15 +49,12 @@ from repro.storage.wal import DistributedWalManager
 
 __all__ = [
     "ArchiveDumpMixin",
-    "BTree",
     "CommandLoggingManager",
     "DifferentialFileManager",
     "DistributedWalManager",
-    "KeyTooLargeError",
     "LockConflict",
     "OverwriteVariant",
     "OverwritingManager",
-    "RecordCodecError",
     "RecoveryManager",
     "RedoOnlyWalManager",
     "ShadowPageTableManager",
@@ -71,6 +62,4 @@ __all__ = [
     "StorageError",
     "UnknownTransaction",
     "VersionSelectionManager",
-    "decode_record",
-    "encode_record",
 ]

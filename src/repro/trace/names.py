@@ -97,7 +97,7 @@ SCRATCH_WRITE = "scratch.write"
 OVERWRITE = "overwrite"
 #: Commit-time page-table entry updates and flushes (shadow).
 PT_UPDATE = "pt.update"
-#: Page-table flush outside commit (shadow checkpoint).
+#: Commit-time flush of the dirty page-table pages (shadow).
 PT_FLUSH = "pt.flush"
 #: Commit-time A/D-file append (differential).
 APPEND = "append"

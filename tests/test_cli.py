@@ -54,6 +54,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize(
+        "choice", [["--policy", "token-bucket"], ["--arrival", "bursty"]]
+    )
+    def test_loadtest_rejects_removed_choices(self, choice, capsys):
+        # Neither is a loadtest choice: argparse turns it away (status 2)
+        # before any sweep is built.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["loadtest", "--arch", "wal", "--states", "healthy", *choice])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestTraceCommand:
     def test_trace_prints_flame_and_writes_valid_json(self, capsys, tmp_path):

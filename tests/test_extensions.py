@@ -159,37 +159,3 @@ class TestHotspotWorkload:
         uniform = run(None)
         skewed = run(0.001)  # hot set of ~120 pages
         assert skewed.counter("lock_blocks") > uniform.counter("lock_blocks")
-
-
-class TestGroupCommit:
-    def run_logging(self, window, n=10):
-        config = MachineConfig()
-        txns = generate_transactions(
-            WorkloadConfig(n_transactions=n, max_pages=120),
-            config.db_pages,
-            RandomStreams(7).stream("workload"),
-        )
-        arch = ParallelLoggingArchitecture(
-            LoggingConfig(group_commit_window_ms=window)
-        )
-        machine = DatabaseMachine(config, arch)
-        return machine.run(txns), txns
-
-    def test_group_commit_reduces_forced_writes(self):
-        immediate, _ = self.run_logging(window=None)
-        grouped, _ = self.run_logging(window=100.0)
-        assert grouped.counter("log_forces") <= immediate.counter("log_forces")
-
-    def test_group_commit_preserves_correctness(self):
-        result, txns = self.run_logging(window=100.0)
-        assert all(t.status is TransactionStatus.COMMITTED for t in txns)
-        # Every update still reaches the disk.
-        assert result.counter("data_pages_written") == sum(t.n_writes for t in txns)
-
-    def test_group_commit_costs_little_throughput(self):
-        immediate, _ = self.run_logging(window=None)
-        grouped, _ = self.run_logging(window=50.0)
-        assert (
-            grouped.execution_time_per_page
-            <= 1.08 * immediate.execution_time_per_page
-        )

@@ -39,38 +39,6 @@ class TestPoisson:
         assert list(sched.times_ms) == sorted(sched.times_ms)
 
 
-class TestBursty:
-    def test_arrivals_confined_to_on_windows(self):
-        sched = schedule(process="bursty", rate_tps=8.0, n_arrivals=200)
-        assert sched.on_windows_ms
-        for t in sched.times_ms:
-            assert any(start <= t <= end for start, end in sched.on_windows_ms)
-
-    def test_duty_cycle_matches_config(self):
-        # Equal on/off means: about half the elapsed time should be ON.
-        sched = schedule(
-            process="bursty",
-            rate_tps=8.0,
-            n_arrivals=300,
-            burst_on_ms=400.0,
-            burst_off_ms=400.0,
-        )
-        span = sched.times_ms[-1]
-        on_time = sum(
-            max(0.0, min(end, span) - start)
-            for start, end in sched.on_windows_ms
-            if start < span
-        )
-        assert 0.35 <= on_time / span <= 0.65
-
-    def test_long_run_rate_preserved(self):
-        # The ON-state rate is scaled by (on+off)/on, so the long-run
-        # offered rate stays near rate_tps despite the silent gaps.
-        sched = schedule(process="bursty", rate_tps=8.0, n_arrivals=400)
-        rate = 1000.0 * sched.offered / sched.times_ms[-1]
-        assert 6.0 <= rate <= 10.0
-
-
 class TestDiurnal:
     def test_profile_integral_preserves_rate(self):
         # The sinusoid integrates to zero over a full period, so over
@@ -101,7 +69,7 @@ class TestDiurnal:
         assert first > 1.5 * second
 
 
-class TestSpikesAndClients:
+class TestSpikes:
     def test_spike_window_concentrates_arrivals(self):
         spike = Spike(start_ms=1_000.0, duration_ms=1_000.0, multiplier=6.0)
         sched = schedule(
@@ -113,30 +81,13 @@ class TestSpikesAndClients:
         assert in_window > 2.0 * base_expectation
         assert sched.spike_starts_ms == (1_000.0,)
 
-    def test_client_pacing_enforces_think_gaps(self):
-        sched = schedule(
-            process="poisson",
-            rate_tps=50.0,
-            n_arrivals=60,
-            n_clients=3,
-            think_time_ms=200.0,
-        )
-        assert len(sched.clients) == 60
-        assert set(sched.clients) <= {0, 1, 2}
-        # Sorted overall, and the pacing stretches the schedule well
-        # beyond what 50 tps alone would produce.
-        assert list(sched.times_ms) == sorted(sched.times_ms)
-        unpaced = schedule(process="poisson", rate_tps=50.0, n_arrivals=60)
-        assert sched.times_ms[-1] > unpaced.times_ms[-1]
-
 
 class TestDeterminism:
-    @pytest.mark.parametrize("process", ["poisson", "bursty", "diurnal"])
+    @pytest.mark.parametrize("process", ["poisson", "diurnal"])
     def test_same_seed_same_schedule(self, process):
         a = schedule(process=process, n_arrivals=80, seed=7)
         b = schedule(process=process, n_arrivals=80, seed=7)
         assert a.times_ms == b.times_ms
-        assert a.on_windows_ms == b.on_windows_ms
 
     def test_different_seed_different_schedule(self):
         a = schedule(process="poisson", n_arrivals=80, seed=7)
@@ -159,10 +110,7 @@ class TestValidation:
             {"process": "lunar"},
             {"rate_tps": 0.0},
             {"n_arrivals": 0},
-            {"burst_on_ms": 0.0},
             {"diurnal_amplitude": 1.0},
-            {"n_clients": 0},
-            {"think_time_ms": -1.0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

@@ -7,7 +7,6 @@ from repro.sim import (
     AnyOf,
     Environment,
     Event,
-    Interrupt,
     SimulationError,
     Timeout,
 )
@@ -266,105 +265,6 @@ class TestProcess:
         env = Environment()
         with pytest.raises(SimulationError):
             env.process(lambda: None)
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self):
-        env = Environment()
-        seen = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-            except Interrupt as interrupt:
-                seen.append((env.now, interrupt.cause))
-
-        def killer(env, target):
-            yield env.timeout(4)
-            target.interrupt("enough")
-
-        target = env.process(sleeper(env))
-        env.process(killer(env, target))
-        env.run()
-        assert seen == [(4, "enough")]
-
-    def test_interrupted_process_can_rewait(self):
-        env = Environment()
-        seen = []
-
-        def sleeper(env):
-            timeout = env.timeout(10)
-            try:
-                yield timeout
-            except Interrupt:
-                yield timeout  # original event still valid
-            seen.append(env.now)
-
-        def killer(env, target):
-            yield env.timeout(2)
-            target.interrupt()
-
-        target = env.process(sleeper(env))
-        env.process(killer(env, target))
-        env.run()
-        assert seen == [10]
-
-    def test_interrupt_dead_process_raises(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(1)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_interrupt_before_start_detaches_on_delivery(self):
-        # The target starts (and waits) between the interrupt being sent
-        # and delivered; the event it waits for must not resume it again.
-        env = Environment()
-        seen = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(0)
-            except Interrupt as interrupt:
-                seen.append(interrupt.cause)
-            return "done"
-
-        procs = {}
-
-        def killer(env):
-            procs["sleeper"].interrupt("early")
-            yield env.timeout(1)
-
-        env.process(killer(env))  # starts first
-        procs["sleeper"] = env.process(sleeper(env))
-        env.run()
-        assert seen == ["early"]
-        assert procs["sleeper"].value == "done"
-
-    def test_interrupt_of_process_ended_before_delivery_is_dropped(self):
-        env = Environment()
-        seen = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(5)
-            except Interrupt as interrupt:
-                seen.append(interrupt.cause)
-
-        def killer(env, target):
-            yield env.timeout(1)
-            target.interrupt("first")
-            target.interrupt("second")  # delivered after the target ends
-
-        target = env.process(sleeper(env))
-        env.process(killer(env, target))
-        env.run()
-        assert seen == ["first"]
-        assert target.ok
 
 
 class TestConditions:

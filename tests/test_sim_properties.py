@@ -10,7 +10,7 @@ from heapq import heappop, heappush
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Environment, Event, Interrupt, Resource, SimulationError
+from repro.sim import Container, Environment, Event, Resource, SimulationError
 from repro.sim.resources import ContainerGet
 
 
@@ -133,7 +133,7 @@ def test_container_conserves_level(amounts):
     def churn(env, amount):
         yield box.get(amount)
         yield env.timeout(1)
-        yield box.put(amount)
+        box.release(amount)
 
     for amount in amounts:
         env.process(churn(env, amount))
@@ -150,8 +150,7 @@ class _HeapOnlyEnvironment(Environment):
 
     Every entry, due now or later, goes through one heap ordered by
     ``(time, key, event)``.  The key folds the old ``(priority, eid)``
-    pair into one number: urgent entries (process starts, interrupts)
-    carry ``eid - 2**62`` and ordinary ones ``eid``, so at equal times
+    pair into one number: urgent entries (process starts) carry ``eid - 2**62`` and ordinary ones ``eid``, so at equal times
     urgent entries come first and each kind keeps insertion order.  The
     lanes the event classes append to are stand-ins that push onto that
     heap; ``peek``, ``step`` and ``run`` are the heap-only ones.
@@ -220,7 +219,6 @@ _OPS = st.one_of(
     st.tuples(st.just("trigger"), _SHARED, st.booleans(), st.booleans()),
     st.tuples(st.just("spawn"), _DELAY),
     st.tuples(st.just("spawn-on"), _SHARED, _DELAY),
-    st.tuples(st.just("interrupt"), st.integers(min_value=0, max_value=5)),
     st.tuples(st.sampled_from(["all", "any"]), _SHARED, _DELAY),
     st.tuples(st.just("raise")),
 )
@@ -287,10 +285,6 @@ def _soup_run(soup, until, drive, kernel=Environment, initial_time=0.0):
                     spawn_on(shared[op[1]], op[2], f"cb-child{pid}")
                     timer = watch(env.timeout(_DELAYS[op[2]]), f"timer{pid}")
                     spawn_on(timer, op[2], f"timer-child{pid}")
-                elif op[0] == "interrupt":
-                    target = procs[op[1] % len(procs)]
-                    if target.is_alive and target is not env.active_process:
-                        target.interrupt(pid)
                 elif op[0] in ("all", "any"):
                     parts = [shared[op[1]], env.timeout(_DELAYS[op[2]])]
                     condition = env.all_of(parts) if op[0] == "all" else env.any_of(parts)
@@ -302,8 +296,6 @@ def _soup_run(soup, until, drive, kernel=Environment, initial_time=0.0):
                 if op[0] == "raise":
                     raise
                 log.append((env.now, pid, "caught", str(exc)))
-            except Interrupt as exc:
-                log.append((env.now, pid, "interrupted", exc.cause))
         return pid
 
     for pid, ops in enumerate(soup):
@@ -381,7 +373,7 @@ def test_run_matches_stepping(soup, until):
 def test_lanes_match_heap_only_calendar(soup, until, clock, drive):
     """The laned calendar processes every entry in the heap-only order,
     counts the same entries and peeks the same times: zero and sub-ulp
-    delays, callback-started processes, interrupts, conditions, failed
+    delays, callback-started processes, conditions, failed
     and defused events, and every way of driving the run."""
     assert _soup_run(soup, until, drive, Environment, clock) == _soup_run(
         soup, until, drive, _HeapOnlyEnvironment, clock
@@ -405,8 +397,6 @@ class _GeneralPathContainer(Container):
     def release(self, amount):
         if amount <= 0:
             raise SimulationError("release amount must be positive")
-        if self._putters:
-            raise SimulationError("release while puts are pending")
         if self._level + amount > self.capacity:
             raise SimulationError("release overflows")
         self._level += amount
@@ -416,16 +406,6 @@ class _GeneralPathContainer(Container):
         progress = True
         while progress:
             progress = False
-            if self._putters:
-                put = self._putters[0]
-                if put.triggered:
-                    self._putters.popleft()
-                    progress = True
-                elif self._level + put.amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += put.amount
-                    put.succeed()
-                    progress = True
             if self._getters:
                 get = self._getters[0]
                 if get.triggered:
@@ -440,9 +420,9 @@ class _GeneralPathContainer(Container):
 
 _CONTAINER_OPS = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["get", "put", "release"]), st.integers(1, 3)),
-        # Withdraw the k-th still-pending get or put (an interrupted
-        # waiter's leftover, which dispatch must skip).
+        st.tuples(st.sampled_from(["get", "release"]), st.integers(1, 3)),
+        # Withdraw the k-th still-pending get (a cancelled waiter's
+        # leftover, which dispatch must skip).
         st.tuples(st.just("cancel"), st.integers(0, 5)),
         st.tuples(st.just("step"), st.integers(1, 3)),
     ),
@@ -459,8 +439,8 @@ def _container_script(cls, capacity, init, ops):
     history = []
     for op, arg in ops:
         outcome = None
-        if op in ("get", "put"):
-            evt = getattr(box, op)(arg)
+        if op == "get":
+            evt = box.get(arg)
             evt.callbacks.append(lambda e, i=len(issued): processed.append(i))
             issued.append(evt)
         elif op == "release":
