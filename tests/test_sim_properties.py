@@ -150,8 +150,9 @@ class _HeapOnlyEnvironment(Environment):
 
     Every entry, due now or later, goes through one heap ordered by
     ``(time, key, event)``.  The key folds the old ``(priority, eid)``
-    pair into one number: urgent entries (process starts) carry ``eid - 2**62`` and ordinary ones ``eid``, so at equal times
-    urgent entries come first and each kind keeps insertion order.  The
+    pair into one number: urgent entries (process starts) carry
+    ``eid - 2**62`` and ordinary ones ``eid``, so at equal times urgent
+    entries come first and each kind keeps insertion order.  The
     lanes the event classes append to are stand-ins that push onto that
     heap; ``peek``, ``step`` and ``run`` are the heap-only ones.
     """
@@ -373,8 +374,8 @@ def test_run_matches_stepping(soup, until):
 def test_lanes_match_heap_only_calendar(soup, until, clock, drive):
     """The laned calendar processes every entry in the heap-only order,
     counts the same entries and peeks the same times: zero and sub-ulp
-    delays, callback-started processes, conditions, failed
-    and defused events, and every way of driving the run."""
+    delays, callback-started processes, conditions, failed and defused
+    events, and every way of driving the run."""
     assert _soup_run(soup, until, drive, Environment, clock) == _soup_run(
         soup, until, drive, _HeapOnlyEnvironment, clock
     )
