@@ -16,7 +16,7 @@ line; lines of a nested function count for the nested function only.
 Unit tests are deliberately not a driver: a capability that only tests
 reach is what this probe looks for.
 
-Run from the repository root (about ten minutes on two vCPUs; every
+Run from the repository root (about seven minutes on two vCPUs; every
 driver runs with one worker so the collector sees all of its calls)::
 
     PYTHONPATH=src python benchmarks/reach_probe.py
