@@ -3,8 +3,8 @@
 Runs every driver that produces a number or an artifact here, in this
 one process under a ``cProfile`` call collector:
 
-* each ``repro`` CLI subcommand, every ``loadtest --arrival``/``--policy``
-  choice, the ``--json`` writers and ``crashtest --plan`` replay;
+* each ``repro`` CLI subcommand, every ``loadtest --arrival`` choice, the
+  ``--json`` writers and ``crashtest --plan`` replay;
 * every ``BENCH_*.json`` grid, through ``repro bench`` (which rewrites
   ``benchmarks/output/`` as any bench run does) and ``bench-diff``;
 * the lint CLI, one pass of each ``perfbench`` workload, every example.
@@ -147,7 +147,6 @@ def drivers(scratch: str) -> List[Callable[[], int]]:
     from repro.experiments.tables import ABLATIONS, TABLES
     from repro.faults import FaultKind, FaultPlan, FaultSpec
     from repro.loadgen.arrivals import PROCESSES
-    from repro.machine.config import ADMISSION_POLICIES
 
     def out(name: str) -> str:
         return os.path.join(scratch, name)
@@ -172,7 +171,6 @@ def drivers(scratch: str) -> List[Callable[[], int]]:
     ]
     small = ("--arch", "wal", "-n", "6", "--states", "healthy")
     runs += [_repro("loadtest", "--arrival", a, *small) for a in PROCESSES]
-    runs += [_repro("loadtest", "--policy", p, *small) for p in ADMISSION_POLICIES]
     runs += [
         _repro("checkpoint-sweep", "-n", "10", "-o", out("sweep.txt")),
         _repro("trace", "--arch", "all", "-n", "4", "-o", out("trace.json"), "--timeline"),

@@ -44,7 +44,6 @@ from repro.loadgen.arrivals import PROCESSES, ArrivalConfig
 from repro.loadgen.loadtest import DEFAULT_MULTIPLIERS, sweep_architectures
 from repro.loadgen.runner import DEGRADED_STATES
 from repro.machine import MachineConfig
-from repro.machine.config import ADMISSION_POLICIES
 from repro.registry import add_arch_argument, resolve_archs
 from repro.resilience import run_scrubtest, run_survivetest
 from repro.trace import (
@@ -169,12 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="poisson",
         choices=sorted(PROCESSES),
         help="arrival process per cell (default: poisson)",
-    )
-    loadtest.add_argument(
-        "--policy",
-        default="drop",
-        choices=ADMISSION_POLICIES,
-        help="admission policy of the bounded queue (default: drop)",
     )
     loadtest.add_argument(
         "--slo-ms",
@@ -447,7 +440,6 @@ def _run_loadtest(args) -> int:
         n_per_cell=args.transactions,
         multipliers=multipliers,
         arrival=ArrivalConfig(process=args.arrival),
-        policy=args.policy,
         slo_ms=args.slo_ms,
     )
     # The sweep contract: oracles hold in every cell AND the swept range

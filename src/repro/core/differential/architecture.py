@@ -7,7 +7,7 @@ Cost model, following the paper's assumptions:
   of the base file, 10 % by default);
 * processing a B or A page includes the set-difference against the
   transaction's D pages — against *all* of them under the basic strategy,
-  and only for the ``qualify_fraction`` of pages that produce at least one
+  and only for the ``QUALIFY_FRACTION`` of pages that produce at least one
   qualifying tuple under the optimal strategy;
 * an updated page creates only ``output_fraction`` (10 %) of an output
   page of A/D tuples; a transaction's appends are written sequentially at
@@ -20,7 +20,7 @@ A and D extents live in the reserved cylinders of the data disks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.base import AuxRead, DataPage, RecoveryArchitecture, WorkItem
@@ -28,6 +28,10 @@ from repro.hardware.placement import RingAllocator
 from repro.sim.monitor import CounterStat
 
 __all__ = ["DifferentialConfig", "DifferentialFileArchitecture"]
+
+#: Fraction of B/A pages yielding at least one qualifying tuple, i.e.
+#: paying the set-difference under the optimal strategy.
+QUALIFY_FRACTION = 0.35
 
 
 @dataclass(frozen=True)
@@ -40,20 +44,12 @@ class DifferentialConfig:
     output_fraction: float = 0.10
     #: Optimal (diff only qualifying pages) vs basic (diff everything).
     optimal: bool = True
-    #: Fraction of B/A pages yielding at least one qualifying tuple, i.e.
-    #: paying the set-difference under the optimal strategy.
-    qualify_fraction: float = 0.35
 
     def __post_init__(self) -> None:
         if not 0.0 < self.size_fraction <= 1.0:
             raise ValueError(f"size_fraction {self.size_fraction} not in (0, 1]")
         if not 0.0 < self.output_fraction <= 1.0:
             raise ValueError(f"output_fraction {self.output_fraction} not in (0, 1]")
-        if not 0.0 <= self.qualify_fraction <= 1.0:
-            raise ValueError(f"qualify_fraction {self.qualify_fraction} not in [0, 1]")
-
-    def with_overrides(self, **kwargs) -> "DifferentialConfig":
-        return replace(self, **kwargs)
 
 
 class DifferentialFileArchitecture(RecoveryArchitecture):
@@ -103,7 +99,7 @@ class DifferentialFileArchitecture(RecoveryArchitecture):
         d_pages = self.diff_pages_for(txn)
         full = cfg.cpu.ms(cfg.cost.set_difference_per_d_page) * d_pages
         if self.config_diff.optimal:
-            return self.config_diff.qualify_fraction * full
+            return QUALIFY_FRACTION * full
         return full
 
     # -- workload shaping --------------------------------------------------------------

@@ -16,7 +16,7 @@ Flow for every updated page:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.checkpoint import sim_checkpointer
@@ -30,19 +30,23 @@ from repro.core.logging.selection import (
 )
 from repro.hardware.disk import ConventionalDisk
 from repro.hardware.interconnect import Interconnect, MessageLost
-from repro.hardware.params import IBM_3350, DiskParams
+from repro.hardware.params import IBM_3350
 from repro.sim.monitor import CounterStat
 
 __all__ = ["FragmentRouting", "LogMode", "LoggingConfig", "ParallelLoggingArchitecture"]
 
-#: Default delivery attempts per fragment (each attempt re-selects a live
-#: log processor; each link attempt itself retransmits with backoff).
-#: Configurable per machine via ``MachineConfig.log_ship_max_attempts``.
+#: Delivery attempts per fragment (each attempt re-selects a live log
+#: processor; each link attempt itself retransmits with backoff).
 MAX_SHIP_ATTEMPTS = 4
 
-#: Default linear backoff between shipping attempts, in ms.  Configurable
-#: per machine via ``MachineConfig.log_ship_backoff_ms``.
+#: Linear backoff between shipping attempts, in ms.
 SHIP_RETRY_BACKOFF_MS = 2.0
+
+#: Drive model of every log processor's private log disk.
+LOG_DISK = IBM_3350
+
+#: Cache-routing overhead: two extra cache operations by the QP.
+CACHE_ROUTE_CPU_INSTRUCTIONS = 2_000
 
 
 class LogMode(enum.Enum):
@@ -75,9 +79,6 @@ class LoggingConfig:
     link_bandwidth_mb_s: float = 1.0
     #: Logical fragment size; ~6 fragments fill a 4 KB log page.
     fragment_bytes: int = 600
-    log_disk: DiskParams = IBM_3350
-    #: Cache-routing overhead: two extra cache operations by the QP.
-    cache_route_cpu_instructions: int = 2_000
     #: Period of background checkpoints, in ms (None disables them).  The
     #: paper (Section 3.1, ref [13]) claims checkpointing can run in
     #: parallel with normal processing without quiescing: each checkpoint
@@ -91,12 +92,9 @@ class LoggingConfig:
         if self.fragment_bytes < 1:
             raise ValueError("fragment must have positive size")
 
-    def with_overrides(self, **kwargs) -> "LoggingConfig":
-        return replace(self, **kwargs)
-
     @property
     def fragments_per_log_page(self) -> int:
-        return max(1, self.log_disk.page_size // self.fragment_bytes)
+        return max(1, LOG_DISK.page_size // self.fragment_bytes)
 
 
 class ParallelLoggingArchitecture(RecoveryArchitecture):
@@ -123,7 +121,7 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
         for i in range(cfg.n_log_processors):
             disk = ConventionalDisk(
                 machine.env,
-                cfg.log_disk,
+                LOG_DISK,
                 name=f"log{i}",
                 rng=machine.streams.stream(f"disk.log{i}"),
             )
@@ -242,7 +240,7 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
             else:
                 ms += cpu.ms(2 * cost.copy_page_image)
             if self.config_log.routing is FragmentRouting.CACHE:
-                ms += cpu.ms(self.config_log.cache_route_cpu_instructions)
+                ms += cpu.ms(CACHE_ROUTE_CPU_INSTRUCTIONS)
         return ms
 
     # -- fragment shipping -----------------------------------------------------------
@@ -294,23 +292,21 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
         Each attempt re-checks that the target log processor is still alive
         (it may die while the fragment is on the wire) and re-selects among
         the survivors; link loss is absorbed by the interconnect's own
-        bounded retransmission.  After ``MachineConfig.log_ship_max_attempts``
-        tries the machine gives up and the failure surfaces from ``run()``.
+        bounded retransmission.  After ``MAX_SHIP_ATTEMPTS`` tries the
+        machine gives up and the failure surfaces from ``run()``.
         """
         cfg = self.config_log
         machine = self.machine
-        max_attempts = machine.config.log_ship_max_attempts
-        backoff_ms = machine.config.log_ship_backoff_ms
         payload = (
             cfg.fragment_bytes
             if self._fragment_mode(fragment.tid) is LogMode.LOGICAL
-            else 2 * cfg.log_disk.page_size
+            else 2 * LOG_DISK.page_size
         )
         last_error: Optional[Exception] = None
-        for attempt in range(max_attempts):
+        for attempt in range(MAX_SHIP_ATTEMPTS):
             if attempt:
                 self.ship_retries.increment()
-                yield machine.env.timeout(backoff_ms * attempt)
+                yield machine.env.timeout(SHIP_RETRY_BACKOFF_MS * attempt)
                 lp_index = self._pick_alive(fragment.tid)
             lp = self.log_processors[lp_index]
             if not lp.alive:
@@ -326,7 +322,7 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
                 # fragment for the duration of the two cache operations.
                 yield machine.cache.acquire(1)
                 yield machine.env.timeout(
-                    machine.config.cpu.ms(cfg.cache_route_cpu_instructions)
+                    machine.config.cpu.ms(CACHE_ROUTE_CPU_INSTRUCTIONS)
                 )
                 machine.cache.release(1)
             if not lp.alive:
@@ -342,7 +338,7 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
             return
         raise last_error or NoLiveLogProcessor(
             f"fragment t{fragment.tid}.p{fragment.page} undeliverable "
-            f"after {max_attempts} attempts"
+            f"after {MAX_SHIP_ATTEMPTS} attempts"
         )
 
     def _fragments_of(self, txn) -> Dict[int, LogFragment]:

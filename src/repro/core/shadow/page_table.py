@@ -15,7 +15,7 @@ from collections import OrderedDict
 from typing import Dict, List
 
 from repro.hardware.disk import ConventionalDisk, Disk, DiskAddress
-from repro.hardware.params import DiskParams
+from repro.hardware.params import IBM_3350, DiskParams
 from repro.sim.core import Environment, Event
 from repro.sim.monitor import CounterStat
 
@@ -30,12 +30,15 @@ class PageTableSubsystem:
         env: Environment,
         n_processors: int,
         buffer_pages: int,
-        entries_per_page: int,
         db_pages: int,
-        disk_params: DiskParams,
         streams,
+        entries_per_page: int = 1024,
+        disk_params: DiskParams = IBM_3350,
         stride_pages: int = 8,
     ):
+        """``entries_per_page`` defaults to the paper's ">1000 page-table
+        entries" per 4 KB PT page (Section 4.2.1); :meth:`_locate`
+        explains ``stride_pages``."""
         if n_processors < 1:
             raise ValueError("need at least one page-table processor")
         if buffer_pages < 1:

@@ -15,12 +15,11 @@ data pages through a pseudo-random permutation (Section 4.2.3 / Table 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.base import RecoveryArchitecture
 from repro.core.shadow.page_table import PageTableSubsystem
-from repro.hardware.params import IBM_3350, DiskParams
 from repro.hardware.placement import ScrambledPlacement
 
 __all__ = ["PageTableShadowArchitecture", "ShadowConfig"]
@@ -32,24 +31,14 @@ class ShadowConfig:
 
     n_pt_processors: int = 1
     pt_buffer_pages: int = 10
-    #: ">1000 page-table entries" fit a 4 KB PT page (paper Section 4.2.1).
-    entries_per_pt_page: int = 1024
     #: Whether logically adjacent pages stay physically clustered.
     clustered: bool = True
-    pt_disk: DiskParams = IBM_3350
-    #: Distance between consecutive PT pages on a PT disk (the PT disk also
-    #: carries other relations' tables and free-block maps, so PT pages are
-    #: not packed; calibrates PT access time to the paper's Table 4).
-    pt_stride_pages: int = 8
 
     def __post_init__(self) -> None:
         if self.n_pt_processors < 1:
             raise ValueError("need at least one page-table processor")
         if self.pt_buffer_pages < 1:
             raise ValueError("page-table buffer needs at least one page")
-
-    def with_overrides(self, **kwargs) -> "ShadowConfig":
-        return replace(self, **kwargs)
 
 
 class PageTableShadowArchitecture(RecoveryArchitecture):
@@ -75,11 +64,8 @@ class PageTableShadowArchitecture(RecoveryArchitecture):
             machine.env,
             n_processors=cfg.n_pt_processors,
             buffer_pages=cfg.pt_buffer_pages,
-            entries_per_page=cfg.entries_per_pt_page,
             db_pages=machine.config.db_pages,
-            disk_params=cfg.pt_disk,
             streams=machine.streams,
-            stride_pages=cfg.pt_stride_pages,
         )
 
     # -- indirection ------------------------------------------------------------

@@ -510,10 +510,7 @@ def _hotspot_rows(settings: ExperimentSettings) -> List[Dict]:
             CONFIGURATIONS["conventional-random"],
             _logging().factory,
             settings,
-            workload_overrides={
-                "hotspot_fraction": hotspot,
-                "hotspot_probability": 0.8,
-            },
+            workload_overrides={"hotspot_fraction": hotspot},
         )
         rows.append(
             {

@@ -119,6 +119,3 @@ class CostModel:
     version_select: int = 1_000
     #: Probing one page-table entry in the page-table buffer.
     pt_lookup: int = 500
-
-    def with_overrides(self, **kwargs) -> "CostModel":
-        return replace(self, **kwargs)

@@ -14,8 +14,8 @@ thinning (candidates at the peak rate, accepted with ``r(t)/r_max``):
 
 * **poisson** — homogeneous rate ``rate_tps``;
 * **diurnal** — a sinusoidal profile
-  ``rate_tps * (1 + amplitude * sin(2*pi*t/period))``, the classic
-  day/night load shape compressed to simulation scale.
+  ``rate_tps * (1 + DIURNAL_AMPLITUDE * sin(2*pi*t/DIURNAL_PERIOD_MS))``,
+  the classic day/night load shape compressed to simulation scale.
 
 Scripted **spikes** multiply the rate inside ``[start, start+duration)``
 windows.
@@ -24,7 +24,7 @@ windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.sim.rng import RandomStreams
@@ -33,6 +33,10 @@ __all__ = ["ArrivalConfig", "ArrivalSchedule", "PROCESSES", "Spike", "generate_a
 
 #: The registered arrival processes.
 PROCESSES = ("poisson", "diurnal")
+
+#: Period and relative amplitude of the diurnal profile.
+DIURNAL_PERIOD_MS = 60_000.0
+DIURNAL_AMPLITUDE = 0.8
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,6 @@ class ArrivalConfig:
     rate_tps: float = 4.0
     #: Schedule length (the generator stops after this many arrivals).
     n_arrivals: int = 30
-    #: Period and relative amplitude of the diurnal profile.
-    diurnal_period_ms: float = 60_000.0
-    diurnal_amplitude: float = 0.8
     spikes: Tuple[Spike, ...] = ()
 
     def __post_init__(self) -> None:
@@ -77,15 +78,6 @@ class ArrivalConfig:
             raise ValueError(f"offered rate must be > 0 tps, got {self.rate_tps}")
         if self.n_arrivals < 1:
             raise ValueError("need at least one arrival")
-        if self.diurnal_period_ms <= 0:
-            raise ValueError(f"diurnal period must be > 0, got {self.diurnal_period_ms}")
-        if not 0.0 <= self.diurnal_amplitude < 1.0:
-            raise ValueError(
-                f"diurnal amplitude {self.diurnal_amplitude} not in [0, 1)"
-            )
-
-    def with_overrides(self, **kwargs) -> "ArrivalConfig":
-        return replace(self, **kwargs)
 
     def spike_multiplier(self, t_ms: float) -> float:
         """The combined scripted-spike rate multiplier at ``t_ms``."""
@@ -135,8 +127,8 @@ def _base_rate_per_ms(config: ArrivalConfig, t_ms: float) -> float:
     """The profile rate (before spikes) at ``t_ms``, in arrivals/ms."""
     rate = config.rate_tps / 1000.0
     if config.process == "diurnal":
-        rate *= 1.0 + config.diurnal_amplitude * math.sin(
-            2.0 * math.pi * t_ms / config.diurnal_period_ms
+        rate *= 1.0 + DIURNAL_AMPLITUDE * math.sin(
+            2.0 * math.pi * t_ms / DIURNAL_PERIOD_MS
         )
     return rate
 
@@ -145,7 +137,7 @@ def _thinned_times(config: ArrivalConfig, rng):
     """Generator of accepted arrival instants by thinning at the peak rate."""
     peak = (
         (config.rate_tps / 1000.0)
-        * (1.0 + config.diurnal_amplitude if config.process == "diurnal" else 1.0)
+        * (1.0 + DIURNAL_AMPLITUDE if config.process == "diurnal" else 1.0)
         * _peak_multiplier(config)
     )
     t = 0.0

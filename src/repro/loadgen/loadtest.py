@@ -14,7 +14,7 @@ arrival process and workload, and reports:
   plateaus.  That is the overload story the paper's closed batch cannot
   show.
 * **the knee** — the first cell past the goodput peak at or below
-  ``knee_fraction`` (default 0.8) of the peak.  If the sweep never bends,
+  ``KNEE_FRACTION`` (0.8) of the peak.  If the sweep never bends,
   the harness extends it by doubling the top multiplier a few times.
 * **latency vs SLO** — p50/p95/p99 sojourn per cell.
 
@@ -55,6 +55,13 @@ DEFAULT_MULTIPLIERS: Tuple[float, ...] = (0.4, 0.8, 1.2, 2.0, 3.5)
 #: Extra doubling steps appended when the sweep ends without a knee.
 _MAX_EXTENSIONS = 3
 
+#: The knee is the first cell past the peak at or below this share of the
+#: peak goodput.
+KNEE_FRACTION = 0.8
+
+#: Default SLO as a multiple of the closed-batch mean completion time.
+SLO_FACTOR = 2.5
+
 
 @dataclass(frozen=True)
 class Calibration:
@@ -90,7 +97,6 @@ class LoadTestReport:
     state: str
     seed: int
     arrival_process: str
-    policy: str
     slo_ms: float
     calibration: Calibration
     cells: List[LoadCell] = field(default_factory=list)
@@ -114,12 +120,12 @@ class LoadTestReport:
             return None
         return max(self.cells, key=lambda c: c.run.goodput_tps)
 
-    def knee(self, fraction: float = 0.8) -> Optional[LoadCell]:
-        """First cell past the peak with goodput <= fraction * peak."""
+    def knee(self) -> Optional[LoadCell]:
+        """First cell past the peak with goodput <= KNEE_FRACTION * peak."""
         peak = self.peak
         if peak is None or peak.run.goodput_tps <= 0:
             return None
-        threshold = fraction * peak.run.goodput_tps
+        threshold = KNEE_FRACTION * peak.run.goodput_tps
         past_peak = False
         for cell in self.cells:
             if cell is peak:
@@ -137,7 +143,7 @@ class LoadTestReport:
             "state": self.state,
             "seed": self.seed,
             "arrival_process": self.arrival_process,
-            "policy": self.policy,
+            "policy": "drop",
             "slo_ms": self.slo_ms,
             "capacity_tps": self.calibration.capacity_tps,
             "closed_makespan_ms": self.calibration.makespan_ms,
@@ -158,7 +164,7 @@ class LoadTestReport:
         lines = [
             f"loadtest {self.architecture} [{self.state}] "
             f"seed={self.seed} process={self.arrival_process} "
-            f"policy={self.policy}",
+            "policy=drop",
             f"  capacity {self.calibration.capacity_tps:.2f} tps "
             f"(closed makespan {self.calibration.makespan_ms:.0f} ms), "
             f"SLO {self.slo_ms:.0f} ms",
@@ -210,19 +216,15 @@ def run_loadtest(
     n_per_cell: int = 24,
     multipliers: Sequence[float] = DEFAULT_MULTIPLIERS,
     arrival: Optional[ArrivalConfig] = None,
-    policy: str = "drop",
-    slo_factor: float = 2.5,
     slo_ms: Optional[float] = None,
     state: str = "healthy",
-    knee_fraction: float = 0.8,
     extend: bool = True,
-    config_overrides: Optional[Dict[str, Any]] = None,
 ) -> LoadTestReport:
     """Sweep offered load against ``arch`` and locate the collapse knee.
 
     ``arrival`` provides the process shape (its ``rate_tps`` and
     ``n_arrivals`` are overridden per cell); ``slo_ms`` pins the SLO
-    directly, otherwise it is ``slo_factor`` times the closed-batch mean
+    directly, otherwise it is ``SLO_FACTOR`` times the closed-batch mean
     completion.  ``state`` re-runs the whole sweep under a PR-5 degraded
     machine state.
     """
@@ -233,15 +235,12 @@ def run_loadtest(
     base_arrival = arrival if arrival is not None else ArrivalConfig()
     cal = calibrate(arch, seed, n_per_cell)
     if slo_ms is None:
-        slo_ms = slo_factor * cal.mean_completion_ms
-    overrides = dict(config_overrides or {})
-    overrides.setdefault("admission_policy", policy)
+        slo_ms = SLO_FACTOR * cal.mean_completion_ms
     report = LoadTestReport(
         architecture=arch,
         state=state,
         seed=seed,
         arrival_process=base_arrival.process,
-        policy=policy,
         slo_ms=slo_ms,
         calibration=cal,
     )
@@ -251,24 +250,13 @@ def run_loadtest(
         cell_arrival = replace(
             base_arrival, rate_tps=offered_tps, n_arrivals=n_per_cell
         )
-        run = run_open_load(
-            arch,
-            cell_arrival,
-            seed=seed,
-            slo_ms=slo_ms,
-            state=state,
-            config_overrides=overrides,
-        )
+        run = run_open_load(arch, cell_arrival, seed=seed, slo_ms=slo_ms, state=state)
         return LoadCell(multiplier=multiplier, offered_tps=offered_tps, run=run)
 
     for multiplier in multipliers:
         report.cells.append(run_cell(multiplier))
     extensions = 0
-    while (
-        extend
-        and report.knee(knee_fraction) is None
-        and extensions < _MAX_EXTENSIONS
-    ):
+    while extend and report.knee() is None and extensions < _MAX_EXTENSIONS:
         report.cells.append(run_cell(report.cells[-1].multiplier * 2.0))
         extensions += 1
     return report

@@ -7,13 +7,13 @@ table and cache thrash and goodput collapses.  This module is the
 machine-layer half of the open-system story (the arrival processes live
 in :mod:`repro.loadgen`):
 
-* :class:`AdmissionQueue` — a bounded queue in front of the machine with
-  two policies (``drop``, ``block``-with-timeout),
-  client-side retry with capped exponential backoff, and deadline-based
-  shedding.  Every offered transaction ends in exactly one disposition:
-  **admitted**, **rejected** (turned away, retries exhausted), or
-  **shed** (client deadline expired first) — the accounting oracle
-  ``admitted + rejected + shed = offered`` is checked by the loadtest.
+* :class:`AdmissionQueue` — a bounded queue in front of the machine that
+  turns an arrival away when it is full, client-side retry with capped
+  exponential backoff, and deadline-based shedding.  Every offered
+  transaction ends in exactly one disposition: **admitted**, **rejected**
+  (turned away, retries exhausted), or **shed** (client deadline expired
+  first) — the accounting oracle ``admitted + rejected + shed = offered``
+  is checked by the loadtest.
 * :class:`BackpressureMonitor` — watches the lock table and buffer cache
   against high/low watermarks; while asserted, arrivals are turned away
   at the door regardless of queue room.
@@ -26,10 +26,8 @@ keeping pre-existing traces byte-identical.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.sim.core import Event
 from repro.sim.monitor import CounterStat
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -42,6 +40,24 @@ __all__ = ["AdmissionQueue", "BackpressureMonitor"]
 ADMITTED = "admitted"
 REJECTED = "rejected"
 SHED = "shed"
+
+#: Depth of the bounded admission queue in front of the machine
+#: (admitted-but-not-yet-running transactions).
+ADMISSION_QUEUE_LIMIT = 16
+#: Client-side attempts per offered transaction (first try + retries);
+#: a turned-away client retries with capped exponential backoff.
+ADMISSION_RETRY_MAX_ATTEMPTS = 3
+#: Base of the capped exponential client backoff, in ms.
+ADMISSION_RETRY_BASE_MS = 50.0
+#: Cap on the exponential client backoff, in ms.
+ADMISSION_RETRY_CAP_MS = 400.0
+#: Cache-occupancy fraction at which backpressure asserts (arrivals are
+#: turned away) and the fraction below which it releases.
+BACKPRESSURE_CACHE_HIGH = 0.95
+BACKPRESSURE_CACHE_LOW = 0.75
+#: Waiting lock requests at which backpressure asserts / releases.
+BACKPRESSURE_LOCK_HIGH = 48
+BACKPRESSURE_LOCK_LOW = 12
 
 
 class BackpressureMonitor:
@@ -56,11 +72,6 @@ class BackpressureMonitor:
 
     def __init__(self, machine: "DatabaseMachine"):
         self.machine = machine
-        config = machine.config
-        self._cache_high = config.backpressure_cache_high
-        self._cache_low = config.backpressure_cache_low
-        self._lock_high = config.backpressure_lock_high
-        self._lock_low = config.backpressure_lock_low
         self.active = False
         self.transitions = CounterStat("backpressure.transitions")
         #: Total simulated time spent with backpressure asserted.
@@ -77,7 +88,10 @@ class BackpressureMonitor:
         waiting = machine.locks.waiting_requests
         cache_frac = self._cache_fraction()
         if not self.active:
-            if cache_frac >= self._cache_high or waiting >= self._lock_high:
+            if (
+                cache_frac >= BACKPRESSURE_CACHE_HIGH
+                or waiting >= BACKPRESSURE_LOCK_HIGH
+            ):
                 self.active = True
                 self.transitions.increment()
                 self._asserted_at = machine.env.now
@@ -88,7 +102,10 @@ class BackpressureMonitor:
                 )
                 machine.fault_hook("machine.backpressure.on")
         else:
-            if cache_frac <= self._cache_low and waiting <= self._lock_low:
+            if (
+                cache_frac <= BACKPRESSURE_CACHE_LOW
+                and waiting <= BACKPRESSURE_LOCK_LOW
+            ):
                 self.active = False
                 self.transitions.increment()
                 if self._asserted_at is not None:
@@ -109,67 +126,20 @@ class BackpressureMonitor:
             self._asserted_at = None
 
 
-class _SlotQueue:
-    """Bounded admission slots with cancellable FIFO waiters.
-
-    ``Container`` cannot back this: its getter queue is strictly FIFO and
-    an abandoned (timed-out) getter at the head would wedge everyone
-    behind it.  Here a timed-out waiter is cancelled and skipped.
-    """
-
-    def __init__(self, env, capacity: int):
-        self.env = env
-        self.capacity = capacity
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def depth(self) -> int:
-        return self.in_use
-
-    def try_acquire(self) -> bool:
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            return True
-        return False
-
-    def wait(self) -> Event:
-        """An event granted (FIFO) when a slot frees up."""
-        evt = self.env.event()
-        self._waiters.append(evt)
-        return evt
-
-    def cancel(self, evt: Event) -> None:
-        try:
-            self._waiters.remove(evt)
-        except ValueError:
-            pass
-
-    def release(self) -> None:
-        while self._waiters:
-            nxt = self._waiters.popleft()
-            if nxt.triggered:
-                continue
-            # The slot passes directly to the waiter; occupancy unchanged.
-            nxt.succeed()
-            return
-        self.in_use -= 1
-
-
 class AdmissionQueue:
     """The bounded admission queue in front of the multiprogramming level.
 
     One instance serves one open-system run (:meth:`DatabaseMachine.run_open`).
     ``admit(txn, arrival_ms)`` is a simulation generator driving the whole
-    client-side protocol — policy check, retries with capped exponential
+    client-side protocol — queue check, retries with capped exponential
     backoff, deadline shedding — and returns the final disposition.
     """
 
     def __init__(self, machine: "DatabaseMachine"):
         self.machine = machine
-        config = machine.config
-        self.policy = config.admission_policy
-        self.queue = _SlotQueue(machine.env, config.admission_queue_limit)
+        #: Admitted transactions not yet started (at most
+        #: ``ADMISSION_QUEUE_LIMIT``).
+        self.depth = 0
         self.backpressure = BackpressureMonitor(machine)
         self.offered = CounterStat("admission.offered")
         self.admitted = CounterStat("admission.admitted")
@@ -184,43 +154,28 @@ class AdmissionQueue:
 
     def _backoff_ms(self, attempt: int) -> float:
         """Capped exponential client backoff after the ``attempt``-th try."""
-        config = self.machine.config
         return min(
-            config.admission_retry_cap_ms,
-            config.admission_retry_base_ms * (2.0 ** (attempt - 1)),
+            ADMISSION_RETRY_CAP_MS,
+            ADMISSION_RETRY_BASE_MS * (2.0 ** (attempt - 1)),
         )
 
-    def _try_once(self, txn: "Transaction"):
-        """Generator: one admission attempt; returns True when a slot is held."""
-        machine = self.machine
-        if self.backpressure.update():
+    def _try_once(self) -> bool:
+        """One admission attempt; True when a slot is held."""
+        if self.backpressure.update() or self.depth >= ADMISSION_QUEUE_LIMIT:
             return False
-        if self.queue.try_acquire():
-            return True
-        if self.policy != "block":
-            return False
-        timeout_ms = machine.config.admission_block_timeout_ms
-        if timeout_ms <= 0:
-            return False
-        waiter = self.queue.wait()
-        timeout = machine.env.timeout(timeout_ms)
-        yield machine.env.any_of([waiter, timeout])
-        if waiter.triggered:
-            return True
-        self.queue.cancel(waiter)
-        return False
+        self.depth += 1
+        return True
 
     def admit(self, txn: "Transaction", arrival_ms: float):
         """Generator: run the client protocol; returns the disposition.
 
         On ``ADMITTED`` the caller holds one queue slot and must call
         :meth:`start` when the transaction begins executing (freeing the
-        slot for the next arrival) — or :meth:`queue.release` directly.
+        slot for the next arrival).
         """
         machine = self.machine
         self.offered.increment()
         deadline = self._deadline_of(arrival_ms)
-        max_attempts = machine.config.admission_retry_max_attempts
         attempt = 0
         while True:
             if deadline is not None and machine.env.now >= deadline:
@@ -229,18 +184,17 @@ class AdmissionQueue:
                 machine.fault_hook("machine.admission.shed")
                 return SHED
             attempt += 1
-            got = yield from self._try_once(txn)
-            if got:
+            if self._try_once():
                 self.admitted.increment()
                 machine._tinstant(
                     "admission.enqueue",
                     tid=txn.tid,
                     attempts=attempt,
-                    depth=self.queue.depth,
+                    depth=self.depth,
                 )
                 machine.fault_hook("machine.admission.enqueue")
                 return ADMITTED
-            if attempt >= max_attempts:
+            if attempt >= ADMISSION_RETRY_MAX_ATTEMPTS:
                 self.rejected.increment()
                 machine._tinstant("admission.reject", tid=txn.tid, attempts=attempt)
                 machine.fault_hook("machine.admission.reject")
@@ -254,7 +208,7 @@ class AdmissionQueue:
 
     def start(self) -> None:
         """An admitted transaction left the queue for a processor slot."""
-        self.queue.release()
+        self.depth -= 1
 
     def note_completion(self) -> None:
         """A transaction finished; pressure may have drained."""

@@ -115,7 +115,6 @@ class DatabaseMachine:
                     parallel=config.parallel_data_disks,
                     name=f"data{i}",
                     scheduling=config.disk_scheduling,
-                    rebuild_io_share=config.mirror_rebuild_io_share,
                 )
                 for i in range(config.n_data_disks)
             ]

@@ -28,7 +28,7 @@ See docs/RESILIENCE.md for the failover protocols and their oracles,
 and docs/INTEGRITY.md for the checksum layer and the scrub oracles.
 """
 
-from repro.resilience.health import HealthConfig, HealthMonitor
+from repro.resilience.health import HealthMonitor
 from repro.resilience.scrubber import Scrubber
 from repro.resilience.scrubtest import (
     CORRUPTION_TARGETS,
@@ -48,7 +48,6 @@ from repro.resilience.survivetest import (
 
 __all__ = [
     "CORRUPTION_TARGETS",
-    "HealthConfig",
     "HealthMonitor",
     "Outcome",
     "SCENARIO_KINDS",

@@ -2,7 +2,7 @@
 
 The BEC probes every component (query processors, log processors, data
 disks) on a fixed heartbeat over its own low-bandwidth interconnect.  A
-component that misses ``suspicion_probes`` consecutive probes is declared
+component that misses ``SUSPICION_PROBES`` consecutive probes is declared
 dead and the matching failover is dispatched:
 
 * a dead **query processor**'s in-flight transaction aborts through the
@@ -24,41 +24,25 @@ and a failure at any instant is declared within
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Set, Tuple
 
 from repro.hardware.interconnect import Interconnect
 from repro.sim.monitor import CounterStat
 
-__all__ = ["HealthConfig", "HealthMonitor"]
+__all__ = ["HealthMonitor"]
 
-
-@dataclass(frozen=True)
-class HealthConfig:
-    """Parameters of the heartbeat/suspicion protocol."""
-
-    #: Probe period, in ms.
-    heartbeat_ms: float = 5.0
-    #: Consecutive missed probes before a component is declared dead.
-    suspicion_probes: int = 2
-    #: Size of one probe message on the monitor's interconnect.
-    probe_bytes: int = 64
-    #: Upper bound of the per-round start jitter, in ms (drawn from the
-    #: ``health.jitter`` stream; keeps probe rounds from phase-locking
-    #: with periodic workload events).
-    jitter_ms: float = 0.5
-    #: Bandwidth of the monitor's dedicated probe link.
-    link_bandwidth_mb_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_ms <= 0:
-            raise ValueError("heartbeat period must be positive")
-        if self.suspicion_probes < 1:
-            raise ValueError("need at least one suspicion probe")
-        if self.probe_bytes < 1:
-            raise ValueError("probe must have positive size")
-        if self.jitter_ms < 0:
-            raise ValueError("jitter must be >= 0")
+#: Probe period, in ms.
+HEARTBEAT_MS = 5.0
+#: Consecutive missed probes before a component is declared dead.
+SUSPICION_PROBES = 2
+#: Size of one probe message on the monitor's interconnect.
+PROBE_BYTES = 64
+#: Upper bound of the per-round start jitter, in ms (drawn from the
+#: ``health.jitter`` stream; keeps probe rounds from phase-locking with
+#: periodic workload events).
+JITTER_MS = 0.5
+#: Bandwidth of the monitor's dedicated probe link.
+LINK_BANDWIDTH_MB_S = 1.0
 
 
 class HealthMonitor:
@@ -71,14 +55,13 @@ class HealthMonitor:
     instant.
     """
 
-    def __init__(self, machine, config: HealthConfig = HealthConfig()):
+    def __init__(self, machine):
         self.machine = machine
-        self.config = config
         #: The BEC's own probe link: probes never contend with the
         #: QP-LP fragment traffic or the data disks.
         self.link = Interconnect(
             machine.env,
-            bandwidth_mb_per_s=config.link_bandwidth_mb_s,
+            bandwidth_mb_per_s=LINK_BANDWIDTH_MB_S,
             channels=1,
             name="health",
         )
@@ -126,27 +109,24 @@ class HealthMonitor:
         """Worst-case failure-to-declaration window.
 
         A failure lands just after its probe in the worst case, so
-        declaration takes ``suspicion_probes`` further full rounds plus
+        declaration takes ``SUSPICION_PROBES`` further full rounds plus
         the round in flight; each round costs the heartbeat, the maximum
         jitter, and the serialized probe transfers.
         """
-        cfg = self.config
         per_round = (
-            cfg.heartbeat_ms
-            + cfg.jitter_ms
-            + len(self.components()) * self.link.transfer_ms(cfg.probe_bytes)
+            HEARTBEAT_MS
+            + JITTER_MS
+            + len(self.components()) * self.link.transfer_ms(PROBE_BYTES)
         )
-        return (cfg.suspicion_probes + 1) * per_round
+        return (SUSPICION_PROBES + 1) * per_round
 
     # -- the probe process ----------------------------------------------------
     def _probe_loop(self):
         env = self.machine.env
-        cfg = self.config
         while not self.machine.crashed:
-            jitter = cfg.jitter_ms * self._rng.random() if cfg.jitter_ms else 0.0
-            yield env.timeout(cfg.heartbeat_ms + jitter)
+            yield env.timeout(HEARTBEAT_MS + JITTER_MS * self._rng.random())
             for key in self.components():
-                yield self.link.transfer(cfg.probe_bytes)
+                yield self.link.transfer(PROBE_BYTES)
                 self.probes_sent.increment()
                 if self._healthy(*key):
                     # A repaired (or replaced) component rejoins cleanly:
@@ -161,7 +141,7 @@ class HealthMonitor:
                 self._suspicion[key] = missed
                 if missed == 1:
                     self._suspect_since[key] = env.now
-                if missed >= cfg.suspicion_probes:
+                if missed >= SUSPICION_PROBES:
                     self._declared.add(key)
                     self._declare(*key)
 

@@ -40,7 +40,7 @@ from repro.faults.plan import FaultKind, FaultSpec
 from repro.machine.config import MachineConfig
 from repro.machine.testbed import build_survive_machine
 from repro.registry import entry_for
-from repro.resilience.health import HealthConfig, HealthMonitor
+from repro.resilience.health import HealthMonitor
 from repro.sim.rng import RandomStreams
 from repro.storage.wal import DistributedWalManager
 from repro.workload.transaction import TransactionStatus
@@ -158,7 +158,7 @@ def _build_and_run(
     machine, transactions = build_survive_machine(
         arch, seed, n_transactions, specs, **overrides
     )
-    health = HealthMonitor(machine, HealthConfig()) if monitor else None
+    health = HealthMonitor(machine) if monitor else None
     result = machine.run(transactions)
     return machine, health, result, transactions
 

@@ -48,10 +48,8 @@ class DifferentialFileManager(ArchiveDumpMixin, RecoveryManager):
     _BASE = "base"
     _COMMITS = "diff_commits"
 
-    def __init__(
-        self, stable: Optional[StableStorage] = None, enforce_locks: bool = True
-    ):
-        super().__init__(stable, enforce_locks)
+    def __init__(self, stable: Optional[StableStorage] = None):
+        super().__init__(stable)
         # -- volatile: per-transaction buffered additions / deletions.
         self._txn_adds: Dict[int, List[tuple]] = {}
         self._txn_dels: Dict[int, List[tuple]] = {}

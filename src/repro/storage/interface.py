@@ -17,9 +17,9 @@ The contract (checked by the shared property-based tests in
   survive any number of crashes;
 * **atomicity** — a transaction that never committed (aborted, or active
   at a crash) leaves no trace;
-* **isolation** (page level) — with ``enforce_locks=True`` (default),
-  conflicting concurrent page access raises :class:`LockConflict`,
-  modeling the paper's page-level-locking scheduler.
+* **isolation** (page level) — conflicting concurrent page access raises
+  :class:`LockConflict`, modeling the paper's page-level-locking
+  scheduler.
 """
 
 from __future__ import annotations
@@ -49,11 +49,8 @@ class RecoveryManager:
     checkpoint_policy: Optional[type] = None
     checkpoint_unsupported = False
 
-    def __init__(
-        self, stable: Optional[StableStorage] = None, enforce_locks: bool = True
-    ):
+    def __init__(self, stable: Optional[StableStorage] = None):
         self.stable = stable if stable is not None else StableStorage()
-        self.enforce_locks = enforce_locks
         self._next_tid = 1
         self._active: Set[int] = set()
         #: page -> owning transaction (exclusive page locks; readers of a
@@ -207,8 +204,6 @@ class RecoveryManager:
             raise UnknownTransaction(f"transaction {tid} is not active")
 
     def _lock(self, tid: int, page: int) -> None:
-        if not self.enforce_locks:
-            return
         holder = self._locks.get(page)
         if holder is None:
             self._locks[page] = tid

@@ -99,10 +99,9 @@ class LogCore(RecoveryManager):
         self,
         log_names: Sequence[str],
         stable: Optional[StableStorage],
-        enforce_locks: bool,
         tracer=None,
     ):
-        super().__init__(stable, enforce_locks)
+        super().__init__(stable)
         if not log_names:
             raise ValueError("need at least one log")
         self._logs = [BufferedLog(self.stable, name) for name in log_names]

@@ -75,12 +75,9 @@ class CommandLoggingManager(ArchiveDumpMixin, LogCore):
         n_logs: int = 3,
         physical_threshold: int = 4,
         stable: Optional[StableStorage] = None,
-        enforce_locks: bool = True,
         tracer=None,
     ):
-        super().__init__(
-            [f"cmdlog{i}" for i in range(n_logs)], stable, enforce_locks, tracer
-        )
+        super().__init__([f"cmdlog{i}" for i in range(n_logs)], stable, tracer)
         if physical_threshold < 1:
             raise ValueError("physical_threshold must be positive")
         self.physical_threshold = physical_threshold

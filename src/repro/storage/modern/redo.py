@@ -60,13 +60,8 @@ class RedoOnlyWalManager(ArchiveDumpMixin, LogCore):
 
     LOG_NAME = "redolog"
 
-    def __init__(
-        self,
-        stable: Optional[StableStorage] = None,
-        enforce_locks: bool = True,
-        tracer=None,
-    ):
-        super().__init__([self.LOG_NAME], stable, enforce_locks, tracer)
+    def __init__(self, stable: Optional[StableStorage] = None, tracer=None):
+        super().__init__([self.LOG_NAME], stable, tracer)
         self._log = self._logs[0]
         # -- statistics --
         self.writes_gated = 0

@@ -47,9 +47,8 @@ class OverwritingManager(ArchiveDumpMixin, RecoveryManager):
         self,
         variant: OverwriteVariant = OverwriteVariant.NO_UNDO,
         stable: Optional[StableStorage] = None,
-        enforce_locks: bool = True,
     ):
-        super().__init__(stable, enforce_locks)
+        super().__init__(stable)
         self.variant = variant
         # -- volatile state --
         #: tid -> page -> current (uncommitted) value, for reads.

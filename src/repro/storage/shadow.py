@@ -37,10 +37,8 @@ class ShadowPageTableManager(ArchiveDumpMixin, RecoveryManager):
     _ROOT = "root"
     _TABLE = ("page_table:0", "page_table:1")
 
-    def __init__(
-        self, stable: Optional[StableStorage] = None, enforce_locks: bool = True
-    ):
-        super().__init__(stable, enforce_locks)
+    def __init__(self, stable: Optional[StableStorage] = None):
+        super().__init__(stable)
         if not self.stable.read_file(self._ROOT):
             self.stable.append(self._ROOT, 0)
             self.stable.truncate(self._TABLE[0], [])

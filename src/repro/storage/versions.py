@@ -33,10 +33,8 @@ class VersionSelectionManager(ArchiveDumpMixin, RecoveryManager):
 
     _COMMITS = "commit_order"
 
-    def __init__(
-        self, stable: Optional[StableStorage] = None, enforce_locks: bool = True
-    ):
-        super().__init__(stable, enforce_locks)
+    def __init__(self, stable: Optional[StableStorage] = None):
+        super().__init__(stable)
         # -- volatile: uncommitted write sets, for same-transaction reads.
         self._txn_writes: Dict[int, Dict[int, bytes]] = {}
 

@@ -70,11 +70,10 @@ class DistributedWalManager(ArchiveDumpMixin, LogCore):
         self,
         n_logs: int = 3,
         stable: Optional[StableStorage] = None,
-        enforce_locks: bool = True,
         selection_seed: Optional[int] = None,
         monitor: Optional[WALInvariantMonitor] = None,
     ):
-        super().__init__([f"log{i}" for i in range(n_logs)], stable, enforce_locks)
+        super().__init__([f"log{i}" for i in range(n_logs)], stable)
         self._rng: Optional[random.Random] = (
             RandomStreams(selection_seed).stream("wal.log-selection")
             if selection_seed is not None

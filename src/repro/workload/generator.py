@@ -1,6 +1,6 @@
 """Transaction-load generation (paper Section 4).
 
-* Pages accessed per transaction: Uniform(min_pages, max_pages) = U(1, 250).
+* Pages accessed per transaction: Uniform(MIN_PAGES, max_pages) = U(1, 250).
 * Reference string: *random* — distinct pages drawn uniformly from the
   database; *sequential* — a run of consecutive pages starting at a uniform
   position.
@@ -11,53 +11,48 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.workload.transaction import Transaction
 
 __all__ = ["WorkloadConfig", "generate_transactions"]
 
+#: Fewest pages a transaction accesses.
+MIN_PAGES = 1
+
+#: Probability that a reference lands in the hot region of a hotspot load.
+HOTSPOT_PROBABILITY = 0.8
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Parameters of a transaction load.
 
-    The hotspot fields extend the paper's uniform model with b/c-rule skew
-    (e.g. 0.2/0.8: 80 % of references hit the hottest 20 % of pages) for
-    contention studies; both default off, giving the paper's workload.
+    ``hotspot_fraction`` extends the paper's uniform model with b/c-rule
+    skew (e.g. 0.2/0.8: ``HOTSPOT_PROBABILITY`` = 80 % of references hit
+    the hottest 20 % of pages) for contention studies; it defaults off,
+    giving the paper's workload.
     """
 
     n_transactions: int = 60
-    min_pages: int = 1
     max_pages: int = 250
     write_fraction: float = 0.2
     sequential: bool = False
     #: Fraction of the database that is "hot" (None = uniform, the paper).
     hotspot_fraction: Optional[float] = None
-    #: Probability that a reference lands in the hot region.
-    hotspot_probability: float = 0.8
 
     def __post_init__(self) -> None:
         if self.n_transactions < 1:
             raise ValueError("need at least one transaction")
-        if not 1 <= self.min_pages <= self.max_pages:
-            raise ValueError(
-                f"bad page range [{self.min_pages}, {self.max_pages}]"
-            )
+        if self.max_pages < MIN_PAGES:
+            raise ValueError(f"bad page range [{MIN_PAGES}, {self.max_pages}]")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ValueError(f"write_fraction {self.write_fraction} not in [0, 1]")
         if self.hotspot_fraction is not None and not 0.0 < self.hotspot_fraction < 1.0:
             raise ValueError(
                 f"hotspot_fraction {self.hotspot_fraction} not in (0, 1)"
             )
-        if not 0.0 <= self.hotspot_probability <= 1.0:
-            raise ValueError(
-                f"hotspot_probability {self.hotspot_probability} not in [0, 1]"
-            )
-
-    def with_overrides(self, **kwargs) -> "WorkloadConfig":
-        return replace(self, **kwargs)
 
 
 def generate_transactions(
@@ -71,7 +66,7 @@ def generate_transactions(
         )
     transactions = []
     for tid in range(config.n_transactions):
-        n_pages = rng.randint(config.min_pages, config.max_pages)
+        n_pages = rng.randint(MIN_PAGES, config.max_pages)
         if config.sequential:
             start = _sequential_start(config, db_pages, n_pages, rng)
             reads = tuple(range(start, start + n_pages))
@@ -100,7 +95,7 @@ def _sequential_start(
     if config.hotspot_fraction is None:
         return rng.randrange(limit + 1)
     hot_limit = max(0, int(config.hotspot_fraction * db_pages) - n_pages)
-    if rng.random() < config.hotspot_probability:
+    if rng.random() < HOTSPOT_PROBABILITY:
         return rng.randrange(hot_limit + 1)
     return rng.randrange(limit + 1)
 
@@ -112,7 +107,7 @@ def _hotspot_sample(
     hot_pages = max(n_pages, int(config.hotspot_fraction * db_pages))
     chosen = set()
     while len(chosen) < n_pages:
-        if rng.random() < config.hotspot_probability:
+        if rng.random() < HOTSPOT_PROBABILITY:
             page = rng.randrange(hot_pages)
         else:
             page = rng.randrange(db_pages)

@@ -1,5 +1,7 @@
 """Unit tests for the differential-file architecture."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import DatabaseMachine, MachineConfig, WorkloadConfig, generate_transactions
@@ -31,11 +33,9 @@ class TestDifferentialConfig:
             DifferentialConfig(size_fraction=0.0)
         with pytest.raises(ValueError):
             DifferentialConfig(output_fraction=1.5)
-        with pytest.raises(ValueError):
-            DifferentialConfig(qualify_fraction=-0.1)
 
     def test_with_overrides(self):
-        config = DifferentialConfig().with_overrides(size_fraction=0.2)
+        config = replace(DifferentialConfig(), size_fraction=0.2)
         assert config.size_fraction == 0.2
         assert config.optimal
 

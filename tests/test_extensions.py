@@ -9,7 +9,7 @@ from repro import DatabaseMachine, MachineConfig, WorkloadConfig, generate_trans
 from repro.core import LoggingConfig, ParallelLoggingArchitecture
 from repro.hardware import ConventionalDisk, DiskAddress, IBM_3350
 from repro.sim import Environment, RandomStreams, SimulationError
-from repro.workload import TransactionStatus
+from repro.workload import TransactionStatus, generator
 
 
 class TestSstfScheduling:
@@ -103,13 +103,9 @@ class TestHotspotWorkload:
             WorkloadConfig(hotspot_fraction=0.0)
         with pytest.raises(ValueError):
             WorkloadConfig(hotspot_fraction=1.0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(hotspot_probability=1.5)
 
     def test_references_skew_into_hot_region(self):
-        config = WorkloadConfig(
-            n_transactions=50, hotspot_fraction=0.1, hotspot_probability=0.8
-        )
+        config = WorkloadConfig(n_transactions=50, hotspot_fraction=0.1)
         txns = generate_transactions(config, 10_000, random.Random(5))
         refs = [p for t in txns for p in t.read_pages]
         hot = sum(1 for p in refs if p < 1_000)
@@ -122,34 +118,29 @@ class TestHotspotWorkload:
         hot = sum(1 for p in refs if p < 1_000)
         assert 0.05 < hot / len(refs) < 0.15
 
-    def test_pages_remain_distinct(self):
-        config = WorkloadConfig(
-            n_transactions=20, hotspot_fraction=0.05, hotspot_probability=0.9
-        )
+    def test_pages_remain_distinct(self, monkeypatch):
+        monkeypatch.setattr(generator, "HOTSPOT_PROBABILITY", 0.9)
+        config = WorkloadConfig(n_transactions=20, hotspot_fraction=0.05)
         txns = generate_transactions(config, 5_000, random.Random(6))
         for txn in txns:
             assert len(set(txn.read_pages)) == len(txn.read_pages)
 
-    def test_sequential_hotspot_biases_start(self):
+    def test_sequential_hotspot_biases_start(self, monkeypatch):
+        monkeypatch.setattr(generator, "HOTSPOT_PROBABILITY", 0.9)
         config = WorkloadConfig(
-            n_transactions=60,
-            sequential=True,
-            hotspot_fraction=0.1,
-            hotspot_probability=0.9,
-            max_pages=50,
+            n_transactions=60, sequential=True, hotspot_fraction=0.1, max_pages=50
         )
         txns = generate_transactions(config, 10_000, random.Random(7))
         in_hot = sum(1 for t in txns if t.read_pages[0] < 1_000)
         assert in_hot / len(txns) > 0.6
 
-    def test_hotspot_increases_lock_contention(self):
+    def test_hotspot_increases_lock_contention(self, monkeypatch):
+        monkeypatch.setattr(generator, "HOTSPOT_PROBABILITY", 0.9)
+
         def run(hotspot):
             config = MachineConfig(mpl=4)
             workload = WorkloadConfig(
-                n_transactions=10,
-                max_pages=100,
-                hotspot_fraction=hotspot,
-                hotspot_probability=0.9,
+                n_transactions=10, max_pages=100, hotspot_fraction=hotspot
             )
             txns = generate_transactions(
                 workload, config.db_pages, RandomStreams(9).stream("workload")

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.loadgen import arrivals
 from repro.loadgen.arrivals import ArrivalConfig, Spike, generate_arrivals
 from repro.sim.rng import RandomStreams
 
@@ -40,30 +41,20 @@ class TestPoisson:
 
 
 class TestDiurnal:
-    def test_profile_integral_preserves_rate(self):
+    def test_profile_integral_preserves_rate(self, monkeypatch):
         # The sinusoid integrates to zero over a full period, so over
         # many periods the empirical rate matches rate_tps.
-        sched = schedule(
-            process="diurnal",
-            rate_tps=10.0,
-            n_arrivals=500,
-            diurnal_period_ms=5_000.0,
-            diurnal_amplitude=0.8,
-        )
+        monkeypatch.setattr(arrivals, "DIURNAL_PERIOD_MS", 5_000.0)
+        sched = schedule(process="diurnal", rate_tps=10.0, n_arrivals=500)
         rate = 1000.0 * sched.offered / sched.times_ms[-1]
         assert 8.0 <= rate <= 12.0
 
-    def test_first_half_period_busier_than_second(self):
+    def test_first_half_period_busier_than_second(self, monkeypatch):
         # sin is positive on the first half-period, negative on the
         # second: arrivals concentrate in the rising half.
         period = 10_000.0
-        sched = schedule(
-            process="diurnal",
-            rate_tps=10.0,
-            n_arrivals=500,
-            diurnal_period_ms=period,
-            diurnal_amplitude=0.8,
-        )
+        monkeypatch.setattr(arrivals, "DIURNAL_PERIOD_MS", period)
+        sched = schedule(process="diurnal", rate_tps=10.0, n_arrivals=500)
         first = sum(1 for t in sched.times_ms if (t % period) < period / 2)
         second = sched.offered - first
         assert first > 1.5 * second
@@ -94,10 +85,11 @@ class TestDeterminism:
         b = schedule(process="poisson", n_arrivals=80, seed=8)
         assert a.times_ms != b.times_ms
 
-    def test_processes_draw_distinct_streams(self):
+    def test_processes_draw_distinct_streams(self, monkeypatch):
         # Each process owns a named stream; schedules differ by process.
+        monkeypatch.setattr(arrivals, "DIURNAL_AMPLITUDE", 0.0)
         a = schedule(process="poisson", n_arrivals=40)
-        b = schedule(process="diurnal", n_arrivals=40, diurnal_amplitude=0.0)
+        b = schedule(process="diurnal", n_arrivals=40)
         # amplitude 0 makes diurnal a homogeneous Poisson too, but the
         # draws come from a different named stream.
         assert a.times_ms != b.times_ms
@@ -110,7 +102,6 @@ class TestValidation:
             {"process": "lunar"},
             {"rate_tps": 0.0},
             {"n_arrivals": 0},
-            {"diurnal_amplitude": 1.0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):

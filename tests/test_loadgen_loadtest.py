@@ -25,7 +25,6 @@ def fake_report(goodputs):
         state="healthy",
         seed=1,
         arrival_process="poisson",
-        policy="drop",
         slo_ms=100.0,
         calibration=Calibration("wal", 8, 1000.0, 8.0, 100.0),
     )
@@ -55,7 +54,7 @@ def fake_report(goodputs):
 class TestKneeLogic:
     def test_knee_is_first_cell_past_peak_below_threshold(self):
         report = fake_report([1.0, 2.0, 1.9, 1.5, 0.5])
-        knee = report.knee(fraction=0.8)
+        knee = report.knee()
         assert knee is not None
         # 1.9 > 0.8*2.0 = 1.6 so not the knee; 1.5 <= 1.6 is.
         assert knee.multiplier == 4.0
@@ -65,7 +64,7 @@ class TestKneeLogic:
 
     def test_dip_before_peak_is_not_a_knee(self):
         report = fake_report([0.1, 2.0, 1.9])
-        assert report.knee(fraction=0.8) is None
+        assert report.knee() is None
 
     def test_empty_report_has_no_knee_or_peak(self):
         report = fake_report([])

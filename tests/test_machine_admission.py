@@ -4,18 +4,16 @@ import pytest
 
 from repro.loadgen.arrivals import ArrivalConfig
 from repro.loadgen.runner import run_open_load
-from repro.machine import DatabaseMachine, MachineConfig
+from repro.machine import DatabaseMachine, MachineConfig, admission
 from repro.machine.admission import AdmissionQueue, BackpressureMonitor
-from repro.machine.config import MachineConfig as _Config
 from repro.core import PageTableShadowArchitecture
 from repro.sim.core import Environment
 from repro.workload.generator import WorkloadConfig, generate_transactions
 from repro.sim.rng import RandomStreams
 
 
-def open_run(policy="drop", rate_tps=30.0, n=16, **config_overrides):
+def open_run(rate_tps=30.0, n=16, **config_overrides):
     """One small open-system run under heavy offered load."""
-    config_overrides.setdefault("admission_policy", policy)
     return run_open_load(
         "shadow",
         ArrivalConfig(rate_tps=rate_tps, n_arrivals=n),
@@ -25,19 +23,33 @@ def open_run(policy="drop", rate_tps=30.0, n=16, **config_overrides):
     )
 
 
+@pytest.fixture
+def knobs(monkeypatch):
+    """Set module constants of ``repro.machine.admission`` for one test."""
+
+    def set_knobs(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(admission, name, value)
+
+    return set_knobs
+
+
 class TestAccounting:
-    def test_every_offered_transaction_dispositioned(self):
-        run = open_run(admission_queue_limit=2)
+    def test_every_offered_transaction_dispositioned(self, knobs):
+        knobs(ADMISSION_QUEUE_LIMIT=2)
+        run = open_run()
         assert run.ok, run.oracle_violations
         assert run.offered == 16
         assert run.admitted + run.rejected + run.shed == run.offered
 
-    def test_admitted_transactions_all_commit(self):
-        run = open_run(admission_queue_limit=2)
+    def test_admitted_transactions_all_commit(self, knobs):
+        knobs(ADMISSION_QUEUE_LIMIT=2)
+        run = open_run()
         assert run.committed == run.admitted
 
-    def test_overload_produces_rejections(self):
-        run = open_run(admission_queue_limit=1, admission_retry_max_attempts=1)
+    def test_overload_produces_rejections(self, knobs):
+        knobs(ADMISSION_QUEUE_LIMIT=1, ADMISSION_RETRY_MAX_ATTEMPTS=1)
+        run = open_run()
         assert run.rejected > 0
 
     def test_closed_run_untouched_by_admission(self):
@@ -56,33 +68,19 @@ class TestAccounting:
 
 
 class TestPolicies:
-    def test_block_policy_rejects_no_more_than_drop(self):
-        drop = open_run(policy="drop", admission_queue_limit=1)
-        block = open_run(
-            policy="block",
-            admission_queue_limit=1,
-            admission_block_timeout_ms=2_000.0,
+    def test_deadline_sheds_instead_of_retrying_forever(self, knobs):
+        knobs(
+            ADMISSION_QUEUE_LIMIT=1,
+            ADMISSION_RETRY_MAX_ATTEMPTS=10,
+            ADMISSION_RETRY_BASE_MS=25.0,
         )
-        assert block.rejected <= drop.rejected
-        assert block.ok and drop.ok
-
-    def test_deadline_sheds_instead_of_retrying_forever(self):
-        run = open_run(
-            policy="drop",
-            admission_queue_limit=1,
-            admission_deadline_ms=30.0,
-            admission_retry_max_attempts=10,
-            admission_retry_base_ms=25.0,
-        )
+        run = open_run(admission_deadline_ms=30.0)
         assert run.ok, run.oracle_violations
         assert run.shed > 0
 
-    def test_retries_counted(self):
-        run = open_run(
-            policy="drop",
-            admission_queue_limit=1,
-            admission_retry_max_attempts=4,
-        )
+    def test_retries_counted(self, knobs):
+        knobs(ADMISSION_QUEUE_LIMIT=1, ADMISSION_RETRY_MAX_ATTEMPTS=4)
+        run = open_run()
         assert run.result.counter("admission_retries") > 0
 
 
@@ -98,15 +96,9 @@ class _FakeLocks:
 
 
 class _FakeMachine:
-    """Just enough machine for a BackpressureMonitor unit test."""
+    """Just enough machine for BackpressureMonitor and AdmissionQueue tests."""
 
     def __init__(self):
-        self.config = _Config(
-            backpressure_cache_high=0.9,
-            backpressure_cache_low=0.5,
-            backpressure_lock_high=10,
-            backpressure_lock_low=2,
-        )
         self.env = Environment()
         self.cache = _FakeCache()
         self.locks = _FakeLocks()
@@ -119,6 +111,17 @@ class _FakeMachine:
         self.hooks.append(name)
 
 
+@pytest.fixture
+def watermarks(knobs):
+    knobs(
+        BACKPRESSURE_CACHE_HIGH=0.9,
+        BACKPRESSURE_CACHE_LOW=0.5,
+        BACKPRESSURE_LOCK_HIGH=10,
+        BACKPRESSURE_LOCK_LOW=2,
+    )
+
+
+@pytest.mark.usefixtures("watermarks")
 class TestBackpressureMonitor:
     def test_hysteresis_asserts_high_releases_low(self):
         machine = _FakeMachine()
@@ -154,63 +157,35 @@ class TestBackpressureMonitor:
         assert monitor.update() is False
 
 
-class TestSlotQueueViaAdmission:
-    def test_release_hands_slot_to_waiter(self):
-        machine = _FakeMachine()
-        queue = AdmissionQueue(machine).queue
-        assert queue.capacity == machine.config.admission_queue_limit
-        for _ in range(queue.capacity):
-            assert queue.try_acquire()
-        assert not queue.try_acquire()
-        waiter = queue.wait()
-        queue.release()
-        assert waiter.triggered  # slot passed through, not freed
-        assert queue.in_use == queue.capacity
-        queue.release()
-        assert queue.in_use == queue.capacity - 1
-
-    def test_cancelled_waiter_skipped(self):
-        machine = _FakeMachine()
-        queue = AdmissionQueue(machine).queue
-        assert queue.try_acquire()
-        abandoned = queue.wait()
-        live = queue.wait()
-        queue.capacity = 1  # force the waiters to matter
-        queue.cancel(abandoned)
-        queue.release()
-        assert not abandoned.triggered
-        assert live.triggered
+class TestAdmissionQueue:
+    def test_start_frees_a_slot(self):
+        queue = AdmissionQueue(_FakeMachine())
+        for _ in range(admission.ADMISSION_QUEUE_LIMIT):
+            assert queue._try_once()
+        assert not queue._try_once()
+        queue.start()
+        assert queue.depth == admission.ADMISSION_QUEUE_LIMIT - 1
+        assert queue._try_once()
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"admission_queue_limit": 0},
-            {"admission_policy": "lottery"},
-            {"admission_policy": "token-bucket"},  # not a policy
-            {"backpressure_cache_high": 1.5},
-            {"backpressure_cache_low": 0.99, "backpressure_cache_high": 0.5},
-            {"backpressure_lock_low": 50, "backpressure_lock_high": 10},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"admission_deadline_ms": -1.0}])
     def test_bad_overload_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MachineConfig(**kwargs)
 
 
 class TestBackpressureEndToEnd:
-    def test_saturated_cache_turns_arrivals_away(self):
+    def test_saturated_cache_turns_arrivals_away(self, knobs):
         # A near-zero cache watermark with arrivals spread across the
         # run: mid-run arrivals find frames in use and the monitor must
         # assert at least once.
-        run = open_run(
-            rate_tps=2.0,
-            n=20,
-            backpressure_cache_high=0.05,
-            backpressure_cache_low=0.01,
-            admission_retry_max_attempts=2,
+        knobs(
+            BACKPRESSURE_CACHE_HIGH=0.05,
+            BACKPRESSURE_CACHE_LOW=0.01,
+            ADMISSION_RETRY_MAX_ATTEMPTS=2,
         )
+        run = open_run(rate_tps=2.0, n=20)
         assert run.ok, run.oracle_violations
         assert run.result.counter("backpressure_transitions") > 0
         assert run.result.extras["backpressure_ms"] >= 0.0

@@ -22,7 +22,10 @@ class TestMachineConfig:
     def test_reserved_region_geometry(self):
         config = MachineConfig(reserved_cylinders=50)
         assert config.reserved_start_cylinder == 505
-        assert config.usable_pages_per_disk == 505 * 120
+        # 505 usable cylinders of 120 pages on each of the two data disks.
+        assert MachineConfig(db_pages=505 * 120 * 2).db_pages == 505 * 120 * 2
+        with pytest.raises(ValueError):
+            MachineConfig(db_pages=505 * 120 * 2 + 1)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -50,28 +53,26 @@ class TestResilienceFields:
     def test_defaults(self):
         config = MachineConfig()
         assert not config.mirrored_data_disks
-        assert config.mirror_rebuild_io_share == 0.5
-        assert config.log_ship_max_attempts == 4
-        assert config.log_ship_backoff_ms == 2.0
+        assert not config.scrub_enabled
+        assert config.scrub_io_share == 0.1
+        assert config.scrub_interval_ms == 50.0
 
     def test_round_trip_through_overrides(self):
         config = MachineConfig().with_overrides(
             mirrored_data_disks=True,
-            mirror_rebuild_io_share=0.25,
-            log_ship_max_attempts=7,
-            log_ship_backoff_ms=0.5,
+            scrub_enabled=True,
+            scrub_io_share=0.25,
+            scrub_interval_ms=0.0,
         )
         assert config.mirrored_data_disks
-        assert config.mirror_rebuild_io_share == 0.25
-        assert config.log_ship_max_attempts == 7
-        assert config.log_ship_backoff_ms == 0.5
+        assert config.scrub_enabled
+        assert config.scrub_io_share == 0.25
+        assert config.scrub_interval_ms == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MachineConfig(mirror_rebuild_io_share=0.0)
+            MachineConfig(scrub_io_share=0.0)
         with pytest.raises(ValueError):
-            MachineConfig(mirror_rebuild_io_share=1.5)
+            MachineConfig(scrub_io_share=1.5)
         with pytest.raises(ValueError):
-            MachineConfig(log_ship_max_attempts=0)
-        with pytest.raises(ValueError):
-            MachineConfig(log_ship_backoff_ms=-1.0)
+            MachineConfig(scrub_interval_ms=-1.0)

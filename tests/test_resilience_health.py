@@ -4,7 +4,7 @@ import pytest
 
 from repro import DatabaseMachine, MachineConfig, WorkloadConfig, generate_transactions
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-from repro.resilience import HealthConfig, HealthMonitor
+from repro.resilience import HealthMonitor, health
 from repro.sim import RandomStreams
 from repro.workload import TransactionStatus
 
@@ -19,25 +19,13 @@ def build(n=6, **over):
     return DatabaseMachine(config, None), txns
 
 
-def run_monitored(machine, txns, *specs, health=HealthConfig()):
+def run_monitored(machine, txns, *specs):
     if specs:
         injector = FaultInjector(FaultPlan.of(*specs, seed=0))
         injector.arm(machine)
-    monitor = HealthMonitor(machine, health)
+    monitor = HealthMonitor(machine)
     result = machine.run(txns)
     return monitor, result
-
-
-class TestHealthConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HealthConfig(heartbeat_ms=0)
-        with pytest.raises(ValueError):
-            HealthConfig(suspicion_probes=0)
-        with pytest.raises(ValueError):
-            HealthConfig(probe_bytes=0)
-        with pytest.raises(ValueError):
-            HealthConfig(jitter_ms=-1.0)
 
 
 class TestMonitorAttachment:
@@ -55,12 +43,13 @@ class TestMonitorAttachment:
             machine.config.n_query_processors + len(machine.data_disks)
         )
 
-    def test_detection_bound_grows_with_suspicion(self):
+    def test_detection_bound_grows_with_suspicion(self, monkeypatch):
         machine, _ = build()
-        fast = HealthMonitor(machine, HealthConfig(suspicion_probes=1))
-        machine.health = None
-        slow = HealthMonitor(machine, HealthConfig(suspicion_probes=4))
-        assert slow.detection_bound_ms > fast.detection_bound_ms
+        monitor = HealthMonitor(machine)
+        monkeypatch.setattr(health, "SUSPICION_PROBES", 1)
+        fast = monitor.detection_bound_ms
+        monkeypatch.setattr(health, "SUSPICION_PROBES", 4)
+        assert monitor.detection_bound_ms > fast
 
     def test_monitor_does_not_perturb_the_workload(self):
         """Observability parity: probes ride a dedicated link and an

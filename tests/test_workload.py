@@ -1,6 +1,7 @@
 """Unit tests for the workload model."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -44,14 +45,12 @@ class TestWorkloadConfig:
         with pytest.raises(ValueError):
             WorkloadConfig(n_transactions=0)
         with pytest.raises(ValueError):
-            WorkloadConfig(min_pages=0)
-        with pytest.raises(ValueError):
-            WorkloadConfig(min_pages=10, max_pages=5)
+            WorkloadConfig(max_pages=0)
         with pytest.raises(ValueError):
             WorkloadConfig(write_fraction=1.5)
 
     def test_with_overrides(self):
-        config = WorkloadConfig().with_overrides(sequential=True)
+        config = replace(WorkloadConfig(), sequential=True)
         assert config.sequential
         assert config.n_transactions == WorkloadConfig().n_transactions
 
@@ -64,7 +63,7 @@ class TestGenerator:
         assert [t.read_pages for t in a] == [t.read_pages for t in b]
 
     def test_page_counts_in_range(self):
-        config = WorkloadConfig(n_transactions=50, min_pages=1, max_pages=250)
+        config = WorkloadConfig(n_transactions=50, max_pages=250)
         txns = generate_transactions(config, 10_000, random.Random(2))
         assert all(1 <= t.n_reads <= 250 for t in txns)
 
