@@ -1,7 +1,7 @@
 """Restart time and normal-case overhead vs checkpoint interval.
 
 The paper's Section 6 trade in one table: the same seeded workload runs
-against each of the five recovery managers at several checkpoint
+against each of the seven recovery managers at several checkpoint
 cadences (including the never-checkpoint baseline), crashes at the end,
 and both sides of the trade are measured — the recovery-data records and
 page writes the running system paid (overhead) and the records and pages
@@ -15,7 +15,7 @@ other way.
 from typing import Any, Dict
 
 from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
-from repro.analysis import checkpoint_interval_sweep
+from repro.analysis import run_with_checkpoints
 from repro.bench import Grid
 from repro.faults import ARCHITECTURES
 
@@ -39,9 +39,7 @@ PAPER_TEXT = paper_block(
 def checkpoint_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     arch = params["architecture"]
     interval = None if params["interval"] == "never" else params["interval"]
-    row = checkpoint_interval_sweep(
-        seed, [interval], archs=[arch], n_transactions=N_TRANSACTIONS
-    )[arch][0]
+    row = run_with_checkpoints(arch, seed, interval, n_transactions=N_TRANSACTIONS)
     return {
         "checkpoints_taken": row.checkpoints_taken,
         "overhead_records": row.overhead_records,

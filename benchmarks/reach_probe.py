@@ -172,7 +172,6 @@ def drivers(scratch: str) -> List[Callable[[], int]]:
     small = ("--arch", "wal", "-n", "6", "--states", "healthy")
     runs += [_repro("loadtest", "--arrival", a, *small) for a in PROCESSES]
     runs += [
-        _repro("checkpoint-sweep", "-n", "10", "-o", out("sweep.txt")),
         _repro("trace", "--arch", "all", "-n", "4", "-o", out("trace.json"), "--timeline"),
         _repro("trace-diff", "logging", "shadow-pt", "-n", "4"),
         _repro("predict"),

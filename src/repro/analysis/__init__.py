@@ -12,7 +12,6 @@ will sit before running it.
 from repro.analysis.checkpoints import (
     CheckpointRunStats,
     analytic_restart_bound,
-    checkpoint_interval_sweep,
     run_with_checkpoints,
 )
 from repro.analysis.restart import (
@@ -37,7 +36,6 @@ __all__ = [
     "CheckpointRunStats",
     "RestartEstimate",
     "analytic_restart_bound",
-    "checkpoint_interval_sweep",
     "cpu_bound_ms_per_page",
     "disk_bound_ms_per_page",
     "estimate_functional_restart",

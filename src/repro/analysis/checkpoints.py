@@ -18,24 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.analysis.restart import RestartEstimate, estimate_functional_restart
 from repro.checkpoint import CheckpointScheduler
-from repro.faults.harness import (
-    ARCHITECTURES,
-    DEFAULT_PAGES,
-    apply_op,
-    generate_ops,
-    make_manager,
-)
-from repro.jobs import map_jobs
+from repro.faults.harness import DEFAULT_PAGES, apply_op, generate_ops, make_manager
 from repro.machine.config import MachineConfig
 
 __all__ = [
     "CheckpointRunStats",
     "analytic_restart_bound",
-    "checkpoint_interval_sweep",
     "run_with_checkpoints",
 ]
 
@@ -183,41 +175,3 @@ def run_with_checkpoints(
         measured=measured,
         analytic=analytic,
     )
-
-
-def _sweep_cell(item) -> CheckpointRunStats:
-    """Top-level (picklable) worker: one (architecture, interval) cell."""
-    arch, seed, interval, n_transactions, n_pages, config = item
-    return run_with_checkpoints(arch, seed, interval, n_transactions, n_pages, config)
-
-
-def checkpoint_interval_sweep(
-    seed: int,
-    intervals: Sequence[Optional[int]],
-    archs: Optional[Sequence[str]] = None,
-    n_transactions: int = 40,
-    n_pages: int = DEFAULT_PAGES,
-    config: Optional[MachineConfig] = None,
-    jobs: int = 1,
-) -> Dict[str, List[CheckpointRunStats]]:
-    """Sweep checkpoint cadences across architectures.
-
-    Returns one row per ``(architecture, interval)`` in the given
-    interval order.  Include ``None`` among the intervals to get the
-    never-checkpoint baseline each architecture's rows can be read
-    against.  ``jobs`` fans the independent cells out over worker
-    processes; every cell is seeded on its own, so the result is
-    identical to the serial ``jobs=1`` sweep.
-    """
-    if archs is None:
-        archs = sorted(ARCHITECTURES)
-    cells = [
-        (arch, seed, interval, n_transactions, n_pages, config)
-        for arch in archs
-        for interval in intervals
-    ]
-    stats = map_jobs(_sweep_cell, cells, jobs=jobs)
-    out: Dict[str, List[CheckpointRunStats]] = {arch: [] for arch in archs}
-    for (arch, *_), stat in zip(cells, stats):
-        out[arch].append(stat)
-    return out

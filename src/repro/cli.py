@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Any, Callable, Iterable, List, Optional
 
-from repro.analysis import checkpoint_interval_sweep, predict_bottleneck
+from repro.analysis import predict_bottleneck
 from repro.bench import (
     diff_dirs,
     gate,
@@ -29,7 +29,6 @@ from repro.bench import (
 )
 from repro.bench.spec import BenchSpecError
 from repro.faults import FaultPlan, run_crashtest, run_scenario
-from repro.metrics import format_table
 from repro.experiments import ExperimentSettings
 from repro.experiments.fidelity import fidelity_summary
 from repro.experiments.runner import CONFIGURATIONS
@@ -181,40 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list of machine states to sweep "
         f"(subset of {','.join(DEGRADED_STATES)}; dead-lp needs "
         "log-processor quorum and is skipped elsewhere)",
-    )
-
-    sweep = sub.add_parser(
-        "checkpoint-sweep",
-        help="restart time and overhead vs checkpoint interval "
-        "(see docs/CHECKPOINT.md)",
-    )
-    sweep.add_argument("--seed", type=int, default=1985, help="workload seed")
-    add_arch_argument(
-        sweep, help_text="recovery architecture to sweep (default: all)"
-    )
-    sweep.add_argument(
-        "--intervals",
-        default="none,16,8,4",
-        help="comma list of checkpoint intervals in ops; "
-        "'none' is the never-checkpoint baseline (default: none,16,8,4)",
-    )
-    sweep.add_argument(
-        "-n",
-        "--transactions",
-        type=int,
-        default=40,
-        help="transactions in the seeded workload (default 40)",
-    )
-    sweep.add_argument(
-        "-o", "--output", help="also write the table to this file"
-    )
-    sweep.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the independent (arch, interval) cells "
-        "(output is identical to -j 1; default 1)",
     )
 
     trace = sub.add_parser(
@@ -478,79 +443,6 @@ def _drive(
     return 0 if all(passed(report) for report in done) else 1
 
 
-def _parse_intervals(text: str) -> List[Optional[int]]:
-    intervals: List[Optional[int]] = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token in ("none", "off"):
-            intervals.append(None)
-        else:
-            value = int(token)
-            if value < 1:
-                raise ValueError(f"checkpoint interval must be >= 1, got {value}")
-            intervals.append(value)
-    if not intervals:
-        raise ValueError("need at least one checkpoint interval")
-    return intervals
-
-
-def _run_checkpoint_sweep(args) -> int:
-    try:
-        intervals = _parse_intervals(args.intervals)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    archs = resolve_archs(args.arch)
-    results = checkpoint_interval_sweep(
-        args.seed,
-        intervals,
-        archs=archs,
-        n_transactions=args.transactions,
-        jobs=args.jobs,
-    )
-    rows = []
-    for arch in archs:
-        for row in results[arch]:
-            rows.append(
-                [
-                    arch,
-                    "never" if row.checkpoint_every is None
-                    else row.checkpoint_every,
-                    row.checkpoints_taken,
-                    row.overhead_records,
-                    row.overhead_page_writes,
-                    row.restart_records,
-                    row.restart_pages_touched,
-                    round(row.measured.total_ms, 1),
-                    round(row.analytic.total_ms, 1),
-                ]
-            )
-    table = format_table(
-        [
-            "architecture",
-            "ckpt every",
-            "taken",
-            "run records",
-            "run pg-writes",
-            "restart records",
-            "restart pages",
-            "restart ms",
-            "bound ms",
-        ],
-        rows,
-        title=f"Restart cost vs checkpoint interval (seed {args.seed}, "
-        f"{args.transactions} txns)",
-    )
-    print(table)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(table + "\n")
-        print(f"wrote {args.output}")
-    return 0
-
-
 def _bench_dirs(args):
     """(output dir, repo-root baseline dir) for a benchmark tree."""
     output_dir = os.path.join(args.bench_dir, "output")
@@ -691,9 +583,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "loadtest":
         return _run_loadtest(args)
-
-    if args.command == "checkpoint-sweep":
-        return _run_checkpoint_sweep(args)
 
     if args.command == "bench":
         return _run_bench(args)

@@ -132,7 +132,7 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
                     disk,
                     fragments_per_page=cfg.fragments_per_log_page,
                     name=f"lp{i}",
-                    monitor=machine.wal_monitor,
+                    monitor=machine.monitor,
                 )
             )
         faults = getattr(machine, "faults", None)
@@ -265,8 +265,8 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
             alive=self.alive_mask(),
         )
         self._fragments_of(txn)[page] = fragment
-        if machine.wal_monitor is not None:
-            machine.wal_monitor.note_recovery_data(page, fragment)
+        if machine.monitor is not None:
+            machine.monitor.protect("wal", page, fragment)
         machine.env.process(
             self._ship(txn, fragment, lp_index),
             name=f"frag.t{txn.tid}.p{page}",
@@ -371,8 +371,8 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
             machine.cache.unmark_blocked(1)
             machine._tend(span)
         disk_idx, addr = self.write_address(txn, page)
-        if machine.wal_monitor is not None:
-            machine.wal_monitor.note_flush(page)
+        if machine.monitor is not None:
+            machine.monitor.check("wal", page)
         request = machine.data_disks[disk_idx].write([addr], tag="writeback")
         yield request.done
         machine.note_page_written(txn, page=page)

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional
 from repro.hardware.disk import Disk
 from repro.hardware.placement import RingAllocator
 from repro.sim.core import Environment, Event
-from repro.sim.monitor import CounterStat, SampleStat, WALInvariantMonitor
+from repro.sim.monitor import CounterStat, OrderingMonitor, SampleStat
 
 __all__ = ["LogFragment", "LogProcessor"]
 
@@ -51,7 +51,7 @@ class LogProcessor:
         disk: Disk,
         fragments_per_page: int,
         name: str = "lp",
-        monitor: Optional[WALInvariantMonitor] = None,
+        monitor: Optional[OrderingMonitor] = None,
     ):
         if fragments_per_page < 1:
             raise ValueError("a log page must hold at least one fragment")
@@ -161,7 +161,7 @@ class LogProcessor:
             for fragment in fragments:
                 self.fragment_wait_ms.add(now - fragment.created_at)
                 if self.monitor is not None:
-                    self.monitor.note_force(fragment)
+                    self.monitor.durable("wal", fragment)
                 if not fragment.durable.triggered:
                     fragment.durable.succeed(now)
 

@@ -90,8 +90,8 @@ class RedoOnlyWalArchitecture(ParallelLoggingArchitecture):
         for page in self._gated_of(txn):
             span = machine._tspan("writeback", tid=txn.tid, page=page)
             disk_idx, addr = self.write_address(txn, page)
-            if machine.wal_monitor is not None:
-                machine.wal_monitor.note_flush(page)
+            if machine.monitor is not None:
+                machine.monitor.check("wal", page)
             request = machine.data_disks[disk_idx].write([addr], tag="writeback")
             yield request.done
             machine.note_page_written(txn, page=page)

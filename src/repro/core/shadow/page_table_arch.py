@@ -87,10 +87,10 @@ class PageTableShadowArchitecture(RecoveryArchitecture):
             span = self.machine._tspan(
                 "pt.update", tid=txn.tid, pages=len(txn.write_pages)
             )
-            monitor = self.machine.shadow_monitor
+            monitor = self.machine.monitor
             for page in sorted(txn.write_pages):
                 if monitor is not None:
-                    monitor.note_install(page)
+                    monitor.check("install", page)
                 yield from self.page_table.update_entry(page)
             self.machine._tend(span)
             fspan = self.machine._tspan("pt.flush", tid=txn.tid)

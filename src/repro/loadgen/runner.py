@@ -12,7 +12,7 @@ goodput (committed *within the SLO* per second) and sojourn percentiles
 Two oracles are checked on every run and carried on the result:
 
 * **accounting** — ``admitted + rejected + shed == offered`` (nothing
-  double-counted, nothing unaccounted);
+  double-counted, nothing missing);
 * **no lost admissions** — every admitted transaction committed (the
   machine never silently drops work it accepted).
 """
@@ -138,7 +138,6 @@ def build_open_machine(
     n_transactions: int,
     state: str = "healthy",
     schedule: Optional[ArrivalSchedule] = None,
-    config_overrides: Optional[Dict[str, Any]] = None,
 ) -> Tuple[DatabaseMachine, List[Transaction]]:
     """Build the machine + seeded workload for one open-system run:
     the shared harness testbed, with ``state``'s faults armed when a
@@ -146,7 +145,6 @@ def build_open_machine(
     overrides: Dict[str, Any] = {}
     if state == "mirrored-degraded":
         overrides["mirrored_data_disks"] = True
-    overrides.update(config_overrides or {})
     specs = (
         _degraded_specs(arch, state, schedule, seed)
         if schedule is not None
@@ -161,7 +159,6 @@ def run_open_load(
     seed: int = 1985,
     slo_ms: float = 0.0,
     state: str = "healthy",
-    config_overrides: Optional[Dict[str, Any]] = None,
 ) -> OpenRunResult:
     """Offer one arrival schedule to one architecture and score the run.
 
@@ -177,7 +174,6 @@ def run_open_load(
         schedule.offered,
         state=state,
         schedule=schedule,
-        config_overrides=config_overrides,
     )
     result = machine.run_open(
         transactions, schedule.times_ms, spike_times_ms=schedule.spike_starts_ms
@@ -233,12 +229,12 @@ def score_open_run(
             f"offered counter {open_result.offered} != "
             f"{schedule.offered} scheduled arrivals"
         )
-    accounted = open_result.admitted + open_result.rejected + open_result.shed
-    if accounted != open_result.offered:
+    disposed = open_result.admitted + open_result.rejected + open_result.shed
+    if disposed != open_result.offered:
         open_result.oracle_violations.append(
             f"dispositions do not conserve: admitted {open_result.admitted} "
             f"+ rejected {open_result.rejected} + shed {open_result.shed} "
-            f"= {accounted} != offered {open_result.offered}"
+            f"= {disposed} != offered {open_result.offered}"
         )
     if open_result.committed != open_result.admitted:
         open_result.oracle_violations.append(

@@ -225,11 +225,3 @@ class AdmissionQueue:
             "admission_retries": self.retries.count,
             "backpressure_transitions": self.backpressure.transitions.count,
         }
-
-    @property
-    def accounted(self) -> bool:
-        """The conservation oracle: every offered txn has one disposition."""
-        return (
-            self.offered.count
-            == self.admitted.count + self.rejected.count + self.shed.count
-        )

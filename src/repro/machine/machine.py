@@ -32,12 +32,7 @@ from repro.machine.locks import DeadlockAbort, LockManager, LockMode
 from repro.machine.processors import ProcessorFailure, ProcessorPool
 from repro.metrics.collectors import RunResult
 from repro.sim.core import Environment, Event, Process
-from repro.sim.monitor import (
-    CounterStat,
-    SampleStat,
-    ShadowInstallMonitor,
-    WALInvariantMonitor,
-)
+from repro.sim.monitor import CounterStat, OrderingMonitor, SampleStat
 from repro.sim.resources import Container, Resource
 from repro.sim.rng import RandomStreams
 from repro.workload.transaction import Transaction, TransactionStatus
@@ -71,8 +66,7 @@ class DatabaseMachine:
         config: MachineConfig,
         architecture: Optional[RecoveryArchitecture] = None,
         placement: Optional[Placement] = None,
-        wal_monitor: Optional[WALInvariantMonitor] = None,
-        shadow_monitor: Optional[ShadowInstallMonitor] = None,
+        monitor: Optional[OrderingMonitor] = None,
         faults=None,
         tracer=None,
     ):
@@ -82,12 +76,10 @@ class DatabaseMachine:
         #: ``is not None`` test — never a truthiness test, since an empty
         #: tracer has length 0).
         self.tracer = tracer
-        #: Optional runtime WAL checker; architectures that gate write-backs
-        #: on recovery data report to it (see sim.monitor.WALInvariantMonitor).
-        self.wal_monitor = wal_monitor
-        #: Optional runtime checker of the shadow install rule (a page-table
-        #: entry may only flip to a version already on stable storage).
-        self.shadow_monitor = shadow_monitor
+        #: Optional runtime checker of the ordering rules: write-backs
+        #: after their recovery data, installs after their versions
+        #: (see sim.monitor.OrderingMonitor).
+        self.monitor = monitor
         #: Optional :class:`repro.faults.FaultInjector` (duck-typed: the
         #: machine only calls ``poll``; disks/links use their own
         #: predicates).  Wired into the data disks here and into the
@@ -201,12 +193,12 @@ class DatabaseMachine:
         """Record that ``n`` updated pages of ``txn`` reached the disk.
 
         Architectures that install versions (shadow paging) pass ``page``
-        so the install monitor learns the version became durable.
+        so the monitor learns the version became durable.
         """
         self.pages_written.increment(n)
         txn.last_durable_write = self.env.now
-        if page is not None and self.shadow_monitor is not None:
-            self.shadow_monitor.note_version_durable((txn.tid, page))
+        if page is not None and self.monitor is not None:
+            self.monitor.durable("install", (txn.tid, page))
         tracer = self.tracer
         if tracer is not None:
             tracer.instant("page.durable", tid=txn.tid, pages=n)
@@ -220,8 +212,8 @@ class DatabaseMachine:
 
     def spawn_writeback(self, txn: Transaction, page: int, parent=None) -> Process:
         """Start the architecture's durability path for an updated page."""
-        if self.shadow_monitor is not None:
-            self.shadow_monitor.note_version_written(page, (txn.tid, page))
+        if self.monitor is not None:
+            self.monitor.protect("install", page, (txn.tid, page))
         proc = self.env.process(
             self._traced_writeback(txn, page, parent), name=f"wb.t{txn.tid}.p{page}"
         )
@@ -268,10 +260,8 @@ class DatabaseMachine:
             return
         self.crashed = True
         self.crash_reason = reason
-        if self.wal_monitor is not None:
-            self.wal_monitor.reset()
-        if self.shadow_monitor is not None:
-            self.shadow_monitor.reset()
+        if self.monitor is not None:
+            self.monitor.reset()
         self._tinstant("machine.crash", reason=reason)
         if not self._crash_event.triggered:
             self._crash_event.succeed(reason)

@@ -31,13 +31,11 @@ from repro.sim.core import (
 )
 from repro.sim.monitor import (
     CounterStat,
+    OrderingMonitor,
+    OrderingViolation,
     SampleStat,
-    ShadowInstallMonitor,
-    ShadowInstallViolation,
     TimeWeightedStat,
     UtilizationTracker,
-    WALInvariantMonitor,
-    WALViolation,
 )
 from repro.sim.resources import Container, Resource
 from repro.sim.rng import RandomStreams
@@ -49,16 +47,14 @@ __all__ = [
     "CounterStat",
     "Environment",
     "Event",
+    "OrderingMonitor",
+    "OrderingViolation",
     "Process",
     "RandomStreams",
     "Resource",
     "SampleStat",
-    "ShadowInstallMonitor",
-    "ShadowInstallViolation",
     "SimulationError",
     "TimeWeightedStat",
     "Timeout",
     "UtilizationTracker",
-    "WALInvariantMonitor",
-    "WALViolation",
 ]

@@ -12,14 +12,26 @@ from typing import Dict, Hashable, List, Optional, Set
 
 __all__ = [
     "CounterStat",
+    "OrderingMonitor",
+    "OrderingViolation",
+    "RULES",
     "SampleStat",
-    "ShadowInstallMonitor",
-    "ShadowInstallViolation",
     "TimeWeightedStat",
     "UtilizationTracker",
-    "WALInvariantMonitor",
-    "WALViolation",
+    "percentile",
 ]
+
+
+def percentile(data: List[float], q: float) -> float:
+    """Linearly interpolated percentile of sorted ``data``; q in [0, 100]."""
+    if not data:
+        return 0.0
+    k = (len(data) - 1) * q / 100.0
+    lo = math.floor(k)
+    hi = math.ceil(k)
+    if lo == hi:
+        return data[int(k)]
+    return data[lo] * (hi - k) + data[hi] * (k - lo)
 
 
 class CounterStat:
@@ -90,15 +102,7 @@ class SampleStat:
         """q in [0, 100]; requires ``keep=True``."""
         if self._samples is None:
             raise ValueError("percentiles need keep=True")
-        if not self._samples:
-            return 0.0
-        data = sorted(self._samples)
-        k = (len(data) - 1) * q / 100.0
-        lo = math.floor(k)
-        hi = math.ceil(k)
-        if lo == hi:
-            return data[int(k)]
-        return data[lo] * (hi - k) + data[hi] * (k - lo)
+        return percentile(sorted(self._samples), q)
 
     def __repr__(self) -> str:
         return f"<SampleStat {self.name} n={self.n} mean={self.mean:.3f}>"
@@ -202,157 +206,82 @@ class UtilizationTracker:
         return f"<UtilizationTracker {self.name} busy={self._busy}>"
 
 
-class WALViolation(AssertionError):
-    """A dirty page reached stable storage before its recovery data."""
+class OrderingViolation(AssertionError):
+    """An act on a page ran ahead of the durable data that protects it."""
 
 
-class WALInvariantMonitor:
-    """Runtime checker of the write-ahead-log rule.
+#: The ordering rules and, for messages, the act each one guards.
+RULES = {
+    # Section 3.1, write-ahead logging: a dirty page goes home only
+    # after its recovery data is forced.
+    "wal": "written home",
+    # Section 3.2, shadow paging: a page-table entry flips only after
+    # the new version it points at is on disk.
+    "install": "installed",
+}
 
-    The invariant (paper Section 3.1, and every WAL system since): a dirty
-    page may be written to its home location only after every piece of
-    recovery data describing its updates is on stable storage.  The static
-    analyser (rule ARCH02) checks the *code paths*; this monitor checks the
-    *executions* — producers report recovery data as it is created and
-    forced, and the flush path asks permission just before a page goes home.
 
-    Protocol:
+class OrderingMonitor:
+    """Runtime checker of the paper's two ordering rules.
 
-    * ``note_recovery_data(page, token)`` — recovery data for ``page``
-      exists but is still volatile.  ``token`` is any hashable handle
-      (a log fragment, a ``(log, lsn)`` pair) unique to that datum.
-    * ``note_force(token)`` — the datum reached stable storage.
-    * ``note_flush(page)`` — ``page`` is about to be written home; raises
-      :class:`WALViolation` (``strict=True``) or counts a violation if any
-      of the page's recovery data is still volatile.
-    * ``reset()`` — a crash: volatile recovery data is gone, so pending
-      tokens are meaningless.
+    Both rules have one shape: an act on a page waits until every datum
+    protecting it is on stable storage.  The lint rules PROTO01 and
+    PROTO02 check the *code paths*; this monitor checks the
+    *executions*.  Each call names its rule (a key of :data:`RULES`),
+    and each rule keeps its own pending tokens and counters.
 
-    Tokens shared by several pages are supported by registering the token
-    once per page; a force retires it everywhere.
+    * ``protect(rule, page, token)`` — a datum protecting ``page`` (a
+      log fragment, a ``(log, lsn)`` pair, a ``(tid, page)`` version)
+      exists but is still volatile.  A token shared by several pages is
+      registered once per page.
+    * ``durable(rule, token)`` — the datum reached stable storage; it
+      stops protecting every page it was registered for.
+    * ``check(rule, page)`` — the rule's act on ``page`` is about to
+      happen; raises :class:`OrderingViolation` if any datum of the page
+      is still volatile.
+    * ``reset()`` — a crash: volatile data is gone, so pending tokens
+      are meaningless.
     """
 
-    def __init__(self, strict: bool = True, name: str = "wal-monitor"):
-        self.strict = strict
-        self.name = name
-        self.checks = 0
-        self.forces = 0
-        self.violations = 0
-        self._pending: Dict[int, Set[Hashable]] = {}
-        self._pages_of: Dict[Hashable, Set[int]] = {}
+    def __init__(self):
+        self.checks = dict.fromkeys(RULES, 0)
+        self.durables = dict.fromkeys(RULES, 0)
+        self.violations = dict.fromkeys(RULES, 0)
+        self._pending: Dict[str, Dict[int, Set[Hashable]]] = {r: {} for r in RULES}
+        self._pages_of: Dict[str, Dict[Hashable, Set[int]]] = {r: {} for r in RULES}
 
-    def note_recovery_data(self, page: int, token: Hashable) -> None:
-        self._pending.setdefault(page, set()).add(token)
-        self._pages_of.setdefault(token, set()).add(page)
+    def protect(self, rule: str, page: int, token: Hashable) -> None:
+        self._pending[rule].setdefault(page, set()).add(token)
+        self._pages_of[rule].setdefault(token, set()).add(page)
 
-    def note_force(self, token: Hashable) -> None:
-        self.forces += 1
-        for page in self._pages_of.pop(token, ()):
-            tokens = self._pending.get(page)
+    def durable(self, rule: str, token: Hashable) -> None:
+        self.durables[rule] += 1
+        pending = self._pending[rule]
+        for page in self._pages_of[rule].pop(token, ()):
+            tokens = pending.get(page)
             if tokens is not None:
                 tokens.discard(token)
                 if not tokens:
-                    del self._pending[page]
+                    del pending[page]
 
-    def note_flush(self, page: int) -> None:
-        self.checks += 1
-        pending = self._pending.get(page)
+    def check(self, rule: str, page: int) -> None:
+        self.checks[rule] += 1
+        pending = self._pending[rule].get(page)
         if pending:
-            self.violations += 1
-            if self.strict:
-                raise WALViolation(
-                    f"{self.name}: page {page} flushed with "
-                    f"{len(pending)} unforced recovery datum(s)"
-                )
+            self.violations[rule] += 1
+            raise OrderingViolation(
+                f"{rule} rule: page {page} {RULES[rule]} with "
+                f"{len(pending)} volatile datum(s)"
+            )
 
     def reset(self) -> None:
-        self._pending.clear()
-        self._pages_of.clear()
+        for rule in RULES:
+            self._pending[rule].clear()
+            self._pages_of[rule].clear()
 
-    @property
-    def pending_pages(self) -> int:
-        """Pages currently protected by volatile recovery data."""
-        return len(self._pending)
-
-    def __repr__(self) -> str:
-        return (
-            f"<WALInvariantMonitor {self.name} checks={self.checks} "
-            f"violations={self.violations} pending={self.pending_pages}>"
-        )
-
-
-class ShadowInstallViolation(AssertionError):
-    """A page-table install pointed at a version not yet on stable storage."""
-
-
-class ShadowInstallMonitor:
-    """Runtime checker of the shadow-paging install rule.
-
-    The dual of the WAL invariant (paper Section 3.2): a shadow
-    architecture may *install* a page's new version — flip the page-table
-    entry (or the version timestamp) to point at it — only after that
-    version is entirely on stable storage.  Installing first would leave
-    the table referencing garbage if the machine crashed before the
-    version landed.
-
-    Protocol (mirrors :class:`WALInvariantMonitor`):
-
-    * ``note_version_written(page, token)`` — a new version of ``page``
-      exists but is still volatile (its write-back just started);
-      ``token`` is any hashable handle unique to that version, e.g. a
-      ``(tid, page)`` pair.
-    * ``note_version_durable(token)`` — the version reached stable
-      storage.
-    * ``note_install(page)`` — the page-table entry for ``page`` is about
-      to flip; raises :class:`ShadowInstallViolation` (``strict=True``) or
-      counts a violation if any version of the page is still volatile.
-    * ``reset()`` — a crash: in-flight versions are gone with the cache.
-    """
-
-    def __init__(self, strict: bool = True, name: str = "shadow-monitor"):
-        self.strict = strict
-        self.name = name
-        self.installs = 0
-        self.durables = 0
-        self.violations = 0
-        self._pending: Dict[int, Set[Hashable]] = {}
-        self._pages_of: Dict[Hashable, Set[int]] = {}
-
-    def note_version_written(self, page: int, token: Hashable) -> None:
-        self._pending.setdefault(page, set()).add(token)
-        self._pages_of.setdefault(token, set()).add(page)
-
-    def note_version_durable(self, token: Hashable) -> None:
-        self.durables += 1
-        for page in self._pages_of.pop(token, ()):
-            tokens = self._pending.get(page)
-            if tokens is not None:
-                tokens.discard(token)
-                if not tokens:
-                    del self._pending[page]
-
-    def note_install(self, page: int) -> None:
-        self.installs += 1
-        pending = self._pending.get(page)
-        if pending:
-            self.violations += 1
-            if self.strict:
-                raise ShadowInstallViolation(
-                    f"{self.name}: page {page} installed with "
-                    f"{len(pending)} volatile version(s)"
-                )
-
-    def reset(self) -> None:
-        self._pending.clear()
-        self._pages_of.clear()
-
-    @property
-    def pending_pages(self) -> int:
-        """Pages whose newest version has not reached stable storage."""
-        return len(self._pending)
+    def pending_pages(self, rule: str) -> int:
+        """Pages the rule still protects with volatile data."""
+        return len(self._pending[rule])
 
     def __repr__(self) -> str:
-        return (
-            f"<ShadowInstallMonitor {self.name} installs={self.installs} "
-            f"violations={self.violations} pending={self.pending_pages}>"
-        )
+        return f"<OrderingMonitor checks={self.checks} violations={self.violations}>"

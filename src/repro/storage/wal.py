@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.sim.monitor import WALInvariantMonitor
+from repro.sim.monitor import OrderingMonitor
 from repro.sim.rng import RandomStreams
 from repro.storage.archive import ARCHIVE_FILES, ARCHIVE_PAGES, ArchiveDumpMixin
 from repro.storage.logcore import LogCore
@@ -71,7 +71,7 @@ class DistributedWalManager(ArchiveDumpMixin, LogCore):
         n_logs: int = 3,
         stable: Optional[StableStorage] = None,
         selection_seed: Optional[int] = None,
-        monitor: Optional[WALInvariantMonitor] = None,
+        monitor: Optional[OrderingMonitor] = None,
     ):
         super().__init__([f"log{i}" for i in range(n_logs)], stable)
         self._rng: Optional[random.Random] = (
@@ -91,7 +91,7 @@ class DistributedWalManager(ArchiveDumpMixin, LogCore):
         self._logs[index].force()
         if self._monitor is not None:
             for token in self._log_tokens.pop(index, ()):
-                self._monitor.note_force(token)
+                self._monitor.durable("wal", token)
 
     def _select_log(self) -> int:
         if self._rng is not None:
@@ -117,7 +117,7 @@ class DistributedWalManager(ArchiveDumpMixin, LogCore):
         if self._monitor is not None:
             token = (log_index, self._token_counter)
             self._token_counter += 1
-            self._monitor.note_recovery_data(page, token)
+            self._monitor.protect("wal", page, token)
             self._log_tokens.setdefault(log_index, []).append(token)
 
     # -- buffer management (steal / no-force) -----------------------------------------
@@ -130,7 +130,7 @@ class DistributedWalManager(ArchiveDumpMixin, LogCore):
             self._force_log(log_index)
         self._fault_point("wal.flush.between-force-and-write")
         if self._monitor is not None:
-            self._monitor.note_flush(page)
+            self._monitor.check("wal", page)
         self.stable.write_page(page, entry[0], entry[1])
         self._fault_point("wal.flush.post-write")
 

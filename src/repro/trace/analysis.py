@@ -19,9 +19,9 @@ comparison's gap to phases.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.sim.monitor import percentile
 from repro.trace.names import OTHER_PHASE, PRIORITY, TXN
 from repro.trace.recorder import Span, Tracer
 
@@ -201,23 +201,13 @@ def completion_percentiles(
 ) -> Dict[str, float]:
     """Exact completion-time percentiles from the traced windows.
 
-    Uses the same linear-interpolation definition as
-    :meth:`repro.sim.monitor.SampleStat.percentile`, so for a committed-
-    only run these match ``RunResult.completion_percentiles`` exactly.
+    Uses :func:`repro.sim.monitor.percentile`, as
+    :meth:`~repro.sim.monitor.SampleStat.percentile` does, so for a
+    committed-only run these match ``RunResult.completion_percentiles``
+    exactly.
     """
     samples = sorted(end - start for start, end in transaction_windows(tracer).values())
     out: Dict[str, float] = {}
     for q in qs:
-        out[f"p{q:g}"] = _percentile(samples, q)
+        out[f"p{q:g}"] = percentile(samples, q)
     return out
-
-
-def _percentile(data: List[float], q: float) -> float:
-    if not data:
-        return 0.0
-    k = (len(data) - 1) * q / 100.0
-    lo = math.floor(k)
-    hi = math.ceil(k)
-    if lo == hi:
-        return data[int(k)]
-    return data[lo] * (hi - k) + data[hi] * (k - lo)

@@ -2,33 +2,20 @@
 
 import pytest
 
-from repro.sim.monitor import ShadowInstallMonitor, WALInvariantMonitor
+from repro.sim.monitor import OrderingMonitor
 
 
 @pytest.fixture
-def wal_monitor():
-    """A strict runtime WAL checker.
+def monitor():
+    """A runtime checker of both ordering rules.
 
-    Attach it with ``DatabaseMachine(..., wal_monitor=wal_monitor)`` or
-    ``DistributedWalManager(monitor=wal_monitor)``; any dirty page flushed
-    before its recovery data is forced raises inside the run.  Teardown
-    re-asserts that no violation was recorded, so even a non-strict user
-    of the fixture cannot pass while breaking the WAL rule.
+    Attach it with ``DatabaseMachine(..., monitor=monitor)`` or
+    ``DistributedWalManager(monitor=monitor)``; a page written home
+    before its recovery data is forced, or installed before its new
+    version is durable, raises inside the run.  Teardown re-asserts
+    that no rule recorded a violation, so a test that swallows the
+    exception still fails.
     """
-    monitor = WALInvariantMonitor(strict=True)
+    monitor = OrderingMonitor()
     yield monitor
-    assert monitor.violations == 0, monitor
-
-
-@pytest.fixture
-def shadow_monitor():
-    """A strict runtime checker of the shadow install rule.
-
-    Attach it with ``DatabaseMachine(..., shadow_monitor=shadow_monitor)``;
-    any page-table install pointing at a version still in flight raises
-    inside the run.  Teardown re-asserts zero violations, mirroring the
-    ``wal_monitor`` fixture.
-    """
-    monitor = ShadowInstallMonitor(strict=True)
-    yield monitor
-    assert monitor.violations == 0, monitor
+    assert not any(monitor.violations.values()), monitor

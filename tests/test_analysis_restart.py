@@ -3,9 +3,9 @@
 import pytest
 
 from repro.analysis import (
-    checkpoint_interval_sweep,
     estimate_functional_restart,
     estimate_restart,
+    run_with_checkpoints,
 )
 from repro.core import (
     DifferentialFileArchitecture,
@@ -16,6 +16,7 @@ from repro.core import (
     ParallelLoggingArchitecture,
 )
 from repro.experiments import CONFIGURATIONS, ExperimentSettings, run_configuration
+from repro.faults import ARCHITECTURES
 from repro.machine import MachineConfig
 from repro.metrics import RunResult
 
@@ -146,9 +147,13 @@ class TestCheckpointCrossValidation:
 
     @pytest.fixture(scope="class")
     def sweep(self):
-        return checkpoint_interval_sweep(
-            seed=1985, intervals=self.INTERVALS, n_transactions=40
-        )
+        return {
+            arch: [
+                run_with_checkpoints(arch, 1985, interval, n_transactions=40)
+                for interval in self.INTERVALS
+            ]
+            for arch in sorted(ARCHITECTURES)
+        }
 
     def test_covers_all_architectures(self, sweep):
         assert len(sweep) == 7

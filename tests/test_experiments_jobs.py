@@ -1,12 +1,11 @@
 """Parallel fan-out (`--jobs`) must be invisible in the output.
 
 Every experiment cell is independently seeded, so fanning cells out over
-worker processes may only change wall-clock time — the table rows and
-the sweep statistics must be identical to the serial path.  Sizes
-here are kept tiny: the point is path equivalence, not statistics.
+worker processes may only change wall-clock time — the table rows must
+be identical to the serial path.  Sizes here are kept tiny: the point
+is path equivalence, not statistics.
 """
 
-from repro.analysis.checkpoints import checkpoint_interval_sweep
 from repro.experiments.runner import ExperimentSettings
 from repro.experiments.tables import table1_logging_impact, table5_shadow_utilization
 from repro.jobs import map_jobs
@@ -44,18 +43,4 @@ class TestTableJobs:
         items = [(table1_logging_impact, SMALL), (table5_shadow_utilization, SMALL)]
         serial = map_jobs(_run_table, items, jobs=1)
         parallel = map_jobs(_run_table, items, jobs=2)
-        assert parallel == serial
-
-
-class TestSweepJobs:
-    def test_sweep_identical_across_jobs(self):
-        kwargs = dict(
-            seed=7,
-            intervals=[None, 2],
-            archs=["wal"],
-            n_transactions=5,
-            n_pages=24,
-        )
-        serial = checkpoint_interval_sweep(jobs=1, **kwargs)
-        parallel = checkpoint_interval_sweep(jobs=2, **kwargs)
         assert parallel == serial

@@ -2,24 +2,21 @@
 
 import pytest
 
-from repro.loadgen.arrivals import ArrivalConfig
-from repro.loadgen.runner import run_open_load
+from repro.loadgen.arrivals import ArrivalConfig, generate_arrivals
+from repro.loadgen.runner import run_open_load, score_open_run
 from repro.machine import DatabaseMachine, MachineConfig, admission
 from repro.machine.admission import AdmissionQueue, BackpressureMonitor
+from repro.machine.testbed import build_survive_machine
 from repro.core import PageTableShadowArchitecture
 from repro.sim.core import Environment
 from repro.workload.generator import WorkloadConfig, generate_transactions
 from repro.sim.rng import RandomStreams
 
 
-def open_run(rate_tps=30.0, n=16, **config_overrides):
+def open_run(rate_tps=30.0, n=16):
     """One small open-system run under heavy offered load."""
     return run_open_load(
-        "shadow",
-        ArrivalConfig(rate_tps=rate_tps, n_arrivals=n),
-        seed=1985,
-        slo_ms=0.0,
-        config_overrides=config_overrides,
+        "shadow", ArrivalConfig(rate_tps=rate_tps, n_arrivals=n), seed=1985, slo_ms=0.0
     )
 
 
@@ -74,7 +71,17 @@ class TestPolicies:
             ADMISSION_RETRY_MAX_ATTEMPTS=10,
             ADMISSION_RETRY_BASE_MS=25.0,
         )
-        run = open_run(admission_deadline_ms=30.0)
+        schedule = generate_arrivals(
+            ArrivalConfig(rate_tps=30.0, n_arrivals=16),
+            RandomStreams(1985).fork("arrivals"),
+        )
+        machine, txns = build_survive_machine(
+            "shadow", 1985, schedule.offered, admission_deadline_ms=30.0
+        )
+        result = machine.run_open(
+            txns, schedule.times_ms, spike_times_ms=schedule.spike_starts_ms
+        )
+        run = score_open_run("shadow", "healthy", schedule, txns, result, 0.0)
         assert run.ok, run.oracle_violations
         assert run.shed > 0
 

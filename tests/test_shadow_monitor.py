@@ -1,70 +1,17 @@
-"""The shadow install monitor: install only after the version is durable."""
-
-import pytest
+"""The install rule of the ordering monitor on a timed shadow run:
+a page-table entry flips only after its new version is durable."""
 
 from repro import DatabaseMachine, MachineConfig, WorkloadConfig, generate_transactions
 from repro.core import PageTableShadowArchitecture
-from repro.sim import RandomStreams, ShadowInstallMonitor, ShadowInstallViolation
+from repro.sim import RandomStreams
 from repro.workload import TransactionStatus
-
-
-class TestShadowInstallMonitor:
-    def test_install_after_durable_is_clean(self):
-        monitor = ShadowInstallMonitor()
-        monitor.note_version_written(3, "v1")
-        monitor.note_version_durable("v1")
-        monitor.note_install(3)
-        assert monitor.violations == 0
-        assert monitor.installs == 1
-
-    def test_install_of_volatile_version_raises(self):
-        monitor = ShadowInstallMonitor(strict=True)
-        monitor.note_version_written(3, "v1")
-        with pytest.raises(ShadowInstallViolation):
-            monitor.note_install(3)
-        assert monitor.violations == 1
-
-    def test_non_strict_counts_without_raising(self):
-        monitor = ShadowInstallMonitor(strict=False)
-        monitor.note_version_written(1, "v1")
-        monitor.note_install(1)
-        monitor.note_install(1)
-        assert monitor.violations == 2
-
-    def test_unrelated_page_unaffected(self):
-        monitor = ShadowInstallMonitor()
-        monitor.note_version_written(1, "v1")
-        monitor.note_install(2)
-        assert monitor.violations == 0
-
-    def test_token_shared_by_pages_retires_everywhere(self):
-        monitor = ShadowInstallMonitor()
-        monitor.note_version_written(1, "batch")
-        monitor.note_version_written(2, "batch")
-        assert monitor.pending_pages == 2
-        monitor.note_version_durable("batch")
-        assert monitor.pending_pages == 0
-        monitor.note_install(1)
-        monitor.note_install(2)
-        assert monitor.violations == 0
-
-    def test_reset_clears_pending(self):
-        monitor = ShadowInstallMonitor()
-        monitor.note_version_written(1, "v1")
-        monitor.reset()
-        monitor.note_install(1)
-        assert monitor.violations == 0
-
-    def test_repr_mentions_state(self):
-        monitor = ShadowInstallMonitor(name="m")
-        assert "installs=0" in repr(monitor)
 
 
 class TestMachineIntegration:
     def run_shadow(self, monitor):
         config = MachineConfig()
         machine = DatabaseMachine(
-            config, PageTableShadowArchitecture(), shadow_monitor=monitor
+            config, PageTableShadowArchitecture(), monitor=monitor
         )
         txns = generate_transactions(
             WorkloadConfig(n_transactions=6, max_pages=40),
@@ -73,18 +20,18 @@ class TestMachineIntegration:
         )
         return machine.run(txns), txns
 
-    def test_shadow_run_satisfies_install_rule(self, shadow_monitor):
-        result, txns = self.run_shadow(shadow_monitor)
+    def test_shadow_run_satisfies_install_rule(self, monitor):
+        result, txns = self.run_shadow(monitor)
         assert all(t.status is TransactionStatus.COMMITTED for t in txns)
-        assert shadow_monitor.installs > 0
-        assert shadow_monitor.durables > 0
-        assert shadow_monitor.violations == 0
+        assert monitor.checks["install"] > 0
+        assert monitor.durables["install"] > 0
+        assert monitor.violations["install"] == 0
 
-    def test_installs_cover_every_updated_page(self, shadow_monitor):
-        result, txns = self.run_shadow(shadow_monitor)
+    def test_installs_cover_every_updated_page(self, monitor):
+        result, txns = self.run_shadow(monitor)
         committed_updates = sum(
             len(t.write_pages)
             for t in txns
             if t.status is TransactionStatus.COMMITTED
         )
-        assert shadow_monitor.installs >= committed_updates
+        assert monitor.checks["install"] >= committed_updates

@@ -1,8 +1,9 @@
-"""Unit tests for the statistics collectors."""
+"""Unit tests for the statistics collectors and the ordering monitor."""
 
 import pytest
 
 from repro.sim import CounterStat, SampleStat, TimeWeightedStat, UtilizationTracker
+from repro.sim.monitor import RULES, OrderingMonitor, OrderingViolation
 
 
 class TestCounterStat:
@@ -116,3 +117,71 @@ class TestUtilizationTracker:
     def test_zero_span(self):
         tracker = UtilizationTracker(5)
         assert tracker.utilization(5) == 0.0
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+class TestOrderingMonitor:
+    """The protocol, once per rule: ``wal`` (write-back after the log
+    force) and ``install`` (page-table flip after the version lands)."""
+
+    def test_check_without_protection_is_clean(self, rule):
+        monitor = OrderingMonitor()
+        monitor.check(rule, 7)
+        assert monitor.checks[rule] == 1
+        assert monitor.violations[rule] == 0
+
+    def test_check_after_durable_is_clean(self, rule):
+        monitor = OrderingMonitor()
+        monitor.protect(rule, 7, "token")
+        monitor.durable(rule, "token")
+        monitor.check(rule, 7)
+        assert monitor.violations[rule] == 0
+        assert monitor.pending_pages(rule) == 0
+
+    def test_check_of_volatile_datum_raises(self, rule):
+        monitor = OrderingMonitor()
+        monitor.protect(rule, 7, "token")
+        with pytest.raises(OrderingViolation, match=f"^{rule} rule: page 7"):
+            monitor.check(rule, 7)
+        assert monitor.violations[rule] == 1
+
+    def test_unrelated_page_unaffected(self, rule):
+        monitor = OrderingMonitor()
+        monitor.protect(rule, 1, "token")
+        monitor.check(rule, 2)
+        assert monitor.violations[rule] == 0
+
+    def test_token_shared_by_pages_retires_everywhere(self, rule):
+        monitor = OrderingMonitor()
+        monitor.protect(rule, 1, "shared")
+        monitor.protect(rule, 2, "shared")
+        assert monitor.pending_pages(rule) == 2
+        monitor.durable(rule, "shared")
+        assert monitor.pending_pages(rule) == 0
+        monitor.check(rule, 1)
+        monitor.check(rule, 2)
+        assert monitor.violations[rule] == 0
+
+    def test_reset_drops_pending_tokens(self, rule):
+        monitor = OrderingMonitor()
+        monitor.protect(rule, 3, "gone-at-crash")
+        monitor.reset()
+        monitor.check(rule, 3)
+        assert monitor.violations[rule] == 0
+
+    def test_unknown_durable_is_harmless(self, rule):
+        monitor = OrderingMonitor()
+        monitor.durable(rule, "never-registered")
+        assert monitor.durables[rule] == 1
+
+    def test_rules_keep_separate_tokens(self, rule):
+        (other,) = set(RULES) - {rule}
+        monitor = OrderingMonitor()
+        monitor.protect(other, 7, "token")
+        monitor.check(rule, 7)
+        monitor.durable(rule, "token")
+        assert monitor.violations[rule] == 0
+        assert monitor.pending_pages(other) == 1
+
+    def test_repr_mentions_state(self, rule):
+        assert f"'{rule}': 0" in repr(OrderingMonitor())

@@ -9,7 +9,9 @@ remembers the last committed value of every page.  Invariants:
   including crashes;
 * **atomicity** — uncommitted or aborted writes never become visible;
 * page-level lock discipline is respected by construction (the machine
-  only writes pages not held by another active transaction).
+  only reads or writes pages not held by another active transaction);
+* **isolation** — a transaction reading a page it has not written sees
+  the last committed value, and the read locks the page.
 """
 
 import pytest
@@ -50,10 +52,21 @@ class RecoveryContract(RuleBasedStateMachine):
         self.committed = {}
         #: tid -> {page: value} for active transactions.
         self.pending = {}
+        #: tid -> pages an active transaction has read but not written;
+        #: the read took the page's lock.
+        self.read_locks = {}
 
     # -- helpers ---------------------------------------------------------------
-    def _page_free(self, page):
-        return all(page not in writes for writes in self.pending.values())
+    def _held_by_other(self, tid, page):
+        return any(
+            page in self.pending[other] or page in self.read_locks.get(other, ())
+            for other in self.pending
+            if other != tid
+        )
+
+    def _end(self, tid):
+        self.read_locks.pop(tid, None)
+        return self.pending.pop(tid)
 
     # -- rules -----------------------------------------------------------------
     @rule()
@@ -67,7 +80,7 @@ class RecoveryContract(RuleBasedStateMachine):
     @rule(page=PAGES, value=VALUES, pick=st.integers(min_value=0, max_value=10))
     def write(self, page, value, pick):
         tid = sorted(self.pending)[pick % len(self.pending)]
-        if not self._page_free(page) and page not in self.pending[tid]:
+        if self._held_by_other(tid, page):
             return  # respect page-level locking
         self.manager.write(tid, page, value)
         self.pending[tid][page] = value
@@ -77,20 +90,21 @@ class RecoveryContract(RuleBasedStateMachine):
     def commit(self, pick):
         tid = sorted(self.pending)[pick % len(self.pending)]
         self.manager.commit(tid)
-        self.committed.update(self.pending.pop(tid))
+        self.committed.update(self._end(tid))
 
     @precondition(lambda self: self.pending)
     @rule(pick=st.integers(min_value=0, max_value=10))
     def abort(self, pick):
         tid = sorted(self.pending)[pick % len(self.pending)]
         self.manager.abort(tid)
-        self.pending.pop(tid)
+        self._end(tid)
 
     @rule()
     def crash_and_recover(self):
         self.manager.crash()
         self.manager.recover()
         self.pending.clear()
+        self.read_locks.clear()
 
     @precondition(lambda self: self.pending)
     @rule(pick=st.integers(min_value=0, max_value=10))
@@ -98,6 +112,18 @@ class RecoveryContract(RuleBasedStateMachine):
         tid = sorted(self.pending)[pick % len(self.pending)]
         for page, value in self.pending[tid].items():
             assert self.manager.read(tid, page) == value
+
+    @precondition(lambda self: self.pending)
+    @rule(page=PAGES, pick=st.integers(min_value=0, max_value=10))
+    def read_committed_value(self, page, pick):
+        """A live transaction reads a page it has not written."""
+        tid = sorted(self.pending)[pick % len(self.pending)]
+        if page in self.pending[tid] or self._held_by_other(tid, page):
+            return
+        assert self.manager.read(tid, page) == self.committed.get(page, b""), (
+            f"page {page}: read by live t{tid} ({self.manager.name})"
+        )
+        self.read_locks.setdefault(tid, set()).add(page)
 
     # -- invariant -----------------------------------------------------------------
     @invariant()

@@ -1,73 +1,19 @@
-"""The runtime WAL-invariant monitor, alone and wired into both layers.
+"""The WAL rule of the ordering monitor, wired into both layers.
 
-The static rule ARCH02 proves the *code paths* order log forces before
-write-backs; :class:`~repro.sim.monitor.WALInvariantMonitor` checks the
-*executions*.  These tests cover the protocol itself, then run the timed
-machine and the functional WAL engine under a strict monitor.
+The lint rule PROTO01 proves the *code paths* order log forces before
+write-backs; :class:`~repro.sim.monitor.OrderingMonitor` checks the
+*executions*.  These tests run the timed machine and the functional WAL
+engine under the monitor; ``tests/test_sim_monitor.py`` covers the
+protocol itself.
 """
-
-import pytest
 
 from repro import DatabaseMachine, MachineConfig, WorkloadConfig, generate_transactions
 from repro.core import LoggingConfig, LogMode, ParallelLoggingArchitecture
 from repro.sim import RandomStreams
-from repro.sim.monitor import WALInvariantMonitor, WALViolation
 from repro.storage import DistributedWalManager
 
 
-class TestProtocol:
-    def test_flush_without_recovery_data_is_fine(self):
-        monitor = WALInvariantMonitor()
-        monitor.note_flush(7)
-        assert monitor.checks == 1
-        assert monitor.violations == 0
-
-    def test_flush_after_force_is_fine(self):
-        monitor = WALInvariantMonitor()
-        monitor.note_recovery_data(7, "token")
-        monitor.note_force("token")
-        monitor.note_flush(7)
-        assert monitor.violations == 0
-        assert monitor.pending_pages == 0
-
-    def test_unforced_flush_raises_when_strict(self):
-        monitor = WALInvariantMonitor(strict=True)
-        monitor.note_recovery_data(7, "token")
-        with pytest.raises(WALViolation):
-            monitor.note_flush(7)
-        assert monitor.violations == 1
-
-    def test_unforced_flush_counts_when_lenient(self):
-        monitor = WALInvariantMonitor(strict=False)
-        monitor.note_recovery_data(7, "token")
-        monitor.note_flush(7)
-        monitor.note_flush(7)
-        assert monitor.violations == 2
-
-    def test_token_shared_by_pages_retires_everywhere(self):
-        monitor = WALInvariantMonitor()
-        monitor.note_recovery_data(1, "shared")
-        monitor.note_recovery_data(2, "shared")
-        assert monitor.pending_pages == 2
-        monitor.note_force("shared")
-        monitor.note_flush(1)
-        monitor.note_flush(2)
-        assert monitor.violations == 0
-
-    def test_reset_drops_pending_tokens(self):
-        monitor = WALInvariantMonitor()
-        monitor.note_recovery_data(3, "gone-at-crash")
-        monitor.reset()
-        monitor.note_flush(3)
-        assert monitor.violations == 0
-
-    def test_unknown_force_is_harmless(self):
-        monitor = WALInvariantMonitor()
-        monitor.note_force("never-registered")
-        assert monitor.forces == 1
-
-
-def logging_run(wal_monitor, mode=LogMode.LOGICAL, n_lps=2):
+def logging_run(monitor, mode=LogMode.LOGICAL, n_lps=2):
     config = MachineConfig()
     txns = generate_transactions(
         WorkloadConfig(n_transactions=6, max_pages=60),
@@ -77,31 +23,31 @@ def logging_run(wal_monitor, mode=LogMode.LOGICAL, n_lps=2):
     arch = ParallelLoggingArchitecture(
         LoggingConfig(n_log_processors=n_lps, mode=mode)
     )
-    machine = DatabaseMachine(config, arch, wal_monitor=wal_monitor)
+    machine = DatabaseMachine(config, arch, monitor=monitor)
     return machine.run(txns)
 
 
 class TestTimedMachine:
-    def test_logical_logging_run_is_checked(self, wal_monitor):
-        result = logging_run(wal_monitor)
-        assert wal_monitor.checks > 0
-        assert wal_monitor.checks == result.counter("data_pages_written")
-        assert wal_monitor.violations == 0
+    def test_logical_logging_run_is_checked(self, monitor):
+        result = logging_run(monitor)
+        assert monitor.checks["wal"] > 0
+        assert monitor.checks["wal"] == result.counter("data_pages_written")
+        assert monitor.violations["wal"] == 0
 
-    def test_physical_logging_run_is_checked(self, wal_monitor):
-        logging_run(wal_monitor, mode=LogMode.PHYSICAL, n_lps=1)
-        assert wal_monitor.checks > 0
-        assert wal_monitor.violations == 0
+    def test_physical_logging_run_is_checked(self, monitor):
+        logging_run(monitor, mode=LogMode.PHYSICAL, n_lps=1)
+        assert monitor.checks["wal"] > 0
+        assert monitor.violations["wal"] == 0
 
-    def test_monitored_run_matches_unmonitored(self, wal_monitor):
-        monitored = logging_run(wal_monitor)
+    def test_monitored_run_matches_unmonitored(self, monitor):
+        monitored = logging_run(monitor)
         plain = logging_run(None)
         assert monitored.execution_time_per_page == plain.execution_time_per_page
 
 
 class TestFunctionalEngine:
-    def test_steal_commit_crash_cycle_is_checked(self, wal_monitor):
-        manager = DistributedWalManager(n_logs=3, monitor=wal_monitor)
+    def test_steal_commit_crash_cycle_is_checked(self, monitor):
+        manager = DistributedWalManager(n_logs=3, monitor=monitor)
         rng = RandomStreams(5).stream("history")
         for _ in range(10):
             tid = manager.begin()
@@ -112,19 +58,19 @@ class TestFunctionalEngine:
             manager.flush_page(next(iter(manager.dirty_pages)))
             manager.commit(tid)
         manager.flush_all()
-        assert wal_monitor.checks > 0
-        assert wal_monitor.violations == 0
+        assert monitor.checks["wal"] > 0
+        assert monitor.violations["wal"] == 0
         manager.crash()
         manager.recover()
-        assert wal_monitor.pending_pages == 0
+        assert monitor.pending_pages("wal") == 0
 
-    def test_checkpoint_and_dump_retire_tokens(self, wal_monitor):
-        manager = DistributedWalManager(n_logs=2, monitor=wal_monitor)
+    def test_checkpoint_and_dump_retire_tokens(self, monitor):
+        manager = DistributedWalManager(n_logs=2, monitor=monitor)
         tid = manager.begin()
         manager.write(tid, 1, b"a")
         manager.write(tid, 2, b"b")
         manager.checkpoint()
-        assert wal_monitor.pending_pages == 0
+        assert monitor.pending_pages("wal") == 0
         manager.commit(tid)
         manager.dump()
-        assert wal_monitor.violations == 0
+        assert monitor.violations["wal"] == 0
