@@ -1,12 +1,12 @@
 """Shared plumbing for the benchmark harness.
 
-Every ``bench_*`` module declares a :class:`repro.bench.Grid` (directly,
-or through :func:`table_grid` for an entry of the table catalogue in
-:mod:`repro.experiments.tables`) and runs it through
-:func:`run_grid_bench`: the grid executes exactly once under
-pytest-benchmark (``pedantic`` with one round — the interesting number is
-the *simulated* result, the wall-clock time is a bonus), prints the
-measured rows next to the paper's, writes the text to
+Every ``bench_*`` module declares a :class:`repro.bench.Grid` (or, in
+``bench_tables``, one per entry of the table catalogue in
+:mod:`repro.experiments.tables`, through :func:`catalogue_grids`) and
+runs it through :func:`run_grid_bench`: the grid executes exactly once
+under pytest-benchmark (``pedantic`` with one round — the interesting
+number is the *simulated* result, the wall-clock time is a bonus),
+prints the measured rows next to the paper's, writes the text to
 ``benchmarks/output/<name>.txt`` so results survive pytest's capture,
 and writes the schema-validated ``BENCH_<name>.json`` trajectory
 artifact at the repo root and in ``benchmarks/output/``.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bench import (
     Grid,
@@ -32,7 +32,7 @@ from repro.bench import (
     write_grid_artifacts,
 )
 from repro.experiments import PAPER, ExperimentSettings
-from repro.experiments.tables import Table, render
+from repro.experiments.tables import CATALOGUE, Table, render
 from repro.metrics import format_table
 
 #: Master seed for the benchmark harness: every table draws the same
@@ -88,28 +88,26 @@ def run_table_cell(
     return metrics, detail
 
 
-def table_grid(
-    name: str,
-    table_func: Table,
-    *,
-    primary_metric: str,
-    seed: int,
-    title: str = "",
-    tolerance: float = 0.15,
-    higher_is_better: bool = False,
-) -> Grid:
-    """A single-cell grid wrapping one catalogued table (title defaults
-    to the table's; rows are labelled by its label field)."""
-    return Grid(
-        name=name,
-        title=title or table_func.title,
-        seed=seed,
-        runner=functools.partial(
-            run_table_cell, table_func, table_func.label_field
-        ),
-        primary_metric=primary_metric,
-        tolerance=tolerance,
-        higher_is_better=higher_is_better,
+def grid_name(table: Table) -> str:
+    """A catalogued table's grid name: ``table1`` -> ``table01``,
+    ``version-selection`` -> ``ablation_version_selection``."""
+    if table.key in PAPER:
+        return f"table{int(table.key[len('table'):]):02d}"
+    return "ablation_" + table.key.replace("-", "_")
+
+
+def catalogue_grids(gates: Mapping[str, str], *, seed: int) -> Tuple[Grid, ...]:
+    """One single-cell grid per :data:`CATALOGUE` entry, in catalogue order,
+    gated on ``mean.<gates[key]>`` and titled by the entry."""
+    return tuple(
+        Grid(
+            name=grid_name(table),
+            title=table.title,
+            seed=seed,
+            runner=functools.partial(run_table_cell, table, table.label_field),
+            primary_metric=f"mean.{gates[key]}",
+        )
+        for key, table in CATALOGUE.items()
     )
 
 

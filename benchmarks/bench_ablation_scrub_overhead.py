@@ -3,7 +3,7 @@
 The scrubber (docs/INTEGRITY.md) patrols every data-disk cylinder on a
 bounded I/O share, detecting silently rotted sectors before foreground
 reads can trust them.  This ablation sweeps the patrol on/off, the I/O
-share, and the rot rate on the mirrored small-drive testbed:
+share, and the rot rate on scrubtest's mirrored small-drive testbed:
 
 * **clean overhead** — with no rot, the patrol's reads compete with
   foreground I/O; the makespan penalty must stay small (the throttle
@@ -19,16 +19,17 @@ from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
 from repro.bench import Grid
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.hardware.params import IBM_3350
 from repro.machine import MachineConfig
 from repro.registry import survive_factory
 from repro.resilience import Scrubber
+from repro.resilience.scrubtest import (
+    SIM_DB_PAGES,
+    SIM_DISK,
+    SIM_RESERVED_CYLINDERS,
+)
 from repro.sim import RandomStreams
 from repro.machine.machine import DatabaseMachine
 from repro.workload.generator import WorkloadConfig, generate_transactions
-
-#: The scrubtest's small-drive testbed: one patrol pass fits the run.
-SMALL_DISK = IBM_3350.with_overrides(cylinders=12)
 
 PAPER_TEXT = paper_block(
     "Model (docs/INTEGRITY.md):",
@@ -49,9 +50,9 @@ def scrub_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
         scrub_enabled=scrub_on,
         scrub_io_share=params["io_share"],
         scrub_interval_ms=5.0,
-        disk=SMALL_DISK,
-        reserved_cylinders=3,
-        db_pages=1_000,
+        disk=SIM_DISK,
+        reserved_cylinders=SIM_RESERVED_CYLINDERS,
+        db_pages=SIM_DB_PAGES,
     )
     transactions = generate_transactions(
         WorkloadConfig(n_transactions=10, max_pages=60),

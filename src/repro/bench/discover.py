@@ -5,8 +5,9 @@ the CLI imports them by path: the tree's parent lands on ``sys.path``
 and each ``bench_*.py`` is imported as ``<package>.<stem>`` — the same
 module identity pytest gives it, which keeps grid runners picklable for
 the ``--jobs`` fan-out.  Every benchmark module must expose exactly one
-:class:`repro.bench.spec.Grid` (the BENCH02 lint rule enforces the
-declaration statically; discovery enforces it at run time).
+module-level :class:`repro.bench.spec.Grid`, or one tuple of them (the
+BENCH02 lint rule enforces the declaration statically; discovery
+enforces it at run time).
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ def _import_bench_module(bench_dir: str, stem: str):
     return importlib.import_module(f"{package}.{stem}")
 
 
+def _declares(value) -> bool:
+    if isinstance(value, tuple):
+        return bool(value) and all(isinstance(item, Grid) for item in value)
+    return isinstance(value, Grid)
+
+
 def load_grids(
     bench_dir: str, names: Optional[List[str]] = None
 ) -> Dict[str, Grid]:
@@ -47,20 +54,19 @@ def load_grids(
     for path in paths:
         stem = os.path.splitext(os.path.basename(path))[0]
         module = _import_bench_module(bench_dir, stem)
-        found = [
-            value for value in vars(module).values() if isinstance(value, Grid)
-        ]
+        found = [value for value in vars(module).values() if _declares(value)]
         if len(found) != 1:
             raise BenchSpecError(
-                f"{path}: expected exactly one repro.bench Grid at module "
-                f"level, found {len(found)}"
+                f"{path}: expected exactly one repro.bench Grid (or tuple "
+                f"of Grids) at module level, found {len(found)}"
             )
-        grid = found[0]
-        if grid.name in grids:
-            raise BenchSpecError(
-                f"{path}: duplicate grid name {grid.name!r}"
-            )
-        grids[grid.name] = grid
+        declared = found[0]
+        for grid in declared if isinstance(declared, tuple) else (declared,):
+            if grid.name in grids:
+                raise BenchSpecError(
+                    f"{path}: duplicate grid name {grid.name!r}"
+                )
+            grids[grid.name] = grid
     if names:
         unknown = [name for name in names if name not in grids]
         if unknown:

@@ -3,12 +3,13 @@
 The paper's tables are paired comparisons; a benchmark whose seed floats
 produces numbers that cannot be compared across commits.  BENCH02
 requires every benchmark module to declare a :class:`repro.bench.Grid`
-spec (directly, or through a ``benchmarks._harness`` factory) at module
-level, with an explicit ``seed=`` keyword — that is what makes the
-benchmark discoverable by ``repro bench``, gives its cells stable run
-IDs, and puts it under the ``bench-diff`` trajectory gate.  A benchmark
-outside the grid system is invisible to the perf trajectory, which is
-exactly the regression BENCH02 exists to prevent.
+spec (directly, or a tuple of them through the ``benchmarks._harness``
+catalogue factory) at module level, with an explicit ``seed=`` keyword —
+that is what makes the benchmark discoverable by ``repro bench``, gives
+its cells stable run IDs, and puts it under the ``bench-diff``
+trajectory gate.  A benchmark outside the grid system is invisible to
+the perf trajectory, which is exactly the regression BENCH02 exists to
+prevent.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ from repro.lint.engine import ModuleContext, Project, Rule, register
 __all__ = ["Bench02GridSpec"]
 
 #: Dotted origins that construct a grid spec.  ``Grid`` is the canonical
-#: constructor; the ``_harness`` factories wrap it for the paper-table
-#: benchmarks (they return a ``Grid`` and forward ``seed=``).
+#: constructor; the ``_harness`` catalogue factory wraps it for the paper
+#: tables (it returns one ``Grid`` per catalogue entry and forwards
+#: ``seed=``).
 _GRID_FACTORIES = (
     "repro.bench.Grid",
     "repro.bench.spec.Grid",
-    "benchmarks._harness.table_grid",
+    "benchmarks._harness.catalogue_grids",
 )
 
 

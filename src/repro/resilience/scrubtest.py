@@ -74,9 +74,9 @@ _SIM_ROT_PROBABILITY = 0.05
 #: A small drive so a full scrub patrol fits inside the workload's
 #: makespan (a production pass over a 555-cylinder 3350 takes hours of
 #: simulated time; the patrol mechanics are identical).
-_SIM_DISK = IBM_3350.with_overrides(cylinders=12)
-_SIM_RESERVED_CYLINDERS = 3
-_SIM_DB_PAGES = 1_000
+SIM_DISK = IBM_3350.with_overrides(cylinders=12)
+SIM_RESERVED_CYLINDERS = 3
+SIM_DB_PAGES = 1_000
 #: Idle time simulated after the workload so the patrol catches up —
 #: during the run the scrubber yields to foreground queues, so the
 #: repair guarantee is "by the end of the next quiet patrol window".
@@ -322,9 +322,9 @@ def run_scrub_sim_scenario(
         scrub_io_share=1.0,
         scrub_interval_ms=5.0,
         # The small-drive testbed wins over any per-architecture db sizing.
-        disk=_SIM_DISK,
-        reserved_cylinders=_SIM_RESERVED_CYLINDERS,
-        db_pages=_SIM_DB_PAGES,
+        disk=SIM_DISK,
+        reserved_cylinders=SIM_RESERVED_CYLINDERS,
+        db_pages=SIM_DB_PAGES,
     )
     scrubber = Scrubber(machine)
     result = machine.run(transactions)

@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+from repro.bench import BenchSpecError, load_grids
 from repro.cli import main
 
 # One bench tree for the whole module: discovery imports grid modules by
@@ -115,3 +116,50 @@ def test_missing_tree_exits_2(tmp_path, capsys):
     empty.mkdir()
     assert main(["bench", "--dir", str(empty)]) == 2
     assert "no bench_*.py" in capsys.readouterr().err
+
+
+def _tree(tmp_path, package, body):
+    """A one-module bench tree under its own package name (imports are
+    cached by package name, so every tree needs a fresh one)."""
+    tree = tmp_path / package
+    tree.mkdir()
+    (tree / "bench_many.py").write_text(textwrap.dedent(body))
+    return tree
+
+
+_TWO_GRIDS = """
+    from repro.bench import Grid
+
+
+    def cost(params, seed):
+        return {"cost": 1.0}
+
+
+    GRIDS = (
+        Grid(name="first", seed=1985, runner=cost, primary_metric="cost"),
+        Grid(name="%s", seed=1985, runner=cost, primary_metric="cost"),
+    )
+"""
+
+
+def test_tuple_of_grids_lists_and_runs_every_grid(tmp_path, capsys):
+    tree = _tree(tmp_path, "tuplebenchtree", _TWO_GRIDS % "second")
+    assert main(["bench", "--dir", str(tree), "--list"]) == 0
+    out = capsys.readouterr().out
+    assert "first: 1 cells" in out and "second: 1 cells" in out
+    assert main(["bench", "--dir", str(tree)]) == 0
+    capsys.readouterr()
+    for name in ("first", "second"):
+        assert (tree / "output" / f"BENCH_{name}.json").exists()
+
+
+def test_duplicate_name_inside_a_tuple_is_rejected(tmp_path):
+    tree = _tree(tmp_path, "dupbenchtree", _TWO_GRIDS % "first")
+    with pytest.raises(BenchSpecError, match="duplicate grid name 'first'"):
+        load_grids(str(tree))
+
+
+def test_module_without_a_grid_is_rejected(tmp_path):
+    tree = _tree(tmp_path, "gridlessbenchtree", "GRIDS = ()\n")
+    with pytest.raises(BenchSpecError, match="found 0"):
+        load_grids(str(tree))

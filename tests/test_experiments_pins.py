@@ -1,10 +1,12 @@
-"""Pins on the paper's published numbers and on two committed table grids.
+"""Pins on the paper's published numbers and on the committed table grids.
 
 ``PAPER`` may be reshaped, but no published number may move: each table's
-sorted numeric leaves are pinned by count and sha256.  And a fresh run of
+sorted numeric leaves are pinned by count and sha256.  A fresh run of
 two sampled tables at the benchmark settings must reproduce the rows held
 in the committed ``BENCH_table02.json`` and ``BENCH_table08.json``, so a
-model change fails here, not only in ``bench-diff``.
+model change fails here, not only in ``bench-diff``.  And the rows of
+every committed table grid must keep the paper's shape (the benchmark's
+``SHAPES``), so a re-baselined grid cannot quietly lose a conclusion.
 """
 
 import hashlib
@@ -13,12 +15,14 @@ import os
 
 import pytest
 
-from benchmarks._harness import BENCH_SETTINGS, REPO_ROOT
+from benchmarks._harness import BENCH_SETTINGS, REPO_ROOT, grid_name
+from benchmarks.bench_tables import SHAPES
 from repro.experiments import (
     PAPER,
     table2_log_utilization,
     table8_random_overwriting,
 )
+from repro.experiments.tables import CATALOGUE
 
 #: table -> (number of numeric leaves, sha256 of their sorted list's repr)
 PAPER_LEAVES = {
@@ -57,6 +61,16 @@ def test_paper_numbers_pinned(table):
     [("table02", table2_log_utilization), ("table08", table8_random_overwriting)],
 )
 def test_fresh_run_matches_committed_grid(grid, table_func):
+    assert table_func(BENCH_SETTINGS)["rows"] == _committed_rows(grid)
+
+
+@pytest.mark.parametrize(
+    "key", list(CATALOGUE), ids=[grid_name(table) for table in CATALOGUE.values()]
+)
+def test_committed_rows_keep_paper_shape(key):
+    SHAPES[key](_committed_rows(grid_name(CATALOGUE[key])))
+
+
+def _committed_rows(grid):
     with open(os.path.join(REPO_ROOT, f"BENCH_{grid}.json")) as handle:
-        committed = json.load(handle)["cells"][0]["detail"]["rows"]
-    assert table_func(BENCH_SETTINGS)["rows"] == committed
+        return json.load(handle)["cells"][0]["detail"]["rows"]

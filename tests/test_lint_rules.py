@@ -1274,14 +1274,29 @@ class TestBench02GridSpec:
             tmp_path,
             {
                 "benchmarks/bench_toy.py": """
-                from benchmarks._harness import table_grid
+                from benchmarks._harness import catalogue_grids
 
-                GRID = table_grid("toy", len, primary_metric="mean.x", seed=1985)
+                GRIDS = catalogue_grids({"table1": "x"}, seed=1985)
                 """
             },
             rules=["BENCH02"],
         )
         assert findings == []
+
+    def test_harness_factory_without_seed_flagged(self, tmp_path):
+        findings = lint(
+            tmp_path,
+            {
+                "benchmarks/bench_toy.py": """
+                from benchmarks._harness import catalogue_grids
+
+                GRIDS = catalogue_grids({"table1": "x"})
+                """
+            },
+            rules=["BENCH02"],
+        )
+        assert codes(findings) == ["BENCH02"]
+        assert "seed=" in findings[0].message
 
     def test_grid_without_seed_flagged(self, tmp_path):
         findings = lint(
