@@ -70,7 +70,9 @@ class RecoveryArchitecture:
     name = "bare"
 
     def __init__(self) -> None:
-        self.machine: "DatabaseMachine" = None  # set by attach()
+        #: Set by attach(); the machine re-binds it for each run and
+        #: clears it when the run returns.
+        self.machine: "DatabaseMachine" = None
         #: Checkpoints completed so far (see :meth:`take_checkpoint`).
         self.checkpoints_taken = 0
 

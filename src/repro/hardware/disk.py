@@ -233,11 +233,13 @@ class Disk:
             self.queue_length.update(env.now, len(self._queue))
             service = self._service_time(batch)
             # Duck-typed tracer (repro.trace attaches itself via env.tracer;
-            # the literal name is registered in the span catalogue).
-            tracer = env.tracer
+            # the literal name is registered in the span catalogue).  Read
+            # afresh after each yield and dropped before idling: a finished
+            # run leaves this server suspended, and it must not keep the
+            # run's tracer alive.
             span = None
-            if tracer is not None:
-                span = tracer.begin(
+            if env.tracer is not None:
+                span = env.tracer.begin(
                     "disk.service",
                     track=self.name,
                     kind=batch[0].kind,
@@ -247,6 +249,8 @@ class Disk:
             self.busy.start(env.now)
             yield env.timeout(service)
             self.busy.stop(env.now)
+            # No span when the service began between runs, untraced.
+            tracer = env.tracer if span is not None else None
             if tracer is not None:
                 tracer.end(span)
             self.accesses.increment()
@@ -268,6 +272,7 @@ class Disk:
                         self.corrupt_reads.increment()
                     self.pages_read.increment(req.n_pages)
                 req.done.succeed(env.now)
+            del tracer, span
 
     def _select_batch(self) -> List[DiskRequest]:
         raise NotImplementedError

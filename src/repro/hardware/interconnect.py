@@ -73,14 +73,18 @@ class Interconnect:
         with self._channel.request() as req:
             yield req
             # Duck-typed tracer (repro.trace attaches itself via env.tracer;
-            # the literal name is registered in the span catalogue).
-            tracer = getattr(self.env, "tracer", None)
+            # the literal name is registered in the span catalogue).  Read
+            # afresh after the yield: a run can end mid-transfer, and the
+            # suspended transfer must not keep a finished run's tracer.
+            env = self.env
             span = None
-            if tracer is not None:
-                span = tracer.begin("link.transfer", track=self.name, n_bytes=n_bytes)
-            self.busy.start(self.env.now)
-            yield self.env.timeout(self.transfer_ms(n_bytes))
-            self.busy.stop(self.env.now)
+            if env.tracer is not None:
+                span = env.tracer.begin("link.transfer", track=self.name, n_bytes=n_bytes)
+            self.busy.start(env.now)
+            yield env.timeout(self.transfer_ms(n_bytes))
+            self.busy.stop(env.now)
+            # No span when the transfer began between runs, untraced.
+            tracer = env.tracer if span is not None else None
             if tracer is not None:
                 tracer.end(span)
             if self.faults is not None and self.faults.drop_message():

@@ -189,10 +189,12 @@ class MirroredDisk:
         """
         env = self.env
         params = self.params
-        tracer = getattr(env, "tracer", None)
+        # ``env.tracer`` is read at each use, never held across a yield: a
+        # run can end mid-rebuild, and the suspended rebuild must not keep
+        # a finished run's tracer alive.
         span = None
-        if tracer is not None:
-            span = tracer.begin(
+        if env.tracer is not None:
+            span = env.tracer.begin(
                 "mirror.rebuild", track=self.name, cylinders=self.rebuild_cylinders
             )
         pages = 0
@@ -229,6 +231,7 @@ class MirroredDisk:
             self._stale[new_index] = False
             self.rebuilds_completed.increment()
             self._update_redundancy()
+        tracer = env.tracer if span is not None else None
         if tracer is not None:
             tracer.end(span, pages=pages, completed=completed)
 

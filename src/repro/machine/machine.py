@@ -19,6 +19,7 @@ Execution model (paper Sections 2 and 4):
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import AuxRead, DataPage, RecoveryArchitecture
@@ -87,7 +88,7 @@ class DatabaseMachine:
         self.faults = faults
         self.env = Environment()
         # Bind the tracer to this machine's clock; disks and interconnects
-        # pick it up from the environment.
+        # read it from ``env.tracer``, which a finished run clears.
         if tracer is not None:
             tracer.env = self.env
         self.env.tracer = tracer
@@ -341,12 +342,9 @@ class DatabaseMachine:
         """
         if not transactions:
             raise ValueError("empty transaction load")
-        done = self.env.process(self._driver(transactions), name="driver")
-        if self.faults is not None:
-            self.env.run(until=self.env.any_of([done, self._crash_event]))
-        else:
-            self.env.run(until=done)
-        return self._collect(transactions)
+        return self._run_to_end(
+            self.env.process(self._driver(transactions), name="driver"), transactions
+        )
 
     def run_open(
         self,
@@ -380,11 +378,47 @@ class DatabaseMachine:
             self._open_driver(transactions, arrival_times_ms, spike_times_ms),
             name="open-driver",
         )
-        if self.faults is not None:
-            self.env.run(until=self.env.any_of([done, self._crash_event]))
-        else:
-            self.env.run(until=done)
-        return self._collect(transactions)
+        return self._run_to_end(done, transactions)
+
+    def _run_to_end(self, done: Process, transactions) -> RunResult:
+        """Run until ``done`` (or an injected crash) and collect."""
+        with self._bound():
+            if self.faults is not None:
+                self.env.run(until=self.env.any_of([done, self._crash_event]))
+            else:
+                self.env.run(until=done)
+            return self._collect(transactions)
+
+    def idle(self, duration_ms: float) -> None:
+        """Let background work (a scrub patrol, a mirror rebuild) go on
+        for ``duration_ms`` after a run, offering no transactions."""
+        with self._bound():
+            self.env.run(until=self.env.now + duration_ms)
+
+    @contextmanager
+    def _bound(self):
+        """Bind the back-references to this machine while the block runs.
+
+        A finished machine must be freed by reference counting, not wait
+        for a full cyclic collection.  Processes still suspended when a
+        run ends (idle disk servers, patrol timers) keep the environment
+        alive, so nothing the environment reaches may point back at the
+        machine or the tracer between runs: ``env.tracer`` and every
+        helper's ``machine`` are ``None`` then (``self.tracer`` stays).
+        """
+        helpers = [self.arch, self.health, self.scrubber]
+        if self.admission is not None:
+            helpers += [self.admission, self.admission.backpressure]
+        helpers = [helper for helper in helpers if helper is not None]
+        self.env.tracer = self.tracer
+        for helper in helpers:
+            helper.machine = self
+        try:
+            yield
+        finally:
+            self.env.tracer = None
+            for helper in helpers:
+                helper.machine = None
 
     def _open_driver(self, transactions, arrival_times_ms, spike_times_ms):
         mpl = Resource(self.env, capacity=self.config.mpl)

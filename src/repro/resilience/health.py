@@ -56,7 +56,9 @@ class HealthMonitor:
     """
 
     def __init__(self, machine):
+        #: Bound while a run lasts (``DatabaseMachine`` releases it after).
         self.machine = machine
+        self._components = self._membership(machine)
         #: The BEC's own probe link: probes never contend with the
         #: QP-LP fragment traffic or the data disks.
         self.link = Interconnect(
@@ -81,7 +83,13 @@ class HealthMonitor:
     # -- membership ----------------------------------------------------------
     def components(self) -> List[Tuple[str, int]]:
         """Every component the monitor probes, in probe order."""
-        machine = self.machine
+        return list(self._components)
+
+    @staticmethod
+    def _membership(machine) -> Tuple[Tuple[str, int], ...]:
+        # Fixed at attachment: the machine's hardware keeps its shape, and
+        # ``detection_bound_ms`` stays readable after the run releases
+        # ``self.machine``.
         comps: List[Tuple[str, int]] = [
             ("qp", i) for i in range(machine.qps.capacity)
         ]
@@ -90,7 +98,7 @@ class HealthMonitor:
                 ("lp", i) for i in range(len(machine.arch.log_processors))
             )
         comps.extend(("disk", i) for i in range(len(machine.data_disks)))
-        return comps
+        return tuple(comps)
 
     def _healthy(self, kind: str, index: int) -> bool:
         machine = self.machine
@@ -116,7 +124,7 @@ class HealthMonitor:
         per_round = (
             HEARTBEAT_MS
             + JITTER_MS
-            + len(self.components()) * self.link.transfer_ms(PROBE_BYTES)
+            + len(self._components) * self.link.transfer_ms(PROBE_BYTES)
         )
         return (SUSPICION_PROBES + 1) * per_round
 
@@ -125,7 +133,7 @@ class HealthMonitor:
         env = self.machine.env
         while not self.machine.crashed:
             yield env.timeout(HEARTBEAT_MS + JITTER_MS * self._rng.random())
-            for key in self.components():
+            for key in self._components:
                 yield self.link.transfer(PROBE_BYTES)
                 self.probes_sent.increment()
                 if self._healthy(*key):

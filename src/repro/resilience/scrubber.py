@@ -48,6 +48,7 @@ class Scrubber:
     """
 
     def __init__(self, machine):
+        #: Bound while a run lasts (``DatabaseMachine`` releases it after).
         self.machine = machine
         self.io_share = machine.config.scrub_io_share
         self.interval_ms = machine.config.scrub_interval_ms
@@ -72,15 +73,19 @@ class Scrubber:
                 yield env.timeout(self.interval_ms)
 
     def _scrub_disk(self, disk):
-        """One patrol over every cylinder of one logical disk."""
+        """One patrol over every cylinder of one logical disk.
+
+        ``env.tracer`` is read at each use, never held across a yield: a
+        run can end mid-pass, and the suspended pass must not keep a
+        finished run's tracer alive.
+        """
         env = self.machine.env
         params = getattr(disk, "params", None)
         if params is None:  # pragma: no cover - every modeled disk has params
             return
-        tracer = getattr(env, "tracer", None)
         span = None
-        if tracer is not None:
-            span = tracer.begin(
+        if env.tracer is not None:
+            span = env.tracer.begin(
                 "scrub.pass", track=disk.name, cylinders=params.cylinders
             )
         read = 0
@@ -107,12 +112,13 @@ class Scrubber:
                     if addr.linear(side.params) in side.corrupt_sectors
                 ]
                 detected += len(rotted)
-                yield from self._repair(disk, side, rotted, tracer)
+                yield from self._repair(disk, side, rotted)
                 repaired += len(rotted)
             busy = env.now - started
             if self.io_share < 1.0 and busy > 0.0:
                 yield env.timeout(busy * (1.0 - self.io_share) / self.io_share)
         self.sectors_read.increment(read)
+        tracer = env.tracer if span is not None else None
         if tracer is not None:
             tracer.end(span, sectors=read, detected=detected, repaired=repaired)
 
@@ -124,7 +130,7 @@ class Scrubber:
         stale = getattr(disk, "_stale", [False] * len(sides))
         return [side for index, side in enumerate(sides) if not stale[index]]
 
-    def _repair(self, disk, side, rotted, tracer):
+    def _repair(self, disk, side, rotted):
         """Heal rotted sectors on ``side``, recording detection latency."""
         env = self.machine.env
         now = env.now
@@ -141,8 +147,8 @@ class Scrubber:
                     "latency_ms": latency,
                 }
             )
-            if tracer is not None:
-                tracer.instant(
+            if env.tracer is not None:
+                env.tracer.instant(
                     "scrub.detect",
                     track=side.name,
                     sector=linear,
@@ -164,8 +170,8 @@ class Scrubber:
         for addr in rotted:
             linear = addr.linear(side.params)
             self.sectors_repaired.increment()
-            if tracer is not None:
-                tracer.instant(
+            if env.tracer is not None:
+                env.tracer.instant(
                     "scrub.repair", track=side.name, sector=linear, mode=mode
                 )
 

@@ -331,7 +331,7 @@ def run_scrub_sim_scenario(
     # Let the patrol catch up over the now-idle machine: during the run
     # the scrubber yields to foreground queues, so the repair guarantee
     # is "by the end of the next quiet patrol window".
-    machine.env.run(until=machine.env.now + _SIM_DRAIN_MS)
+    machine.idle(_SIM_DRAIN_MS)
     lost = [
         t.tid for t in transactions if t.status is not TransactionStatus.COMMITTED
     ]

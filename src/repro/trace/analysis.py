@@ -138,6 +138,11 @@ def phase_breakdown(
     return _sweep([s for s in spans if s.end is not None and s.name in _UNIT], *window)
 
 
+def _tid_order(tid: Optional[int]) -> Tuple[bool, int]:
+    """Sort key for transaction ids: a ``None`` tid first, then ints."""
+    return (tid is not None, tid or 0)
+
+
 def aggregate_breakdown(tracer: Tracer) -> Dict[str, float]:
     """Mean phase breakdown over the run's committed transactions.
 
@@ -165,7 +170,7 @@ def aggregate_breakdown(tracer: Tracer) -> Dict[str, float]:
     if not windows:
         return {}
     totals: Dict[str, float] = {}
-    for tid in sorted(windows):
+    for tid in sorted(windows, key=_tid_order):
         start, end = windows[tid]
         for name, ms in _sweep(by_tid.get(tid, ()), start, end).items():
             totals[name] = totals.get(name, 0.0) + ms

@@ -13,7 +13,7 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import DatabaseMachine, MachineConfig, WorkloadConfig, generate_transactions
@@ -212,7 +212,8 @@ def grouped_aggregate(tracer: Tracer) -> Dict[str, float]:
         return {}
     by_tid = tracer.spans_by_tid()
     totals: Dict[str, float] = {}
-    for tid in sorted(windows):
+    # A ``None`` tid first, then ints: the one order both sides sum in.
+    for tid in sorted(windows, key=lambda tid: (tid is not None, tid or 0)):
         for name, ms in live_count_breakdown(by_tid.get(tid, ()), windows[tid]).items():
             totals[name] = totals.get(name, 0.0) + ms
     n = len(windows)
@@ -531,6 +532,10 @@ def _play(script) -> Tracer:
 
 @settings(max_examples=300, deadline=None)
 @given(record_scripts())
+# Committed txn spans with a None tid and an int tid: sorting the tids
+# once raised TypeError.
+@example([("begin", TXN, None, None, []), ("begin", TXN, 1, None, []),
+          ("end", 0, []), ("end", 0, [])])
 def test_random_record_sequences_match_oracles(script):
     tracer = _play(script)
     if not tracer.spans and not tracer.instants:
