@@ -558,14 +558,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"ablation {name}: {ABLATIONS[name].description}")
         return 0
 
-    if args.command == "table":
-        result = TABLES[args.number](_settings(args))
-        print(render(result))
-        return 0
-
-    if args.command == "ablation":
-        result = ABLATIONS[args.name](_settings(args))
-        print(render(result))
+    if args.command in ("table", "ablation"):
+        entry = TABLES[args.number] if args.command == "table" else ABLATIONS[args.name]
+        print(render(entry(_settings(args))))
         return 0
 
     if args.command == "fidelity":

@@ -9,17 +9,17 @@ move the reproduction toward or away from the paper.  Exposed as
 
 Each table declares the columns it scores in the catalogue
 (:mod:`repro.experiments.tables`); at this writing that is 122 cells
-across ten tables.  Tables 3 and 5 score none.
+across ten tables, from 54 distinct runs.  Tables 3 and 5 score none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.paper import PAPER
-from repro.experiments.runner import ExperimentSettings
-from repro.experiments.tables import CATALOGUE, Table
+from repro.experiments.runner import ExperimentSettings, run_cells
+from repro.experiments.tables import CATALOGUE, Column, Table
 
 __all__ = ["CellComparison", "FidelityReport", "fidelity_summary"]
 
@@ -78,13 +78,14 @@ class FidelityReport:
         return "\n".join(lines)
 
 
-def _paper_columns(table: Table) -> Tuple[str, ...]:
+def _paper_columns(table: Table) -> Tuple[Column, ...]:
     """The scored columns of ``table`` the paper gives a value in some row."""
     paper = PAPER[table.key]
     return tuple(
         column
-        for column in table.scored_columns
-        if any(paper[label].get(column) is not None for label in table.rows)
+        for column in table.columns
+        if column[0] in table.scored
+        and any(paper[label].get(column[0]) is not None for label in table.cells)
     )
 
 
@@ -95,26 +96,25 @@ def fidelity_summary(
     """Run the catalogued tables that score columns; pair every scored cell
     that has a paper value, labelled ``{row}/{column}``.
 
-    Only the architectures behind those columns run: Table 12's
-    ``command_logging`` and ``redo_wal`` have no paper value and are
-    skipped.  Cells run independently, so the rest measure the same.
+    Only the cells behind those columns run, each distinct one once over
+    all the tables: Table 12's ``command_logging`` and ``redo_wal`` have
+    no paper value and never run, and the bare machine shared by nine
+    tables runs once per configuration.
     """
-    settings = settings or ExperimentSettings()
+    scored = [
+        (key, table, _paper_columns(table))
+        for key, table in CATALOGUE.items()
+        if table.scored and (tables is None or key in tables)
+    ]
+    results = run_cells(
+        [cell for _, table, columns in scored for cell in table.cells_behind(columns)],
+        settings,
+    )
     cells: List[CellComparison] = []
-    for key, table in CATALOGUE.items():
-        if not table.scored_columns or (tables is not None and key not in tables):
-            continue
-        columns = _paper_columns(table)
-        kept = [spec for spec in table.columns if spec[0] in columns]
-        archs = {spec[1] for spec in kept}
-        table = replace(
-            table,
-            archs={name: arch for name, arch in table.archs.items() if name in archs},
-            columns=tuple(kept),
-        )
-        for row in table(settings)["rows"]:
+    for key, table, columns in scored:
+        for row in table.rows(results, columns):
             label = row[table.label_field]
-            for column in columns:
+            for column, *_ in columns:
                 paper = PAPER[key][label].get(column)
                 if paper is not None:
                     cells.append(

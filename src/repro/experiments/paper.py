@@ -9,14 +9,7 @@ utilizations fractions.
 
 from __future__ import annotations
 
-__all__ = ["PAPER", "CONFIG_NAMES"]
-
-CONFIG_NAMES = (
-    "conventional-random",
-    "parallel-random",
-    "conventional-sequential",
-    "parallel-sequential",
-)
+__all__ = ["PAPER"]
 
 
 def _policies(exec_ms, completion_ms):

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.core.base import RecoveryArchitecture
 from repro.machine.config import MachineConfig
@@ -13,9 +14,13 @@ from repro.sim.rng import RandomStreams
 from repro.workload.generator import WorkloadConfig, generate_transactions
 
 __all__ = [
+    "BARE",
     "CONFIGURATIONS",
+    "Arch",
+    "Cell",
     "Configuration",
     "ExperimentSettings",
+    "run_cells",
     "run_configuration",
 ]
 
@@ -97,3 +102,51 @@ def run_configuration(
         tracer=tracer,
     )
     return machine.run(transactions)
+
+
+@dataclass(frozen=True)
+class Arch:
+    """An architecture as a value: its class (``None``: the bare machine),
+    the config its constructor takes (``None``: none), and the machine and
+    workload overrides its runs use, kept as sorted item tuples so equal
+    declarations compare and hash equal."""
+
+    cls: Optional[Callable[..., RecoveryArchitecture]] = None
+    config: Any = None
+    machine: Tuple[Tuple[str, Any], ...] = ()
+    workload: Tuple[Tuple[str, Any], ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("machine", "workload"):
+            items = sorted(dict(getattr(self, name)).items())
+            object.__setattr__(self, name, tuple(items))
+
+
+BARE = Arch()
+
+
+class Cell(NamedTuple):
+    """One simulation: a configuration name and an architecture."""
+
+    configuration: str
+    arch: Arch = BARE
+
+
+def run_cells(
+    cells: Iterable[Cell], settings: Optional[ExperimentSettings] = None
+) -> Dict[Cell, RunResult]:
+    """Run each distinct cell once, in first-seen order: ``{cell: result}``.
+    Each run seeds its own machine and workload, so a cell shared by
+    several tables gives each the result a run of its own would."""
+    results: Dict[Cell, RunResult] = {}
+    for cell in cells:
+        if cell not in results:
+            arch = cell.arch
+            results[cell] = run_configuration(
+                CONFIGURATIONS[cell.configuration],
+                arch.cls if arch.config is None else partial(arch.cls, arch.config),
+                settings,
+                machine_overrides=dict(arch.machine),
+                workload_overrides=dict(arch.workload),
+            )
+    return results

@@ -1,38 +1,22 @@
 """The catalogue: every paper table and ablation, declared once.
 
-Almost every table of the paper's Section 4 has one shape: configurations
-as rows, recovery-architecture variants as columns, one metric of one run
-in each cell.  A :class:`Table` declares that layout — its rows, its named
-architectures (each a factory plus machine overrides), its columns as
-``(key, architecture, metric, digits)`` and the columns fidelity scores —
-and calling it runs each (row, architecture) pair once and returns
-``{"title", "rows", "paper"}``, each row's keys in declared order.
-``render(result)`` turns any result into an aligned plain-text table.
-
-Table 3 (log-disk counts as rows) and the hotspot ablation (workloads as
-rows, counters in the cells) keep a plain row builder, registered the
-same way.  The CLI, fidelity scoring and the benchmark grids all read
-:data:`CATALOGUE`; none keeps a table list of its own.
+A :class:`Table` declares its cells as data: ``cells[row][arch]`` is the
+:class:`~repro.experiments.runner.Cell` (configuration and architecture,
+both values) that its ``(key, arch, metric, digits)`` columns read in
+that row.  Most entries cross configurations with named architectures;
+Table 3's rows are log-disk counts over one shared bare row, and the
+hotspot ablation's rows are workloads.  Calling an entry runs its
+distinct cells once (:func:`~repro.experiments.runner.run_cells`);
+:meth:`Table.rows` is a pure view over the results.  The CLI, fidelity
+scoring and the benchmark grids all read :data:`CATALOGUE`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter, methodcaller
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from repro.core.bare import BareArchitecture
 from repro.core.differential import DifferentialConfig, DifferentialFileArchitecture
 from repro.core.modern import CommandLoggingArchitecture, RedoOnlyWalArchitecture
 from repro.core.logging import (
@@ -49,12 +33,16 @@ from repro.core.shadow import (
     ShadowConfig,
     VersionSelectionArchitecture,
 )
-from repro.experiments.paper import CONFIG_NAMES, PAPER
+from repro.experiments.paper import PAPER
 from repro.experiments.runner import (
+    BARE,
     CONFIGURATIONS,
+    Arch,
+    Cell,
     ExperimentSettings,
-    run_configuration,
+    run_cells,
 )
+from repro.metrics.collectors import RunResult
 from repro.metrics.report import format_table
 
 __all__ = [
@@ -85,11 +73,7 @@ __all__ = [
 ]
 
 #: Table 3 testbed: 75 QPs, 2 parallel-access data disks, 150 cache frames.
-TABLE3_MACHINE = {
-    "n_query_processors": 75,
-    "cache_frames": 150,
-    "prefetch_window": 48,
-}
+TABLE3_MACHINE = {"n_query_processors": 75, "cache_frames": 150, "prefetch_window": 48}
 
 #: Cell metrics: each maps a ``RunResult`` to one number.
 EXEC = attrgetter("execution_time_per_page")
@@ -100,30 +84,28 @@ def _utilization(resource: str) -> Callable:
     return methodcaller("utilization", resource)
 
 
-class Arch(NamedTuple):
-    """A named column architecture: a zero-argument factory (``None`` runs
-    the bare machine) and the machine overrides its runs use."""
-
-    factory: Optional[Callable] = None
-    machine: Optional[Mapping[str, Any]] = None
+def _logging(machine=(), workload=(), **config) -> Arch:
+    return Arch(ParallelLoggingArchitecture, LoggingConfig(**config), machine, workload)
 
 
-BARE = Arch()
-
-
-def _logging(**config) -> Arch:
-    return Arch(partial(ParallelLoggingArchitecture, LoggingConfig(**config)))
-
-
-def _shadow(**config) -> Arch:
-    return Arch(partial(PageTableShadowArchitecture, ShadowConfig(**config)))
+def _shadow(machine=(), **config) -> Arch:
+    return Arch(PageTableShadowArchitecture, ShadowConfig(**config), machine)
 
 
 def _differential(**config) -> Arch:
-    return Arch(partial(DifferentialFileArchitecture, DifferentialConfig(**config)))
+    return Arch(DifferentialFileArchitecture, DifferentialConfig(**config))
 
 
-Column = Tuple[str, str, Callable, int]
+#: ``(key, arch, metric, digits)``: ``metric`` of the row's ``arch`` cell,
+#: rounded to ``digits`` (``None``: as is).
+Column = Tuple[str, str, Callable[[RunResult], Any], Optional[int]]
+
+
+def _exec_and_completion(*archs: str) -> Tuple[Column, ...]:
+    """An ``exec_<arch>`` column per architecture, then ``completion_<arch>``."""
+    return tuple((f"exec_{arch}", arch, EXEC, 2) for arch in archs) + tuple(
+        (f"completion_{arch}", arch, COMPLETION, 1) for arch in archs
+    )
 
 
 @dataclass(frozen=True)
@@ -132,56 +114,51 @@ class Table:
 
     ``columns`` defaults to one execution-time column per architecture,
     keyed by its name.  ``scored`` names the columns fidelity pairs with
-    the paper (``True``: every column).  ``paper_field`` repeats that
-    column's paper value in each row under ``"paper"``.  ``build``
-    replaces the engine with a plain row builder.  An entry pickles by
-    reference to its module-level ``name``.
+    the paper (``True`` becomes every column).  ``paper_field`` repeats that
+    column's paper value in each row under ``"paper"``.  An entry pickles
+    by reference to its module-level ``name``.
     """
 
     name: str
     key: str  # "table1".."table12" (the PAPER key) or the ablation's CLI name
     title: str
     description: str
-    archs: Mapping[str, Arch]
+    cells: Mapping[Any, Mapping[str, Cell]]  # cells[row label][arch]
     columns: Tuple[Column, ...] = ()
-    rows: Tuple[str, ...] = CONFIG_NAMES
     scored: Union[bool, Tuple[str, ...]] = ()
     label_field: str = "configuration"
     paper_field: Optional[str] = None
-    build: Optional[Callable[[ExperimentSettings], List[Dict]]] = None
 
     def __post_init__(self) -> None:
         if not self.columns:
-            columns = tuple((name, name, EXEC, 2) for name in self.archs)
+            archs = next(iter(self.cells.values()))
+            columns = tuple((name, name, EXEC, 2) for name in archs)
             object.__setattr__(self, "columns", columns)
+        if self.scored is True:
+            object.__setattr__(self, "scored", tuple(key for key, *_ in self.columns))
 
     def __reduce__(self) -> str:
         return self.name
 
     def __call__(self, settings: Optional[ExperimentSettings] = None) -> Dict:
-        settings = settings or ExperimentSettings()
-        rows = (self.build or self._rows)(settings)
+        rows = self.rows(run_cells(self.cells_behind(), settings))
         return {"title": self.title, "rows": rows, "paper": PAPER.get(self.key)}
 
-    @property
-    def scored_columns(self) -> Tuple[str, ...]:
-        if self.scored is True:
-            return tuple(key for key, *_ in self.columns)
-        return self.scored or ()
+    def cells_behind(self, columns: Optional[Tuple[Column, ...]] = None) -> List[Cell]:
+        """The cells ``columns`` (default: all) read, row by row, repeats kept."""
+        columns = self.columns if columns is None else columns
+        return [cells[arch] for cells in self.cells.values() for _, arch, *_ in columns]
 
-    def _rows(self, settings: ExperimentSettings) -> List[Dict]:
+    def rows(self, results: Mapping[Cell, RunResult], columns=None) -> List[Dict]:
+        """The rows with ``columns`` (default: all), read from ``results``
+        (which must hold their cells) and nothing else."""
+        columns = self.columns if columns is None else columns
         rows = []
-        for label in self.rows:
-            config = CONFIGURATIONS[label]
-            runs = {
-                name: run_configuration(
-                    config, arch.factory, settings, machine_overrides=arch.machine
-                )
-                for name, arch in self.archs.items()
-            }
+        for label, cells in self.cells.items():
             row: Dict[str, Any] = {self.label_field: label}
-            for key, arch, metric, digits in self.columns:
-                row[key] = round(metric(runs[arch]), digits)
+            for key, arch, metric, digits in columns:
+                value = metric(results[cells[arch]])
+                row[key] = value if digits is None else round(value, digits)
             if self.paper_field:
                 row["paper"] = PAPER[self.key][label][self.paper_field]
             rows.append(row)
@@ -192,7 +169,14 @@ class Table:
 CATALOGUE: Dict[str, Table] = {}
 
 
-def _declare(**fields) -> Table:
+def _declare(rows: Iterable[str] = CONFIGURATIONS, archs=None, **fields) -> Table:
+    """Register an entry; ``archs`` crosses ``rows`` (configurations) with
+    named architectures into ``cells``."""
+    if archs is not None:
+        fields["cells"] = {
+            label: {name: Cell(label, arch) for name, arch in archs.items()}
+            for label in rows
+        }
     table = Table(**fields)
     CATALOGUE[table.key] = table
     return table
@@ -200,13 +184,9 @@ def _declare(**fields) -> Table:
 
 def render(result: Dict) -> str:
     """Render any table result as aligned text."""
-    rows = result["rows"]
-    headers = list(rows[0].keys())
-    return format_table(
-        headers,
-        [[row[h] for h in headers] for row in rows],
-        title=result.get("title"),
-    )
+    headers = list(result["rows"][0])
+    rows = [[row[h] for h in headers] for row in result["rows"]]
+    return format_table(headers, rows, title=result.get("title"))
 
 
 _RANDOM = ("conventional-random", "parallel-random")
@@ -220,13 +200,8 @@ table1_logging_impact = _declare(
     key="table1",
     title="Table 1. Impact of Logging",
     description="Table 1: impact of (logical) logging with one log disk.",
-    archs={"bare": BARE, "logged": _logging()},
-    columns=(
-        ("exec_without_log", "bare", EXEC, 2),
-        ("exec_with_log", "logged", EXEC, 2),
-        ("completion_without_log", "bare", COMPLETION, 1),
-        ("completion_with_log", "logged", COMPLETION, 1),
-    ),
+    archs={"without_log": BARE, "with_log": _logging()},
+    columns=_exec_and_completion("without_log", "with_log"),
     scored=("exec_without_log", "exec_with_log"),
 )
 
@@ -242,39 +217,37 @@ table2_log_utilization = _declare(
 )
 
 
-def _table3_rows(settings: ExperimentSettings) -> List[Dict]:
-    """Physical logging on the Table 3 testbed, one row per log-disk count;
-    the last row repeats the bare machine across the policy columns."""
-    config = CONFIGURATIONS["parallel-sequential"]
-    bare = run_configuration(config, None, settings, machine_overrides=TABLE3_MACHINE)
-    rows = []
-    for n in (1, 2, 3, 4, 5, "w/o logging"):
-        row: Dict[str, Any] = {"n_log_disks": n}
-        for policy in SelectionPolicy:
-            if n == "w/o logging":
-                result = bare
-            else:
-                logging = _logging(
-                    n_log_processors=n, mode=LogMode.PHYSICAL, selection=policy
-                )
-                result = run_configuration(
-                    config, logging.factory, settings, machine_overrides=TABLE3_MACHINE
-                )
-            row[f"exec_{policy.value}"] = round(result.execution_time_per_page, 2)
-            row[f"compl_{policy.value}"] = round(result.mean_completion_ms, 1)
-        rows.append(row)
-    return rows
-
-
+# Physical logging on the Table 3 testbed, one row per log-disk count; the
+# last row repeats the bare machine across the policy columns.
 table3_parallel_logging = _declare(
     name="table3_parallel_logging",
     key="table3",
     title="Table 3. Parallel Logging and Selection Algorithms "
     "(75 QPs, 2 parallel-access disks, 150 frames)",
     description="Table 3: physical logging, 1-5 log disks x 4 selection policies.",
-    archs={},
+    cells={
+        n: {
+            policy.value: Cell(
+                "parallel-sequential",
+                Arch(machine=TABLE3_MACHINE)
+                if n == "w/o logging"
+                else _logging(
+                    TABLE3_MACHINE,
+                    n_log_processors=n,
+                    mode=LogMode.PHYSICAL,
+                    selection=policy,
+                ),
+            )
+            for policy in SelectionPolicy
+        }
+        for n in (1, 2, 3, 4, 5, "w/o logging")
+    },
+    columns=tuple(
+        (f"{prefix}_{policy.value}", policy.value, metric, digits)
+        for policy in SelectionPolicy
+        for prefix, metric, digits in (("exec", EXEC, 2), ("compl", COMPLETION, 1))
+    ),
     label_field="n_log_disks",
-    build=_table3_rows,
 )
 
 table4_shadow_impact = _declare(
@@ -283,14 +256,7 @@ table4_shadow_impact = _declare(
     title="Table 4. Impact of the Shadow Mechanism",
     description="Table 4: impact of the shadow mechanism, 1 vs 2 PT processors.",
     archs={"bare": BARE, "1ptp": _SHADOW_1PTP, "2ptp": _SHADOW_2PTP},
-    columns=(
-        ("exec_bare", "bare", EXEC, 2),
-        ("exec_1ptp", "1ptp", EXEC, 2),
-        ("exec_2ptp", "2ptp", EXEC, 2),
-        ("completion_bare", "bare", COMPLETION, 1),
-        ("completion_1ptp", "1ptp", COMPLETION, 1),
-        ("completion_2ptp", "2ptp", COMPLETION, 1),
-    ),
+    columns=_exec_and_completion("bare", "1ptp", "2ptp"),
     scored=("exec_bare", "exec_1ptp", "exec_2ptp"),
 )
 
@@ -361,14 +327,7 @@ table9_differential_impact = _declare(
         "basic": _differential(optimal=False),
         "optimal": _differential(optimal=True),
     },
-    columns=(
-        ("exec_bare", "bare", EXEC, 2),
-        ("exec_basic", "basic", EXEC, 2),
-        ("exec_optimal", "optimal", EXEC, 2),
-        ("completion_bare", "bare", COMPLETION, 1),
-        ("completion_basic", "basic", COMPLETION, 1),
-        ("completion_optimal", "optimal", COMPLETION, 1),
-    ),
+    columns=_exec_and_completion("bare", "basic", "optimal"),
     scored=("exec_bare", "exec_basic", "exec_optimal"),
 )
 
@@ -408,7 +367,7 @@ table12_comparison = _declare(
     title="Table 12. Average Execution Time per Page (in ms)",
     description="Table 12: grand comparison of all recovery architectures.",
     archs={
-        "bare": Arch(BareArchitecture),
+        "bare": BARE,
         "logging": _logging(),
         "shadow_b10": _shadow(pt_buffer_pages=10),
         "shadow_b50": _shadow(pt_buffer_pages=50),
@@ -451,9 +410,9 @@ ablation_version_selection = _declare(
     title="Ablation (Sec 4.2.5): version selection vs thru page-table",
     description="Section 4.2.5: version selection vs thru page-table.",
     archs={
-        "bare": Arch(None, _HALF_DB),
-        "thru_pt": Arch(_shadow().factory, _HALF_DB),
-        "version_selection": Arch(VersionSelectionArchitecture, _HALF_DB),
+        "bare": Arch(machine=_HALF_DB),
+        "thru_pt": _shadow(_HALF_DB),
+        "version_selection": Arch(VersionSelectionArchitecture, machine=_HALF_DB),
     },
 )
 
@@ -463,8 +422,8 @@ ablation_overwriting_variants = _declare(
     title="Ablation (Sec 3.2.2.2): overwriting no-undo vs no-redo",
     description="Section 3.2.2.2: the no-undo vs the no-redo overwriting variant.",
     archs={
-        "no_undo": Arch(partial(OverwritingArchitecture, OverwritingMode.NO_UNDO)),
-        "no_redo": Arch(partial(OverwritingArchitecture, OverwritingMode.NO_REDO)),
+        "no_undo": Arch(OverwritingArchitecture, OverwritingMode.NO_UNDO),
+        "no_redo": Arch(OverwritingArchitecture, OverwritingMode.NO_REDO),
     },
 )
 
@@ -478,7 +437,7 @@ ablation_disk_scheduling = _declare(
     description="Extension: FCFS vs SSTF data-disk scheduling on the bare machine.",
     rows=("conventional-random", "conventional-sequential"),
     archs={
-        policy: Arch(None, {"disk_scheduling": policy}) for policy in ("fcfs", "sstf")
+        policy: Arch(machine={"disk_scheduling": policy}) for policy in ("fcfs", "sstf")
     },
 )
 
@@ -501,38 +460,29 @@ ablation_checkpointing = _declare(
 )
 
 
-def _hotspot_rows(settings: ExperimentSettings) -> List[Dict]:
-    """Parallel logging on conventional-random under b/c-rule skew: one row
-    per hot-set size, with the lock conflicts and restarts it causes."""
-    rows = []
-    for hotspot in (None, 0.1, 0.005):
-        result = run_configuration(
-            CONFIGURATIONS["conventional-random"],
-            _logging().factory,
-            settings,
-            workload_overrides={"hotspot_fraction": hotspot},
-        )
-        rows.append(
-            {
-                "workload": "uniform" if hotspot is None else f"hot_{hotspot:g}",
-                "exec_ms_per_page": round(result.execution_time_per_page, 2),
-                "lock_blocks": result.counter("lock_blocks"),
-                "restarts": result.n_restarts,
-            }
-        )
-    return rows
-
-
 # The paper's workload is uniform; skew shows performance is driven by I/O
 # patterns, not lock contention, until the hot set is pathologically small.
+# Parallel logging on conventional-random, one row per hot-set size, with
+# the lock conflicts and restarts it causes.
 ablation_hotspot = _declare(
     name="ablation_hotspot",
     key="hotspot",
     title="Ablation (extension): hotspot skew under parallel logging",
     description="Extension: skewed (hotspot) reference strings under logging.",
-    archs={},
+    cells={
+        "uniform" if hotspot is None else f"hot_{hotspot:g}": {
+            "logged": Cell(
+                "conventional-random", _logging(workload={"hotspot_fraction": hotspot})
+            )
+        }
+        for hotspot in (None, 0.1, 0.005)
+    },
+    columns=(
+        ("exec_ms_per_page", "logged", EXEC, 2),
+        ("lock_blocks", "logged", methodcaller("counter", "lock_blocks"), None),
+        ("restarts", "logged", attrgetter("n_restarts"), None),
+    ),
     label_field="workload",
-    build=_hotspot_rows,
 )
 
 #: The CLI's two views of the catalogue.

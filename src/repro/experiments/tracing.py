@@ -71,7 +71,9 @@ def run_traced(
         config,
         SIM_ARCHITECTURES[arch],
         settings=settings,
-        machine_overrides=_machine_overrides(arch),
+        # Per-architecture conventions (version pairs halve the database to
+        # fit the same drives, Section 4.2.5) live in the registry.
+        machine_overrides=machine_overrides(arch),
         tracer=tracer,
     )
     breakdown = aggregate_breakdown(tracer)
@@ -84,12 +86,6 @@ def run_traced(
         critical=critical_resource(breakdown),
         percentiles=completion_percentiles(tracer),
     )
-
-
-def _machine_overrides(arch: str) -> Optional[dict]:
-    # Per-architecture conventions (e.g. version pairs halve the database
-    # to fit the same drives, Section 4.2.5) live in the registry.
-    return machine_overrides(arch) or None
 
 
 def _configuration(name: str) -> Configuration:

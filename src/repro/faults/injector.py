@@ -57,6 +57,8 @@ class FaultInjector:
         self._crash_hits = [0] * len(self._crash_specs)
         #: record of fired faults: (kind, hook-or-target, crossing).
         self.fired: List[Tuple[str, str, int]] = []
+        #: The machine :meth:`arm` scheduled on, bound only while it runs.
+        self.machine = None
 
     @property
     def crossings(self) -> int:
@@ -191,41 +193,42 @@ class FaultInjector:
         * a spec with ``repair_after`` schedules the matching repair that
           many ms later (a replacement mirror side starts rebuilding, a
           repaired query processor rejoins the pool).
+
+        The faults reach the machine through ``self.machine``, bound only
+        while it runs, so a fault still pending keeps no finished run alive.
         """
         env = machine.env
+        machine.armed_faults = self
 
         def fire(spec: FaultSpec):
             yield env.timeout(spec.at_time)
             if spec.kind is FaultKind.CRASH:
                 self.fired.append(("crash", f"t={spec.at_time}", self.crossings))
-                machine.trigger_crash(f"timed@{spec.at_time}")
+                self.machine.trigger_crash(f"timed@{spec.at_time}")
             elif spec.kind is FaultKind.LP_FAIL:
                 self.fired.append(("lp-fail", str(spec.target), self.crossings))
-                machine.arch.fail_log_processor(spec.target or 0)
+                self.machine.arch.fail_log_processor(spec.target or 0)
             elif spec.kind is FaultKind.DISK_FAIL:
                 self.fired.append(("disk-fail", str(spec.target), self.crossings))
-                machine.fail_data_disk(spec.target or 0)
+                self.machine.fail_data_disk(spec.target or 0)
             elif spec.kind is FaultKind.QP_FAIL:
                 self.fired.append(("qp-fail", str(spec.target), self.crossings))
-                machine.fail_query_processor(spec.target or 0)
+                self.machine.fail_query_processor(spec.target or 0)
             if spec.repair_after is not None:
                 yield env.timeout(spec.repair_after)
                 if spec.kind is FaultKind.DISK_FAIL:
                     self.fired.append(
                         ("disk-repair", str(spec.target), self.crossings)
                     )
-                    machine.attach_disk_replacement(spec.target or 0)
+                    self.machine.attach_disk_replacement(spec.target or 0)
                 elif spec.kind is FaultKind.QP_FAIL:
                     self.fired.append(
                         ("qp-repair", str(spec.target), self.crossings)
                     )
-                    machine.repair_query_processor(spec.target or 0)
+                    self.machine.repair_query_processor(spec.target or 0)
 
-        for spec in self.timed_faults(FaultKind.CRASH):
-            env.process(fire(spec))
-        for spec in self.timed_faults(FaultKind.LP_FAIL):
-            env.process(fire(spec))
-        for spec in self.timed_faults(FaultKind.DISK_FAIL):
-            env.process(fire(spec))
-        for spec in self.timed_faults(FaultKind.QP_FAIL):
-            env.process(fire(spec))
+        for kind in (
+            FaultKind.CRASH, FaultKind.LP_FAIL, FaultKind.DISK_FAIL, FaultKind.QP_FAIL
+        ):
+            for spec in self.timed_faults(kind):
+                env.process(fire(spec))

@@ -145,6 +145,9 @@ class DatabaseMachine:
         #: attaches itself here when ``config.scrub_enabled``); its
         #: ``extra_counters()`` are folded into the run result.
         self.scrubber = None
+        #: Optional fault injector whose timed faults are scheduled here
+        #: (``FaultInjector.arm`` attaches itself), whatever ``faults`` is.
+        self.armed_faults = None
         #: Bounded admission queue; built by :meth:`run_open` only, so the
         #: closed-batch path never touches the overload-protection code.
         self.admission: Optional[AdmissionQueue] = None
@@ -406,7 +409,7 @@ class DatabaseMachine:
         machine or the tracer between runs: ``env.tracer`` and every
         helper's ``machine`` are ``None`` then (``self.tracer`` stays).
         """
-        helpers = [self.arch, self.health, self.scrubber]
+        helpers = [self.arch, self.health, self.scrubber, self.armed_faults]
         if self.admission is not None:
             helpers += [self.admission, self.admission.backpressure]
         helpers = [helper for helper in helpers if helper is not None]

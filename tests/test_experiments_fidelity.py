@@ -11,8 +11,9 @@ import pytest
 
 from repro import cli
 from repro.cli import main
-from repro.experiments import ExperimentSettings
+from repro.experiments import ExperimentSettings, runner
 from repro.experiments.fidelity import CellComparison, FidelityReport, fidelity_summary
+from repro.experiments.tables import CATALOGUE
 
 QUICK = ExperimentSettings(n_transactions=12)
 
@@ -111,20 +112,43 @@ class TestCliFidelity:
         assert capsys.readouterr().out == four_transaction_report.render() + "\n"
 
 
+def _count_runs(monkeypatch) -> list:
+    """Record each ``run_configuration`` call the cell engine makes."""
+    runs = []
+    real = runner.run_configuration
+
+    def counting(config, factory, settings, **overrides):
+        runs.append((config, factory, overrides))
+        return real(config, factory, settings, **overrides)
+
+    monkeypatch.setattr(runner, "run_configuration", counting)
+    return runs
+
+
 def test_only_architectures_with_paper_values_run(monkeypatch):
     """Table 12's ``command_logging`` and ``redo_wal`` columns have no
     paper value, so scoring never runs them: 4 rows x 8 architectures."""
-    from repro.experiments import tables
-
-    runs = []
-    real = tables.run_configuration
-
-    def counting(config, factory, settings, machine_overrides=None):
-        runs.append(factory)
-        return real(config, factory, settings, machine_overrides=machine_overrides)
-
-    monkeypatch.setattr(tables, "run_configuration", counting)
+    runs = _count_runs(monkeypatch)
     report = fidelity_summary(ExperimentSettings(n_transactions=2), tables=("table12",))
     assert len(runs) == 32
     assert len(report.cells) == 32
     assert not {c.cell.split("/")[1] for c in report.cells} & {"command_logging", "redo_wal"}
+
+
+def test_each_distinct_cell_runs_once_across_tables(monkeypatch):
+    """Tables 1, 4 and 9 all score the bare machine in every configuration;
+    the shared batch runs it once per configuration, not three times."""
+    runs = _count_runs(monkeypatch)
+    chosen = ("table1", "table4", "table9")
+    report = fidelity_summary(ExperimentSettings(n_transactions=2), tables=chosen)
+    distinct = {
+        cell
+        for table in (CATALOGUE[key] for key in chosen)
+        for cell in table.cells_behind(
+            [column for column in table.columns if column[0] in table.scored]
+        )
+    }
+    # bare + logged + 1ptp + 2ptp + basic + optimal, in four configurations.
+    assert len(distinct) == 24
+    assert len(runs) == len(distinct)
+    assert len(report.cells) == 4 * (2 + 3 + 3)

@@ -5,7 +5,7 @@ the paper's table layout.  (The *values* are checked by the shape tests;
 here we check plumbing.)
 """
 
-import pytest
+import pickle
 
 from repro.experiments import (
     ExperimentSettings,
@@ -21,7 +21,9 @@ from repro.experiments import (
     table10_output_fraction,
     table11_differential_size,
 )
-from repro.experiments.tables import render
+from repro.experiments.runner import BARE, Arch, Cell, run_cells
+from repro.experiments.tables import CATALOGUE, render
+from repro.core.logging import LoggingConfig, ParallelLoggingArchitecture
 
 TINY = ExperimentSettings(n_transactions=4)
 
@@ -69,6 +71,31 @@ class TestTableStructures:
         text = render(result)
         assert result["title"] in text
         assert "configuration" in text
+
+
+class TestSharedCells:
+    def test_arch_is_a_value(self):
+        logged = Arch(ParallelLoggingArchitecture, LoggingConfig(), {"b": 1, "a": 2})
+        twin = Arch(ParallelLoggingArchitecture, LoggingConfig(), {"a": 2, "b": 1})
+        assert logged == twin and hash(logged) == hash(twin)
+        assert Cell("parallel-random", logged) == Cell("parallel-random", twin)
+        assert Cell("parallel-random") == Cell("parallel-random", Arch())
+        assert logged != Arch(ParallelLoggingArchitecture, LoggingConfig())
+        assert BARE == Arch(None, None, {}, {})
+
+    def test_catalogue_rows_read_one_shared_store_without_mutating_it(self):
+        """Building every table's rows from one store leaves each result
+        pickle-identical, and a table's rows equal the table run alone."""
+        settings = ExperimentSettings(n_transactions=1)
+        tables = list(CATALOGUE.values())
+        results = run_cells(
+            (cell for table in tables for cell in table.cells_behind()), settings
+        )
+        before = {cell: pickle.dumps(result) for cell, result in results.items()}
+        shared = [table.rows(results) for table in tables]
+        assert {cell: pickle.dumps(r) for cell, r in results.items()} == before
+        for key in ("table1", "table12"):
+            assert shared[list(CATALOGUE).index(key)] == CATALOGUE[key](settings)["rows"]
 
 
 class TestAblations:

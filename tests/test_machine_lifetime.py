@@ -5,9 +5,10 @@ probe timers) keep the simulation environment alive in a small cycle.
 ``DatabaseMachine`` therefore binds every back-reference the environment
 can reach — ``env.tracer`` and each helper's ``machine`` — only while a
 run lasts, so dropping the machine and its tracer frees both at once,
-with the cyclic collector switched off.  A timed fault that has not yet
-fired when the run ends keeps its closure over the machine; that case is
-not covered here.
+with the cyclic collector switched off.  An armed fault injector is
+such a helper too, so a timed fault still pending when the run ends
+keeps nothing of the run alive.  A run halted by a crash is not covered
+here.
 """
 
 import gc
@@ -16,6 +17,7 @@ import weakref
 import pytest
 
 from repro import DatabaseMachine, MachineConfig, WorkloadConfig, generate_transactions
+from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.registry import REGISTRY, machine_overrides
 from repro.resilience import HealthMonitor, Scrubber
 from repro.sim import RandomStreams
@@ -83,6 +85,22 @@ def test_mirrored_scrubbed_monitored_run_is_freed(mode, no_cyclic_gc):
     refs = _run_and_watch(machine, tracer, mode, seed=16)
     open_names = {span.name for span in tracer.open_spans()}
     assert {"scrub.pass", "link.transfer"} <= open_names
+    del machine, tracer
+    assert [ref() is None for ref in refs] == [True, True]
+
+
+@pytest.mark.parametrize("mode", ["run", "run_open"])
+def test_run_with_an_unfired_timed_fault_is_freed(mode, no_cyclic_gc):
+    """A timed crash due long after the load finishes is still pending
+    when the run ends; its process may not keep the run alive."""
+    injector = FaultInjector(FaultPlan.of(FaultSpec(FaultKind.CRASH, at_time=1e9)))
+    tracer = Tracer()
+    config = MachineConfig(seed=1985, parallel_data_disks=True, **machine_overrides("wal"))
+    machine = DatabaseMachine(config, REGISTRY["wal"].sim(), tracer=tracer, faults=injector)
+    injector.arm(machine)
+    refs = _run_and_watch(machine, tracer, mode)
+    assert not machine.crashed and injector.fired == []
+    assert injector.machine is None
     del machine, tracer
     assert [ref() is None for ref in refs] == [True, True]
 
