@@ -313,7 +313,7 @@ class ParallelLoggingArchitecture(RecoveryArchitecture):
                 continue
             if cfg.routing is FragmentRouting.LINK:
                 try:
-                    yield self._link.reliable_transfer(payload)
+                    yield from self._link.reliable_transfer(payload)
                 except MessageLost as lost:
                     last_error = lost
                     continue

@@ -8,7 +8,7 @@ them; our reproduction of that ablation uses this model.
 
 from __future__ import annotations
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import Environment, SimulationError
 from repro.sim.monitor import CounterStat, UtilizationTracker
 from repro.sim.resources import Resource
 
@@ -59,17 +59,13 @@ class Interconnect:
         """Wire time for ``n_bytes``."""
         return self.latency_ms + n_bytes / (self.bandwidth_mb_per_s * 1000.0)
 
-    def transfer(self, n_bytes: int) -> Event:
-        """Start a transfer; the returned process-event fires on completion.
+    def transfer(self, n_bytes: int):
+        """Move ``n_bytes``; the caller runs it with ``yield from``.
 
-        The event's value is ``True`` if the message arrived, ``False`` if
-        the interconnect dropped it (wire time is spent either way).
-        Callers that just ``yield`` the event keep working unchanged; loss-
-        aware callers use :meth:`reliable_transfer`.
+        Returns ``True`` if the message arrived, ``False`` if the
+        interconnect dropped it (wire time is spent either way).
+        Loss-aware callers use :meth:`reliable_transfer`.
         """
-        return self.env.process(self._transfer(n_bytes), name=f"{self.name}.xfer")
-
-    def _transfer(self, n_bytes: int):
         with self._channel.request() as req:
             yield req
             # Duck-typed tracer (repro.trace attaches itself via env.tracer;
@@ -95,24 +91,19 @@ class Interconnect:
 
     def reliable_transfer(
         self, n_bytes: int, max_retries: int = 4, backoff_ms: float = 1.0
-    ) -> Event:
-        """A transfer with bounded retransmission and linear backoff.
+    ):
+        """A transfer with bounded retransmission and linear backoff, run
+        with ``yield from``.
 
-        The returned process-event fires when the message finally arrives;
-        it *fails* with :class:`MessageLost` after ``max_retries``
-        retransmissions all get dropped.
+        Returns once the message finally arrives; raises
+        :class:`MessageLost` after ``max_retries`` retransmissions all get
+        dropped.
         """
-        return self.env.process(
-            self._reliable(n_bytes, max_retries, backoff_ms),
-            name=f"{self.name}.rxfer",
-        )
-
-    def _reliable(self, n_bytes: int, max_retries: int, backoff_ms: float):
         for attempt in range(max_retries + 1):
             if attempt:
                 self.retransmissions.increment()
                 yield self.env.timeout(backoff_ms * attempt)
-            delivered = yield self.transfer(n_bytes)
+            delivered = yield from self.transfer(n_bytes)
             if delivered:
                 return True
         raise MessageLost(

@@ -98,13 +98,6 @@ class ArrivalSchedule:
     spike_starts_ms: Tuple[float, ...] = ()
 
     @property
-    def span_ms(self) -> float:
-        """First-to-last arrival span."""
-        if len(self.times_ms) < 2:
-            return 0.0
-        return self.times_ms[-1] - self.times_ms[0]
-
-    @property
     def offered(self) -> int:
         return len(self.times_ms)
 

@@ -134,7 +134,7 @@ class HealthMonitor:
         while not self.machine.crashed:
             yield env.timeout(HEARTBEAT_MS + JITTER_MS * self._rng.random())
             for key in self._components:
-                yield self.link.transfer(PROBE_BYTES)
+                yield from self.link.transfer(PROBE_BYTES)
                 self.probes_sent.increment()
                 if self._healthy(*key):
                     # A repaired (or replaced) component rejoins cleanly:

@@ -116,9 +116,6 @@ class StableStorage:
         _data, seq = self._pages.get(page, (b"", 0))
         return seq
 
-    def has_page(self, page: int) -> bool:
-        return page in self._pages
-
     def delete_page(self, page: int) -> None:
         """Drop ``page`` from the page store (space reclamation; free-map
         bookkeeping is not charged as a data-page write)."""

@@ -1,6 +1,7 @@
 """The crash-recovery harness: determinism, zero violations, and teeth."""
 
 import functools
+import pickle
 from typing import Dict, Optional, Sequence, Tuple
 
 import pytest
@@ -23,7 +24,7 @@ from repro.faults import (
     state_dump,
 )
 from repro.faults import harness
-from repro.faults.harness import _clone_crashed, _script, _verify
+from repro.faults.harness import _script, _verify
 from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.sim.rng import RandomStreams
 from repro.storage.interface import RecoveryManager
@@ -275,8 +276,9 @@ def _reference_run_once(
         manager.set_fault_callback(recovery_timeline.append)
         manager.recover()
         manager.set_fault_callback(None)
+    actual = {page: manager.read_committed(page) for page in range(n_pages)}
     outcome, violations = _verify(
-        arch, plan, manager, n_pages, committed, in_flight, pending, crashed_at
+        arch, plan, actual, committed, in_flight, pending, crashed_at
     )
     durable_checkpoints = manager.stable.file_length(CHECKPOINT_FILE)
     if durable_checkpoints < len(checkpoints):
@@ -556,6 +558,12 @@ class TestSnapshotResume:
         assert injector.fired == fresh_injector.fired
 
 
+def _clone_crashed(manager: RecoveryManager) -> RecoveryManager:
+    """The copy of a crashed manager :func:`run_scenario`'s re-crash pass
+    recovers: a pickle round trip."""
+    return pickle.loads(pickle.dumps(manager, pickle.HIGHEST_PROTOCOL))
+
+
 class TestCrashedManagerClone:
     """A crashed manager deep-copies: the re-crash pass depends on it."""
 
@@ -600,3 +608,90 @@ def test_recover_with_recrash_reports_an_uncrossed_hook():
     manager.recover()
     assert recover_with_recrash(clone, 5, hook="no.such.hook") is False
     assert state_dump(clone) == state_dump(manager)
+
+
+def _count_recoveries(monkeypatch) -> list:
+    """Record every recovery pass :func:`run_scenario` runs from now on."""
+    calls = []
+
+    def counting_recover(manager, seed, n_pages, recrash):
+        calls.append((seed, n_pages, recrash))
+        return recover(manager, seed, n_pages, recrash)
+
+    recover = harness._recover
+    monkeypatch.setattr(harness, "_recover", counting_recover)
+    return calls
+
+
+class TestRecoveryMemo:
+    """A crash point that leaves the state its architecture last recovered
+    reuses that recovery; every scenario is still judged on its own."""
+
+    def test_ascending_sweep_recovers_each_distinct_state_once(self, monkeypatch):
+        states = []
+
+        def recording_run_prefix(arch, ops, plan):
+            run = run_prefix(arch, ops, plan)
+            states.append(pickle.dumps(run[0], pickle.HIGHEST_PROTOCOL))
+            return run
+
+        totals = {arch: _crossings(arch, 5) for arch in ARCH_NAMES}
+        harness._RECOVERED.clear()
+        calls = _count_recoveries(monkeypatch)
+        monkeypatch.setattr(harness, "run_prefix", recording_run_prefix)
+        for arch in ARCH_NAMES:
+            states.clear()
+            calls.clear()
+            for point in range(1, totals[arch] + 1):
+                run_scenario(arch, 5, _crash_at(point, 5))
+            # Two passes per distinct state, and some states repeat.
+            assert len(calls) == 2 * len(set(states))
+            assert len(set(states)) < len(states)
+        assert sorted(harness._RECOVERED) == ARCH_NAMES
+
+    @pytest.mark.parametrize(
+        "broken", [_InPlaceManager, _UnrestartableUndoManager], ids=lambda cls: cls.name
+    )
+    def test_broken_recovery_is_judged_at_every_crossing(self, broken, monkeypatch):
+        name = broken.name
+        ARCHITECTURES[name] = broken
+        try:
+            total = _crossings(name, 5)
+            harness._RECOVERED.pop(name, None)
+            calls = _count_recoveries(monkeypatch)
+            flagged = 0
+            for point in range(1, total + 1):
+                plan = _crash_at(point, 5)
+                result = run_scenario(name, 5, plan)
+                assert result == reference_run_scenario(name, 5, plan)
+                flagged += not result.ok
+        finally:
+            del ARCHITECTURES[name]
+            harness._RECOVERED.pop(name, None)
+            harness._SNAPSHOTS.pop(name, None)
+        assert flagged
+        assert len(calls) < 2 * total  # memo hits were judged too
+
+    def test_an_entry_serves_only_its_own_key(self, monkeypatch):
+        fresh, pages = _crash_at(1, 5), harness.DEFAULT_PAGES
+        # Each run differs from the one before in one part of the key only;
+        # crashing before the first op leaves a never-used manager.
+        runs = [
+            (5, fresh, pages),
+            (7, fresh, pages),  # another script, the same key
+            (5, fresh, 4),  # page count
+            (5, fresh, pages),  # page count
+            (5, _crash_at(1, 6), pages),  # re-crash seed
+            (5, _crash_at(40, 6), pages),  # crashed state
+        ]
+        harness._RECOVERED.clear()
+        calls = _count_recoveries(monkeypatch)
+        results, served = [], []
+        for seed, plan, n_pages in runs:
+            before = len(calls)
+            results.append(run_scenario("wal", seed, plan, n_pages=n_pages))
+            served.append(len(calls) == before)
+        assert served == [False, True, False, False, False, False]
+        for (seed, plan, n_pages), result in zip(runs, results):
+            harness._RECOVERED.clear()
+            assert run_scenario("wal", seed, plan, n_pages=n_pages) == result

@@ -136,7 +136,7 @@ class TestMessageLoss:
 
         def sender(env):
             try:
-                yield link.reliable_transfer(1000, max_retries=max_retries)
+                yield from link.reliable_transfer(1000, max_retries=max_retries)
                 outcome["delivered"] = True
             except MessageLost as lost:
                 outcome["error"] = lost
@@ -152,7 +152,7 @@ class TestMessageLoss:
         seen = {}
 
         def sender(env):
-            seen["delivered"] = yield link.transfer(1000)
+            seen["delivered"] = yield from link.transfer(1000)
 
         env.process(sender(env))
         env.run()

@@ -24,7 +24,7 @@ class TestInterconnect:
         done = []
 
         def sender(env, link, n):
-            yield link.transfer(1000)
+            yield from link.transfer(1000)
             done.append(env.now)
 
         env.process(sender(env, link, 1))
@@ -37,7 +37,7 @@ class TestInterconnect:
         link = Interconnect(env, bandwidth_mb_per_s=1.0)
 
         def sender(env):
-            yield link.transfer(500)
+            yield from link.transfer(500)
 
         env.process(sender(env))
         env.run()

@@ -47,13 +47,13 @@ EXPECTED = {
 #: Calendar entries each cell schedules (``Environment.scheduled``).
 SCHEDULED = {
     "bare": 1135,
-    "wal": 1383,
+    "wal": 1295,
     "shadow": 1458,
     "versions": 1136,
     "overwrite": 1298,
     "differential": 1259,
-    "command": 1384,
-    "redo": 1395,
+    "command": 1296,
+    "redo": 1307,
 }
 
 
