@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.checkpoint import CHECKPOINT_FILE, CheckpointUnsupported
 from repro.registry import ARCHITECTURES
@@ -496,11 +497,34 @@ def _judge(
     )
 
 
-#: The latest recovered crashed state per architecture name: ``(pickle of
-#: the crashed manager, seed, n_pages, plain pass, re-crash pass)``.  A
-#: crash point that leaves the same state as the one before it (about 2
-#: in 5 in a sweep) reuses both passes' observations.
+#: The latest recovered crashed state per architecture name: ``(pickle
+#: of the crashed manager with its crash-invisible fields set to None,
+#: seed, n_pages, plain pass, re-crash pass)``.  A crash point that leaves
+#: the same crash-visible state as the one before it (about 2 in 3 in a
+#: sweep) reuses both passes' observations.
 _RECOVERED: Dict[str, Tuple[bytes, int, int, _Observed, _Observed]] = {}
+
+
+@functools.lru_cache(maxsize=None)
+def _crash_invisible(kind: type) -> Tuple[str, ...]:
+    """Every ``crash_invisible`` field ``kind`` and its bases declare."""
+    return tuple(
+        name for klass in kind.__mro__
+        for name in vars(klass).get("crash_invisible", ())
+    )
+
+
+def _set_invisible(manager: RecoveryManager, values: Iterable[Any]) -> List[Any]:
+    """Assign ``values`` to the declared crash-invisible fields of
+    ``manager`` and its stable storage, in declaration order; returns the
+    values they held."""
+    values = iter(values)
+    old = []
+    for owner in (manager, manager.stable):
+        for name in _crash_invisible(type(owner)):
+            old.append(getattr(owner, name))
+            setattr(owner, name, next(values))
+    return old
 
 
 def run_scenario(
@@ -519,16 +543,22 @@ def run_scenario(
     pass recovers a copy of the crashed manager, which holds exactly what
     a second replay would rebuild.  Recovery observes only the crashed
     state, so a state byte-equal to the architecture's last recovered one
-    is judged from that one's observations without recovering again.
+    is judged from that one's observations without recovering again; the
+    declared ``crash_invisible`` fields, which recovery never reads, are
+    left out of that comparison.
     """
     ops = _script(seed, n_transactions, n_pages, checkpoint_every)
     manager, *shared = run_prefix(arch, ops, plan)
-    # The crashed state's pickle keys the memo and is the re-crash pass's
-    # copy: every manager pickles once crashed, with no fault callback.
+    # The crashed state's pickle, crash-invisible fields set to None, keys
+    # the memo and is the re-crash pass's copy, which gets the real values
+    # back: every manager pickles once crashed, with no fault callback.
+    real = _set_invisible(manager, itertools.repeat(None))
     state = pickle.dumps(manager, pickle.HIGHEST_PROTOCOL)
+    _set_invisible(manager, real)
     memo = _RECOVERED.get(arch)
     if memo is None or memo[:3] != (state, plan.seed, n_pages):
         clone = pickle.loads(state)
+        _set_invisible(clone, real)
         memo = _RECOVERED[arch] = (
             state, plan.seed, n_pages,
             _recover(manager, plan.seed, n_pages, False),

@@ -49,6 +49,12 @@ class RecoveryManager:
     checkpoint_policy: Optional[type] = None
     checkpoint_unsupported = False
 
+    #: Fields this class owns that recovery never reads (``begin`` alone
+    #: reads the tid allocator).  Each class declares its own; the crash
+    #: harness collects them along the MRO and leaves them out of its
+    #: recovery memo key (docs/FAULTS.md).
+    crash_invisible: Tuple[str, ...] = ("_next_tid",)
+
     def __init__(self, stable: Optional[StableStorage] = None):
         self.stable = stable if stable is not None else StableStorage()
         self._next_tid = 1

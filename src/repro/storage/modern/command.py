@@ -69,6 +69,8 @@ class CommandLoggingManager(ArchiveDumpMixin, LogCore):
 
     name = "command-logging"
     hook_prefix = "cmd"
+    #: Statistics restart never reads (see ``RecoveryManager``).
+    crash_invisible = ("command_records", "writes_gated")
 
     def __init__(
         self,

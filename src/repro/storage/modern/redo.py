@@ -57,6 +57,8 @@ class RedoOnlyWalManager(ArchiveDumpMixin, LogCore):
 
     name = "redo-only-wal"
     hook_prefix = "redo"
+    #: Statistics restart never reads (see ``RecoveryManager``).
+    crash_invisible = ("writes_gated", "early_lock_releases")
 
     LOG_NAME = "redolog"
 

@@ -71,6 +71,19 @@ def _sealed(value: Any) -> bool:
 class StableStorage:
     """Crash-surviving page store and append-only files."""
 
+    #: Instrumentation that no restart reads: recovery's outcome is a
+    #: function of the stored pages and files alone, so the crash
+    #: harness leaves these out of its recovery memo key (docs/FAULTS.md).
+    crash_invisible: Tuple[str, ...] = (
+        "page_writes",
+        "page_reads",
+        "records_appended",
+        "records_read",
+        "checksum_failures",
+        "torn_tail_drops",
+        "corruptions_injected",
+    )
+
     def __init__(self) -> None:
         self._pages: Dict[int, Tuple[bytes, int]] = {}
         self._files: Dict[str, List[Any]] = {}

@@ -1,6 +1,7 @@
 """The crash-recovery harness: determinism, zero violations, and teeth."""
 
 import functools
+import itertools
 import pickle
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -624,15 +625,20 @@ def _count_recoveries(monkeypatch) -> list:
 
 
 class TestRecoveryMemo:
-    """A crash point that leaves the state its architecture last recovered
-    reuses that recovery; every scenario is still judged on its own."""
+    """A crash point that leaves the crash-visible state its architecture
+    last recovered reuses that recovery; every scenario is still judged
+    on its own."""
 
     def test_ascending_sweep_recovers_each_distinct_state_once(self, monkeypatch):
-        states = []
+        states, keys = [], []
 
         def recording_run_prefix(arch, ops, plan):
             run = run_prefix(arch, ops, plan)
-            states.append(pickle.dumps(run[0], pickle.HIGHEST_PROTOCOL))
+            manager = run[0]
+            states.append(pickle.dumps(manager, pickle.HIGHEST_PROTOCOL))
+            real = harness._set_invisible(manager, itertools.repeat(None))
+            keys.append(pickle.dumps(manager, pickle.HIGHEST_PROTOCOL))
+            harness._set_invisible(manager, real)
             return run
 
         totals = {arch: _crossings(arch, 5) for arch in ARCH_NAMES}
@@ -641,12 +647,17 @@ class TestRecoveryMemo:
         monkeypatch.setattr(harness, "run_prefix", recording_run_prefix)
         for arch in ARCH_NAMES:
             states.clear()
+            keys.clear()
             calls.clear()
             for point in range(1, totals[arch] + 1):
                 run_scenario(arch, 5, _crash_at(point, 5))
-            # Two passes per distinct state, and some states repeat.
-            assert len(calls) == 2 * len(set(states))
-            assert len(set(states)) < len(states)
+            # The memo holds the latest key: two passes per run of equal
+            # consecutive keys, and some runs are longer than one point.
+            key_runs = sum(1 for _key in itertools.groupby(keys))
+            assert len(calls) == 2 * key_runs
+            assert key_runs < len(keys)
+            # Leaving the crash-invisible fields out merges states.
+            assert key_runs < sum(1 for _state in itertools.groupby(states))
         assert sorted(harness._RECOVERED) == ARCH_NAMES
 
     @pytest.mark.parametrize(
@@ -674,24 +685,87 @@ class TestRecoveryMemo:
 
     def test_an_entry_serves_only_its_own_key(self, monkeypatch):
         fresh, pages = _crash_at(1, 5), harness.DEFAULT_PAGES
+
+        def bump(*names):
+            def edit(manager):
+                for name in names:
+                    owner = manager.stable if hasattr(manager.stable, name) else manager
+                    setattr(owner, name, getattr(owner, name) + 1)
+            return edit
+
         # Each run differs from the one before in one part of the key only;
-        # crashing before the first op leaves a never-used manager.
+        # crashing before the first op leaves a never-used manager.  An
+        # edit changes the crashed manager before it is keyed.
         runs = [
-            (5, fresh, pages),
-            (7, fresh, pages),  # another script, the same key
-            (5, fresh, 4),  # page count
-            (5, fresh, pages),  # page count
-            (5, _crash_at(1, 6), pages),  # re-crash seed
-            (5, _crash_at(40, 6), pages),  # crashed state
+            (5, fresh, pages, None),
+            (7, fresh, pages, None),  # another script, the same key
+            (5, fresh, 4, None),  # page count
+            (5, fresh, pages, None),  # page count
+            (5, _crash_at(1, 6), pages, None),  # re-crash seed
+            (5, _crash_at(40, 6), pages, None),  # crashed state
+            # declared crash-invisible fields only, the same key
+            (5, _crash_at(40, 6), pages, bump("_next_tid", "page_reads", "records_read")),
+            (5, _crash_at(40, 6), pages, bump("_round_robin")),  # undeclared field
         ]
+
+        def editing_run_prefix(arch, ops, plan):
+            run = run_prefix(arch, ops, plan)
+            if edit is not None:
+                edit(run[0])
+            return run
+
+        monkeypatch.setattr(harness, "run_prefix", editing_run_prefix)
         harness._RECOVERED.clear()
         calls = _count_recoveries(monkeypatch)
         results, served = [], []
-        for seed, plan, n_pages in runs:
+        for seed, plan, n_pages, edit in runs:
             before = len(calls)
             results.append(run_scenario("wal", seed, plan, n_pages=n_pages))
             served.append(len(calls) == before)
-        assert served == [False, True, False, False, False, False]
-        for (seed, plan, n_pages), result in zip(runs, results):
+        assert served == [False, True, False, False, False, False, True, False]
+        for (seed, plan, n_pages, edit), result in zip(runs, results):
             harness._RECOVERED.clear()
             assert run_scenario("wal", seed, plan, n_pages=n_pages) == result
+
+
+def _perturb_invisible(manager: RecoveryManager) -> None:
+    """Give every declared crash-invisible field a value it never held."""
+    real = harness._set_invisible(manager, itertools.repeat(None))
+    assert real
+    harness._set_invisible(
+        manager, [value + 7919 + offset for offset, value in enumerate(real)]
+    )
+
+
+class TestCrashInvisibleFields:
+    """Recovery never reads a declared ``crash_invisible`` field, so the
+    memo key may leave them out: new values on a copy of the crashed
+    manager leave both recovery passes' observations unchanged."""
+
+    @pytest.mark.parametrize(
+        "arch", ARCH_NAMES + [_InPlaceManager, _UnrestartableUndoManager],
+        ids=lambda arch: arch if isinstance(arch, str) else arch.name,
+    )
+    def test_every_seed5_crash_point(self, arch):
+        broken = not isinstance(arch, str)
+        name = arch.name if broken else arch
+        if broken:
+            ARCHITECTURES[name] = arch
+        pages = harness.DEFAULT_PAGES
+        try:
+            ops, total = _ops(5), _crossings(name, 5)
+            assert total > 0
+            for point in range(1, total + 1):
+                manager, *_shared = run_prefix(name, ops, _crash_at(point, 5))
+                state = pickle.dumps(manager, pickle.HIGHEST_PROTOCOL)
+                for recrash in (False, True):
+                    moved = pickle.loads(state)
+                    _perturb_invisible(moved)
+                    assert harness._recover(moved, 5, pages, recrash) == harness._recover(
+                        pickle.loads(state), 5, pages, recrash
+                    ), (name, point, recrash)
+        finally:
+            if broken:
+                del ARCHITECTURES[name]
+                harness._RECOVERED.pop(name, None)
+                harness._SNAPSHOTS.pop(name, None)
