@@ -197,7 +197,14 @@ def main() -> int:
     profile = cProfile.Profile()
     failed = []
     with tempfile.TemporaryDirectory() as scratch:
-        for run in drivers(scratch):
+        # drivers() makes the first repro imports: collect them too, or
+        # module bodies' import-time helpers would read as unreached.
+        profile.enable()
+        try:
+            runs = drivers(scratch)
+        finally:
+            profile.disable()
+        for run in runs:
             start = time.perf_counter()
             status: object = 0
             with contextlib.redirect_stdout(io.StringIO()):

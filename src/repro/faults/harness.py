@@ -20,11 +20,13 @@ it: replay with :func:`run_scenario` or ``repro crashtest --plan``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
 import json
 import pickle
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -302,23 +304,79 @@ def _verify(
     return "violation", violations
 
 
-class _Snapshot(NamedTuple):
-    """A :func:`run_prefix` run between two ops, ready to resume from."""
+class _Observed(NamedTuple):
+    """What one uninterrupted recovery leaves for the oracle to judge."""
 
-    #: The op script and ``ARCHITECTURES[arch]``, compared by identity.
-    ops: Tuple[Tuple, ...]
-    factory: Callable[[], RecoveryManager]
-    #: Ops applied so far.
-    index: int
-    #: The run's hook crossings so far, in order.
-    trail: Tuple[str, ...]
-    #: Pickle of ``(manager, tids, committed, pending, checkpoints)``.
-    state: bytes
+    #: ``read_committed`` of every page.
+    pages: Dict[int, bytes]
+    #: Checkpoints durable after recovery.
+    checkpoints: int
+    dump: str
+    #: Whether another crash/recover round left the dump unchanged.
+    idempotent: bool
+    #: The recovery's ordered hook crossings.
+    timeline: Tuple[str, ...]
 
 
-#: The latest op-boundary snapshot per architecture name: one each, a few
-#: KB apiece.
-_SNAPSHOTS: Dict[str, _Snapshot] = {}
+class _Sweep:
+    """One architecture's crash sweep over one op script.
+
+    It holds the latest op-boundary snapshot of :func:`run_prefix` and the
+    visited set, keyed by a crashed state's crash-visible pickle, recovery
+    seed and page count.  Both are valid only for the script and
+    ``ARCHITECTURES[arch]`` they were made with, compared by identity.
+    """
+
+    def __init__(self, ops: Tuple[Tuple, ...], factory: Optional[Callable]) -> None:
+        self.ops = ops
+        self.factory = factory
+        #: ``(ops applied, hook crossings so far, pickle of (manager, tids,
+        #: committed, pending, checkpoints))`` between two ops, or None.
+        self.snapshot: Optional[Tuple[int, Tuple[str, ...], bytes]] = None
+        #: Crash-visible state -> observation of its uninterrupted recovery.
+        self.visited: Dict[tuple, _Observed] = {}
+        #: Root state -> the observation its re-crash edge leads to.
+        self.recrashed: Dict[tuple, _Observed] = {}
+
+    def visit(self, key: tuple, manager: RecoveryManager) -> _Observed:
+        """``key``'s observation; recovers ``manager``, crashed in that
+        state, only on the first visit."""
+        observed = self.visited.get(key)
+        if observed is None:
+            observed = self.visited[key] = _recover(manager, key[2])
+        return observed
+
+    def recrash(self, key: tuple, real: List[Any]) -> _Observed:
+        """Follow the re-crash edge out of root ``key``: crash its recovery
+        at the first hook crossing and visit the state that leaves.  A
+        recovery that crosses no hook has nothing to crash, so the edge
+        leads back to ``key`` itself.  ``real`` holds the crash-invisible
+        values the copy recovers with."""
+        observed = self.recrashed.get(key)
+        if observed is None:
+            observed = self.visited[key]
+            if observed.timeline:
+                state, seed, n_pages = key
+                clone = pickle.loads(state)
+                _set_invisible(clone, real)
+                _crash_recovery(clone, clone.recover, seed)
+                observed = self.visit((_crash_visible(clone)[0], seed, n_pages), clone)
+            self.recrashed[key] = observed
+        return observed
+
+
+#: The sweep each architecture name ran last.
+_SWEEPS: Dict[str, _Sweep] = {}
+
+
+def _sweep(arch: str, ops: Tuple[Tuple, ...]) -> _Sweep:
+    """``arch``'s sweep over ``ops``: a new one unless the last was made
+    with this very script and factory."""
+    factory = ARCHITECTURES.get(arch)
+    sweep = _SWEEPS.get(arch)
+    if sweep is None or sweep.ops is not ops or sweep.factory is not factory:
+        sweep = _SWEEPS[arch] = _Sweep(ops, factory)
+    return sweep
 
 
 def run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
@@ -330,39 +388,35 @@ def run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
     function of ``(arch, ops, plan)``: managers draw only from seeded
     streams.
 
-    A crash-only plan on a tuple script resumes from the architecture's
-    latest op-boundary snapshot when that snapshot was taken on the same
-    script and factory and no spec would have fired within its trail;
-    the run then holds exactly what a replay from op 0 would.  A sweep
-    that crashes at ascending points thus applies each op about once.
+    A crash-only plan on a tuple script resumes from the latest
+    op-boundary snapshot of the architecture's sweep over that script
+    when no spec would have fired within its trail; the run then holds
+    exactly what a replay from op 0 would.  A sweep that crashes at
+    ascending points thus applies each op about once.
     """
-    factory = ARCHITECTURES.get(arch)
     injector = FaultInjector(plan)
     snapshots = isinstance(ops, tuple) and all(
         spec.kind is FaultKind.CRASH for spec in plan.specs
     )
-    snapshot = _SNAPSHOTS.get(arch) if snapshots else None
-    resumed = (snapshot is not None and snapshot.ops is ops
-               and snapshot.factory is factory and injector.resume(snapshot.trail))
+    sweep = _sweep(arch, ops) if snapshots else None
+    snapshot = sweep.snapshot if sweep is not None else None
+    resumed = snapshot is not None and injector.resume(snapshot[1])
     if resumed:
-        start = snapshot.index
-        manager, tids, committed, pending, checkpoints = pickle.loads(snapshot.state)
+        start = snapshot[0]
+        manager, tids, committed, pending, checkpoints = pickle.loads(snapshot[2])
     else:
         start = 0
         manager = make_manager(arch)
-        tids: Dict[int, int] = {}
-        committed: Dict[int, bytes] = {}
-        pending: Dict[int, Dict[int, bytes]] = {}
-        checkpoints: List[Any] = []
+        tids, committed, pending, checkpoints = {}, {}, {}, []
     crashed_at = None
     in_flight: Optional[Dict[int, bytes]] = None
     try:
         for index in range(start, len(ops)):
             # Snapshot between ops, callback detached; a resumed run's
             # first op boundary is the stored snapshot already.
-            if snapshots and (index > start or not resumed):
-                _SNAPSHOTS[arch] = _Snapshot(
-                    ops, factory, index, tuple(injector.trail),
+            if sweep is not None and (index > start or not resumed):
+                sweep.snapshot = (
+                    index, tuple(injector.trail),
                     pickle.dumps((manager, tids, committed, pending, checkpoints),
                                  pickle.HIGHEST_PROTOCOL),
                 )
@@ -382,6 +436,23 @@ def run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
     return manager, injector, committed, pending, checkpoints, crashed_at, in_flight
 
 
+def _crash_recovery(manager: RecoveryManager, recover: Callable[[], Any],
+                    seed: int, hook: str = "*") -> bool:
+    """Run ``recover`` with a crash armed at the first crossing of
+    ``hook``; when it fires, crash ``manager`` there.  Returns whether it
+    fired."""
+    plan = FaultPlan.of(FaultSpec(FaultKind.CRASH, hook=hook), seed=seed)
+    manager.set_fault_callback(FaultInjector(plan).reached)
+    try:
+        recover()
+    except InjectedCrash:
+        manager.set_fault_callback(None)
+        manager.crash()
+        return True
+    manager.set_fault_callback(None)
+    return False
+
+
 def recover_with_recrash(
     manager: RecoveryManager,
     seed: int,
@@ -395,52 +466,20 @@ def recover_with_recrash(
     Recovery must be re-runnable from any prefix of itself.  Returns
     whether the armed crash fired.
     """
-    if recover is None:
-        recover = manager.recover
-    injector = FaultInjector(
-        FaultPlan.of(FaultSpec(FaultKind.CRASH, hook=hook), seed=seed)
-    )
-    manager.set_fault_callback(injector.reached)
-    try:
-        recover()
-    except InjectedCrash:
-        manager.set_fault_callback(None)
-        manager.crash()
+    recover = recover or manager.recover
+    if _crash_recovery(manager, recover, seed, hook):
         recover()
         return True
-    manager.set_fault_callback(None)
     return False
 
 
-class _Observed(NamedTuple):
-    """What one recovery pass leaves for the oracle to judge."""
-
-    #: ``read_committed`` of every page.
-    pages: Dict[int, bytes]
-    #: Checkpoints durable after recovery.
-    checkpoints: int
-    dump: str
-    #: Whether another crash/recover round left the dump unchanged.
-    idempotent: bool
-    #: The plain pass's ordered recovery-phase hook crossings.
-    timeline: Tuple[str, ...]
-
-
-def _recover(
-    manager: RecoveryManager, seed: int, n_pages: int, recrash: bool
-) -> _Observed:
-    """Recover a crashed ``manager`` (re-crashing it once when ``recrash``)
-    and observe the result: a pure function of its crashed state, ``seed``
-    and ``n_pages``."""
-    timeline: List[str] = []
-    if recrash:
-        recover_with_recrash(manager, seed)
-    else:
-        # Record the recovery pass's own hook crossings, in order: the
-        # restart timeline (which phases ran, and how many times).
-        manager.set_fault_callback(timeline.append)
-        manager.recover()
-        manager.set_fault_callback(None)
+def _recover(manager: RecoveryManager, n_pages: int) -> _Observed:
+    """Recover a crashed ``manager`` and observe the result: a pure
+    function of its crash-visible state and ``n_pages``."""
+    timeline: List[str] = []  # the restart: which phases ran, how often
+    manager.set_fault_callback(timeline.append)
+    manager.recover()
+    manager.set_fault_callback(None)
     pages = {page: manager.read_committed(page) for page in range(n_pages)}
     checkpoints = manager.stable.file_length(CHECKPOINT_FILE)
     dump = state_dump(manager)
@@ -497,14 +536,6 @@ def _judge(
     )
 
 
-#: The latest recovered crashed state per architecture name: ``(pickle
-#: of the crashed manager with its crash-invisible fields set to None,
-#: seed, n_pages, plain pass, re-crash pass)``.  A crash point that leaves
-#: the same crash-visible state as the one before it (about 2 in 3 in a
-#: sweep) reuses both passes' observations.
-_RECOVERED: Dict[str, Tuple[bytes, int, int, _Observed, _Observed]] = {}
-
-
 @functools.lru_cache(maxsize=None)
 def _crash_invisible(kind: type) -> Tuple[str, ...]:
     """Every ``crash_invisible`` field ``kind`` and its bases declare."""
@@ -527,6 +558,16 @@ def _set_invisible(manager: RecoveryManager, values: Iterable[Any]) -> List[Any]
     return old
 
 
+def _crash_visible(manager: RecoveryManager) -> Tuple[bytes, List[Any]]:
+    """The pickle of a crashed ``manager`` with its crash-invisible fields
+    set to None, and the values they keep: every manager pickles once
+    crashed, with no fault callback."""
+    real = _set_invisible(manager, itertools.repeat(None))
+    state = pickle.dumps(manager, pickle.HIGHEST_PROTOCOL)
+    _set_invisible(manager, real)
+    return state, real
+
+
 def run_scenario(
     arch: str,
     seed: int,
@@ -538,34 +579,20 @@ def run_scenario(
     """Run one (seed, plan) scenario: plain recovery, then a re-crash pass.
 
     The re-crash pass injects a second crash at the first recovery hook
-    crossing; both passes must converge to the same stable state.  The
-    prefix up to the crash is deterministic, so it runs once: the re-crash
-    pass recovers a copy of the crashed manager, which holds exactly what
-    a second replay would rebuild.  Recovery observes only the crashed
-    state, so a state byte-equal to the architecture's last recovered one
-    is judged from that one's observations without recovering again; the
-    declared ``crash_invisible`` fields, which recovery never reads, are
-    left out of that comparison.
+    crossing; both passes must converge to the same stable state.
+    Recovery observes only the crashed state's crash-visible part (the
+    declared ``crash_invisible`` fields are never read), so each
+    architecture's sweep over a script recovers each such state once, the
+    first time either pass reaches it, and judges every later scenario
+    that reaches it from that observation.
     """
     ops = _script(seed, n_transactions, n_pages, checkpoint_every)
     manager, *shared = run_prefix(arch, ops, plan)
-    # The crashed state's pickle, crash-invisible fields set to None, keys
-    # the memo and is the re-crash pass's copy, which gets the real values
-    # back: every manager pickles once crashed, with no fault callback.
-    real = _set_invisible(manager, itertools.repeat(None))
-    state = pickle.dumps(manager, pickle.HIGHEST_PROTOCOL)
-    _set_invisible(manager, real)
-    memo = _RECOVERED.get(arch)
-    if memo is None or memo[:3] != (state, plan.seed, n_pages):
-        clone = pickle.loads(state)
-        _set_invisible(clone, real)
-        memo = _RECOVERED[arch] = (
-            state, plan.seed, n_pages,
-            _recover(manager, plan.seed, n_pages, False),
-            _recover(clone, plan.seed, n_pages, True),
-        )
-    plain = _judge(arch, plan, memo[3], *shared)
-    recrash = _judge(arch, plan, memo[4], *shared)
+    sweep = _sweep(arch, ops)
+    state, real = _crash_visible(manager)
+    key = (state, plan.seed, n_pages)
+    plain = _judge(arch, plan, sweep.visit(key, manager), *shared)
+    recrash = _judge(arch, plan, sweep.recrash(key, real), *shared)
     if recrash.dump != plain.dump:
         plain.violations.append(_violation(
             "recrash-divergence", arch, plan, plain.crashed_at,
@@ -604,23 +631,7 @@ class CrashTestReport:
         return not self.violations
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "architecture": self.architecture,
-                "seed": self.seed,
-                "n_transactions": self.n_transactions,
-                "total_crossings": self.total_crossings,
-                "points_tested": self.points_tested,
-                "outcomes": self.outcomes,
-                "violations": self.violations,
-                "state_hash": self.state_hash,
-                "checkpoint_hooks": self.checkpoint_hooks,
-                "recovery_timeline": self.recovery_timeline,
-                "recovery_phase_counts": self.recovery_phase_counts,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
 
     def summary(self) -> str:
         """The CLI line: crash points, outcomes, restart timeline, faults."""
@@ -644,14 +655,10 @@ class CrashTestReport:
 
 def _squash(timeline: List[str]) -> str:
     """Render an ordered hook timeline, folding consecutive repeats."""
-    parts: List[str] = []
-    i = 0
-    while i < len(timeline):
-        j = i
-        while j < len(timeline) and timeline[j] == timeline[i]:
-            j += 1
-        parts.append(timeline[i] if j - i == 1 else f"{timeline[i]} x{j - i}")
-        i = j
+    parts = []
+    for hook, run in itertools.groupby(timeline):
+        repeats = len(list(run))
+        parts.append(hook if repeats == 1 else f"{hook} x{repeats}")
     return " -> ".join(parts)
 
 
@@ -671,42 +678,33 @@ def run_crashtest(
     woven into the workload put every ``checkpoint.*`` and
     architecture-specific compaction hook in the crash population.
     """
-    ops = _script(seed, n_transactions, n_pages, checkpoint_every)
-    plan = FaultPlan.of(seed=seed)
-    manager, *shared = run_prefix(arch, ops, plan)
-    baseline = _judge(arch, plan, _recover(manager, seed, n_pages, False), *shared)
-    total = baseline.crossings
-    points = list(range(1, total + 1))
+    baseline = run_scenario(arch, seed, FaultPlan.of(seed=seed), n_transactions,
+                            n_pages, checkpoint_every)
+    points = list(range(1, baseline.crossings + 1))
     if budget is not None and budget < len(points):
         sampler = RandomStreams(seed).stream("crashtest.points")
         points = sorted(sampler.sample(points, budget))
-    outcomes: Dict[str, int] = {}
-    violations: List[Dict[str, Any]] = list(baseline.violations)
+    outcomes: Counter = Counter()
+    violations = list(baseline.violations)
     hasher = hashlib.sha256(baseline.dump.encode())
-    phase_counts: Dict[str, int] = {}
-    for hook in baseline.recovery_timeline:
-        phase_counts[hook] = phase_counts.get(hook, 0) + 1
+    phase_counts = Counter(baseline.recovery_timeline)
     for point in points:
-        plan = FaultPlan.of(
-            FaultSpec(FaultKind.CRASH, hook="*", occurrence=point), seed=seed
-        )
-        result = run_scenario(arch, seed, plan, n_transactions, n_pages,
-                              checkpoint_every=checkpoint_every)
-        outcomes[result.outcome] = outcomes.get(result.outcome, 0) + 1
+        plan = FaultPlan.of(FaultSpec(FaultKind.CRASH, hook="*", occurrence=point), seed=seed)
+        result = run_scenario(arch, seed, plan, n_transactions, n_pages, checkpoint_every)
+        outcomes[result.outcome] += 1
         violations.extend(result.violations)
         hasher.update(result.dump.encode())
-        for hook in result.recovery_timeline:
-            phase_counts[hook] = phase_counts.get(hook, 0) + 1
+        phase_counts.update(result.recovery_timeline)
     return CrashTestReport(
         architecture=arch,
         seed=seed,
         n_transactions=n_transactions,
-        total_crossings=total,
+        total_crossings=baseline.crossings,
         points_tested=points,
-        outcomes=outcomes,
+        outcomes=dict(outcomes),
         violations=violations,
         state_hash=hasher.hexdigest(),
         checkpoint_hooks=[h for h in baseline.hooks if "checkpoint" in h],
         recovery_timeline=baseline.recovery_timeline,
-        recovery_phase_counts=phase_counts,
+        recovery_phase_counts=dict(phase_counts),
     )

@@ -406,7 +406,7 @@ class TestSharedPrefixMatchesReference:
 
         ops = _ops(5)
         totals = {arch: _crossings(arch, 5) for arch in ARCH_NAMES}
-        harness._SNAPSHOTS.clear()
+        harness._SWEEPS.clear()
         monkeypatch.setattr(harness, "make_manager", counting_make_manager)
         monkeypatch.setattr(harness, "apply_op", counting_apply_op)
         for arch in ARCH_NAMES:
@@ -499,7 +499,7 @@ class TestSnapshotResume:
             return make_manager(arch)
 
         run_scenario("wal", 5, _crash_at(60, 5))
-        kept = harness._SNAPSHOTS["wal"]
+        kept = harness._SWEEPS["wal"].snapshot
         plan = FaultPlan.of(
             FaultSpec(FaultKind.CRASH, hook="*", occurrence=70),
             FaultSpec(FaultKind.TORN_WRITE, probability=0.5),
@@ -508,7 +508,7 @@ class TestSnapshotResume:
         monkeypatch.setattr(harness, "make_manager", counting_make_manager)
         result = run_scenario("wal", 5, plan)
         assert built == ["wal"]
-        assert harness._SNAPSHOTS["wal"] is kept
+        assert harness._SWEEPS["wal"].snapshot is kept
         assert result == reference_run_scenario("wal", 5, plan)
 
     def test_re_registered_name_does_not_resume(self):
@@ -526,7 +526,7 @@ class TestSnapshotResume:
                 assert all(h.split(".")[0] != "shadow" for h in result.hooks)
         finally:
             del ARCHITECTURES[name]
-            harness._SNAPSHOTS.pop(name, None)
+            harness._SWEEPS.pop(name, None)
 
     @pytest.mark.parametrize("arch", ARCH_NAMES)
     def test_resumed_prefix_equals_a_fresh_replay(self, arch, monkeypatch):
@@ -538,12 +538,12 @@ class TestSnapshotResume:
 
         ops, total = _ops(5), _crossings(arch, 5)
         plan = _crash_at(2 * total // 3, 5)
-        harness._SNAPSHOTS.clear()
+        harness._SWEEPS.clear()
         run_prefix(arch, ops, _crash_at(total // 3, 5))
         monkeypatch.setattr(harness, "make_manager", counting_make_manager)
         resumed = run_prefix(arch, ops, plan)
         assert built == []
-        harness._SNAPSHOTS.clear()
+        harness._SWEEPS.clear()
         fresh = run_prefix(arch, ops, plan)
         assert built == [arch]
         for run in (resumed, fresh):
@@ -612,37 +612,39 @@ def test_recover_with_recrash_reports_an_uncrossed_hook():
 
 
 def _count_recoveries(monkeypatch) -> list:
-    """Record every recovery pass :func:`run_scenario` runs from now on."""
+    """Record every crashed state :func:`run_scenario` recovers from now on."""
     calls = []
 
-    def counting_recover(manager, seed, n_pages, recrash):
-        calls.append((seed, n_pages, recrash))
-        return recover(manager, seed, n_pages, recrash)
+    def counting_recover(manager, n_pages):
+        calls.append(n_pages)
+        return recover(manager, n_pages)
 
     recover = harness._recover
     monkeypatch.setattr(harness, "_recover", counting_recover)
     return calls
 
 
+def _key(manager: RecoveryManager) -> bytes:
+    """The crash-visible pickle that keys ``manager``'s crashed state."""
+    return harness._crash_visible(manager)[0]
+
+
 class TestRecoveryMemo:
-    """A crash point that leaves the crash-visible state its architecture
-    last recovered reuses that recovery; every scenario is still judged
-    on its own."""
+    """Each architecture's sweep over a script recovers each crash-visible
+    state once, wherever it recurs; every scenario is still judged on its
+    own."""
 
     def test_ascending_sweep_recovers_each_distinct_state_once(self, monkeypatch):
         states, keys = [], []
 
         def recording_run_prefix(arch, ops, plan):
             run = run_prefix(arch, ops, plan)
-            manager = run[0]
-            states.append(pickle.dumps(manager, pickle.HIGHEST_PROTOCOL))
-            real = harness._set_invisible(manager, itertools.repeat(None))
-            keys.append(pickle.dumps(manager, pickle.HIGHEST_PROTOCOL))
-            harness._set_invisible(manager, real)
+            states.append(pickle.dumps(run[0], pickle.HIGHEST_PROTOCOL))
+            keys.append(_key(run[0]))
             return run
 
         totals = {arch: _crossings(arch, 5) for arch in ARCH_NAMES}
-        harness._RECOVERED.clear()
+        harness._SWEEPS.clear()
         calls = _count_recoveries(monkeypatch)
         monkeypatch.setattr(harness, "run_prefix", recording_run_prefix)
         for arch in ARCH_NAMES:
@@ -651,14 +653,39 @@ class TestRecoveryMemo:
             calls.clear()
             for point in range(1, totals[arch] + 1):
                 run_scenario(arch, 5, _crash_at(point, 5))
-            # The memo holds the latest key: two passes per run of equal
-            # consecutive keys, and some runs are longer than one point.
-            key_runs = sum(1 for _key in itertools.groupby(keys))
-            assert len(calls) == 2 * key_runs
-            assert key_runs < len(keys)
+            visited = harness._SWEEPS[arch].visited
+            roots = {(key, 5, harness.DEFAULT_PAGES) for key in keys}
+            # One recovery per distinct state: every distinct root, plus
+            # each new state a root's re-crash edge leads to.
+            assert len(calls) == len(visited)
+            assert roots <= set(visited)
+            assert len(roots) <= len(calls) <= 2 * len(roots)
+            assert len(roots) < len(keys)
             # Leaving the crash-invisible fields out merges states.
-            assert key_runs < sum(1 for _state in itertools.groupby(states))
-        assert sorted(harness._RECOVERED) == ARCH_NAMES
+            assert len(roots) < len(set(states))
+        assert sorted(harness._SWEEPS) == ARCH_NAMES
+
+    def test_a_recurring_key_is_served_at_any_distance(self, monkeypatch):
+        harness._SWEEPS.clear()
+        calls = _count_recoveries(monkeypatch)
+        recovered = []
+        for point in (1, 40, 1):
+            before = len(calls)
+            run_scenario("wal", 5, _crash_at(point, 5))
+            recovered.append(len(calls) - before)
+        # Point 40 leaves another state between two visits of point 1's.
+        assert recovered[0] > 0 and recovered[1] > 0
+        assert recovered[2] == 0
+
+    def test_seed5_sweep_observes_298_states(self, monkeypatch):
+        # Baselines included; a one-entry memo with a cloned re-crash
+        # pass observed 499 (1,629 over seeds 5, 1985 and 7, now 1,015).
+        harness._SWEEPS.clear()
+        calls = _count_recoveries(monkeypatch)
+        for arch in ARCH_NAMES:
+            assert run_crashtest(arch, 5).ok
+        assert len(calls) == 298
+        assert sum(len(harness._SWEEPS[arch].visited) for arch in ARCH_NAMES) == 298
 
     @pytest.mark.parametrize(
         "broken", [_InPlaceManager, _UnrestartableUndoManager], ids=lambda cls: cls.name
@@ -668,7 +695,7 @@ class TestRecoveryMemo:
         ARCHITECTURES[name] = broken
         try:
             total = _crossings(name, 5)
-            harness._RECOVERED.pop(name, None)
+            harness._SWEEPS.pop(name, None)
             calls = _count_recoveries(monkeypatch)
             flagged = 0
             for point in range(1, total + 1):
@@ -678,10 +705,49 @@ class TestRecoveryMemo:
                 flagged += not result.ok
         finally:
             del ARCHITECTURES[name]
-            harness._RECOVERED.pop(name, None)
-            harness._SNAPSHOTS.pop(name, None)
+            harness._SWEEPS.pop(name, None)
         assert flagged
-        assert len(calls) < 2 * total  # memo hits were judged too
+        assert len(calls) < 2 * total  # served states were judged too
+
+    @pytest.mark.parametrize(
+        "arch", ARCH_NAMES + [_InPlaceManager, _UnrestartableUndoManager],
+        ids=lambda arch: arch if isinstance(arch, str) else arch.name,
+    )
+    def test_served_recrash_judges_as_a_recrashed_clone(self, arch):
+        # The re-crash edge against its reference: a copy of the crashed
+        # manager recovered by recover_with_recrash, then observed.
+        broken = not isinstance(arch, str)
+        name = arch.name if broken else arch
+        if broken:
+            ARCHITECTURES[name] = arch
+        pages = harness.DEFAULT_PAGES
+        try:
+            ops, total = _ops(5), _crossings(name, 5)
+            for point in range(1, total + 1):
+                plan = _crash_at(point, 5)
+                run_scenario(name, 5, plan)
+                manager, *shared = run_prefix(name, ops, plan)
+                state, real = harness._crash_visible(manager)
+                served = harness._SWEEPS[name].recrashed[(state, 5, pages)]
+                clone = pickle.loads(state)
+                harness._set_invisible(clone, real)
+                recover_with_recrash(clone, 5)
+                dump = state_dump(clone)
+                pages_read = {page: clone.read_committed(page) for page in range(pages)}
+                checkpoints = clone.stable.file_length(CHECKPOINT_FILE)
+                clone.crash()
+                clone.recover()
+                reference = harness._Observed(
+                    pages_read, checkpoints, dump, state_dump(clone) == dump,
+                    served.timeline,
+                )
+                assert harness._judge(name, plan, served, *shared) == harness._judge(
+                    name, plan, reference, *shared
+                ), (name, point)
+        finally:
+            if broken:
+                del ARCHITECTURES[name]
+                harness._SWEEPS.pop(name, None)
 
     def test_an_entry_serves_only_its_own_key(self, monkeypatch):
         fresh, pages = _crash_at(1, 5), harness.DEFAULT_PAGES
@@ -693,14 +759,15 @@ class TestRecoveryMemo:
                     setattr(owner, name, getattr(owner, name) + 1)
             return edit
 
-        # Each run differs from the one before in one part of the key only;
-        # crashing before the first op leaves a never-used manager.  An
-        # edit changes the crashed manager before it is keyed.
+        # Each run differs from the one before in one part of the key, or
+        # in its script, only; crashing before the first op leaves a
+        # never-used manager.  An edit changes the crashed manager before
+        # it is keyed.
         runs = [
             (5, fresh, pages, None),
-            (7, fresh, pages, None),  # another script, the same key
-            (5, fresh, 4, None),  # page count
-            (5, fresh, pages, None),  # page count
+            (7, fresh, pages, None),  # another script, the same key: a new sweep
+            (5, fresh, 4, None),  # page count: a new script
+            (5, fresh, pages, None),  # page count: a new sweep again
             (5, _crash_at(1, 6), pages, None),  # re-crash seed
             (5, _crash_at(40, 6), pages, None),  # crashed state
             # declared crash-invisible fields only, the same key
@@ -715,16 +782,16 @@ class TestRecoveryMemo:
             return run
 
         monkeypatch.setattr(harness, "run_prefix", editing_run_prefix)
-        harness._RECOVERED.clear()
+        harness._SWEEPS.clear()
         calls = _count_recoveries(monkeypatch)
         results, served = [], []
         for seed, plan, n_pages, edit in runs:
             before = len(calls)
             results.append(run_scenario("wal", seed, plan, n_pages=n_pages))
             served.append(len(calls) == before)
-        assert served == [False, True, False, False, False, False, True, False]
+        assert served == [False, False, False, False, False, False, True, False]
         for (seed, plan, n_pages, edit), result in zip(runs, results):
-            harness._RECOVERED.clear()
+            harness._SWEEPS.clear()
             assert run_scenario("wal", seed, plan, n_pages=n_pages) == result
 
 
@@ -739,8 +806,9 @@ def _perturb_invisible(manager: RecoveryManager) -> None:
 
 class TestCrashInvisibleFields:
     """Recovery never reads a declared ``crash_invisible`` field, so the
-    memo key may leave them out: new values on a copy of the crashed
-    manager leave both recovery passes' observations unchanged."""
+    visited set's key may leave them out: new values on a copy of the
+    crashed manager leave its observation, and the state its re-crash edge
+    leads to, unchanged."""
 
     @pytest.mark.parametrize(
         "arch", ARCH_NAMES + [_InPlaceManager, _UnrestartableUndoManager],
@@ -759,13 +827,16 @@ class TestCrashInvisibleFields:
                 manager, *_shared = run_prefix(name, ops, _crash_at(point, 5))
                 state = pickle.dumps(manager, pickle.HIGHEST_PROTOCOL)
                 for recrash in (False, True):
-                    moved = pickle.loads(state)
+                    moved, kept = pickle.loads(state), pickle.loads(state)
                     _perturb_invisible(moved)
-                    assert harness._recover(moved, 5, pages, recrash) == harness._recover(
-                        pickle.loads(state), 5, pages, recrash
+                    if recrash:
+                        for copy in (moved, kept):
+                            harness._crash_recovery(copy, copy.recover, 5)
+                        assert _key(moved) == _key(kept), (name, point)
+                    assert harness._recover(moved, pages) == harness._recover(
+                        kept, pages
                     ), (name, point, recrash)
         finally:
             if broken:
                 del ARCHITECTURES[name]
-                harness._RECOVERED.pop(name, None)
-                harness._SNAPSHOTS.pop(name, None)
+                harness._SWEEPS.pop(name, None)
