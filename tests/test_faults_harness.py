@@ -713,7 +713,7 @@ class TestRecoveryMemo:
         "arch", ARCH_NAMES + [_InPlaceManager, _UnrestartableUndoManager],
         ids=lambda arch: arch if isinstance(arch, str) else arch.name,
     )
-    def test_served_recrash_judges_as_a_recrashed_clone(self, arch):
+    def test_served_recrash_judges_as_a_recrashed_clone(self, arch, monkeypatch):
         # The re-crash edge against its reference: a copy of the crashed
         # manager recovered by recover_with_recrash, then observed.
         broken = not isinstance(arch, str)
@@ -721,13 +721,20 @@ class TestRecoveryMemo:
         if broken:
             ARCHITECTURES[name] = arch
         pages = harness.DEFAULT_PAGES
+        runs = []
+
+        def recording_run_prefix(arch, ops, plan):
+            run = run_prefix(arch, ops, plan)
+            runs.append((harness._crash_visible(run[0]), run[1:]))
+            return run
+
+        monkeypatch.setattr(harness, "run_prefix", recording_run_prefix)
         try:
-            ops, total = _ops(5), _crossings(name, 5)
+            total = _crossings(name, 5)
             for point in range(1, total + 1):
                 plan = _crash_at(point, 5)
                 run_scenario(name, 5, plan)
-                manager, *shared = run_prefix(name, ops, plan)
-                state, real = harness._crash_visible(manager)
+                (state, real), shared = runs[-1]
                 served = harness._SWEEPS[name].recrashed[(state, 5, pages)]
                 clone = pickle.loads(state)
                 harness._set_invisible(clone, real)
