@@ -1,39 +1,29 @@
-"""Shared plumbing for the benchmark harness.
+"""Shared plumbing for the benchmark grids.
 
 Every ``bench_*`` module declares a :class:`repro.bench.Grid` (or, in
 ``bench_tables``, one per entry of the table catalogue in
-:mod:`repro.experiments.tables`, through :func:`catalogue_grids`) and
-runs it through :func:`run_grid_bench`: the grid executes exactly once
-under pytest-benchmark (``pedantic`` with one round — the interesting
-number is the *simulated* result, the wall-clock time is a bonus),
-prints the measured rows next to the paper's, writes the text to
-``benchmarks/output/<name>.txt`` so results survive pytest's capture,
-and writes the schema-validated ``BENCH_<name>.json`` trajectory
-artifact at the repo root and in ``benchmarks/output/``.
+:mod:`repro.experiments.tables`, through :func:`catalogue_grids`) whose
+``check`` asserts the conclusions its result must uphold.  One runner
+prices them all::
 
-Run the whole harness with::
+    python -m repro bench               # every grid -> benchmarks/output/
+    python -m repro bench table02       # one grid
+    python -m repro bench --write-baselines   # refresh the root BENCH_*.json
 
-    pytest benchmarks/ --benchmark-only
-
-or, without pytest, ``python -m repro bench`` (see ``docs/BENCH.md``).
+Each grid runs, writes its schema-validated ``BENCH_<name>.json``, and
+then runs its check; a failed check makes the command exit 1 and names
+the grid (see ``docs/BENCH.md``).
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
-from repro.bench import (
-    Grid,
-    GridResult,
-    render_grid,
-    run_grid,
-    write_grid_artifacts,
-)
+from repro.bench import Grid, GridResult
 from repro.experiments import PAPER, ExperimentSettings
-from repro.experiments.tables import CATALOGUE, Table, render
-from repro.metrics import format_table
+from repro.experiments.tables import CATALOGUE, Table
 
 #: Master seed for the benchmark harness: every table draws the same
 #: transaction streams, so numbers are comparable across runs and machines.
@@ -41,8 +31,6 @@ BENCH_SEED = 1985
 
 #: Load size for benchmark runs; large enough for stable shapes.
 BENCH_SETTINGS = ExperimentSettings(n_transactions=30, seed=BENCH_SEED)
-
-OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 
 #: Repository root — the committed ``BENCH_<name>.json`` baselines live
 #: here so ``repro bench-diff`` can read the perf trajectory out of git.
@@ -96,9 +84,23 @@ def grid_name(table: Table) -> str:
     return "ablation_" + table.key.replace("-", "_")
 
 
-def catalogue_grids(gates: Mapping[str, str], *, seed: int) -> Tuple[Grid, ...]:
+def check_rows(
+    shape: Callable[[List[Dict[str, Any]]], None], result: GridResult
+) -> None:
+    """Grid check of a table grid: ``shape`` asserts on its single
+    cell's rows."""
+    shape(result.cells[0].detail["rows"])
+
+
+def catalogue_grids(
+    gates: Mapping[str, str],
+    shapes: Mapping[str, Callable[[List[Dict[str, Any]]], None]],
+    *,
+    seed: int,
+) -> Tuple[Grid, ...]:
     """One single-cell grid per :data:`CATALOGUE` entry, in catalogue order,
-    gated on ``mean.<gates[key]>`` and titled by the entry."""
+    gated on ``mean.<gates[key]>``, checked by ``shapes[key]`` on its rows
+    and titled by the entry."""
     return tuple(
         Grid(
             name=grid_name(table),
@@ -106,50 +108,7 @@ def catalogue_grids(gates: Mapping[str, str], *, seed: int) -> Tuple[Grid, ...]:
             seed=seed,
             runner=functools.partial(run_table_cell, table, table.label_field),
             primary_metric=f"mean.{gates[key]}",
+            check=functools.partial(check_rows, shapes[key]),
         )
         for key, table in CATALOGUE.items()
     )
-
-
-def table_text(result: GridResult) -> str:
-    """Render a table grid's single cell with ``tables.render``."""
-    return render(result.cells[0].detail)
-
-
-def run_grid_bench(
-    benchmark,
-    grid: Grid,
-    paper_text: Optional[str] = None,
-    text_fn: Optional[Callable[[GridResult], str]] = None,
-) -> GridResult:
-    """Run ``grid`` once under the benchmark fixture and report it."""
-    result = benchmark.pedantic(
-        lambda: run_grid(grid), rounds=1, iterations=1
-    )
-    text = (text_fn or render_grid)(result)
-    if paper_text:
-        text += "\n\n" + paper_text
-    print()
-    print(text)
-    os.makedirs(OUTPUT_DIR, exist_ok=True)
-    with open(os.path.join(OUTPUT_DIR, f"{grid.name}.txt"), "w") as handle:
-        handle.write(text + "\n")
-    write_grid_artifacts(result, OUTPUT_DIR, baseline_dir=REPO_ROOT)
-    return result
-
-
-def paper_text(table: Table) -> str:
-    """The paper's numbers for a catalogued table, laid out like its rows."""
-    paper = PAPER[table.key]
-    columns = list(dict.fromkeys(key for row in paper.values() for key in row))
-    return format_table(
-        [table.label_field] + columns,
-        [[label] + [row.get(c, "") for c in columns] for label, row in paper.items()],
-        title=f"Paper {table.title}",
-    )
-
-
-def paper_block(title: str, lines) -> str:
-    """Format the paper's numbers as a reference block."""
-    body = "\n".join(f"  {line}" for line in lines)
-    return f"{title}\n{body}"

@@ -12,26 +12,11 @@ batches shrink), while conventional-random barely notices.
 
 from typing import Any, Dict
 
-from benchmarks._harness import (
-    BENCH_SEED,
-    BENCH_SETTINGS,
-    paper_block,
-    run_grid_bench,
-)
-from repro.bench import Grid
+from benchmarks._harness import BENCH_SEED, BENCH_SETTINGS
+from repro.bench import Grid, GridResult
 from repro.experiments import CONFIGURATIONS, run_configuration
 
 FRAME_COUNTS = (40, 70, 100, 150)
-
-PAPER_TEXT = paper_block(
-    "Paper (Sections 4.1.1-4.1.2):",
-    [
-        "'more cache frames were available for anticipatory paging than",
-        " the disks could feed' (baseline machine)",
-        "'availability of fewer cache frames severely affects the",
-        " performance of the parallel-access disks'",
-    ],
-)
 
 
 def cache_frames_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
@@ -43,21 +28,16 @@ def cache_frames_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     return {"exec_ms_per_page": round(result.execution_time_per_page, 2)}
 
 
-GRID = Grid(
-    name="ablation_cache_frames",
-    title="Ablation: execution time per page vs cache frames",
-    seed=BENCH_SEED,
-    runner=cache_frames_cell,
-    parameters={
-        "configuration": ["conventional-random", "parallel-sequential"],
-        "cache_frames": list(FRAME_COUNTS),
-    },
-    primary_metric="exec_ms_per_page",
-)
+def cache_frames_check(result: GridResult) -> None:
+    """Scarce frames collapse parallel-sequential; conventional-random
+    barely notices.
 
-
-def test_ablation_cache_frames(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    Paper (Sections 4.1.1-4.1.2):
+      'more cache frames were available for anticipatory paging than
+       the disks could feed' (baseline machine)
+      'availability of fewer cache frames severely affects the
+       performance of the parallel-access disks'
+    """
 
     def exec_ms(config, frames):
         return result.metric(configuration=config, cache_frames=frames)
@@ -67,3 +47,17 @@ def test_ablation_cache_frames(benchmark):
     )
     values = [exec_ms("conventional-random", n) for n in FRAME_COUNTS]
     assert max(values) < 1.10 * min(values)
+
+
+GRID = Grid(
+    name="ablation_cache_frames",
+    title="Ablation: execution time per page vs cache frames",
+    seed=BENCH_SEED,
+    runner=cache_frames_cell,
+    check=cache_frames_check,
+    parameters={
+        "configuration": ["conventional-random", "parallel-sequential"],
+        "cache_frames": list(FRAME_COUNTS),
+    },
+    primary_metric="exec_ms_per_page",
+)

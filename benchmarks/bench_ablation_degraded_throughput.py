@@ -15,9 +15,9 @@ rebuild's bounded share keeps the slowdown graceful.
 
 from typing import Any, Dict
 
-from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
+from benchmarks._harness import BENCH_SEED
 from repro import DatabaseMachine, MachineConfig, WorkloadConfig, generate_transactions
-from repro.bench import ComponentToggle, Grid
+from repro.bench import ComponentToggle, Grid, GridResult
 from repro.core import LoggingConfig, ParallelLoggingArchitecture
 from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
 from repro.sim import RandomStreams
@@ -26,14 +26,6 @@ from repro.workload import TransactionStatus
 N_TRANSACTIONS = 8
 FAIL_AT_MS = 100.0
 REPAIR_AFTER_MS = 200.0
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 5):",
-    [
-        "'the failure of a single component ... should not render",
-        " the entire system inoperable'",
-    ],
-)
 
 
 def degraded_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
@@ -74,22 +66,13 @@ def degraded_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     }
 
 
-GRID = Grid(
-    name="degraded_throughput",
-    title="Ablation: throughput in degraded mode (parallel logging, 3 LPs)",
-    seed=BENCH_SEED,
-    runner=degraded_cell,
-    toggles=(
-        ComponentToggle("lp0", "log processor 0 alive"),
-        ComponentToggle("mirror_side", "both mirror sides healthy"),
-    ),
-    toggle_mode="product",
-    primary_metric="makespan_ms",
-)
+def degraded_check(result: GridResult) -> None:
+    """Every degraded state survives, and degrades gracefully.
 
-
-def test_ablation_degraded_throughput(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    Paper (Section 5):
+      'the failure of a single component ... should not render
+       the entire system inoperable'
+    """
     baseline = result.metric()  # all components on = healthy
     # The mirror masks its dead side completely: no request is ever lost.
     for toggles_off in (("mirror_side",), ("lp0", "mirror_side")):
@@ -101,3 +84,18 @@ def test_ablation_degraded_throughput(benchmark):
     # more than 3x the healthy makespan on this small workload.
     for cell in result.cells:
         assert cell.metric("makespan_ms") <= 3.0 * baseline, cell.cell
+
+
+GRID = Grid(
+    name="degraded_throughput",
+    title="Ablation: throughput in degraded mode (parallel logging, 3 LPs)",
+    seed=BENCH_SEED,
+    runner=degraded_cell,
+    check=degraded_check,
+    toggles=(
+        ComponentToggle("lp0", "log processor 0 alive"),
+        ComponentToggle("mirror_side", "both mirror sides healthy"),
+    ),
+    toggle_mode="product",
+    primary_metric="makespan_ms",
+)

@@ -13,8 +13,8 @@ almost for free; a re-crash never costs more than double a single pass.
 
 from typing import Any, Dict
 
-from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
-from repro.bench import Grid
+from benchmarks._harness import BENCH_SEED
+from repro.bench import Grid, GridResult
 from repro.faults import (
     ARCHITECTURES,
     FaultKind,
@@ -23,15 +23,6 @@ from repro.faults import (
     generate_ops,
     recover_with_recrash,
     run_prefix,
-)
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 3):",
-    [
-        "'a recovery mechanism may make collection of recovery data",
-        " relatively less expensive at the price of making recovery",
-        " from failures costly'",
-    ],
 )
 
 #: fault label -> plan factory (the harness's hook grammar; docs/FAULTS.md).
@@ -80,21 +71,14 @@ def fault_recovery_cell(params: Dict[str, Any], seed: int) -> Dict[str, int]:
     }
 
 
-GRID = Grid(
-    name="ablation_fault_recovery",
-    title="Ablation: stable-storage work during recovery, by fault type",
-    seed=BENCH_SEED,
-    runner=fault_recovery_cell,
-    parameters={
-        "architecture": sorted(ARCHITECTURES),
-        "fault": list(FAULT_TYPES),
-    },
-    primary_metric="page_writes",
-)
+def fault_recovery_check(result: GridResult) -> None:
+    """WAL pays the larger restart bill; a re-crash at most doubles it.
 
-
-def test_ablation_fault_recovery(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    Paper (Section 3):
+      'a recovery mechanism may make collection of recovery data
+       relatively less expensive at the price of making recovery
+       from failures costly'
+    """
 
     def work(arch, fault):
         return result.cell(architecture=arch, fault=fault).metrics
@@ -110,3 +94,17 @@ def test_ablation_fault_recovery(benchmark):
         single = work(arch, "clean-crash")
         double = work(arch, "recrash")
         assert double["page_writes"] <= 2 * max(single["page_writes"], 1) + 2, arch
+
+
+GRID = Grid(
+    name="ablation_fault_recovery",
+    title="Ablation: stable-storage work during recovery, by fault type",
+    seed=BENCH_SEED,
+    runner=fault_recovery_cell,
+    check=fault_recovery_check,
+    parameters={
+        "architecture": sorted(ARCHITECTURES),
+        "fault": list(FAULT_TYPES),
+    },
+    primary_metric="page_writes",
+)

@@ -14,30 +14,16 @@ confirming its warning that letting the files grow past ~10 % is ruinous.
 
 from typing import Any, Dict
 
-from benchmarks._harness import (
-    BENCH_SEED,
-    BENCH_SETTINGS,
-    paper_block,
-    run_grid_bench,
-)
+from benchmarks._harness import BENCH_SEED, BENCH_SETTINGS
 from repro.analysis.merge_policy import (
     merge_cost_ms,
     optimal_merge_interval,
     overhead_slope_ms_per_txn,
 )
-from repro.bench import Grid
+from repro.bench import Grid, GridResult
 from repro.core import DifferentialConfig, DifferentialFileArchitecture
 from repro.experiments import CONFIGURATIONS, run_configuration
 from repro.machine import MachineConfig
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 4.3.3):",
-    [
-        "'the differential relations will have to be frequently merged",
-        " with the base relation.  In our simulation, we have not",
-        " modeled the effect of merging'",
-    ],
-)
 
 
 def merge_policy_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
@@ -64,17 +50,24 @@ def merge_policy_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     }
 
 
+def merge_policy_check(result: GridResult) -> None:
+    """A merge costs minutes, so merges are rare events.
+
+    Paper (Section 4.3.3):
+      'the differential relations will have to be frequently merged
+       with the base relation.  In our simulation, we have not
+       modeled the effect of merging'
+    """
+    assert result.metric("merge_cost_ms") > 60_000   # minutes of simulated time
+    assert result.metric("optimal_interval_txns") > 100  # merges are rare events
+
+
 GRID = Grid(
     name="ablation_merge_policy",
     title="Ablation: differential-file merge policy (square-root law)",
     seed=BENCH_SEED,
     runner=merge_policy_cell,
+    check=merge_policy_check,
     primary_metric="optimal_interval_txns",
     higher_is_better=True,
 )
-
-
-def test_ablation_merge_policy(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
-    assert result.metric("merge_cost_ms") > 60_000   # minutes of simulated time
-    assert result.metric("optimal_interval_txns") > 100  # merges are rare events

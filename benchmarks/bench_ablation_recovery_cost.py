@@ -19,8 +19,7 @@ spectrum.
 import random
 from typing import Any, Dict
 
-from benchmarks._harness import paper_block, run_grid_bench
-from repro.bench import Grid
+from repro.bench import Grid, GridResult
 from repro.storage import (
     CommandLoggingManager,
     DifferentialFileManager,
@@ -44,15 +43,6 @@ MANAGERS = {
     "command-logging": lambda: CommandLoggingManager(),
     "redo-only-wal": lambda: RedoOnlyWalManager(),
 }
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 3):",
-    [
-        "'the focus of an implementation should be on making the normal",
-        " case efficient ... even if it meant making recovery from a",
-        " failure more expensive'",
-    ],
-)
 
 
 def recovery_cost_cell(params: Dict[str, Any], seed: int) -> Dict[str, int]:
@@ -82,18 +72,14 @@ def recovery_cost_cell(params: Dict[str, Any], seed: int) -> Dict[str, int]:
     }
 
 
-GRID = Grid(
-    name="ablation_recovery_cost",
-    title="Ablation: collection work vs restart work (identical history)",
-    seed=SEED,
-    runner=recovery_cost_cell,
-    parameters={"manager": list(MANAGERS)},
-    primary_metric="restart_page_writes",
-)
+def recovery_cost_check(result: GridResult) -> None:
+    """Shadow and version selection restart free; the redo designs pay redo.
 
-
-def test_ablation_recovery_cost(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    Paper (Section 3):
+      'the focus of an implementation should be on making the normal
+       case efficient ... even if it meant making recovery from a
+       failure more expensive'
+    """
     # Shadow / version selection restart without touching data pages.
     assert result.metric(manager="shadow-pt") == 0
     assert result.metric(manager="version-selection") == 0
@@ -104,3 +90,14 @@ def test_ablation_recovery_cost(benchmark):
     # loser's steal attempt was gated, so nothing of it reached disk.
     assert result.metric(manager="command-logging") > 0
     assert result.metric(manager="redo-only-wal") > 0
+
+
+GRID = Grid(
+    name="ablation_recovery_cost",
+    title="Ablation: collection work vs restart work (identical history)",
+    seed=SEED,
+    runner=recovery_cost_cell,
+    check=recovery_cost_check,
+    parameters={"manager": list(MANAGERS)},
+    primary_metric="restart_page_writes",
+)

@@ -11,14 +11,9 @@ shadow paging and version selection restart essentially for free.
 
 from typing import Any, Dict
 
-from benchmarks._harness import (
-    BENCH_SEED,
-    BENCH_SETTINGS,
-    paper_block,
-    run_grid_bench,
-)
+from benchmarks._harness import BENCH_SEED, BENCH_SETTINGS
 from repro.analysis import estimate_restart
-from repro.bench import Grid
+from repro.bench import Grid, GridResult
 from repro.core import (
     CommandLoggingArchitecture,
     DifferentialFileArchitecture,
@@ -64,15 +59,6 @@ ARCHITECTURES = {
     "redo-wal": (lambda: RedoOnlyWalArchitecture(), {}),
 }
 
-PAPER_TEXT = paper_block(
-    "Paper (Section 3):",
-    [
-        "'a recovery mechanism may make collection of recovery data",
-        " relatively less expensive at the price of making recovery",
-        " from failures costly'",
-    ],
-)
-
 
 def restart_time_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     factory, kwargs = ARCHITECTURES[params["architecture"]]
@@ -90,18 +76,14 @@ def restart_time_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     }
 
 
-GRID = Grid(
-    name="ablation_restart_time",
-    title="Ablation: estimated restart time after a crash (conv-random run)",
-    seed=BENCH_SEED,
-    runner=restart_time_cell,
-    parameters={"architecture": list(ARCHITECTURES)},
-    primary_metric="total_ms",
-)
+def restart_time_check(result: GridResult) -> None:
+    """Logging pays the largest restart bill; shadow paging restarts free.
 
-
-def test_ablation_restart_time(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    Paper (Section 3):
+      'a recovery mechanism may make collection of recovery data
+       relatively less expensive at the price of making recovery
+       from failures costly'
+    """
     assert result.metric(architecture="logging (1 log disk)") > result.metric(
         architecture="shadow-pt"
     )
@@ -119,3 +101,14 @@ def test_ablation_restart_time(benchmark):
     assert result.metric(
         "redo_ms", architecture="command-logging (3 log disks)"
     ) < result.metric("redo_ms", architecture="redo-wal")
+
+
+GRID = Grid(
+    name="ablation_restart_time",
+    title="Ablation: estimated restart time after a crash (conv-random run)",
+    seed=BENCH_SEED,
+    runner=restart_time_cell,
+    check=restart_time_check,
+    parameters={"architecture": list(ARCHITECTURES)},
+    primary_metric="total_ms",
+)

@@ -15,8 +15,8 @@ share, and the rot rate on scrubtest's mirrored small-drive testbed:
 
 from typing import Any, Dict
 
-from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
-from repro.bench import Grid
+from benchmarks._harness import BENCH_SEED
+from repro.bench import Grid, GridResult
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.machine import MachineConfig
@@ -30,15 +30,6 @@ from repro.resilience.scrubtest import (
 from repro.sim import RandomStreams
 from repro.machine.machine import DatabaseMachine
 from repro.workload.generator import WorkloadConfig, generate_transactions
-
-PAPER_TEXT = paper_block(
-    "Model (docs/INTEGRITY.md):",
-    [
-        "the scrubber patrols at a bounded I/O share, so a corruption-",
-        "free run pays only a small makespan overhead, while under bit",
-        "rot every sector the patrol reaches is detected and repaired.",
-    ],
-)
 
 
 def scrub_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
@@ -81,22 +72,14 @@ def scrub_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     }
 
 
-GRID = Grid(
-    name="ablation_scrub_overhead",
-    title="Ablation: scrubber overhead and coverage (on/off x share x rot)",
-    seed=BENCH_SEED,
-    runner=scrub_cell,
-    parameters={
-        "scrub": ["off", "on"],
-        "io_share": [0.1, 0.5],
-        "rot": [0.0, 0.05],
-    },
-    primary_metric="makespan_ms",
-)
+def scrub_check(result: GridResult) -> None:
+    """The throttled patrol costs little and repairs all it detects.
 
-
-def test_ablation_scrub_overhead(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    Model (docs/INTEGRITY.md):
+      the scrubber patrols at a bounded I/O share, so a corruption-
+      free run pays only a small makespan overhead, while under bit
+      rot every sector the patrol reaches is detected and repaired.
+    """
 
     def makespan(**kw):
         return result.metric("makespan_ms", **kw)
@@ -128,3 +111,18 @@ def test_ablation_scrub_overhead(benchmark):
         result.metric("scrub_detections", scrub="off", io_share=0.5, rot=0.05)
         == 0.0
     )
+
+
+GRID = Grid(
+    name="ablation_scrub_overhead",
+    title="Ablation: scrubber overhead and coverage (on/off x share x rot)",
+    seed=BENCH_SEED,
+    runner=scrub_cell,
+    check=scrub_check,
+    parameters={
+        "scrub": ["off", "on"],
+        "io_share": [0.1, 0.5],
+        "rot": [0.0, 0.05],
+    },
+    primary_metric="makespan_ms",
+)

@@ -14,9 +14,9 @@ other way.
 
 from typing import Any, Dict
 
-from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
+from benchmarks._harness import BENCH_SEED
 from repro.analysis import run_with_checkpoints
-from repro.bench import Grid
+from repro.bench import Grid, GridResult
 from repro.faults import ARCHITECTURES
 
 #: Widest cadence first; "never" is the never-checkpoint baseline.
@@ -25,15 +25,6 @@ N_TRANSACTIONS = 40
 #: Noise slack on the monotonicity check: one extra recovery-data page
 #: read (the sweep is deterministic, but residue sizes quantize).
 SLACK_MS = 30.0
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 6):",
-    [
-        "'the frequency of checkpointing bounds the amount of log",
-        " data which must be processed at restart, at the cost of",
-        " additional work during normal operation'",
-    ],
-)
 
 
 def checkpoint_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
@@ -51,22 +42,15 @@ def checkpoint_cell(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     }
 
 
-GRID = Grid(
-    name="checkpoint_interval",
-    title=f"Restart cost vs checkpoint interval "
-    f"(seed {BENCH_SEED}, {N_TRANSACTIONS} txns)",
-    seed=BENCH_SEED,
-    runner=checkpoint_cell,
-    parameters={
-        "architecture": sorted(ARCHITECTURES),
-        "interval": INTERVALS,
-    },
-    primary_metric="restart_ms",
-)
+def checkpoint_check(result: GridResult) -> None:
+    """Tighter cadences buy cheaper restarts, under the envelope, for
+    more normal-case overhead.
 
-
-def test_checkpoint_interval(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
+    Paper (Section 6):
+      'the frequency of checkpointing bounds the amount of log
+       data which must be processed at restart, at the cost of
+       additional work during normal operation'
+    """
     for arch in sorted(ARCHITECTURES):
         costs = [
             result.metric("restart_ms", architecture=arch, interval=interval)
@@ -87,3 +71,18 @@ def test_checkpoint_interval(benchmark):
         ) > result.metric(
             "overhead_records", architecture=arch, interval=INTERVALS[0]
         ), arch
+
+
+GRID = Grid(
+    name="checkpoint_interval",
+    title=f"Restart cost vs checkpoint interval "
+    f"(seed {BENCH_SEED}, {N_TRANSACTIONS} txns)",
+    seed=BENCH_SEED,
+    runner=checkpoint_cell,
+    check=checkpoint_check,
+    parameters={
+        "architecture": sorted(ARCHITECTURES),
+        "interval": INTERVALS,
+    },
+    primary_metric="restart_ms",
+)

@@ -32,8 +32,8 @@ import sys
 from typing import Any, Callable, Dict, Iterator
 from unittest import mock
 
-from benchmarks._harness import REPO_ROOT, run_grid_bench
-from repro.bench import Grid
+from benchmarks._harness import REPO_ROOT
+from repro.bench import Grid, GridResult
 from repro.faults import harness
 from repro.faults.injector import FaultInjector
 from repro.storage import stable
@@ -107,19 +107,20 @@ def host_counts_cell(params: Dict[str, Any], seed: int) -> Dict[str, int]:
     return dict(counts, units=units)
 
 
+def host_counts_check(result: GridResult) -> None:
+    """The passes ran units, and every observed state was recovered."""
+    counts = result.cell(workload="crash-sweep").metrics
+    assert counts["units"] > 0
+    assert counts["recovery_runs"] >= counts["states_observed"]
+
+
 GRID = Grid(
     name="host_counts",
     title="Host work counts: calls made by perfbench's profiled passes",
     seed=SEED,
     runner=host_counts_cell,
+    check=host_counts_check,
     parameters={"workload": ["crash-sweep"]},
     primary_metric="checksums",
     tolerance=0.0,
 )
-
-
-def test_host_counts(benchmark):
-    result = run_grid_bench(benchmark, GRID)
-    counts = result.cell(workload="crash-sweep").metrics
-    assert counts["units"] > 0
-    assert counts["recovery_runs"] >= counts["states_observed"]

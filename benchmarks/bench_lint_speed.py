@@ -22,8 +22,8 @@ import multiprocessing
 import os
 from typing import Any, Dict
 
-from benchmarks._harness import REPO_ROOT, run_grid_bench
-from repro.bench import Grid
+from benchmarks._harness import REPO_ROOT
+from repro.bench import Grid, GridResult
 from repro.lint.engine import LintEngine
 
 LINT_PATHS = [os.path.join(REPO_ROOT, "src")]
@@ -55,21 +55,22 @@ def lint_speed_cell(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     }
 
 
-GRID = Grid(
-    name="lint_speed",
-    title="Lint throughput: serial vs --jobs fan-out over src",
-    seed=1985,
-    runner=lint_speed_cell,
-    parameters={"jobs": [1, 4]},
-    primary_metric="findings",
-    tolerance=0.0,
-)
-
-
-def test_lint_speed(benchmark):
-    result = run_grid_bench(benchmark, GRID)
+def lint_speed_check(result: GridResult) -> None:
+    """Parallel lint produces exactly the serial findings."""
     serial = result.cell(jobs=1)
     parallel = result.cell(jobs=4)
     assert parallel.metrics == serial.metrics, (
         "parallel lint must produce exactly the serial findings"
     )
+
+
+GRID = Grid(
+    name="lint_speed",
+    title="Lint throughput: serial vs --jobs fan-out over src",
+    seed=1985,
+    runner=lint_speed_cell,
+    check=lint_speed_check,
+    parameters={"jobs": [1, 4]},
+    primary_metric="findings",
+    tolerance=0.0,
+)

@@ -16,21 +16,11 @@ lands in ``BENCH_loadtest.json``.
 
 from typing import Any, Dict, Tuple
 
-from benchmarks._harness import BENCH_SEED, paper_block, run_grid_bench
-from repro.bench import ComponentToggle, Grid
+from benchmarks._harness import BENCH_SEED
+from repro.bench import ComponentToggle, Grid, GridResult
 from repro.loadgen import run_loadtest
 
 N_PER_CELL = 24
-
-PAPER_TEXT = paper_block(
-    "Paper (Section 4):",
-    [
-        "the paper's closed batch caps work in flight at the MPL;",
-        "an open system must instead survive offered load above",
-        "capacity — bounded admission turns overload into rejections",
-        "instead of collapse, and the knee prices where that starts.",
-    ],
-)
 
 
 def loadtest_cell(
@@ -54,20 +44,28 @@ def loadtest_cell(
     return metrics, report.to_dict()
 
 
+def loadtest_check(result: GridResult) -> None:
+    """Every cell keeps its oracles and reaches a collapse knee.
+
+    Paper (Section 4):
+      the paper's closed batch caps work in flight at the MPL;
+      an open system must instead survive offered load above
+      capacity — bounded admission turns overload into rejections
+      instead of collapse, and the knee prices where that starts.
+    """
+    for cell in result.cells:
+        assert cell.metric("oracles_ok"), cell.cell
+        assert cell.metric("knee_multiplier") > 0, (cell.cell, "no collapse knee")
+
+
 GRID = Grid(
     name="loadtest",
     title="Open-system loadtest: goodput peak and collapse knee",
     seed=BENCH_SEED,
     runner=loadtest_cell,
+    check=loadtest_check,
     parameters={"architecture": ["wal", "shadow"]},
     toggles=(ComponentToggle("mirror", "both mirror sides healthy"),),
     primary_metric="peak_goodput_tps",
     higher_is_better=True,
 )
-
-
-def test_bench_loadtest(benchmark):
-    result = run_grid_bench(benchmark, GRID, PAPER_TEXT)
-    for cell in result.cells:
-        assert cell.metric("oracles_ok"), cell.cell
-        assert cell.metric("knee_multiplier") > 0, (cell.cell, "no collapse knee")

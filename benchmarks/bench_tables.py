@@ -2,31 +2,22 @@
 
 The tables themselves live in :data:`repro.experiments.tables.CATALOGUE`;
 this module keeps only what belongs to the benchmark, keyed by catalogue
-key: the column the trajectory gate watches (``GATES``), the paper's
-words for the ablations that have no paper numbers (``QUOTES``), and the
-shape each table's rows must keep (``SHAPES``).  A catalogue entry
-without a gate, a shape or (for an ablation) a quote fails at import.
+key: the column the trajectory gate watches (``GATES``) and the shape
+each table's rows must keep (``SHAPES``, each grid's check; an
+ablation's shape quotes what the paper says where it gives no table).
+A catalogue entry without a gate or a shape fails at import.
 
-``pytest benchmarks/bench_tables.py`` runs each grid once, writes its
-``BENCH_<name>.json`` and ``benchmarks/output/<name>.txt`` and checks the
-shape; ``tests/test_experiments_pins.py`` checks the same shapes on the
+``python -m repro bench table02`` runs one grid, writes its
+``BENCH_<name>.json`` and checks the shape;
+``tests/test_experiments_pins.py`` checks the same shapes on the
 committed rows.
 """
 
 from typing import Callable, Dict, List
 
-import pytest
-
-from benchmarks._harness import (
-    BENCH_SEED,
-    catalogue_grids,
-    paper_block,
-    paper_text,
-    run_grid_bench,
-    table_text,
-)
+from benchmarks._harness import BENCH_SEED, catalogue_grids
 from repro.bench import BenchSpecError
-from repro.experiments.tables import ABLATIONS, CATALOGUE
+from repro.experiments.tables import CATALOGUE
 
 #: The column whose mean each grid gates on.
 GATES = {
@@ -48,51 +39,6 @@ GATES = {
     "disk-scheduling": "sstf",
     "checkpointing": "every_500ms",
     "hotspot": "exec_ms_per_page",
-}
-
-GRIDS = catalogue_grids(GATES, seed=BENCH_SEED)
-
-#: What the paper says where it gives no table (the paper tables print
-#: ``PAPER[key]`` instead).
-QUOTES = {
-    "interconnect": (
-        "Paper (Section 4.1.3, no table given):",
-        [
-            "performance 'quite insensitive' to 1.0 / 0.1 / 0.01 MB/s links",
-            "performance 'not affected' by routing fragments through the cache",
-        ],
-    ),
-    "version-selection": (
-        "Paper (Section 4.2.5, no table given):",
-        [
-            "'the average time to access a data page will increase'",
-            "'the version selection algorithm will have poor performance'",
-            "'requires substantial redundant storage to hold versions'",
-        ],
-    ),
-    "overwriting-variants": (
-        "Paper (Section 3.2.2.2 describes both; Tables 7-8 evaluate no-undo):",
-        [
-            "no-redo: shadows saved to scratch, homes overwritten eagerly",
-            "no-undo: currents parked in scratch, shadows overwritten at commit",
-        ],
-    ),
-    "disk-scheduling": (
-        "Paper:",
-        ["(not studied — 1985 controllers were FCFS; extension ablation)"],
-    ),
-    "checkpointing": (
-        "Paper (Section 3.1, details in ref [13]):",
-        [
-            "'system checkpointing can be performed in parallel with the normal",
-            " data processing and logging activities without complete system",
-            " quiescing'",
-        ],
-    ),
-    "hotspot": (
-        "Paper:",
-        ["(uniform workload only; hotspot skew is an extension ablation)"],
-    ),
 }
 
 Rows = List[Dict]
@@ -245,7 +191,12 @@ def logging_tracks_bare(rows: Rows) -> None:
 
 @_shape("interconnect")
 def interconnect_barely_matters(rows: Rows) -> None:
-    """Fragment delays are absorbed in the log processor's idle gaps."""
+    """Fragment delays are absorbed in the log processor's idle gaps.
+
+    Paper (Section 4.1.3, no table given):
+      performance 'quite insensitive' to 1.0 / 0.1 / 0.01 MB/s links
+      performance 'not affected' by routing fragments through the cache
+    """
     for row in rows:
         values = [v for k, v in row.items() if k != "configuration"]
         assert max(values) <= 1.12 * min(values), row
@@ -253,7 +204,13 @@ def interconnect_barely_matters(rows: Rows) -> None:
 
 @_shape("version-selection")
 def version_selection_loses(rows: Rows) -> None:
-    """Fetching both versions lengthens every random read."""
+    """Fetching both versions lengthens every random read.
+
+    Paper (Section 4.2.5, no table given):
+      'the average time to access a data page will increase'
+      'the version selection algorithm will have poor performance'
+      'requires substantial redundant storage to hold versions'
+    """
     for row in rows:
         if "random" in row["configuration"]:
             assert row["version_selection"] > row["bare"], row
@@ -261,28 +218,47 @@ def version_selection_loses(rows: Rows) -> None:
 
 @_shape("overwriting-variants")
 def overwriting_variants_run(rows: Rows) -> None:
-    """Both variants price every configuration."""
+    """Both variants price every configuration.
+
+    Paper (Section 3.2.2.2 describes both; Tables 7-8 evaluate no-undo):
+      no-redo: shadows saved to scratch, homes overwritten eagerly
+      no-undo: currents parked in scratch, shadows overwritten at commit
+    """
     for row in rows:
         assert row["no_undo"] > 0 and row["no_redo"] > 0
 
 
 @_shape("disk-scheduling")
 def sstf_cannot_hurt(rows: Rows) -> None:
-    """Short queues leave SSTF little to gain, and nothing to lose."""
+    """Short queues leave SSTF little to gain, and nothing to lose.
+
+    Paper:
+      (not studied — 1985 controllers were FCFS; extension ablation)
+    """
     for row in rows:
         assert row["sstf"] <= 1.03 * row["fcfs"], row
 
 
 @_shape("checkpointing")
 def checkpoints_need_no_quiescing(rows: Rows) -> None:
-    """Background checkpoints overlap data-page processing."""
+    """Background checkpoints overlap data-page processing.
+
+    Paper (Section 3.1, details in ref [13]):
+      'system checkpointing can be performed in parallel with the normal
+       data processing and logging activities without complete system
+       quiescing'
+    """
     for row in rows:
         assert row["every_500ms"] <= 1.06 * row["no_checkpoints"], row
 
 
 @_shape("hotspot")
 def only_tiny_hot_sets_contend(rows: Rows) -> None:
-    """Moderate skew stays near uniform cost; a tiny hot set contends."""
+    """Moderate skew stays near uniform cost; a tiny hot set contends.
+
+    Paper:
+      (uniform workload only; hotspot skew is an extension ablation)
+    """
     rows = {row["workload"]: row for row in rows}
     # A pathologically small hot set (0.5 % of the database) drives up
     # conflicts and restarts...
@@ -295,24 +271,10 @@ def only_tiny_hot_sets_contend(rows: Rows) -> None:
     )
 
 
-if not set(GATES) == set(SHAPES) == set(CATALOGUE) or set(QUOTES) != set(ABLATIONS):
+if not set(GATES) == set(SHAPES) == set(CATALOGUE):
     raise BenchSpecError(
-        f"gates {sorted(GATES)}, shapes {sorted(SHAPES)} and quotes "
-        f"{sorted(QUOTES)} must cover the catalogue {sorted(CATALOGUE)} "
-        f"(quotes: its ablations {sorted(ABLATIONS)})"
+        f"gates {sorted(GATES)} and shapes {sorted(SHAPES)} must cover "
+        f"the catalogue {sorted(CATALOGUE)}"
     )
 
-
-def _paper(key: str) -> str:
-    if key in QUOTES:
-        return paper_block(*QUOTES[key])
-    return paper_text(CATALOGUE[key])
-
-
-@pytest.mark.parametrize(
-    "key, grid",
-    [pytest.param(key, grid, id=grid.name) for key, grid in zip(CATALOGUE, GRIDS)],
-)
-def test_catalogued_table(benchmark, key, grid):
-    result = run_grid_bench(benchmark, grid, _paper(key), text_fn=table_text)
-    SHAPES[key](result.cells[0].detail["rows"])
+GRIDS = catalogue_grids(GATES, SHAPES, seed=BENCH_SEED)

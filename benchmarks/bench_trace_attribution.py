@@ -10,7 +10,7 @@ deltas sum to the gap exactly.
 
 from typing import Any, Dict, Tuple
 
-from benchmarks._harness import BENCH_SEED, run_grid_bench
+from benchmarks._harness import BENCH_SEED
 from repro.bench import Grid, GridResult
 from repro.experiments import ExperimentSettings
 from repro.experiments.tracing import render_diff, trace_diff
@@ -32,7 +32,7 @@ def trace_attribution_cell(
         "mean_completion_b_ms": round(mean_b, 6),
         "gap_ms": round(mean_b - mean_a, 6),
         # Accounting identities, exposed as residuals so the trajectory
-        # (and the test below) can check they stay at zero.
+        # (and the check below) can check they stay at zero.
         "identity_residual_a_ms": round(
             sum(run_a.breakdown.values()) - mean_a, 6
         ),
@@ -50,21 +50,18 @@ def trace_attribution_cell(
     return metrics, detail
 
 
+def trace_attribution_check(result: GridResult) -> None:
+    """Both breakdowns and the phase deltas add up exactly."""
+    assert abs(result.metric("identity_residual_a_ms")) < 1e-3
+    assert abs(result.metric("identity_residual_b_ms")) < 1e-3
+    assert abs(result.metric("delta_sum_residual_ms")) < 1e-3
+
+
 GRID = Grid(
     name="trace_attribution",
     title="Trace attribution: logging vs shadow-pt completion-time gap",
     seed=BENCH_SEED,
     runner=trace_attribution_cell,
+    check=trace_attribution_check,
     primary_metric="gap_ms",
 )
-
-
-def trace_text(result: GridResult) -> str:
-    return result.cells[0].detail["text"]
-
-
-def test_trace_attribution(benchmark):
-    result = run_grid_bench(benchmark, GRID, text_fn=trace_text)
-    assert abs(result.metric("identity_residual_a_ms")) < 1e-3
-    assert abs(result.metric("identity_residual_b_ms")) < 1e-3
-    assert abs(result.metric("delta_sum_residual_ms")) < 1e-3

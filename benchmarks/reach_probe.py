@@ -7,7 +7,8 @@ one process under a ``cProfile`` call collector:
   ``--json`` writers and ``crashtest --plan`` replay;
 * every ``BENCH_*.json`` grid, through ``repro bench`` (which rewrites
   ``benchmarks/output/`` as any bench run does) and ``bench-diff``;
-* the lint CLI, one pass of each ``perfbench`` workload, every example.
+* the lint CLI over what CI lints (``src``, ``tests``, ``benchmarks``),
+  one pass of each ``perfbench`` workload, every example.
 
 It then prints each function defined under ``src/repro`` whose code never
 started, and the share of function-body lines those functions hold.  A
@@ -43,6 +44,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src", "repro")
 PERFBENCH = os.path.join(REPO_ROOT, "perfbench")
 BENCHMARKS = os.path.join(REPO_ROOT, "benchmarks")
+#: What CI lints: the BENCH02 helpers only run on ``bench_*.py`` files.
+LINTED = [os.path.join(REPO_ROOT, path) for path in ("src", "tests", "benchmarks")]
 
 #: (path, first line as the code object reports it, name) of a function.
 FunctionKey = Tuple[str, int, str]
@@ -181,8 +184,8 @@ def drivers(scratch: str) -> List[Callable[[], int]]:
         _repro("bench", "--dir", BENCHMARKS),
         _repro("bench-diff", "--dir", BENCHMARKS),
         _lint("--list-rules"),
-        _lint(SRC),
-        _lint("--format", "json", "--call-graph", out("callgraph.json"), SRC),
+        _lint(*LINTED),
+        _lint("--format", "json", "--call-graph", out("callgraph.json"), *LINTED),
     ]
     runs += [_perfbench(name) for name in ("paper-batch", "crash-sweep", "traced-open")]
     examples = os.path.join(REPO_ROOT, "examples")

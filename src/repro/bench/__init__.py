@@ -1,10 +1,12 @@
 """``repro.bench``: declarative sweeps with a machine-readable trajectory.
 
-The benchmark zoo (28 ``bench_*`` scripts) declares *what* it sweeps —
-parameter axes, component toggles, a seed, a primary metric — and this
-package turns the declaration into priced cells with **stable run IDs**,
-schema-validated ``BENCH_<name>.json`` artifacts at the repo root, a
-per-component **importance ranking**, and a CI **regression gate**
+The benchmark zoo (13 ``bench_*`` modules declaring 30 grids) declares
+*what* each grid sweeps — parameter axes, component toggles, a seed, a
+primary metric — and the conclusions its result must uphold (a
+``check``); this package turns the declaration into priced cells with
+**stable run IDs**, schema-validated ``BENCH_<name>.json`` artifacts at
+the repo root, a per-component **importance ranking**, the grid's check
+(``repro bench`` fails when it does), and a CI **regression gate**
 (``repro bench-diff``) that reads the perf trajectory out of git history.
 
 See ``docs/BENCH.md`` for the format, the workflow, and how to add a

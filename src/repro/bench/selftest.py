@@ -5,16 +5,18 @@ importance ranking, diff round trips) and available as a cheap smoke
 grid.  The "workload" is arithmetic over the cell seed — deterministic,
 instant, and shaped so both toggles have a measurable, differently-sized
 effect: ``batching`` saves 40 % of the page cost, ``cache`` saves 20 %
-of the fixed cost, so the importance ranking is predictable.
+of the fixed cost, so the importance ranking is predictable (and its
+check asserts it).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict
 
+from repro.bench.runner import GridResult
 from repro.bench.spec import ComponentToggle, Grid
 
-__all__ = ["SELFTEST_GRID", "selftest_runner"]
+__all__ = ["SELFTEST_GRID", "selftest_check", "selftest_runner"]
 
 
 def selftest_runner(params: Dict[str, Any], seed: int) -> Dict[str, float]:
@@ -33,11 +35,18 @@ def selftest_runner(params: Dict[str, Any], seed: int) -> Dict[str, float]:
     }
 
 
+def selftest_check(result: GridResult) -> None:
+    """Batching outranks the cache: it discounts the larger cost term."""
+    ranked = [entry["component"] for entry in result.importance]
+    assert ranked == ["batching", "cache"], ranked
+
+
 SELFTEST_GRID = Grid(
     name="selftest",
     title="Bench subsystem selftest (closed-form cost model)",
     seed=1985,
     runner=selftest_runner,
+    check=selftest_check,
     parameters={"mode": ["fast", "slow"], "pages": [10, 50]},
     toggles=(
         ComponentToggle("batching", "batch page writes"),

@@ -28,7 +28,10 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - hints only (runner imports spec)
+    from repro.bench.runner import GridResult
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -119,6 +122,12 @@ class Grid:
     paper-table benchmarks keep their row dicts there so the rendered
     comparison output survives the port).
 
+    ``check(result)`` receives the finished :class:`GridResult` and
+    asserts the conclusions the sweep must uphold (the paper's shape);
+    ``repro bench`` runs it after writing the artifact and fails on an
+    ``AssertionError``.  Like the runner it is code, not spec: it stays
+    out of :meth:`spec_payload`, so editing it moves no ID.
+
     ``primary_metric`` is the number the CI gate watches; ``tolerance``
     is the relative drift it forgives (direction given by
     ``higher_is_better``).
@@ -128,6 +137,7 @@ class Grid:
     seed: int
     runner: Callable[[Dict[str, Any], int], Any]
     primary_metric: str
+    check: Callable[[GridResult], None]
     parameters: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     toggles: Sequence[ComponentToggle] = ()
     toggle_mode: str = "one-off"
@@ -143,6 +153,8 @@ class Grid:
             raise BenchSpecError(f"{self.name}: grid seed must be an int")
         if not callable(self.runner):
             raise BenchSpecError(f"{self.name}: runner must be callable")
+        if not callable(self.check):
+            raise BenchSpecError(f"{self.name}: check must be callable")
         if not self.primary_metric:
             raise BenchSpecError(f"{self.name}: primary_metric is required")
         if self.toggle_mode not in _TOGGLE_MODES:
@@ -170,7 +182,7 @@ class Grid:
     # -- identity -----------------------------------------------------------
 
     def spec_payload(self) -> Dict[str, Any]:
-        """The JSON form of the spec (everything but the runner code)."""
+        """The JSON form of the spec (everything but the runner and check)."""
         return {
             "schema_version": SCHEMA_VERSION,
             "name": self.name,

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.analysis import predict_bottleneck
@@ -229,8 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the declarative benchmark grids and write schema-validated "
-        "BENCH_<name>.json artifacts (see docs/BENCH.md)",
+        help="run the declarative benchmark grids, write schema-validated "
+        "BENCH_<name>.json artifacts and run each grid's check; exit 1 if a "
+        "check fails (see docs/BENCH.md)",
     )
     bench.add_argument(
         "names", nargs="*", help="grid names to run (default: every grid)"
@@ -287,14 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=float,
         help="override every grid's declared relative tolerance",
-    )
-    benchdiff.add_argument(
-        "--run",
-        action="store_true",
-        help="execute the grids into --current before diffing",
-    )
-    benchdiff.add_argument(
-        "-j", "--jobs", type=int, default=1, help="worker processes with --run"
     )
     benchdiff.add_argument(
         "-v",
@@ -465,8 +459,13 @@ def _run_bench(args) -> int:
                 f"(tol {grid.tolerance:.0%}), toggles: {toggles}"
             )
         return 0
+    if not __debug__:
+        # Checks are assert statements, which -O strips: every one would pass.
+        print("bench: grid checks need asserts; run without -O", file=sys.stderr)
+        return 2
     output_dir, root_dir = _bench_dirs(args)
     baseline_dir = root_dir if args.write_baselines else None
+    failed = 0
     for i, (name, grid) in enumerate(grids.items()):
         result = run_grid(grid, jobs=args.jobs)
         if i:
@@ -474,24 +473,30 @@ def _run_bench(args) -> int:
         print(render_grid(result))
         paths = write_grid_artifacts(result, output_dir, baseline_dir)
         print("wrote " + ", ".join(paths))
-    return 0
+        try:
+            grid.check(result)
+        except AssertionError as error:
+            failed += 1
+            print(
+                f"bench: {name} check FAILED at {_failed_assert(error)}",
+                file=sys.stderr,
+            )
+        else:
+            print(f"{name}: check passed")
+    return 1 if failed else 0
+
+
+def _failed_assert(error: AssertionError) -> str:
+    """``file:line: source`` of the assert that raised, plus its message."""
+    frame = traceback.extract_tb(error.__traceback__)[-1]
+    where = f"{frame.filename}:{frame.lineno}: {frame.line}"
+    return f"{where}: {error}" if str(error) else where
 
 
 def _run_bench_diff(args) -> int:
     output_dir, root_dir = _bench_dirs(args)
     baseline_dir = args.baseline or root_dir
     current_dir = args.current or output_dir
-    if args.run:
-        try:
-            grids = load_grids(args.bench_dir, args.names or None)
-        except (BenchSpecError, ImportError) as error:
-            print(error, file=sys.stderr)
-            return 2
-        for name, grid in grids.items():
-            result = run_grid(grid, jobs=args.jobs)
-            write_grid_artifacts(result, current_dir)
-            print(f"ran {name} ({len(result.cells)} cells)")
-        print()
     entries = diff_dirs(
         baseline_dir, current_dir, names=args.names or None,
         tolerance=args.tolerance,

@@ -1,10 +1,14 @@
 """The ``repro bench`` / ``repro bench-diff`` verbs, end to end."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
+import repro
 from repro.bench import BenchSpecError, load_grids
 from repro.cli import main
 
@@ -31,10 +35,15 @@ def bench_dir(tmp_path_factory):
                 return {"cost": float(params["pages"]) + seed % 3}
 
 
+            def toy_check(result):
+                assert result.metric(pages=20) > result.metric(pages=10)
+
+
             GRID = Grid(
                 name="toy",
                 seed=1985,
                 runner=toy_runner,
+                check=toy_check,
                 parameters={"pages": [10, 20]},
                 primary_metric="cost",
             )
@@ -78,12 +87,6 @@ def test_bench_diff_passes_on_fresh_baselines(bench_dir, capsys):
     assert "0 gating findings" in out
 
 
-def test_bench_diff_run_flag_reprices_then_diffs(bench_dir, capsys):
-    assert main(["bench-diff", "--dir", str(bench_dir), "--run"]) == 0
-    out = capsys.readouterr().out
-    assert "ran toy (2 cells)" in out
-
-
 def test_synthetic_regression_fails_the_gate(bench_dir, capsys):
     artifact = bench_dir / "output" / "BENCH_toy.json"
     payload = json.loads(artifact.read_text())
@@ -101,8 +104,9 @@ def test_synthetic_regression_fails_the_gate(bench_dir, capsys):
     )
     capsys.readouterr()
 
-    # Repricing with --run restores the honest artifact and the gate.
-    assert main(["bench-diff", "--dir", str(bench_dir), "--run"]) == 0
+    # Repricing restores the honest artifact and the gate.
+    assert main(["bench", "--dir", str(bench_dir)]) == 0
+    assert main(["bench-diff", "--dir", str(bench_dir)]) == 0
     capsys.readouterr()
 
 
@@ -135,15 +139,23 @@ _TWO_GRIDS = """
         return {"cost": 1.0}
 
 
+    def holds(result):
+        assert result.metric() == 1.0
+
+
+    def lost(result):
+        assert result.metric() > 1.0, "the conclusion no longer holds"
+
+
     GRIDS = (
-        Grid(name="first", seed=1985, runner=cost, primary_metric="cost"),
-        Grid(name="%s", seed=1985, runner=cost, primary_metric="cost"),
+        Grid(name="first", seed=1985, runner=cost, check=holds, primary_metric="cost"),
+        Grid(name="%s", seed=1985, runner=cost, check=%s, primary_metric="cost"),
     )
 """
 
 
 def test_tuple_of_grids_lists_and_runs_every_grid(tmp_path, capsys):
-    tree = _tree(tmp_path, "tuplebenchtree", _TWO_GRIDS % "second")
+    tree = _tree(tmp_path, "tuplebenchtree", _TWO_GRIDS % ("second", "holds"))
     assert main(["bench", "--dir", str(tree), "--list"]) == 0
     out = capsys.readouterr().out
     assert "first: 1 cells" in out and "second: 1 cells" in out
@@ -153,8 +165,32 @@ def test_tuple_of_grids_lists_and_runs_every_grid(tmp_path, capsys):
         assert (tree / "output" / f"BENCH_{name}.json").exists()
 
 
+def test_failed_check_exits_1_naming_the_grid(tmp_path, capsys):
+    tree = _tree(tmp_path, "failbenchtree", _TWO_GRIDS % ("broken", "lost"))
+    assert main(["bench", "--dir", str(tree)]) == 1
+    captured = capsys.readouterr()
+    assert "bench: broken check FAILED" in captured.err
+    assert "assert result.metric() > 1.0" in captured.err
+    assert "the conclusion no longer holds" in captured.err
+    assert "first" not in captured.err
+    assert "first: check passed" in captured.out
+    # The failing grid does not stop the run: every artifact is written.
+    for name in ("first", "broken"):
+        assert (tree / "output" / f"BENCH_{name}.json").exists()
+
+
+def test_optimized_interpreter_is_refused(bench_dir):
+    # -O strips asserts, so every check would pass vacuously.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-O", "-m", "repro", "bench", "--dir", str(bench_dir)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "without -O" in done.stderr
+
+
 def test_duplicate_name_inside_a_tuple_is_rejected(tmp_path):
-    tree = _tree(tmp_path, "dupbenchtree", _TWO_GRIDS % "first")
+    tree = _tree(tmp_path, "dupbenchtree", _TWO_GRIDS % ("first", "holds"))
     with pytest.raises(BenchSpecError, match="duplicate grid name 'first'"):
         load_grids(str(tree))
 

@@ -32,6 +32,10 @@ def non_scalar_runner(params, seed):
     return {"cost": [1.0]}
 
 
+def no_check(result):
+    del result
+
+
 def _bad_grid(runner):
     return Grid(
         name="broken",
@@ -39,6 +43,7 @@ def _bad_grid(runner):
         runner=runner,
         parameters={"x": [1]},
         primary_metric="cost",
+        check=no_check,
     )
 
 
@@ -133,6 +138,7 @@ class TestImportance:
             runner=selfless_runner,
             parameters={"x": [1, 2]},
             primary_metric="cost",
+            check=no_check,
         )
         assert run_grid(grid).importance == []
 

@@ -16,6 +16,10 @@ def _runner(params, seed):
     return {"cost": 1.0}
 
 
+def _check(result):
+    assert result.cells
+
+
 def make_grid(**overrides):
     spec = dict(
         name="toy",
@@ -24,6 +28,7 @@ def make_grid(**overrides):
         parameters={"mode": ["fast", "slow"], "pages": [10, 50]},
         toggles=(ComponentToggle("cache"), ComponentToggle("batching")),
         primary_metric="cost",
+        check=_check,
     )
     spec.update(overrides)
     return Grid(**spec)
@@ -79,6 +84,15 @@ class TestRunIdStability:
             )
         )
         assert base.grid_id != wider.grid_id
+
+    def test_check_stays_out_of_the_ids(self):
+        # The check is code like the runner: editing it moves no ID.
+        base = make_grid()
+        rechecked = make_grid(check=lambda result: None)
+        assert rechecked.grid_id == base.grid_id
+        assert [c.run_id for c in rechecked.cells()] == [
+            c.run_id for c in base.cells()
+        ]
 
 
 class TestEnumeration:
@@ -151,6 +165,10 @@ class TestValidation:
     def test_toggle_shadowing_axis(self):
         with pytest.raises(BenchSpecError, match="shadow"):
             make_grid(toggles=(ComponentToggle("mode"),))
+
+    def test_check_must_be_callable(self):
+        with pytest.raises(BenchSpecError, match="check"):
+            make_grid(check=None)
 
     def test_missing_primary_metric(self):
         with pytest.raises(BenchSpecError, match="primary_metric"):

@@ -1,12 +1,13 @@
-"""Pins on the paper's published numbers and on the committed table grids.
+"""Pins on the paper's published numbers and on the committed grids.
 
 ``PAPER`` may be reshaped, but no published number may move: each table's
 sorted numeric leaves are pinned by count and sha256.  A fresh run of
 two sampled tables at the benchmark settings must reproduce the rows held
 in the committed ``BENCH_table02.json`` and ``BENCH_table08.json``, so a
-model change fails here, not only in ``bench-diff``.  And the rows of
-every committed table grid must keep the paper's shape (the benchmark's
-``SHAPES``), so a re-baselined grid cannot quietly lose a conclusion.
+model change fails here, not only in ``bench-diff``.  And every committed
+grid, rebuilt from its ``BENCH_<name>.json``, must pass its own check (for
+a table grid, the paper's shape), so a re-baselined grid cannot quietly
+lose a conclusion.
 """
 
 import hashlib
@@ -15,14 +16,15 @@ import os
 
 import pytest
 
-from benchmarks._harness import BENCH_SETTINGS, REPO_ROOT, grid_name
-from benchmarks.bench_tables import SHAPES
+from benchmarks._harness import BENCH_SETTINGS, REPO_ROOT
+from repro.bench import CellResult, Grid, GridResult, load_grids
 from repro.experiments import (
     PAPER,
     table2_log_utilization,
     table8_random_overwriting,
 )
-from repro.experiments.tables import CATALOGUE
+
+GRIDS = load_grids(os.path.join(REPO_ROOT, "benchmarks"))
 
 #: table -> (number of numeric leaves, sha256 of their sorted list's repr)
 PAPER_LEAVES = {
@@ -61,16 +63,22 @@ def test_paper_numbers_pinned(table):
     [("table02", table2_log_utilization), ("table08", table8_random_overwriting)],
 )
 def test_fresh_run_matches_committed_grid(grid, table_func):
-    assert table_func(BENCH_SETTINGS)["rows"] == _committed_rows(grid)
+    committed = _committed(GRIDS[grid]).cells[0].detail["rows"]
+    assert table_func(BENCH_SETTINGS)["rows"] == committed
 
 
-@pytest.mark.parametrize(
-    "key", list(CATALOGUE), ids=[grid_name(table) for table in CATALOGUE.values()]
-)
-def test_committed_rows_keep_paper_shape(key):
-    SHAPES[key](_committed_rows(grid_name(CATALOGUE[key])))
+@pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))
+def test_committed_rows_keep_paper_shape(grid):
+    """Every committed grid passes its own check (a table grid's check is
+    the paper's shape on its rows)."""
+    grid.check(_committed(grid))
 
 
-def _committed_rows(grid):
-    with open(os.path.join(REPO_ROOT, f"BENCH_{grid}.json")) as handle:
-        return json.load(handle)["cells"][0]["detail"]["rows"]
+def _committed(grid: Grid) -> GridResult:
+    """``grid``'s result as committed in ``BENCH_<name>.json``."""
+    with open(os.path.join(REPO_ROOT, f"BENCH_{grid.name}.json")) as handle:
+        rows = {row["run_id"]: row for row in json.load(handle)["cells"]}
+    return GridResult(grid, [
+        CellResult(cell, rows[cell.run_id]["metrics"], rows[cell.run_id].get("detail"), 0.0)
+        for cell in grid.cells()
+    ])

@@ -91,3 +91,16 @@ def test_guarded_span_idioms_each_fire(tmp_path):
     assert flagged == ["expression_guard", "statement_guard"], [
         f.as_dict() for f in findings
     ]
+
+
+def test_parallel_lint_equals_serial_lint(tmp_path):
+    """``--jobs`` fan-out returns exactly the serial findings on a tree
+    that has findings: every fixture case, linted as one project under
+    every rule."""
+    for case in _cases(""):
+        _materialize(case, tmp_path)
+    engine = LintEngine(root=str(tmp_path))
+    project = engine.load([str(tmp_path)])
+    serial = engine.run_project(project)
+    assert len({f.rule for f in serial}) > 1, "the tree must have findings"
+    assert engine.run_project_parallel(project, [str(tmp_path)], 2) == serial
