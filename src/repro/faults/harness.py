@@ -38,18 +38,9 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.storage.interface import RecoveryManager
 
 __all__ = [
-    "ARCHITECTURES",
-    "CrashTestReport",
-    "DEFAULT_CHECKPOINT_EVERY",
-    "ScenarioResult",
-    "apply_op",
-    "generate_ops",
-    "make_manager",
-    "recover_with_recrash",
-    "run_crashtest",
-    "run_prefix",
-    "run_scenario",
-    "state_dump",
+    "ARCHITECTURES", "CrashTestReport", "DEFAULT_CHECKPOINT_EVERY", "ScenarioResult",
+    "apply_op", "generate_ops", "make_manager", "recover_with_recrash", "run_crashtest",
+    "run_prefix", "run_scenario", "state_dump",
 ]
 
 DEFAULT_TRANSACTIONS = 10
@@ -240,13 +231,8 @@ def apply_op(manager, op, tids, committed, pending, checkpoints=None) -> None:
         raise ValueError(f"unknown op {op!r}")
 
 
-def _violation(
-    kind: str,
-    arch: str,
-    plan: FaultPlan,
-    crashed_at: Optional[Tuple[str, int]],
-    detail: str,
-) -> Dict[str, Any]:
+def _violation(kind: str, arch: str, plan: FaultPlan,
+               crashed_at: Optional[Tuple[str, int]], detail: str) -> Dict[str, Any]:
     """One violation record: what broke, and the (seed, plan) replaying it."""
     return {
         "kind": kind,
@@ -259,15 +245,9 @@ def _violation(
     }
 
 
-def _verify(
-    arch: str,
-    plan: FaultPlan,
-    actual: Dict[int, bytes],
-    committed: Dict[int, bytes],
-    in_flight: Optional[Dict[int, bytes]],
-    pending: Dict[int, Dict[int, bytes]],
-    crashed_at: Optional[Tuple[str, int]],
-) -> Tuple[str, List[Dict[str, Any]]]:
+def _verify(arch: str, plan: FaultPlan, actual: Dict[int, bytes], committed: Dict[int, bytes],
+            in_flight: Optional[Dict[int, bytes]], pending: Dict[int, Dict[int, bytes]],
+            crashed_at: Optional[Tuple[str, int]]) -> Tuple[str, List[Dict[str, Any]]]:
     """Diff the recovered ``{page: value}`` state against the committed-
     prefix oracle."""
     base = {page: committed.get(page, b"") for page in actual}
@@ -318,27 +298,76 @@ class _Observed(NamedTuple):
     timeline: Tuple[str, ...]
 
 
+class _Walk:
+    """One live run of an op script, forked at hook crossings.
+
+    It applies each op once, crossing hooks through an injector that never
+    fires.  At each crossing from ``first`` on it forks: it pickles the
+    manager and the oracle's books (``tids``, ``committed``, ``pending``,
+    ``checkpoints``), callback detached.  It keeps only the forks of the
+    last op applied.  A ``clock`` moves ``first`` to the crossing where
+    its plan's crash falls due.  Loaded and crashed, a fork is the state
+    a crash raised there leaves (docs/FAULTS.md).
+    """
+
+    def __init__(self, arch: str, ops: Sequence[Tuple],
+                 clock: Optional[FaultInjector] = None) -> None:
+        self.ops = ops
+        self.manager = make_manager(arch)
+        self.books: List[Any] = [{}, {}, {}, []]
+        self.injector = FaultInjector(FaultPlan.of())
+        self.applied = 0
+        self.first = float("inf")
+        self.clock = clock
+        self.forks: Dict[int, bytes] = {}
+
+    def _cross(self, name: str) -> None:
+        self.injector.reached(name)
+        if self.clock is not None and self.clock.poll(name):
+            self.first, self.clock = self.injector.crossings, None
+        if self.injector.crossings >= self.first:
+            self.fork()
+
+    def fork(self) -> None:
+        self.manager.set_fault_callback(None)
+        self.forks[self.injector.crossings] = pickle.dumps(
+            (self.manager, *self.books), pickle.HIGHEST_PROTOCOL)
+        self.manager.set_fault_callback(self._cross)
+
+    def advance(self) -> None:
+        """Apply ops until the op holding crossing ``first`` has run, or
+        the script ends."""
+        while self.applied < len(self.ops) and self.injector.crossings < self.first:
+            self.forks.clear()
+            self.manager.set_fault_callback(self._cross)
+            self._cross("op-boundary")
+            apply_op(self.manager, self.ops[self.applied], *self.books)
+            self.manager.set_fault_callback(None)
+            self.applied += 1
+
+
 class _Sweep:
     """One architecture's crash sweep over one op script.
 
-    It holds the latest op-boundary snapshot of :func:`run_prefix` and the
-    visited set, keyed by a crashed state's crash-visible pickle, recovery
-    seed and page count.  Both are valid only for the script and
-    ``ARCHITECTURES[arch]`` they were made with, compared by identity.
+    It holds the live walk of the script, the last fork
+    :func:`run_scenario` keyed, and the visited set, keyed by a crashed
+    state's crash-visible pickle, recovery seed and page count.  All are
+    valid only for the script and ``ARCHITECTURES[arch]`` they were made
+    with, compared by identity.
     """
 
     def __init__(self, ops: Tuple[Tuple, ...], factory: Optional[Callable]) -> None:
         self.ops = ops
         self.factory = factory
-        #: ``(ops applied, hook crossings so far, pickle of (manager, tids,
-        #: committed, pending, checkpoints))`` between two ops, or None.
-        self.snapshot: Optional[Tuple[int, Tuple[str, ...], bytes]] = None
+        self.walk: Optional[_Walk] = None
+        #: ``((fork, recovery seed), key, crash-invisible values, books)``.
+        self.last: Optional[Tuple] = None
         #: Crash-visible state -> observation of its uninterrupted recovery.
         self.visited: Dict[tuple, _Observed] = {}
         #: Root state -> the observation its re-crash edge leads to.
         self.recrashed: Dict[tuple, _Observed] = {}
 
-    def visit(self, key: tuple, manager: RecoveryManager) -> _Observed:
+    def visit(self, key: tuple, manager: Optional[RecoveryManager]) -> _Observed:
         """``key``'s observation; recovers ``manager``, crashed in that
         state, only on the first visit."""
         observed = self.visited.get(key)
@@ -379,60 +408,77 @@ def _sweep(arch: str, ops: Tuple[Tuple, ...]) -> _Sweep:
     return sweep
 
 
+def _walk(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple[_Walk, Optional[int]]:
+    """A walk of ``ops`` that kept the fork where ``plan``'s crash fires,
+    and that crossing; None if the script ends first, the walk then being
+    the caller's.
+
+    Crash specs that all name ``*`` fire at their least occurrence, on
+    the architecture's sweep when ``ops`` is a tuple script; a point
+    before the sweep walk's kept forks restarts it at op 0.  Any other
+    plan takes a walk of its own, forked where its clock fires.
+    """
+    specs = [spec for spec in plan.specs if spec.kind is FaultKind.CRASH]
+    if isinstance(ops, tuple) and specs and all(
+        spec.hook == "*" and spec.occurrence >= 1 for spec in specs
+    ):
+        point = min(spec.occurrence for spec in specs)
+        sweep = _sweep(arch, ops)
+        walk = sweep.walk
+        if walk is None or (point <= walk.injector.crossings and point not in walk.forks):
+            walk = sweep.walk = _Walk(arch, ops)
+        if point not in walk.forks:
+            walk.first = point
+            walk.advance()
+            if point not in walk.forks:
+                sweep.walk = None
+    else:
+        walk = _Walk(arch, ops, FaultInjector(plan))
+        walk.advance()
+        point = walk.first
+    return walk, point if point in walk.forks else None
+
+
+def _load(walk: _Walk, point: Optional[int]) -> Tuple[RecoveryManager, List[Any]]:
+    """The manager and books at ``point``'s fork (at the script's end if
+    None), crashed."""
+    if point is None:
+        manager, *books = walk.manager, *walk.books
+    else:
+        manager, *books = pickle.loads(walk.forks[point])
+    manager.crash()
+    return manager, books
+
+
+def _crash_site(walk: _Walk, point: Optional[int], plan: FaultPlan,
+                pending: Dict[int, Dict[int, bytes]]) -> Tuple:
+    """``(injector, crashed_at, in_flight)`` of a crash at ``point``: the
+    injector holds the crossings up to it, and ``in_flight`` the writes
+    of a commit the crash interrupted."""
+    injector = FaultInjector(plan)
+    injector.trail = walk.injector.trail[:point]
+    if point is None:
+        return injector, None, None
+    crashed_at = (injector.trail[-1], point)
+    injector.fired.append(("crash", *crashed_at))
+    op = walk.ops[walk.applied - 1]
+    # A crash inside commit() may land on either side of its commit point.
+    inside = op[0] == "commit" and crashed_at[0] != "op-boundary"
+    return injector, crashed_at, dict(pending[op[1]]) if inside else None
+
+
 def run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
     """Run ``ops`` on an ``arch`` manager until ``plan``'s crash; crash it.
 
     Returns ``(manager, injector, committed, pending, checkpoints,
-    crashed_at, in_flight)``: the crashed manager, what its run crossed,
-    and the committed-prefix oracle's state at the crash.  A pure
-    function of ``(arch, ops, plan)``: managers draw only from seeded
-    streams.
-
-    A crash-only plan on a tuple script resumes from the latest
-    op-boundary snapshot of the architecture's sweep over that script
-    when no spec would have fired within its trail; the run then holds
-    exactly what a replay from op 0 would.  A sweep that crashes at
-    ascending points thus applies each op about once.
+    crashed_at, in_flight)``: the crashed manager (the fork at the crash's
+    crossing of a live walk of ``ops``), what its run crossed, and the
+    committed-prefix oracle's state at the crash.  A pure function of
+    ``(arch, ops, plan)``: managers draw only from seeded streams.
     """
-    injector = FaultInjector(plan)
-    snapshots = isinstance(ops, tuple) and all(
-        spec.kind is FaultKind.CRASH for spec in plan.specs
-    )
-    sweep = _sweep(arch, ops) if snapshots else None
-    snapshot = sweep.snapshot if sweep is not None else None
-    resumed = snapshot is not None and injector.resume(snapshot[1])
-    if resumed:
-        start = snapshot[0]
-        manager, tids, committed, pending, checkpoints = pickle.loads(snapshot[2])
-    else:
-        start = 0
-        manager = make_manager(arch)
-        tids, committed, pending, checkpoints = {}, {}, {}, []
-    crashed_at = None
-    in_flight: Optional[Dict[int, bytes]] = None
-    try:
-        for index in range(start, len(ops)):
-            # Snapshot between ops, callback detached; a resumed run's
-            # first op boundary is the stored snapshot already.
-            if sweep is not None and (index > start or not resumed):
-                sweep.snapshot = (
-                    index, tuple(injector.trail),
-                    pickle.dumps((manager, tids, committed, pending, checkpoints),
-                                 pickle.HIGHEST_PROTOCOL),
-                )
-            op = ops[index]
-            manager.set_fault_callback(injector.reached)
-            injector.reached("op-boundary")
-            apply_op(manager, op, tids, committed, pending, checkpoints)
-            manager.set_fault_callback(None)
-    except InjectedCrash as crash:
-        crashed_at = (crash.hook, crash.crossing)
-        if op[0] == "commit" and crash.hook != "op-boundary":
-            # The crash landed inside commit(): either side of the commit
-            # point is legal, so record the transaction's writes.
-            in_flight = dict(pending[op[1]])
-    manager.set_fault_callback(None)
-    manager.crash()
+    walk, point = _walk(arch, ops, plan)
+    manager, (_tids, committed, pending, checkpoints) = _load(walk, point)
+    injector, crashed_at, in_flight = _crash_site(walk, point, plan, pending)
     return manager, injector, committed, pending, checkpoints, crashed_at, in_flight
 
 
@@ -489,17 +535,10 @@ def _recover(manager: RecoveryManager, n_pages: int) -> _Observed:
                      tuple(timeline))
 
 
-def _judge(
-    arch: str,
-    plan: FaultPlan,
-    observed: _Observed,
-    injector: FaultInjector,
-    committed: Dict[int, bytes],
-    pending: Dict[int, Dict[int, bytes]],
-    checkpoints: List[Any],
-    crashed_at: Optional[Tuple[str, int]],
-    in_flight: Optional[Dict[int, bytes]],
-) -> ScenarioResult:
+def _judge(arch: str, plan: FaultPlan, observed: _Observed, injector: FaultInjector,
+           committed: Dict[int, bytes], pending: Dict[int, Dict[int, bytes]],
+           checkpoints: List[Any], crashed_at: Optional[Tuple[str, int]],
+           in_flight: Optional[Dict[int, bytes]]) -> ScenarioResult:
     """Judge one recovery pass against this scenario's own oracle: the rest
     of a :func:`run_prefix` result, which is never mutated."""
     outcome, violations = _verify(
@@ -587,10 +626,21 @@ def run_scenario(
     that reaches it from that observation.
     """
     ops = _script(seed, n_transactions, n_pages, checkpoint_every)
-    manager, *shared = run_prefix(arch, ops, plan)
+    walk, point = _walk(arch, ops, plan)
     sweep = _sweep(arch, ops)
-    state, real = _crash_visible(manager)
-    key = (state, plan.seed, n_pages)
+    fork = (walk.forks.get(point), plan.seed)
+    manager = None
+    if fork[0] is not None and sweep.last is not None and sweep.last[0] == fork:
+        # The same fork as the last one keyed: the same crashed state.
+        key, real, books = sweep.last[1:]
+    else:
+        manager, books = _load(walk, point)
+        state, real = _crash_visible(manager)
+        key = (state, plan.seed, n_pages)
+        sweep.last = (fork, key, real, books)
+    _tids, committed, pending, checkpoints = books
+    injector, crashed_at, in_flight = _crash_site(walk, point, plan, pending)
+    shared = (injector, committed, pending, checkpoints, crashed_at, in_flight)
     plain = _judge(arch, plan, sweep.visit(key, manager), *shared)
     recrash = _judge(arch, plan, sweep.recrash(key, real), *shared)
     if recrash.dump != plain.dump:

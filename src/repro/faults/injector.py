@@ -17,8 +17,7 @@ Every random decision draws from a ``RandomStreams``-derived stream, so a
 from __future__ import annotations
 
 import random
-from collections import Counter
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.sim.rng import RandomStreams
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -71,24 +70,6 @@ class FaultInjector:
         return set(self.trail)
 
     # -- hook crossings -------------------------------------------------------
-    def resume(self, trail: Sequence[str]) -> bool:
-        """Take ``trail`` as the crossings so far, without firing anything.
-
-        Afterwards the injector is exactly what crossing ``trail`` one hook
-        at a time would have left.  Returns False, and changes nothing, if
-        a CRASH spec would already have fired within ``trail``.
-        """
-        counts = Counter(trail)
-        hits = [
-            sum(n for name, n in counts.items() if spec.matches_hook(name))
-            for spec in self._crash_specs
-        ]
-        if any(hit >= spec.occurrence for hit, spec in zip(hits, self._crash_specs)):
-            return False
-        self.trail = list(trail)
-        self._crash_hits = hits
-        return True
-
     def _crash_due(self, name: str) -> bool:
         """Advance per-spec counters; True if a CRASH spec fires now."""
         due = False
@@ -153,12 +134,8 @@ class FaultInjector:
         ``faults`` stream: corruption injection must never perturb the
         torn-write/message-loss draws of an otherwise identical plan.
         """
-        specs = [
-            spec
-            for spec in self.plan.specs
-            if spec.kind is FaultKind.BIT_ROT
-            and (spec.target is None or target is None or spec.target == target)
-        ]
+        specs = [spec for spec in self.plan.specs if spec.kind is FaultKind.BIT_ROT
+                 and (spec.target is None or target is None or spec.target == target)]
         if not specs:
             return False
         if self._corrupt_rng is None:
@@ -178,9 +155,7 @@ class FaultInjector:
 
     def timed_faults(self, kind: FaultKind) -> List[FaultSpec]:
         """Specs of ``kind`` scheduled at absolute simulation times."""
-        return [
-            s for s in self.plan.specs if s.kind is kind and s.at_time is not None
-        ]
+        return [s for s in self.plan.specs if s.kind is kind and s.at_time is not None]
 
     # -- machine integration --------------------------------------------------
     def arm(self, machine) -> None:
@@ -217,14 +192,10 @@ class FaultInjector:
             if spec.repair_after is not None:
                 yield env.timeout(spec.repair_after)
                 if spec.kind is FaultKind.DISK_FAIL:
-                    self.fired.append(
-                        ("disk-repair", str(spec.target), self.crossings)
-                    )
+                    self.fired.append(("disk-repair", str(spec.target), self.crossings))
                     self.machine.attach_disk_replacement(spec.target or 0)
                 elif spec.kind is FaultKind.QP_FAIL:
-                    self.fired.append(
-                        ("qp-repair", str(spec.target), self.crossings)
-                    )
+                    self.fired.append(("qp-repair", str(spec.target), self.crossings))
                     self.machine.repair_query_processor(spec.target or 0)
 
         for kind in (

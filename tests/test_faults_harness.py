@@ -1,12 +1,15 @@
 """The crash-recovery harness: determinism, zero violations, and teeth."""
 
+import contextlib
 import functools
 import itertools
 import pickle
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import pytest
 
+from benchmarks import bench_ablation_fault_recovery
+from benchmarks._harness import BENCH_SEED
 from repro.checkpoint import CHECKPOINT_FILE
 from repro.faults import (
     ARCHITECTURES,
@@ -233,14 +236,11 @@ class TestHarnessTeeth:
         assert result.violations[0]["kind"] == "recrash-divergence"
 
 
-# -- the two-replay harness, kept as the oracle for the shared prefix ---------
-def _reference_run_once(
-    arch: str,
-    ops: Sequence[Tuple],
-    plan: FaultPlan,
-    n_pages: int,
-    recrash_during_recovery: bool,
-) -> ScenarioResult:
+# -- the replay harnesses, kept as the oracles for the walk and the memo -----
+def reference_run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
+    """:func:`run_prefix` as a raise-and-catch replay: a fresh manager
+    runs ``ops`` from op 0 under ``plan``'s injector, and the crash
+    unwinds the run where it fires."""
     manager = harness.make_manager(arch)
     injector = FaultInjector(plan)
     manager.set_fault_callback(injector.reached)
@@ -248,7 +248,6 @@ def _reference_run_once(
     committed: Dict[int, bytes] = {}
     pending: Dict[int, Dict[int, bytes]] = {}
     checkpoints = []
-    recovery_timeline = []
     crashed_at = None
     in_flight: Optional[Dict[int, bytes]] = None
     try:
@@ -261,6 +260,20 @@ def _reference_run_once(
             in_flight = dict(pending[op[1]])
     manager.set_fault_callback(None)
     manager.crash()
+    return manager, injector, committed, pending, checkpoints, crashed_at, in_flight
+
+
+def _reference_run_once(
+    arch: str,
+    ops: Sequence[Tuple],
+    plan: FaultPlan,
+    n_pages: int,
+    recrash_during_recovery: bool,
+) -> ScenarioResult:
+    manager, injector, committed, pending, checkpoints, crashed_at, in_flight = (
+        reference_run_prefix(arch, ops, plan)
+    )
+    recovery_timeline = []
     if recrash_during_recovery:
         recrash = FaultInjector(
             FaultPlan.of(FaultSpec(FaultKind.CRASH, hook="*"), seed=plan.seed)
@@ -365,6 +378,69 @@ def _crossings(arch: str, seed: int) -> int:
     return run_scenario(arch, seed, FaultPlan.of(seed=seed)).crossings
 
 
+def assert_same_prefix(run: Tuple, reference: Tuple) -> None:
+    """Two :func:`run_prefix` results agree field by field: the books,
+    the crash site, the interrupted commit's writes, the crossings, the
+    crashed state and what its recovery leaves."""
+    (manager, injector, *books), (ref_manager, ref_injector, *ref_books) = run, reference
+    assert books == ref_books
+    assert injector.trail == ref_injector.trail
+    assert injector.crossings == ref_injector.crossings
+    assert injector.hooks_seen == ref_injector.hooks_seen
+    assert injector.fired == ref_injector.fired
+    assert state_dump(manager) == state_dump(ref_manager)
+    pages = harness.DEFAULT_PAGES
+    assert harness._recover(manager, pages) == harness._recover(ref_manager, pages)
+
+
+_ALL_MANAGERS = pytest.mark.parametrize(
+    "arch", ARCH_NAMES + [_InPlaceManager, _UnrestartableUndoManager],
+    ids=lambda arch: arch if isinstance(arch, str) else arch.name,
+)
+
+
+@contextlib.contextmanager
+def _registered(arch) -> Iterator[str]:
+    """The name ``arch`` runs under: a broken test manager is registered
+    for the block, and its sweep dropped after it."""
+    if isinstance(arch, str):
+        yield arch
+        return
+    ARCHITECTURES[arch.name] = arch
+    try:
+        yield arch.name
+    finally:
+        del ARCHITECTURES[arch.name]
+        harness._SWEEPS.pop(arch.name, None)
+
+
+class TestWalkMatchesReplay:
+    """Each fork of the walk, crashed, is the state a raise-and-catch
+    replay to the same crossing leaves."""
+
+    @pytest.mark.parametrize("seed", [5, 1985, 7])
+    @_ALL_MANAGERS
+    def test_every_crash_point(self, arch, seed):
+        with _registered(arch) as name:
+            ops, total = _ops(seed), _crossings(name, seed)
+            for point in range(1, total + 2):  # total + 1 is never reached
+                plan = _crash_at(point, seed)
+                assert_same_prefix(
+                    run_prefix(name, ops, plan), reference_run_prefix(name, ops, plan)
+                )
+
+    @pytest.mark.parametrize("arch", ARCH_NAMES)
+    def test_fault_recovery_ablation_plans(self, arch):
+        # bench_ablation_fault_recovery's list scripts and plans, which
+        # take walks of their own.
+        for fault in ("clean-crash", "mid-commit"):
+            plan = bench_ablation_fault_recovery._fault_plan(arch, fault, BENCH_SEED)
+            ops = generate_ops(BENCH_SEED, n_transactions=12)
+            run = run_prefix(arch, ops, plan)
+            assert run[5] is not None  # crashed_at
+            assert_same_prefix(run, reference_run_prefix(arch, ops, plan))
+
+
 class TestSharedPrefixMatchesReference:
     """Both passes recover one crashed state instead of two replays of it."""
 
@@ -394,7 +470,9 @@ class TestSharedPrefixMatchesReference:
         assert new == run_crashtest(arch, 1985, budget=40).to_json()
 
     def test_ascending_sweep_does_linear_prefix_work(self, monkeypatch):
-        built, applied = [], []
+        # One walk per manager: each op applied once, each crossing forked
+        # once, the fault-free baseline apart.
+        built, applied, forked = [], [], []
 
         def counting_make_manager(arch):
             built.append(arch)
@@ -404,19 +482,31 @@ class TestSharedPrefixMatchesReference:
             applied.append(op)
             apply_op(manager, op, *books)
 
+        def counting_fork(walk):
+            forked.append(walk.injector.crossings)
+            fork(walk)
+
+        fork = harness._Walk.fork
         ops = _ops(5)
         totals = {arch: _crossings(arch, 5) for arch in ARCH_NAMES}
         harness._SWEEPS.clear()
         monkeypatch.setattr(harness, "make_manager", counting_make_manager)
         monkeypatch.setattr(harness, "apply_op", counting_apply_op)
+        monkeypatch.setattr(harness._Walk, "fork", counting_fork)
         for arch in ARCH_NAMES:
             built.clear()
             applied.clear()
+            forked.clear()
             for point in range(1, totals[arch] + 1):
                 run_scenario(arch, 5, _crash_at(point, 5))
-            # Each scenario applies ops from the previous crash's op on.
             assert built == [arch]
-            assert len(applied) <= len(ops) + totals[arch]
+            assert applied == list(ops)
+            assert forked == list(range(1, totals[arch] + 1))
+            # A point before the kept forks restarts the walk at op 0.
+            plan = _crash_at(totals[arch] // 2, 5)
+            result = run_scenario(arch, 5, plan)
+            assert built == [arch, arch]
+            assert result == _cached_reference(arch, 5, plan)
         built.clear()
         reference_run_scenario("wal", 5, _crash_at(15, 5))
         assert built == ["wal", "wal"]
@@ -435,8 +525,9 @@ def _commit_hooks(arch: str, seed: int) -> str:
 
 
 class TestSnapshotResume:
-    """Scenarios resume from the latest op-boundary snapshot; any order of
-    points and any crash-only plan still matches the two-replay reference."""
+    """Scenarios are served from forks of the sweep's live walk, which
+    resumes from where the last scenario left it; any order of points and
+    any crash-only plan still matches the two-replay reference."""
 
     @pytest.mark.parametrize("arch", ARCH_NAMES)
     def test_descending_seed5_sweep(self, arch):
@@ -474,7 +565,7 @@ class TestSnapshotResume:
         total = _crossings(arch, 5)
         for occurrence in range(1, 8):
             plans = [
-                # A "*" crash first, so the next plan finds a snapshot.
+                # A "*" crash first, so the sweep's walk holds forks.
                 _crash_at(occurrence * total // 8, 5),
                 FaultPlan.of(
                     FaultSpec(FaultKind.CRASH, hook=commit, occurrence=occurrence),
@@ -491,7 +582,9 @@ class TestSnapshotResume:
                 assert result == reference_run_scenario(arch, 5, plan)
                 assert result.crashed_at is not None
 
-    def test_non_crash_spec_takes_the_fresh_path(self, monkeypatch):
+    def test_non_crash_spec_rides_the_sweep_walk(self, monkeypatch):
+        # Managers cross hooks only, so a torn-write spec changes nothing
+        # in the forward run: its "*" crash is served by the sweep's walk.
         built = []
 
         def counting_make_manager(arch):
@@ -499,7 +592,7 @@ class TestSnapshotResume:
             return make_manager(arch)
 
         run_scenario("wal", 5, _crash_at(60, 5))
-        kept = harness._SWEEPS["wal"].snapshot
+        walk = harness._SWEEPS["wal"].walk
         plan = FaultPlan.of(
             FaultSpec(FaultKind.CRASH, hook="*", occurrence=70),
             FaultSpec(FaultKind.TORN_WRITE, probability=0.5),
@@ -507,8 +600,8 @@ class TestSnapshotResume:
         )
         monkeypatch.setattr(harness, "make_manager", counting_make_manager)
         result = run_scenario("wal", 5, plan)
-        assert built == ["wal"]
-        assert harness._SWEEPS["wal"].snapshot is kept
+        assert built == []
+        assert harness._SWEEPS["wal"].walk is walk
         assert result == reference_run_scenario("wal", 5, plan)
 
     def test_re_registered_name_does_not_resume(self):
@@ -518,12 +611,14 @@ class TestSnapshotResume:
             for point in (10, 30):
                 plan = _crash_at(point, 5)
                 assert run_scenario(name, 5, plan) == reference_run_scenario(name, 5, plan)
+            walk = harness._SWEEPS[name].walk
             ARCHITECTURES[name] = ARCHITECTURES["versions"]
             for point in (40, 50):
                 plan = _crash_at(point, 5)
                 result = run_scenario(name, 5, plan)
                 assert result == reference_run_scenario(name, 5, plan)
                 assert all(h.split(".")[0] != "shadow" for h in result.hooks)
+            assert harness._SWEEPS[name].walk is not walk
         finally:
             del ARCHITECTURES[name]
             harness._SWEEPS.pop(name, None)
@@ -542,21 +637,9 @@ class TestSnapshotResume:
         run_prefix(arch, ops, _crash_at(total // 3, 5))
         monkeypatch.setattr(harness, "make_manager", counting_make_manager)
         resumed = run_prefix(arch, ops, plan)
-        assert built == []
-        harness._SWEEPS.clear()
-        fresh = run_prefix(arch, ops, plan)
-        assert built == [arch]
-        for run in (resumed, fresh):
-            assert run[5] is not None  # crashed_at
-        (manager, injector, *books), (fresh_manager, fresh_injector, *fresh_books) = (
-            resumed, fresh
-        )
-        assert state_dump(manager) == state_dump(fresh_manager)
-        assert books == fresh_books
-        assert injector.trail == fresh_injector.trail
-        assert injector.crossings == fresh_injector.crossings
-        assert injector.hooks_seen == fresh_injector.hooks_seen
-        assert injector.fired == fresh_injector.fired
+        assert built == []  # the walk went on from the earlier point
+        assert resumed[5] is not None  # crashed_at
+        assert_same_prefix(resumed, reference_run_prefix(arch, ops, plan))
 
 
 def _clone_crashed(manager: RecoveryManager) -> RecoveryManager:
@@ -636,23 +719,20 @@ class TestRecoveryMemo:
 
     def test_ascending_sweep_recovers_each_distinct_state_once(self, monkeypatch):
         states, keys = [], []
-
-        def recording_run_prefix(arch, ops, plan):
-            run = run_prefix(arch, ops, plan)
-            states.append(pickle.dumps(run[0], pickle.HIGHEST_PROTOCOL))
-            keys.append(_key(run[0]))
-            return run
-
         totals = {arch: _crossings(arch, 5) for arch in ARCH_NAMES}
         harness._SWEEPS.clear()
         calls = _count_recoveries(monkeypatch)
-        monkeypatch.setattr(harness, "run_prefix", recording_run_prefix)
         for arch in ARCH_NAMES:
             states.clear()
             keys.clear()
             calls.clear()
             for point in range(1, totals[arch] + 1):
-                run_scenario(arch, 5, _crash_at(point, 5))
+                plan = _crash_at(point, 5)
+                run_scenario(arch, 5, plan)
+                # The same fork again, from the walk's kept forks.
+                manager = run_prefix(arch, _ops(5), plan)[0]
+                states.append(pickle.dumps(manager, pickle.HIGHEST_PROTOCOL))
+                keys.append(_key(manager))
             visited = harness._SWEEPS[arch].visited
             roots = {(key, 5, harness.DEFAULT_PAGES) for key in keys}
             # One recovery per distinct state: every distinct root, plus
@@ -677,15 +757,18 @@ class TestRecoveryMemo:
         assert recovered[0] > 0 and recovered[1] > 0
         assert recovered[2] == 0
 
-    def test_seed5_sweep_observes_298_states(self, monkeypatch):
+    def test_seed5_sweep_observes_291_states(self, monkeypatch):
         # Baselines included; a one-entry memo with a cloned re-crash
-        # pass observed 499 (1,629 over seeds 5, 1985 and 7, now 1,015).
+        # pass observed 499 (1,629 over seeds 5, 1985 and 7), and states
+        # resumed from op-boundary snapshots 298.  Forks of one live walk
+        # share objects as the live run does, so fewer equal states miss
+        # each other by pickle bytes.
         harness._SWEEPS.clear()
         calls = _count_recoveries(monkeypatch)
         for arch in ARCH_NAMES:
             assert run_crashtest(arch, 5).ok
-        assert len(calls) == 298
-        assert sum(len(harness._SWEEPS[arch].visited) for arch in ARCH_NAMES) == 298
+        assert len(calls) == 291
+        assert sum(len(harness._SWEEPS[arch].visited) for arch in ARCH_NAMES) == 291
 
     @pytest.mark.parametrize(
         "broken", [_InPlaceManager, _UnrestartableUndoManager], ids=lambda cls: cls.name
@@ -709,32 +792,18 @@ class TestRecoveryMemo:
         assert flagged
         assert len(calls) < 2 * total  # served states were judged too
 
-    @pytest.mark.parametrize(
-        "arch", ARCH_NAMES + [_InPlaceManager, _UnrestartableUndoManager],
-        ids=lambda arch: arch if isinstance(arch, str) else arch.name,
-    )
-    def test_served_recrash_judges_as_a_recrashed_clone(self, arch, monkeypatch):
+    @_ALL_MANAGERS
+    def test_served_recrash_judges_as_a_recrashed_clone(self, arch):
         # The re-crash edge against its reference: a copy of the crashed
         # manager recovered by recover_with_recrash, then observed.
-        broken = not isinstance(arch, str)
-        name = arch.name if broken else arch
-        if broken:
-            ARCHITECTURES[name] = arch
         pages = harness.DEFAULT_PAGES
-        runs = []
-
-        def recording_run_prefix(arch, ops, plan):
-            run = run_prefix(arch, ops, plan)
-            runs.append((harness._crash_visible(run[0]), run[1:]))
-            return run
-
-        monkeypatch.setattr(harness, "run_prefix", recording_run_prefix)
-        try:
+        with _registered(arch) as name:
             total = _crossings(name, 5)
             for point in range(1, total + 1):
                 plan = _crash_at(point, 5)
                 run_scenario(name, 5, plan)
-                (state, real), shared = runs[-1]
+                manager, *shared = run_prefix(name, _ops(5), plan)
+                state, real = harness._crash_visible(manager)
                 served = harness._SWEEPS[name].recrashed[(state, 5, pages)]
                 clone = pickle.loads(state)
                 harness._set_invisible(clone, real)
@@ -751,10 +820,6 @@ class TestRecoveryMemo:
                 assert harness._judge(name, plan, served, *shared) == harness._judge(
                     name, plan, reference, *shared
                 ), (name, point)
-        finally:
-            if broken:
-                del ARCHITECTURES[name]
-                harness._SWEEPS.pop(name, None)
 
     def test_an_entry_serves_only_its_own_key(self, monkeypatch):
         fresh, pages = _crash_at(1, 5), harness.DEFAULT_PAGES
@@ -782,17 +847,21 @@ class TestRecoveryMemo:
             (5, _crash_at(40, 6), pages, bump("_round_robin")),  # undeclared field
         ]
 
-        def editing_run_prefix(arch, ops, plan):
-            run = run_prefix(arch, ops, plan)
+        def editing_load(walk, point):
+            manager, books = load(walk, point)
             if edit is not None:
-                edit(run[0])
-            return run
+                edit(manager)
+            return manager, books
 
-        monkeypatch.setattr(harness, "run_prefix", editing_run_prefix)
+        load = harness._load
+        monkeypatch.setattr(harness, "_load", editing_load)
         harness._SWEEPS.clear()
         calls = _count_recoveries(monkeypatch)
         results, served = [], []
         for seed, plan, n_pages, edit in runs:
+            # Each run keys its own edited manager, not the last fork's.
+            for sweep in harness._SWEEPS.values():
+                sweep.last = None
             before = len(calls)
             results.append(run_scenario("wal", seed, plan, n_pages=n_pages))
             served.append(len(calls) == before)
@@ -817,17 +886,10 @@ class TestCrashInvisibleFields:
     crashed manager leave its observation, and the state its re-crash edge
     leads to, unchanged."""
 
-    @pytest.mark.parametrize(
-        "arch", ARCH_NAMES + [_InPlaceManager, _UnrestartableUndoManager],
-        ids=lambda arch: arch if isinstance(arch, str) else arch.name,
-    )
+    @_ALL_MANAGERS
     def test_every_seed5_crash_point(self, arch):
-        broken = not isinstance(arch, str)
-        name = arch.name if broken else arch
-        if broken:
-            ARCHITECTURES[name] = arch
         pages = harness.DEFAULT_PAGES
-        try:
+        with _registered(arch) as name:
             ops, total = _ops(5), _crossings(name, 5)
             assert total > 0
             for point in range(1, total + 1):
@@ -843,7 +905,3 @@ class TestCrashInvisibleFields:
                     assert harness._recover(moved, pages) == harness._recover(
                         kept, pages
                     ), (name, point, recrash)
-        finally:
-            if broken:
-                del ARCHITECTURES[name]
-                harness._SWEEPS.pop(name, None)
