@@ -8,16 +8,38 @@ oracle.  See docs/FAULTS.md for the taxonomy and hook-point catalogue.
 """
 
 from repro.faults.harness import (
-    ARCHITECTURES, CrashTestReport, DEFAULT_CHECKPOINT_EVERY, ScenarioResult, apply_op,
-    generate_ops, make_manager, recover_with_recrash, run_crashtest, run_prefix, run_scenario,
+    ARCHITECTURES,
+    CrashTestReport,
+    DEFAULT_CHECKPOINT_EVERY,
+    ScenarioResult,
+    apply_op,
+    generate_ops,
+    make_manager,
+    recover_with_recrash,
+    run_crashtest,
+    run_prefix,
+    run_scenario,
     state_dump,
 )
 from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 
 __all__ = [
-    "ARCHITECTURES", "CrashTestReport", "DEFAULT_CHECKPOINT_EVERY", "FaultInjector",
-    "FaultKind", "FaultPlan", "FaultSpec", "InjectedCrash", "ScenarioResult", "apply_op",
-    "generate_ops", "make_manager", "recover_with_recrash", "run_crashtest", "run_prefix",
-    "run_scenario", "state_dump",
+    "ARCHITECTURES",
+    "CrashTestReport",
+    "DEFAULT_CHECKPOINT_EVERY",
+    "FaultInjector",
+    "FaultKind",
+    "FaultPlan",
+    "FaultSpec",
+    "InjectedCrash",
+    "ScenarioResult",
+    "apply_op",
+    "generate_ops",
+    "make_manager",
+    "recover_with_recrash",
+    "run_crashtest",
+    "run_prefix",
+    "run_scenario",
+    "state_dump",
 ]

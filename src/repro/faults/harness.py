@@ -38,9 +38,18 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.storage.interface import RecoveryManager
 
 __all__ = [
-    "ARCHITECTURES", "CrashTestReport", "DEFAULT_CHECKPOINT_EVERY", "ScenarioResult",
-    "apply_op", "generate_ops", "make_manager", "recover_with_recrash", "run_crashtest",
-    "run_prefix", "run_scenario", "state_dump",
+    "ARCHITECTURES",
+    "CrashTestReport",
+    "DEFAULT_CHECKPOINT_EVERY",
+    "ScenarioResult",
+    "apply_op",
+    "generate_ops",
+    "make_manager",
+    "recover_with_recrash",
+    "run_crashtest",
+    "run_prefix",
+    "run_scenario",
+    "state_dump",
 ]
 
 DEFAULT_TRANSACTIONS = 10
@@ -231,8 +240,13 @@ def apply_op(manager, op, tids, committed, pending, checkpoints=None) -> None:
         raise ValueError(f"unknown op {op!r}")
 
 
-def _violation(kind: str, arch: str, plan: FaultPlan,
-               crashed_at: Optional[Tuple[str, int]], detail: str) -> Dict[str, Any]:
+def _violation(
+    kind: str,
+    arch: str,
+    plan: FaultPlan,
+    crashed_at: Optional[Tuple[str, int]],
+    detail: str,
+) -> Dict[str, Any]:
     """One violation record: what broke, and the (seed, plan) replaying it."""
     return {
         "kind": kind,
@@ -245,9 +259,15 @@ def _violation(kind: str, arch: str, plan: FaultPlan,
     }
 
 
-def _verify(arch: str, plan: FaultPlan, actual: Dict[int, bytes], committed: Dict[int, bytes],
-            in_flight: Optional[Dict[int, bytes]], pending: Dict[int, Dict[int, bytes]],
-            crashed_at: Optional[Tuple[str, int]]) -> Tuple[str, List[Dict[str, Any]]]:
+def _verify(
+    arch: str,
+    plan: FaultPlan,
+    actual: Dict[int, bytes],
+    committed: Dict[int, bytes],
+    in_flight: Optional[Dict[int, bytes]],
+    pending: Dict[int, Dict[int, bytes]],
+    crashed_at: Optional[Tuple[str, int]],
+) -> Tuple[str, List[Dict[str, Any]]]:
     """Diff the recovered ``{page: value}`` state against the committed-
     prefix oracle."""
     base = {page: committed.get(page, b"") for page in actual}
@@ -535,10 +555,17 @@ def _recover(manager: RecoveryManager, n_pages: int) -> _Observed:
                      tuple(timeline))
 
 
-def _judge(arch: str, plan: FaultPlan, observed: _Observed, injector: FaultInjector,
-           committed: Dict[int, bytes], pending: Dict[int, Dict[int, bytes]],
-           checkpoints: List[Any], crashed_at: Optional[Tuple[str, int]],
-           in_flight: Optional[Dict[int, bytes]]) -> ScenarioResult:
+def _judge(
+    arch: str,
+    plan: FaultPlan,
+    observed: _Observed,
+    injector: FaultInjector,
+    committed: Dict[int, bytes],
+    pending: Dict[int, Dict[int, bytes]],
+    checkpoints: List[Any],
+    crashed_at: Optional[Tuple[str, int]],
+    in_flight: Optional[Dict[int, bytes]],
+) -> ScenarioResult:
     """Judge one recovery pass against this scenario's own oracle: the rest
     of a :func:`run_prefix` result, which is never mutated."""
     outcome, violations = _verify(
@@ -637,11 +664,12 @@ def run_scenario(
         manager, books = _load(walk, point)
         state, real = _crash_visible(manager)
         key = (state, plan.seed, n_pages)
-        sweep.last = (fork, key, real, books)
     _tids, committed, pending, checkpoints = books
     injector, crashed_at, in_flight = _crash_site(walk, point, plan, pending)
     shared = (injector, committed, pending, checkpoints, crashed_at, in_flight)
     plain = _judge(arch, plan, sweep.visit(key, manager), *shared)
+    # Only a key already visited may serve the next byte-equal fork.
+    sweep.last = (fork, key, real, books)
     recrash = _judge(arch, plan, sweep.recrash(key, real), *shared)
     if recrash.dump != plain.dump:
         plain.violations.append(_violation(

@@ -134,8 +134,12 @@ class FaultInjector:
         ``faults`` stream: corruption injection must never perturb the
         torn-write/message-loss draws of an otherwise identical plan.
         """
-        specs = [spec for spec in self.plan.specs if spec.kind is FaultKind.BIT_ROT
-                 and (spec.target is None or target is None or spec.target == target)]
+        specs = [
+            spec
+            for spec in self.plan.specs
+            if spec.kind is FaultKind.BIT_ROT
+            and (spec.target is None or target is None or spec.target == target)
+        ]
         if not specs:
             return False
         if self._corrupt_rng is None:
@@ -155,7 +159,9 @@ class FaultInjector:
 
     def timed_faults(self, kind: FaultKind) -> List[FaultSpec]:
         """Specs of ``kind`` scheduled at absolute simulation times."""
-        return [s for s in self.plan.specs if s.kind is kind and s.at_time is not None]
+        return [
+            s for s in self.plan.specs if s.kind is kind and s.at_time is not None
+        ]
 
     # -- machine integration --------------------------------------------------
     def arm(self, machine) -> None:
@@ -192,10 +198,14 @@ class FaultInjector:
             if spec.repair_after is not None:
                 yield env.timeout(spec.repair_after)
                 if spec.kind is FaultKind.DISK_FAIL:
-                    self.fired.append(("disk-repair", str(spec.target), self.crossings))
+                    self.fired.append(
+                        ("disk-repair", str(spec.target), self.crossings)
+                    )
                     self.machine.attach_disk_replacement(spec.target or 0)
                 elif spec.kind is FaultKind.QP_FAIL:
-                    self.fired.append(("qp-repair", str(spec.target), self.crossings))
+                    self.fired.append(
+                        ("qp-repair", str(spec.target), self.crossings)
+                    )
                     self.machine.repair_query_processor(spec.target or 0)
 
         for kind in (

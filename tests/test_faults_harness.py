@@ -870,6 +870,34 @@ class TestRecoveryMemo:
             harness._SWEEPS.clear()
             assert run_scenario("wal", seed, plan, n_pages=n_pages) == result
 
+    def test_a_failed_recovery_leaves_no_key_to_reuse(self, monkeypatch):
+        # Find a crash point whose fork is byte-equal to the point before
+        # it: run_scenario reuses the last key there and loads nothing.
+        harness._SWEEPS.clear()
+        loads = []
+        load = harness._load
+        monkeypatch.setattr(
+            harness, "_load", lambda walk, point: loads.append(point) or load(walk, point)
+        )
+        point = 1
+        while True:
+            run_scenario("wal", 5, _crash_at(point, 5))
+            if point not in loads:
+                break
+            point += 1
+        expected = reference_run_scenario("wal", 5, _crash_at(point, 5))
+
+        def failing_recover(manager, n_pages):
+            raise RuntimeError("recovery failed")
+
+        harness._SWEEPS.clear()
+        monkeypatch.setattr(harness, "_recover", failing_recover)
+        with pytest.raises(RuntimeError, match="recovery failed"):
+            run_scenario("wal", 5, _crash_at(point - 1, 5))
+        monkeypatch.undo()
+        # The failed point keyed nothing, so this one recovers its own fork.
+        assert run_scenario("wal", 5, _crash_at(point, 5)) == expected
+
 
 def _perturb_invisible(manager: RecoveryManager) -> None:
     """Give every declared crash-invisible field a value it never held."""

@@ -19,7 +19,10 @@ import repro
 PACKAGES = ("storage", "checkpoint", "integrity")
 
 #: Nodes that run code while an exception passes through them.
-UNWIND_NODES = (ast.Try, ast.TryStar, ast.With, ast.AsyncWith)
+#: ``TryStar`` (``except*``) exists from Python 3.11 on.
+UNWIND_NODES = (ast.Try, ast.With, ast.AsyncWith) + (
+    (ast.TryStar,) if hasattr(ast, "TryStar") else ()
+)
 
 
 def _unwind_nodes(root: pathlib.Path):
