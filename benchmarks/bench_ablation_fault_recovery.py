@@ -61,7 +61,7 @@ def fault_recovery_cell(params: Dict[str, Any], seed: int) -> Dict[str, int]:
     stable = manager.stable
     before = (stable.page_writes, stable.page_reads, stable.records_appended)
     if fault == "recrash":
-        recover_with_recrash(manager, seed)
+        recover_with_recrash(manager)
     else:
         manager.recover()
     return {

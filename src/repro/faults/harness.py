@@ -28,7 +28,7 @@ import json
 import pickle
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.checkpoint import CHECKPOINT_FILE, CheckpointUnsupported
 from repro.registry import ARCHITECTURES
@@ -325,9 +325,10 @@ class _Walk:
     fires.  At each crossing from ``first`` on it forks: it pickles the
     manager and the oracle's books (``tids``, ``committed``, ``pending``,
     ``checkpoints``), callback detached.  It keeps only the forks of the
-    last op applied.  A ``clock`` moves ``first`` to the crossing where
-    its plan's crash falls due.  Loaded and crashed, a fork is the state
-    a crash raised there leaves (docs/FAULTS.md).
+    last op applied, and the crossing where it first saw each hook name.
+    A ``clock`` moves ``first`` to the crossing where its plan's crash
+    falls due.  Loaded and crashed, a fork is the state a crash raised
+    there leaves (docs/FAULTS.md).
     """
 
     def __init__(self, arch: str, ops: Sequence[Tuple],
@@ -340,9 +341,12 @@ class _Walk:
         self.first = float("inf")
         self.clock = clock
         self.forks: Dict[int, bytes] = {}
+        self.seen: Dict[str, int] = {}
 
     def _cross(self, name: str) -> None:
         self.injector.reached(name)
+        if name not in self.seen:
+            self.seen[name] = self.injector.crossings
         if self.clock is not None and self.clock.poll(name):
             self.first, self.clock = self.injector.crossings, None
         if self.injector.crossings >= self.first:
@@ -371,16 +375,16 @@ class _Sweep:
 
     It holds the live walk of the script, the last fork
     :func:`run_scenario` keyed, and the visited set, keyed by a crashed
-    state's crash-visible pickle, recovery seed and page count.  All are
-    valid only for the script and ``ARCHITECTURES[arch]`` they were made
-    with, compared by identity.
+    state's crash-visible pickle and page count.  All are valid only for
+    the script and ``ARCHITECTURES[arch]`` they were made with, compared
+    by identity.
     """
 
     def __init__(self, ops: Tuple[Tuple, ...], factory: Optional[Callable]) -> None:
         self.ops = ops
         self.factory = factory
         self.walk: Optional[_Walk] = None
-        #: ``((fork, recovery seed), key, crash-invisible values, books)``.
+        #: ``(fork, key, books)``.
         self.last: Optional[Tuple] = None
         #: Crash-visible state -> observation of its uninterrupted recovery.
         self.visited: Dict[tuple, _Observed] = {}
@@ -392,24 +396,22 @@ class _Sweep:
         state, only on the first visit."""
         observed = self.visited.get(key)
         if observed is None:
-            observed = self.visited[key] = _recover(manager, key[2])
+            observed = self.visited[key] = _recover(manager, key[1])
         return observed
 
-    def recrash(self, key: tuple, real: List[Any]) -> _Observed:
+    def recrash(self, key: tuple) -> _Observed:
         """Follow the re-crash edge out of root ``key``: crash its recovery
         at the first hook crossing and visit the state that leaves.  A
         recovery that crosses no hook has nothing to crash, so the edge
-        leads back to ``key`` itself.  ``real`` holds the crash-invisible
-        values the copy recovers with."""
+        leads back to ``key`` itself."""
         observed = self.recrashed.get(key)
         if observed is None:
             observed = self.visited[key]
             if observed.timeline:
-                state, seed, n_pages = key
+                state, n_pages = key
                 clone = pickle.loads(state)
-                _set_invisible(clone, real)
-                _crash_recovery(clone, clone.recover, seed)
-                observed = self.visit((_crash_visible(clone)[0], seed, n_pages), clone)
+                _crash_recovery(clone, clone.recover)
+                observed = self.visit((_crash_visible(clone), n_pages), clone)
             self.recrashed[key] = observed
         return observed
 
@@ -470,21 +472,17 @@ def _load(walk: _Walk, point: Optional[int]) -> Tuple[RecoveryManager, List[Any]
     return manager, books
 
 
-def _crash_site(walk: _Walk, point: Optional[int], plan: FaultPlan,
+def _crash_site(walk: _Walk, point: Optional[int],
                 pending: Dict[int, Dict[int, bytes]]) -> Tuple:
-    """``(injector, crashed_at, in_flight)`` of a crash at ``point``: the
-    injector holds the crossings up to it, and ``in_flight`` the writes
-    of a commit the crash interrupted."""
-    injector = FaultInjector(plan)
-    injector.trail = walk.injector.trail[:point]
+    """``(crashed_at, in_flight)`` of a crash at ``point``: ``in_flight``
+    holds the writes of a commit the crash interrupted."""
     if point is None:
-        return injector, None, None
-    crashed_at = (injector.trail[-1], point)
-    injector.fired.append(("crash", *crashed_at))
+        return None, None
+    crashed_at = (walk.injector.trail[point - 1], point)
     op = walk.ops[walk.applied - 1]
     # A crash inside commit() may land on either side of its commit point.
     inside = op[0] == "commit" and crashed_at[0] != "op-boundary"
-    return injector, crashed_at, dict(pending[op[1]]) if inside else None
+    return crashed_at, dict(pending[op[1]]) if inside else None
 
 
 def run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
@@ -498,16 +496,20 @@ def run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
     """
     walk, point = _walk(arch, ops, plan)
     manager, (_tids, committed, pending, checkpoints) = _load(walk, point)
-    injector, crashed_at, in_flight = _crash_site(walk, point, plan, pending)
+    crashed_at, in_flight = _crash_site(walk, point, pending)
+    injector = FaultInjector(plan)
+    injector.trail = walk.injector.trail[:point]
+    if crashed_at is not None:
+        injector.fired.append(("crash", *crashed_at))
     return manager, injector, committed, pending, checkpoints, crashed_at, in_flight
 
 
 def _crash_recovery(manager: RecoveryManager, recover: Callable[[], Any],
-                    seed: int, hook: str = "*") -> bool:
+                    hook: str = "*") -> bool:
     """Run ``recover`` with a crash armed at the first crossing of
     ``hook``; when it fires, crash ``manager`` there.  Returns whether it
-    fired."""
-    plan = FaultPlan.of(FaultSpec(FaultKind.CRASH, hook=hook), seed=seed)
+    fired.  The plan needs no seed: a crash-only plan draws nothing."""
+    plan = FaultPlan.of(FaultSpec(FaultKind.CRASH, hook=hook))
     manager.set_fault_callback(FaultInjector(plan).reached)
     try:
         recover()
@@ -521,7 +523,6 @@ def _crash_recovery(manager: RecoveryManager, recover: Callable[[], Any],
 
 def recover_with_recrash(
     manager: RecoveryManager,
-    seed: int,
     hook: str = "*",
     recover: Optional[Callable[[], Any]] = None,
 ) -> bool:
@@ -533,7 +534,7 @@ def recover_with_recrash(
     whether the armed crash fired.
     """
     recover = recover or manager.recover
-    if _crash_recovery(manager, recover, seed, hook):
+    if _crash_recovery(manager, recover, hook):
         recover()
         return True
     return False
@@ -559,15 +560,15 @@ def _judge(
     arch: str,
     plan: FaultPlan,
     observed: _Observed,
-    injector: FaultInjector,
     committed: Dict[int, bytes],
     pending: Dict[int, Dict[int, bytes]],
     checkpoints: List[Any],
     crashed_at: Optional[Tuple[str, int]],
     in_flight: Optional[Dict[int, bytes]],
-) -> ScenarioResult:
-    """Judge one recovery pass against this scenario's own oracle: the rest
-    of a :func:`run_prefix` result, which is never mutated."""
+) -> Tuple[str, List[Dict[str, Any]]]:
+    """``(outcome, violations)`` of one recovery pass, judged against this
+    scenario's own oracle: the rest of a :func:`run_prefix` result, which
+    is never mutated."""
     outcome, violations = _verify(
         arch, plan, observed.pages, committed, in_flight, pending, crashed_at
     )
@@ -588,18 +589,7 @@ def _judge(
             "second crash/recover round changed stable state",
         ))
         outcome = "violation"
-    return ScenarioResult(
-        architecture=arch,
-        plan=plan,
-        crashed_at=crashed_at,
-        outcome=outcome,
-        violations=violations,
-        dump=observed.dump,
-        crossings=injector.crossings,
-        checkpoints_completed=len(checkpoints),
-        hooks=sorted(injector.hooks_seen),
-        recovery_timeline=list(observed.timeline),
-    )
+    return outcome, violations
 
 
 @functools.lru_cache(maxsize=None)
@@ -611,27 +601,15 @@ def _crash_invisible(kind: type) -> Tuple[str, ...]:
     )
 
 
-def _set_invisible(manager: RecoveryManager, values: Iterable[Any]) -> List[Any]:
-    """Assign ``values`` to the declared crash-invisible fields of
-    ``manager`` and its stable storage, in declaration order; returns the
-    values they held."""
-    values = iter(values)
-    old = []
+def _crash_visible(manager: RecoveryManager) -> bytes:
+    """The pickle of a crashed ``manager`` once its crash-invisible fields
+    are set to 0 in place: every manager pickles once crashed, with no
+    fault callback.  Nothing restores them, for they are write-only
+    counters and the caller recovers this manager or drops it."""
     for owner in (manager, manager.stable):
         for name in _crash_invisible(type(owner)):
-            old.append(getattr(owner, name))
-            setattr(owner, name, next(values))
-    return old
-
-
-def _crash_visible(manager: RecoveryManager) -> Tuple[bytes, List[Any]]:
-    """The pickle of a crashed ``manager`` with its crash-invisible fields
-    set to None, and the values they keep: every manager pickles once
-    crashed, with no fault callback."""
-    real = _set_invisible(manager, itertools.repeat(None))
-    state = pickle.dumps(manager, pickle.HIGHEST_PROTOCOL)
-    _set_invisible(manager, real)
-    return state, real
+            setattr(owner, name, 0)
+    return pickle.dumps(manager, pickle.HIGHEST_PROTOCOL)
 
 
 def run_scenario(
@@ -640,7 +618,6 @@ def run_scenario(
     plan: FaultPlan,
     n_transactions: int = DEFAULT_TRANSACTIONS,
     n_pages: int = DEFAULT_PAGES,
-    checkpoint_every: Optional[int] = DEFAULT_CHECKPOINT_EVERY,
 ) -> ScenarioResult:
     """Run one (seed, plan) scenario: plain recovery, then a re-crash pass.
 
@@ -652,33 +629,45 @@ def run_scenario(
     first time either pass reaches it, and judges every later scenario
     that reaches it from that observation.
     """
-    ops = _script(seed, n_transactions, n_pages, checkpoint_every)
+    ops = _script(seed, n_transactions, n_pages, DEFAULT_CHECKPOINT_EVERY)
     walk, point = _walk(arch, ops, plan)
     sweep = _sweep(arch, ops)
-    fork = (walk.forks.get(point), plan.seed)
+    fork = walk.forks.get(point)
     manager = None
-    if fork[0] is not None and sweep.last is not None and sweep.last[0] == fork:
+    if fork is not None and sweep.last is not None and sweep.last[0] == fork:
         # The same fork as the last one keyed: the same crashed state.
-        key, real, books = sweep.last[1:]
+        key, books = sweep.last[1:]
     else:
         manager, books = _load(walk, point)
-        state, real = _crash_visible(manager)
-        key = (state, plan.seed, n_pages)
+        key = (_crash_visible(manager), n_pages)
     _tids, committed, pending, checkpoints = books
-    injector, crashed_at, in_flight = _crash_site(walk, point, plan, pending)
-    shared = (injector, committed, pending, checkpoints, crashed_at, in_flight)
-    plain = _judge(arch, plan, sweep.visit(key, manager), *shared)
+    crashed_at, in_flight = _crash_site(walk, point, pending)
+    shared = (committed, pending, checkpoints, crashed_at, in_flight)
+    observed = sweep.visit(key, manager)
+    outcome, violations = _judge(arch, plan, observed, *shared)
     # Only a key already visited may serve the next byte-equal fork.
-    sweep.last = (fork, key, real, books)
-    recrash = _judge(arch, plan, sweep.recrash(key, real), *shared)
-    if recrash.dump != plain.dump:
-        plain.violations.append(_violation(
-            "recrash-divergence", arch, plan, plain.crashed_at,
+    sweep.last = (fork, key, books)
+    recrashed = sweep.recrash(key)
+    if recrashed.dump != observed.dump:
+        violations.append(_violation(
+            "recrash-divergence", arch, plan, crashed_at,
             "re-crash during recovery converged to a different state",
         ))
-        plain.outcome = "violation"
-    plain.violations.extend(recrash.violations)
-    return plain
+        outcome = "violation"
+    violations.extend(_judge(arch, plan, recrashed, *shared)[1])
+    crossings = walk.injector.crossings if point is None else point
+    return ScenarioResult(
+        architecture=arch,
+        plan=plan,
+        crashed_at=crashed_at,
+        outcome=outcome,
+        violations=violations,
+        dump=observed.dump,
+        crossings=crossings,
+        checkpoints_completed=len(checkpoints),
+        hooks=sorted(name for name, first in walk.seen.items() if first <= crossings),
+        recovery_timeline=list(observed.timeline),
+    )
 
 
 # -- the full sweep -----------------------------------------------------------
@@ -746,7 +735,6 @@ def run_crashtest(
     n_transactions: int = DEFAULT_TRANSACTIONS,
     n_pages: int = DEFAULT_PAGES,
     budget: Optional[int] = None,
-    checkpoint_every: Optional[int] = DEFAULT_CHECKPOINT_EVERY,
 ) -> CrashTestReport:
     """Crash ``arch`` at every hook crossing of a seeded workload.
 
@@ -756,8 +744,7 @@ def run_crashtest(
     woven into the workload put every ``checkpoint.*`` and
     architecture-specific compaction hook in the crash population.
     """
-    baseline = run_scenario(arch, seed, FaultPlan.of(seed=seed), n_transactions,
-                            n_pages, checkpoint_every)
+    baseline = run_scenario(arch, seed, FaultPlan.of(seed=seed), n_transactions, n_pages)
     points = list(range(1, baseline.crossings + 1))
     if budget is not None and budget < len(points):
         sampler = RandomStreams(seed).stream("crashtest.points")
@@ -768,7 +755,7 @@ def run_crashtest(
     phase_counts = Counter(baseline.recovery_timeline)
     for point in points:
         plan = FaultPlan.of(FaultSpec(FaultKind.CRASH, hook="*", occurrence=point), seed=seed)
-        result = run_scenario(arch, seed, plan, n_transactions, n_pages, checkpoint_every)
+        result = run_scenario(arch, seed, plan, n_transactions, n_pages)
         outcomes[result.outcome] += 1
         violations.extend(result.violations)
         hasher.update(result.dump.encode())

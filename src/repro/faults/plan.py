@@ -126,20 +126,3 @@ class FaultPlan(NamedTuple):
             specs=tuple(FaultSpec.from_dict(s) for s in data.get("specs", ())),
             seed=data.get("seed", 0),
         )
-
-    def describe(self) -> str:
-        lines = [f"fault plan (seed={self.seed}, {len(self.specs)} spec(s)):"]
-        for spec in self.specs:
-            where = []
-            if spec.hook is not None:
-                where.append(f"hook={spec.hook!r} x{spec.occurrence}")
-            if spec.at_time is not None:
-                where.append(f"at t={spec.at_time}")
-            if spec.target is not None:
-                where.append(f"target={spec.target}")
-            if spec.probability:
-                where.append(f"p={spec.probability}")
-            if spec.repair_after is not None:
-                where.append(f"repair+{spec.repair_after}")
-            lines.append(f"  - {spec.kind.value}: {', '.join(where) or 'always'}")
-        return "\n".join(lines)

@@ -340,7 +340,7 @@ def run_media_scenario(
             if not crash_during_restore:
                 manager.recover_from_media_failure()
             elif not recover_with_recrash(
-                manager, seed, "media.*", manager.recover_from_media_failure
+                manager, "media.*", manager.recover_from_media_failure
             ):
                 outcome.violations.append(
                     "restore crossed no media.* fault point to crash at"

@@ -137,6 +137,7 @@ class DifferentialFileManager(ArchiveDumpMixin, RecoveryManager):
     def _do_commit(self, tid: int) -> None:
         adds = self._txn_adds.pop(tid)
         dels = self._txn_dels.pop(tid)
+        self._txn_row_counter.pop(tid, None)
         if not adds and not dels:
             return
         # Append the tid-tagged runs, then the single commit record.  A

@@ -3,8 +3,10 @@
 ``PAPER`` may be reshaped, but no published number may move: each table's
 sorted numeric leaves are pinned by count and sha256.  A fresh run of
 two sampled tables at the benchmark settings must reproduce the rows held
-in the committed ``BENCH_table02.json`` and ``BENCH_table08.json``, so a
-model change fails here, not only in ``bench-diff``.  And every committed
+in the committed ``BENCH_table02.json`` and ``BENCH_table08.json``, and a
+fresh run of the crash-sweep host counts every count held in
+``BENCH_host_counts.json``, so a model or harness change fails here, not
+only in ``bench-diff``.  And every committed
 grid, rebuilt from its ``BENCH_<name>.json``, must pass its own check (for
 a table grid, the paper's shape), so a re-baselined grid cannot quietly
 lose a conclusion.
@@ -65,6 +67,19 @@ def test_paper_numbers_pinned(table):
 def test_fresh_run_matches_committed_grid(grid, table_func):
     committed = _committed(GRIDS[grid]).cells[0].detail["rows"]
     assert table_func(BENCH_SETTINGS)["rows"] == committed
+
+
+def test_fresh_crash_sweep_counts_match_committed_grid():
+    """All five host counts of the crash-sweep cell, not only the grid's
+    primary ``checksums``: a harness change that recovers another number
+    of states, or crosses another number of hooks, fails here."""
+    grid = GRIDS["host_counts"]
+    (cell,) = grid.cells()
+    committed = _committed(grid).cells[0].metrics
+    assert sorted(committed) == [
+        "checksums", "crossings", "recovery_runs", "states_observed", "units",
+    ]
+    assert grid.runner(grid.run_params(cell), cell.seed) == committed
 
 
 @pytest.mark.parametrize("grid", list(GRIDS.values()), ids=list(GRIDS))

@@ -511,6 +511,43 @@ class TestSharedPrefixMatchesReference:
         reference_run_scenario("wal", 5, _crash_at(15, 5))
         assert built == ["wal", "wal"]
 
+    def test_crash_points_build_no_injector(self, monkeypatch):
+        # Injectors belong to walks (each walk's own, plus a clock for a
+        # plan off the sweep walk) and to the re-crash edges followed;
+        # a crash point itself builds none, however many a sweep has.
+        made, clocked, edges = [], [], []
+
+        def counting_init(injector, *args, **kwargs):
+            made.append(injector)
+            init(injector, *args, **kwargs)
+
+        def counting_walk(walk, arch, ops, clock=None):
+            clocked.append(clock is not None)
+            walk_init(walk, arch, ops, clock)
+
+        def counting_crash_recovery(*args):
+            edges.append(args)
+            return crash_recovery(*args)
+
+        init, walk_init = FaultInjector.__init__, harness._Walk.__init__
+        crash_recovery = harness._crash_recovery
+        monkeypatch.setattr(FaultInjector, "__init__", counting_init)
+        monkeypatch.setattr(harness._Walk, "__init__", counting_walk)
+        monkeypatch.setattr(harness, "_crash_recovery", counting_crash_recovery)
+        for arch in ARCH_NAMES:
+            harness._SWEEPS.clear()
+            for budget in (10, None):
+                made.clear()
+                clocked.clear()
+                edges.clear()
+                report = run_crashtest(arch, 5, budget=budget)
+                # The baseline's own walk and its clock, and one sweep walk.
+                assert clocked == [True, False]
+                assert len(made) == len(clocked) + sum(clocked) + len(edges)
+                assert len(edges) <= len(harness._SWEEPS[arch].recrashed)
+            # Edges are followed once per distinct state, not per point.
+            assert len(harness._SWEEPS[arch].recrashed) < len(report.points_tested)
+
 
 #: The reference, memoised for the sweeps that revisit the same points.
 _cached_reference = functools.lru_cache(maxsize=None)(reference_run_scenario)
@@ -690,7 +727,7 @@ def test_recover_with_recrash_reports_an_uncrossed_hook():
     manager, *_shared = run_prefix("wal", _ops(5), _crash_at(15, 5))
     clone = _clone_crashed(manager)
     manager.recover()
-    assert recover_with_recrash(clone, 5, hook="no.such.hook") is False
+    assert recover_with_recrash(clone, hook="no.such.hook") is False
     assert state_dump(clone) == state_dump(manager)
 
 
@@ -708,8 +745,9 @@ def _count_recoveries(monkeypatch) -> list:
 
 
 def _key(manager: RecoveryManager) -> bytes:
-    """The crash-visible pickle that keys ``manager``'s crashed state."""
-    return harness._crash_visible(manager)[0]
+    """The crash-visible pickle that keys ``manager``'s crashed state; its
+    crash-invisible fields are left at 0."""
+    return harness._crash_visible(manager)
 
 
 class TestRecoveryMemo:
@@ -734,7 +772,7 @@ class TestRecoveryMemo:
                 states.append(pickle.dumps(manager, pickle.HIGHEST_PROTOCOL))
                 keys.append(_key(manager))
             visited = harness._SWEEPS[arch].visited
-            roots = {(key, 5, harness.DEFAULT_PAGES) for key in keys}
+            roots = {(key, harness.DEFAULT_PAGES) for key in keys}
             # One recovery per distinct state: every distinct root, plus
             # each new state a root's re-crash edge leads to.
             assert len(calls) == len(visited)
@@ -802,12 +840,10 @@ class TestRecoveryMemo:
             for point in range(1, total + 1):
                 plan = _crash_at(point, 5)
                 run_scenario(name, 5, plan)
-                manager, *shared = run_prefix(name, _ops(5), plan)
-                state, real = harness._crash_visible(manager)
-                served = harness._SWEEPS[name].recrashed[(state, 5, pages)]
-                clone = pickle.loads(state)
-                harness._set_invisible(clone, real)
-                recover_with_recrash(clone, 5)
+                manager, _injector, *books = run_prefix(name, _ops(5), plan)
+                clone = _clone_crashed(manager)
+                served = harness._SWEEPS[name].recrashed[(_key(manager), pages)]
+                recover_with_recrash(clone)
                 dump = state_dump(clone)
                 pages_read = {page: clone.read_committed(page) for page in range(pages)}
                 checkpoints = clone.stable.file_length(CHECKPOINT_FILE)
@@ -817,8 +853,9 @@ class TestRecoveryMemo:
                     pages_read, checkpoints, dump, state_dump(clone) == dump,
                     served.timeline,
                 )
-                assert harness._judge(name, plan, served, *shared) == harness._judge(
-                    name, plan, reference, *shared
+                assert served == reference, (name, point)
+                assert harness._judge(name, plan, served, *books) == harness._judge(
+                    name, plan, reference, *books
                 ), (name, point)
 
     def test_an_entry_serves_only_its_own_key(self, monkeypatch):
@@ -840,7 +877,7 @@ class TestRecoveryMemo:
             (7, fresh, pages, None),  # another script, the same key: a new sweep
             (5, fresh, 4, None),  # page count: a new script
             (5, fresh, pages, None),  # page count: a new sweep again
-            (5, _crash_at(1, 6), pages, None),  # re-crash seed
+            (5, _crash_at(1, 6), pages, None),  # the plan's seed only, the same key
             (5, _crash_at(40, 6), pages, None),  # crashed state
             # declared crash-invisible fields only, the same key
             (5, _crash_at(40, 6), pages, bump("_next_tid", "page_reads", "records_read")),
@@ -865,7 +902,7 @@ class TestRecoveryMemo:
             before = len(calls)
             results.append(run_scenario("wal", seed, plan, n_pages=n_pages))
             served.append(len(calls) == before)
-        assert served == [False, False, False, False, False, False, True, False]
+        assert served == [False, False, False, False, True, False, True, False]
         for (seed, plan, n_pages, edit), result in zip(runs, results):
             harness._SWEEPS.clear()
             assert run_scenario("wal", seed, plan, n_pages=n_pages) == result
@@ -901,11 +938,11 @@ class TestRecoveryMemo:
 
 def _perturb_invisible(manager: RecoveryManager) -> None:
     """Give every declared crash-invisible field a value it never held."""
-    real = harness._set_invisible(manager, itertools.repeat(None))
-    assert real
-    harness._set_invisible(
-        manager, [value + 7919 + offset for offset, value in enumerate(real)]
-    )
+    offsets = itertools.count()
+    for owner in (manager, manager.stable):
+        for name in harness._crash_invisible(type(owner)):
+            setattr(owner, name, getattr(owner, name) + 7919 + next(offsets))
+    assert next(offsets)
 
 
 class TestCrashInvisibleFields:
@@ -928,8 +965,11 @@ class TestCrashInvisibleFields:
                     _perturb_invisible(moved)
                     if recrash:
                         for copy in (moved, kept):
-                            harness._crash_recovery(copy, copy.recover, 5)
-                        assert _key(moved) == _key(kept), (name, point)
+                            harness._crash_recovery(copy, copy.recover)
+                        # Keyed on copies: a key leaves its fields at 0.
+                        assert _key(_clone_crashed(moved)) == _key(
+                            _clone_crashed(kept)
+                        ), (name, point)
                     assert harness._recover(moved, pages) == harness._recover(
                         kept, pages
                     ), (name, point, recrash)

@@ -164,3 +164,14 @@ class TestPageAdapter:
             diff.commit(tid)
         a, d = diff.differential_sizes()
         assert a == 3 and d == 2  # each rewrite deletes the previous row
+
+    def test_resolved_transactions_leave_no_row_counter(self, diff):
+        # Commit and abort both drop the transaction's version-stamp
+        # counter; a crash is not needed to free it.
+        for resolve in (diff.commit, diff.abort, diff.commit):
+            tid = diff.begin()
+            diff.write(tid, 1, b"v%d" % tid)
+            resolve(tid)
+        read_only = diff.begin()
+        diff.commit(read_only)
+        assert diff._txn_row_counter == {}

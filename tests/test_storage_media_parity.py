@@ -116,7 +116,7 @@ class TestCrashDuringRestore:
         manager.dump()
         # The restore crashes mid-way and re-runs: the archive is intact.
         assert recover_with_recrash(
-            manager, 1, "media.restore.*", manager.recover_from_media_failure
+            manager, "media.restore.*", manager.recover_from_media_failure
         )
         assert manager.read_committed(1) == b"one"
         assert manager.read_committed(2) == b"two"
