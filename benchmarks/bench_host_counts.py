@@ -21,13 +21,17 @@ The ``crash-sweep`` cell counts
 * ``states_observed`` — crashed states whose recovery the crash harness
   observed;
 * ``recovery_runs`` — ``RecoveryManager.recover`` calls, interrupted
-  ones included.
+  ones included;
+* ``pickles`` — pickle encodes and decodes: the crash harness's crashed
+  views (:func:`~repro.faults.harness._view`), any ``pickle.dumps`` and
+  every ``pickle.loads``.
 """
 
 import collections
 import contextlib
 import importlib.util
 import os
+import pickle
 import sys
 from typing import Any, Callable, Dict, Iterator
 from unittest import mock
@@ -78,6 +82,7 @@ COUNTED = {
     "crossings": [(FaultInjector, "reached")],
     "states_observed": [(harness, "_recover")],
     "recovery_runs": [(RecoveryManager, "recover")],
+    "pickles": [(harness, "_view"), (pickle, "dumps"), (pickle, "loads")],
 }
 
 

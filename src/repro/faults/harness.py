@@ -20,9 +20,12 @@ it: replay with :func:`run_scenario` or ``repro crashtest --plan``.
 
 from __future__ import annotations
 
+import copy
+import copyreg
 import dataclasses
 import functools
 import hashlib
+import io
 import itertools
 import json
 import pickle
@@ -35,7 +38,9 @@ from repro.registry import ARCHITECTURES
 from repro.sim.rng import RandomStreams
 from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.storage.interface import RecoveryManager
+from repro.storage.interface import RecoveryManager, declared_fields
+from repro.storage.logcore import BufferedLog
+from repro.storage.stable import StableStorage
 
 __all__ = [
     "ARCHITECTURES",
@@ -322,13 +327,15 @@ class _Walk:
     """One live run of an op script, forked at hook crossings.
 
     It applies each op once, crossing hooks through an injector that never
-    fires.  At each crossing from ``first`` on it forks: it pickles the
-    manager and the oracle's books (``tids``, ``committed``, ``pending``,
-    ``checkpoints``), callback detached.  It keeps only the forks of the
-    last op applied, and the crossing where it first saw each hook name.
-    A ``clock`` moves ``first`` to the crossing where its plan's crash
-    falls due.  Loaded and crashed, a fork is the state a crash raised
-    there leaves (docs/FAULTS.md).
+    fires.  At each crossing from ``first`` on it forks: it keeps the
+    manager's crashed view (:func:`_view`), the real values of its
+    crash-invisible fields and a copy of the oracle's books (``committed``,
+    ``pending``, ``checkpoints``), made once per op: no op changes them
+    before its manager call returns.  It keeps only the forks of the last
+    op applied, and the crossing where it first saw each hook name.  A
+    ``clock`` moves ``first`` to the crossing where its plan's crash falls
+    due.  Loaded, a fork is the state a crash raised there leaves
+    (docs/FAULTS.md).
     """
 
     def __init__(self, arch: str, ops: Sequence[Tuple],
@@ -340,8 +347,11 @@ class _Walk:
         self.applied = 0
         self.first = float("inf")
         self.clock = clock
-        self.forks: Dict[int, bytes] = {}
+        #: Crossing (None: the script's end) -> (view, invisible values, books).
+        self.forks: Dict[Optional[int], Tuple] = {}
+        self.snapshot: Optional[Tuple] = None
         self.seen: Dict[str, int] = {}
+        self.invisible = _invisible(self.manager)
 
     def _cross(self, name: str) -> None:
         self.injector.reached(name)
@@ -350,19 +360,23 @@ class _Walk:
         if self.clock is not None and self.clock.poll(name):
             self.first, self.clock = self.injector.crossings, None
         if self.injector.crossings >= self.first:
-            self.fork()
+            self.fork(self.injector.crossings)
 
-    def fork(self) -> None:
-        self.manager.set_fault_callback(None)
-        self.forks[self.injector.crossings] = pickle.dumps(
-            (self.manager, *self.books), pickle.HIGHEST_PROTOCOL)
-        self.manager.set_fault_callback(self._cross)
+    def fork(self, point: Optional[int]) -> None:
+        if self.snapshot is None:
+            _tids, committed, pending, checkpoints = self.books
+            pending = {slot: dict(writes) for slot, writes in pending.items()}
+            self.snapshot = (dict(committed), pending, list(checkpoints))
+        self.forks[point] = (_view(self.manager),
+                             tuple(getattr(o, name) for o, name in self.invisible),
+                             self.snapshot)
 
     def advance(self) -> None:
         """Apply ops until the op holding crossing ``first`` has run, or
         the script ends."""
         while self.applied < len(self.ops) and self.injector.crossings < self.first:
             self.forks.clear()
+            self.snapshot = None
             self.manager.set_fault_callback(self._cross)
             self._cross("op-boundary")
             apply_op(self.manager, self.ops[self.applied], *self.books)
@@ -373,33 +387,32 @@ class _Walk:
 class _Sweep:
     """One architecture's crash sweep over one op script.
 
-    It holds the live walk of the script, the last fork
-    :func:`run_scenario` keyed, and the visited set, keyed by a crashed
-    state's crash-visible pickle and page count.  All are valid only for
-    the script and ``ARCHITECTURES[arch]`` they were made with, compared
-    by identity.
+    It holds the live walk of the script and the visited set, keyed by a
+    crashed state's crashed view.  Both are valid only for the script and
+    ``ARCHITECTURES[arch]`` they were made with, compared by identity.
     """
 
     def __init__(self, ops: Tuple[Tuple, ...], factory: Optional[Callable]) -> None:
         self.ops = ops
         self.factory = factory
         self.walk: Optional[_Walk] = None
-        #: ``(fork, key, books)``.
-        self.last: Optional[Tuple] = None
-        #: Crash-visible state -> observation of its uninterrupted recovery.
-        self.visited: Dict[tuple, _Observed] = {}
-        #: Root state -> the observation its re-crash edge leads to.
-        self.recrashed: Dict[tuple, _Observed] = {}
+        #: Crashed view -> observation of its uninterrupted recovery.
+        self.visited: Dict[bytes, _Observed] = {}
+        #: Root view -> the observation its re-crash edge leads to.
+        self.recrashed: Dict[bytes, _Observed] = {}
 
-    def visit(self, key: tuple, manager: Optional[RecoveryManager]) -> _Observed:
-        """``key``'s observation; recovers ``manager``, crashed in that
-        state, only on the first visit."""
+    def visit(self, key: bytes, n_pages: int,
+              manager: Optional[RecoveryManager] = None) -> _Observed:
+        """``key``'s observation; on the first visit only, recovers
+        ``manager``, crashed in that state, or else ``key`` loaded."""
         observed = self.visited.get(key)
         if observed is None:
-            observed = self.visited[key] = _recover(manager, key[1])
+            if manager is None:
+                manager = pickle.loads(key)
+            observed = self.visited[key] = _recover(manager, n_pages)
         return observed
 
-    def recrash(self, key: tuple) -> _Observed:
+    def recrash(self, key: bytes, n_pages: int) -> _Observed:
         """Follow the re-crash edge out of root ``key``: crash its recovery
         at the first hook crossing and visit the state that leaves.  A
         recovery that crosses no hook has nothing to crash, so the edge
@@ -408,10 +421,9 @@ class _Sweep:
         if observed is None:
             observed = self.visited[key]
             if observed.timeline:
-                state, n_pages = key
-                clone = pickle.loads(state)
+                clone = pickle.loads(key)
                 _crash_recovery(clone, clone.recover)
-                observed = self.visit((_crash_visible(clone), n_pages), clone)
+                observed = self.visit(_view(clone), n_pages, clone)
             self.recrashed[key] = observed
         return observed
 
@@ -433,7 +445,7 @@ def _sweep(arch: str, ops: Tuple[Tuple, ...]) -> _Sweep:
 def _walk(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple[_Walk, Optional[int]]:
     """A walk of ``ops`` that kept the fork where ``plan``'s crash fires,
     and that crossing; None if the script ends first, the walk then being
-    the caller's.
+    the caller's, forked at the script's end.
 
     Crash specs that all name ``*`` fire at their least occurrence, on
     the architecture's sweep when ``ops`` is a tuple script; a point
@@ -458,18 +470,41 @@ def _walk(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple[_Walk, Opti
         walk = _Walk(arch, ops, FaultInjector(plan))
         walk.advance()
         point = walk.first
-    return walk, point if point in walk.forks else None
+    if point not in walk.forks:
+        point = walk.snapshot = None
+        walk.fork(None)
+    return walk, point
 
 
-def _load(walk: _Walk, point: Optional[int]) -> Tuple[RecoveryManager, List[Any]]:
-    """The manager and books at ``point``'s fork (at the script's end if
-    None), crashed."""
-    if point is None:
-        manager, *books = walk.manager, *walk.books
-    else:
-        manager, *books = pickle.loads(walk.forks[point])
-    manager.crash()
-    return manager, books
+def _crashed(owner: Any) -> Tuple:
+    """Reduce ``owner`` as ``crash()`` leaves it: its ``crash_volatile``
+    fields empty, its ``crash_invisible`` fields 0 and, for a manager,
+    crashed with no fault callback.  ``owner`` itself is not touched."""
+    kind = type(owner)
+    state = dict(vars(owner))
+    for name in declared_fields(kind, "crash_volatile"):
+        state[name] = type(state[name])()
+    state.update(dict.fromkeys(declared_fields(kind, "crash_invisible"), 0))
+    if isinstance(owner, RecoveryManager):
+        state.update(_crashed=True, _fault_callback=None)
+    return copyreg.__newobj__, (kind,), state
+
+
+def _view(manager: RecoveryManager) -> bytes:
+    """The crashed view: one pickle of ``manager`` as ``crash()`` would leave
+    it, crash-invisible fields at 0.  It keys the state and loads as it."""
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = dict.fromkeys(
+        (type(manager), StableStorage, BufferedLog), _crashed)
+    pickler.dump(manager)
+    return buffer.getvalue()
+
+
+def _invisible(manager: RecoveryManager) -> List[Tuple[Any, str]]:
+    """``(owner, field)`` per crash-invisible field of ``manager`` and its storage."""
+    return [(owner, name) for owner in (manager, manager.stable)
+            for name in declared_fields(type(owner), "crash_invisible")]
 
 
 def _crash_site(walk: _Walk, point: Optional[int],
@@ -489,13 +524,17 @@ def run_prefix(arch: str, ops: Sequence[Tuple], plan: FaultPlan) -> Tuple:
     """Run ``ops`` on an ``arch`` manager until ``plan``'s crash; crash it.
 
     Returns ``(manager, injector, committed, pending, checkpoints,
-    crashed_at, in_flight)``: the crashed manager (the fork at the crash's
-    crossing of a live walk of ``ops``), what its run crossed, and the
-    committed-prefix oracle's state at the crash.  A pure function of
+    crashed_at, in_flight)``: the crashed manager (a live walk's crashed view
+    at the crash's crossing, loaded, its crash-invisible fields restored),
+    what its run crossed and the oracle's state at the crash.  A pure function of
     ``(arch, ops, plan)``: managers draw only from seeded streams.
     """
     walk, point = _walk(arch, ops, plan)
-    manager, (_tids, committed, pending, checkpoints) = _load(walk, point)
+    view, values, books = walk.forks[point]
+    manager = pickle.loads(view)
+    for (owner, name), value in zip(_invisible(manager), values):
+        setattr(owner, name, value)
+    committed, pending, checkpoints = copy.deepcopy(books)
     crashed_at, in_flight = _crash_site(walk, point, pending)
     injector = FaultInjector(plan)
     injector.trail = walk.injector.trail[:point]
@@ -592,26 +631,6 @@ def _judge(
     return outcome, violations
 
 
-@functools.lru_cache(maxsize=None)
-def _crash_invisible(kind: type) -> Tuple[str, ...]:
-    """Every ``crash_invisible`` field ``kind`` and its bases declare."""
-    return tuple(
-        name for klass in kind.__mro__
-        for name in vars(klass).get("crash_invisible", ())
-    )
-
-
-def _crash_visible(manager: RecoveryManager) -> bytes:
-    """The pickle of a crashed ``manager`` once its crash-invisible fields
-    are set to 0 in place: every manager pickles once crashed, with no
-    fault callback.  Nothing restores them, for they are write-only
-    counters and the caller recovers this manager or drops it."""
-    for owner in (manager, manager.stable):
-        for name in _crash_invisible(type(owner)):
-            setattr(owner, name, 0)
-    return pickle.dumps(manager, pickle.HIGHEST_PROTOCOL)
-
-
 def run_scenario(
     arch: str,
     seed: int,
@@ -632,22 +651,12 @@ def run_scenario(
     ops = _script(seed, n_transactions, n_pages, DEFAULT_CHECKPOINT_EVERY)
     walk, point = _walk(arch, ops, plan)
     sweep = _sweep(arch, ops)
-    fork = walk.forks.get(point)
-    manager = None
-    if fork is not None and sweep.last is not None and sweep.last[0] == fork:
-        # The same fork as the last one keyed: the same crashed state.
-        key, books = sweep.last[1:]
-    else:
-        manager, books = _load(walk, point)
-        key = (_crash_visible(manager), n_pages)
-    _tids, committed, pending, checkpoints = books
+    key, _values, (committed, pending, checkpoints) = walk.forks[point]
     crashed_at, in_flight = _crash_site(walk, point, pending)
     shared = (committed, pending, checkpoints, crashed_at, in_flight)
-    observed = sweep.visit(key, manager)
+    observed = sweep.visit(key, n_pages)
     outcome, violations = _judge(arch, plan, observed, *shared)
-    # Only a key already visited may serve the next byte-equal fork.
-    sweep.last = (fork, key, books)
-    recrashed = sweep.recrash(key)
+    recrashed = sweep.recrash(key, n_pages)
     if recrashed.dump != observed.dump:
         violations.append(_violation(
             "recrash-divergence", arch, plan, crashed_at,

@@ -17,7 +17,7 @@ Every random decision draws from a ``RandomStreams``-derived stream, so a
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.sim.rng import RandomStreams
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -63,11 +63,6 @@ class FaultInjector:
     def crossings(self) -> int:
         """Total hook crossings so far (the clock "*"-specs count against)."""
         return len(self.trail)
-
-    @property
-    def hooks_seen(self) -> Set[str]:
-        """Distinct hook names this injector has seen cross (coverage map)."""
-        return set(self.trail)
 
     # -- hook crossings -------------------------------------------------------
     def _crash_due(self, name: str) -> bool:

@@ -42,6 +42,7 @@ class DifferentialFileManager(ArchiveDumpMixin, RecoveryManager):
 
     name = "differential-files"
     checkpoint_policy = SnapshotCheckpoint
+    crash_volatile = ("_txn_adds", "_txn_dels", "_txn_row_counter")
 
     _A_FILE = "a_file"
     _D_FILE = "d_file"
@@ -159,11 +160,6 @@ class DifferentialFileManager(ArchiveDumpMixin, RecoveryManager):
         self._txn_row_counter.pop(tid, None)
 
     # -- crash / restart -----------------------------------------------------------------
-    def _on_crash(self) -> None:
-        self._txn_adds.clear()
-        self._txn_dels.clear()
-        self._txn_row_counter.clear()
-
     def _on_recover(self) -> None:
         """Sweep dead records left by a mid-commit crash.
 

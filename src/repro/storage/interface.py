@@ -24,7 +24,8 @@ The contract (checked by the shared property-based tests in
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+import functools
+from typing import Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.checkpoint import (
     CHECKPOINT_FILE,
@@ -35,7 +36,15 @@ from repro.checkpoint import (
 from repro.storage.errors import LockConflict, RecoveryStateError, UnknownTransaction
 from repro.storage.stable import StableStorage
 
-__all__ = ["RecoveryManager"]
+__all__ = ["RecoveryManager", "declared_fields"]
+
+
+@functools.lru_cache(maxsize=None)
+def declared_fields(kind: type, attribute: str) -> Tuple[str, ...]:
+    """Every field ``kind`` and its bases list in their ``attribute``
+    tuple (``crash_volatile`` or ``crash_invisible``)."""
+    return tuple(name for klass in kind.__mro__
+                 for name in vars(klass).get(attribute, ()))
 
 
 class RecoveryManager:
@@ -51,9 +60,12 @@ class RecoveryManager:
 
     #: Fields this class owns that recovery never reads (``begin`` alone
     #: reads the tid allocator).  Each class declares its own; the crash
-    #: harness collects them along the MRO and leaves them out of its
-    #: recovery memo key (docs/FAULTS.md).
+    #: harness's crashed view, which keys its visited set, writes them as
+    #: 0 (docs/FAULTS.md).
     crash_invisible: Tuple[str, ...] = ("_next_tid",)
+    #: Volatile fields this class owns: ``crash()`` empties each one, and
+    #: so does the crash harness's crashed view.  Each class declares its own.
+    crash_volatile: Tuple[str, ...] = ("_active", "_locks")
 
     def __init__(self, stable: Optional[StableStorage] = None):
         self.stable = stable if stable is not None else StableStorage()
@@ -98,8 +110,8 @@ class RecoveryManager:
 
     # -- crash / restart ----------------------------------------------------------
     def crash(self) -> None:
-        """Lose every piece of volatile state (buffer pool, lock table,
-        active transactions, unforced log tails).
+        """Lose every piece of volatile state, the declared ``crash_volatile``
+        fields (buffer pool, lock table, active transactions, log tails).
 
         Idempotent: crashing an already-crashed manager is a no-op beyond
         re-clearing (already empty) volatile state, so a crash that lands
@@ -107,9 +119,13 @@ class RecoveryManager:
         ``recover()``.
         """
         self._crashed = True
-        self._active.clear()
-        self._locks.clear()
-        self._on_crash()
+        for owner in self._volatile_owners():
+            for name in declared_fields(type(owner), "crash_volatile"):
+                getattr(owner, name).clear()
+
+    def _volatile_owners(self) -> Tuple[Any, ...]:
+        """This manager and each part of it that declares ``crash_volatile``."""
+        return (self,)
 
     def recover(self) -> None:
         """Run the architecture's restart algorithm against stable storage.
@@ -182,9 +198,6 @@ class RecoveryManager:
         raise NotImplementedError
 
     def _do_abort(self, tid: int) -> None:
-        raise NotImplementedError
-
-    def _on_crash(self) -> None:
         raise NotImplementedError
 
     def _on_recover(self) -> None:

@@ -51,6 +51,8 @@ class StepClock:
 class BufferedLog:
     """One log: a stable append-only file plus a volatile buffer."""
 
+    crash_volatile = ("buffer",)
+
     def __init__(self, stable: StableStorage, name: str):
         self.stable = stable
         self.name = name
@@ -64,9 +66,6 @@ class BufferedLog:
             self.stable.extend(self.name, self.buffer)
             self.buffer = []
 
-    def lose_volatile(self) -> None:
-        self.buffer = []
-
     def stable_records(self) -> List[Tuple]:
         # read_log: replay trusts only the checksum-clean prefix (the
         # torn-tail stop rule); interior rot raises RecordIntegrityError.
@@ -77,6 +76,8 @@ class LogCore(RecoveryManager):
     """Buffer pool, N-log commit, truncation and fuzzy checkpoint."""
 
     checkpoint_policy = FuzzyCheckpoint
+    crash_volatile = ("_pool", "_page_seq", "_txn_first_before", "_txn_pages",
+                      "_txn_logs", "_page_logs")
 
     #: Hook-name prefix (``wal``, ``cmd``, ``redo``).  The hook names the
     #: shared code crosses are built from it once per class.
@@ -203,15 +204,8 @@ class LogCore(RecoveryManager):
         self._txn_logs.pop(tid, None)
 
     # -- crash / restart -----------------------------------------------------
-    def _on_crash(self) -> None:
-        self._pool.clear()
-        self._page_seq.clear()
-        self._txn_first_before.clear()
-        self._txn_pages.clear()
-        self._txn_logs.clear()
-        self._page_logs.clear()
-        for log in self._logs:
-            log.lose_volatile()
+    def _volatile_owners(self) -> Tuple:
+        return (self, *self._logs)
 
     def _scan_logs(self):
         """Scan each log independently; union commits, group updates by page.

@@ -38,6 +38,7 @@ class OverwritingManager(ArchiveDumpMixin, RecoveryManager):
 
     name = "overwriting"
     checkpoint_policy = FuzzyCheckpoint
+    crash_volatile = ("_txn_writes", "_shadow_saved")
 
     _SCRATCH = "scratch"
     _COMMITTED = "committed_txns"
@@ -137,10 +138,6 @@ class OverwritingManager(ArchiveDumpMixin, RecoveryManager):
         self._fault_point("overwrite.scratch.post-drop")
 
     # -- crash / restart ----------------------------------------------------------------
-    def _on_crash(self) -> None:
-        self._txn_writes.clear()
-        self._shadow_saved.clear()
-
     def _on_recover(self) -> None:
         committed = set(self.stable.read_file(self._COMMITTED))
         applied = set(self.stable.read_file(self._APPLIED))

@@ -33,6 +33,7 @@ class ShadowPageTableManager(ArchiveDumpMixin, RecoveryManager):
 
     name = "shadow-page-table"
     checkpoint_policy = SnapshotCheckpoint
+    crash_volatile = ("_txn_slots",)
 
     _ROOT = "root"
     _TABLE = ("page_table:0", "page_table:1")
@@ -101,9 +102,6 @@ class ShadowPageTableManager(ArchiveDumpMixin, RecoveryManager):
         self._txn_slots.pop(tid, None)
 
     # -- crash / restart ------------------------------------------------------------
-    def _on_crash(self) -> None:
-        self._txn_slots.clear()
-
     def _on_recover(self) -> None:
         # Shadow recovery is trivial: the root names the last committed
         # table.  Restart only reclaims orphaned slots (garbage collection).

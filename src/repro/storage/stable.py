@@ -73,7 +73,7 @@ class StableStorage:
 
     #: Instrumentation that no restart reads: recovery's outcome is a
     #: function of the stored pages and files alone, so the crash
-    #: harness leaves these out of its recovery memo key (docs/FAULTS.md).
+    #: harness's crashed view writes these as 0 (docs/FAULTS.md).
     crash_invisible: Tuple[str, ...] = (
         "page_writes",
         "page_reads",

@@ -30,6 +30,7 @@ class VersionSelectionManager(ArchiveDumpMixin, RecoveryManager):
 
     name = "version-selection"
     checkpoint_policy = QuiescentCheckpoint
+    crash_volatile = ("_txn_writes",)
 
     _COMMITS = "commit_order"
 
@@ -110,9 +111,6 @@ class VersionSelectionManager(ArchiveDumpMixin, RecoveryManager):
         self._txn_writes.pop(tid, None)
 
     # -- crash / restart -----------------------------------------------------------------
-    def _on_crash(self) -> None:
-        self._txn_writes.clear()
-
     def _on_recover(self) -> None:
         """Nothing to do: selection at read time already ignores losers."""
 

@@ -62,6 +62,7 @@ class DistributedWalManager(ArchiveDumpMixin, LogCore):
 
     name = "distributed-wal"
     hook_prefix = "wal"
+    crash_volatile = ("_log_tokens",)
     #: Files on the archive medium, not the data disks (the WAL layout:
     #: page snapshot + continuously-appended log + auxiliary-file snapshot).
     _archive_set = (ARCHIVE_PAGES, "archive_log", ARCHIVE_FILES)
@@ -135,9 +136,8 @@ class DistributedWalManager(ArchiveDumpMixin, LogCore):
         self._fault_point("wal.flush.post-write")
 
     # -- crash / restart ------------------------------------------------------------------
-    def _on_crash(self) -> None:
-        super()._on_crash()
-        self._log_tokens.clear()
+    def crash(self) -> None:
+        super().crash()
         if self._monitor is not None:
             self._monitor.reset()
 

@@ -70,14 +70,16 @@ def test_fresh_run_matches_committed_grid(grid, table_func):
 
 
 def test_fresh_crash_sweep_counts_match_committed_grid():
-    """All five host counts of the crash-sweep cell, not only the grid's
+    """All six host counts of the crash-sweep cell, not only the grid's
     primary ``checksums``: a harness change that recovers another number
-    of states, or crosses another number of hooks, fails here."""
+    of states, crosses another number of hooks or pickles another number
+    of times, fails here."""
     grid = GRIDS["host_counts"]
     (cell,) = grid.cells()
     committed = _committed(grid).cells[0].metrics
     assert sorted(committed) == [
-        "checksums", "crossings", "recovery_runs", "states_observed", "units",
+        "checksums", "crossings", "pickles", "recovery_runs", "states_observed",
+        "units",
     ]
     assert grid.runner(grid.run_params(cell), cell.seed) == committed
 

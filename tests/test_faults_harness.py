@@ -31,7 +31,7 @@ from repro.faults import harness
 from repro.faults.harness import _script, _verify
 from repro.faults.injector import FaultInjector, InjectedCrash
 from repro.sim.rng import RandomStreams
-from repro.storage.interface import RecoveryManager
+from repro.storage.interface import RecoveryManager, declared_fields
 
 ARCH_NAMES = sorted(ARCHITECTURES)
 
@@ -161,9 +161,6 @@ class _InPlaceManager(RecoveryManager):
         pass
 
     def _do_abort(self, tid):
-        pass
-
-    def _on_crash(self):
         pass
 
     def _on_recover(self):
@@ -336,7 +333,7 @@ def _reference_run_once(
         dump=dump,
         crossings=injector.crossings,
         checkpoints_completed=len(checkpoints),
-        hooks=sorted(injector.hooks_seen),
+        hooks=sorted(set(injector.trail)),
         recovery_timeline=recovery_timeline,
     )
 
@@ -386,11 +383,21 @@ def assert_same_prefix(run: Tuple, reference: Tuple) -> None:
     assert books == ref_books
     assert injector.trail == ref_injector.trail
     assert injector.crossings == ref_injector.crossings
-    assert injector.hooks_seen == ref_injector.hooks_seen
+    assert sorted(set(injector.trail)) == sorted(set(ref_injector.trail))
     assert injector.fired == ref_injector.fired
+    assert _invisible_values(manager) == _invisible_values(ref_manager)
     assert state_dump(manager) == state_dump(ref_manager)
     pages = harness.DEFAULT_PAGES
     assert harness._recover(manager, pages) == harness._recover(ref_manager, pages)
+
+
+def _invisible_values(manager: RecoveryManager) -> list:
+    """Every declared crash-invisible field of ``manager`` and its stable
+    storage, by name."""
+    return [
+        (name, getattr(owner, name)) for owner in (manager, manager.stable)
+        for name in declared_fields(type(owner), "crash_invisible")
+    ]
 
 
 _ALL_MANAGERS = pytest.mark.parametrize(
@@ -441,6 +448,56 @@ class TestWalkMatchesReplay:
             assert_same_prefix(run, reference_run_prefix(arch, ops, plan))
 
 
+def reference_view(manager: RecoveryManager) -> bytes:
+    """The crashed view as keyed before :func:`harness._view`: pickle the
+    live manager with its fault callback detached (a fork), load it,
+    ``crash()`` it, set its crash-invisible fields to 0 and pickle it."""
+    crashed = pickle.loads(_fork(manager))
+    crashed.crash()
+    for owner in (crashed, crashed.stable):
+        for name in declared_fields(type(owner), "crash_invisible"):
+            setattr(owner, name, 0)
+    return pickle.dumps(crashed, pickle.HIGHEST_PROTOCOL)
+
+
+def _fork(manager: RecoveryManager) -> bytes:
+    """A pickle of the live ``manager``, its fault callback detached."""
+    callback = manager._fault_callback
+    manager.set_fault_callback(None)
+    fork = pickle.dumps(manager, pickle.HIGHEST_PROTOCOL)
+    manager.set_fault_callback(callback)
+    return fork
+
+
+class TestCrashedView:
+    """The crashed view, one pickle of the live manager, is byte for byte
+    the key a fork gave once loaded, crashed and pickled again, and it
+    leaves the live manager as it was."""
+
+    @pytest.mark.parametrize("seed", [5, 1985, 7])
+    @_ALL_MANAGERS
+    def test_every_crossing(self, arch, seed):
+        with _registered(arch) as name:
+            manager = make_manager(name)
+            books = [{}, {}, {}, []]
+            crossed = []
+
+            def cross(hook):
+                fork = _fork(manager)
+                view = harness._view(manager)
+                assert _fork(manager) == fork, (name, len(crossed))
+                assert view == reference_view(manager), (name, len(crossed))
+                crossed.append(hook)
+
+            manager.set_fault_callback(cross)
+            for op in _ops(seed):
+                cross("op-boundary")
+                apply_op(manager, op, *books)
+            manager.set_fault_callback(None)
+            assert len(crossed) == _crossings(name, seed)
+            assert harness._view(manager) == reference_view(manager)
+
+
 class TestSharedPrefixMatchesReference:
     """Both passes recover one crashed state instead of two replays of it."""
 
@@ -482,9 +539,9 @@ class TestSharedPrefixMatchesReference:
             applied.append(op)
             apply_op(manager, op, *books)
 
-        def counting_fork(walk):
-            forked.append(walk.injector.crossings)
-            fork(walk)
+        def counting_fork(walk, point):
+            forked.append(point)
+            fork(walk, point)
 
         fork = harness._Walk.fork
         ops = _ops(5)
@@ -547,6 +604,41 @@ class TestSharedPrefixMatchesReference:
                 assert len(edges) <= len(harness._SWEEPS[arch].recrashed)
             # Edges are followed once per distinct state, not per point.
             assert len(harness._SWEEPS[arch].recrashed) < len(report.points_tested)
+
+    def test_a_sweep_encodes_each_crossing_once(self, monkeypatch):
+        # One crashed view per crash point, one for the baseline and one
+        # per re-crash edge followed; a decode only for a state the sweep
+        # recovers, or for an edge's root.  Nothing else is pickled.
+        encoded, decoded, edges, other = [], [], [], []
+
+        def counting_view(manager):
+            encoded.append(manager)
+            return view(manager)
+
+        def counting_loads(data, *args, **kwargs):
+            decoded.append(data)
+            return loads(data, *args, **kwargs)
+
+        def counting_crash_recovery(*args):
+            edges.append(args)
+            return crash_recovery(*args)
+
+        view, loads, crash_recovery = harness._view, pickle.loads, harness._crash_recovery
+        monkeypatch.setattr(harness, "_view", counting_view)
+        monkeypatch.setattr(pickle, "loads", counting_loads)
+        monkeypatch.setattr(pickle, "dumps", lambda *args, **kwargs: other.append(args))
+        monkeypatch.setattr(harness, "_crash_recovery", counting_crash_recovery)
+        for arch in ARCH_NAMES:
+            harness._SWEEPS.clear()
+            for counts in (encoded, decoded, edges):
+                counts.clear()
+            report = run_crashtest(arch, 5)
+            sweep = harness._SWEEPS[arch]
+            assert len(encoded) == len(report.points_tested) + 1 + len(edges)
+            assert set(decoded) <= set(sweep.visited)
+            assert len(decoded) <= len(sweep.visited) + len(edges)
+            assert len(edges) <= len(sweep.recrashed) < len(report.points_tested)
+        assert other == []
 
 
 #: The reference, memoised for the sweeps that revisit the same points.
@@ -745,9 +837,8 @@ def _count_recoveries(monkeypatch) -> list:
 
 
 def _key(manager: RecoveryManager) -> bytes:
-    """The crash-visible pickle that keys ``manager``'s crashed state; its
-    crash-invisible fields are left at 0."""
-    return harness._crash_visible(manager)
+    """The crashed view that keys ``manager``'s crashed state."""
+    return harness._view(manager)
 
 
 class TestRecoveryMemo:
@@ -772,7 +863,7 @@ class TestRecoveryMemo:
                 states.append(pickle.dumps(manager, pickle.HIGHEST_PROTOCOL))
                 keys.append(_key(manager))
             visited = harness._SWEEPS[arch].visited
-            roots = {(key, harness.DEFAULT_PAGES) for key in keys}
+            roots = set(keys)
             # One recovery per distinct state: every distinct root, plus
             # each new state a root's re-crash edge leads to.
             assert len(calls) == len(visited)
@@ -842,7 +933,7 @@ class TestRecoveryMemo:
                 run_scenario(name, 5, plan)
                 manager, _injector, *books = run_prefix(name, _ops(5), plan)
                 clone = _clone_crashed(manager)
-                served = harness._SWEEPS[name].recrashed[(_key(manager), pages)]
+                served = harness._SWEEPS[name].recrashed[_key(manager)]
                 recover_with_recrash(clone)
                 dump = state_dump(clone)
                 pages_read = {page: clone.read_committed(page) for page in range(pages)}
@@ -870,8 +961,8 @@ class TestRecoveryMemo:
 
         # Each run differs from the one before in one part of the key, or
         # in its script, only; crashing before the first op leaves a
-        # never-used manager.  An edit changes the crashed manager before
-        # it is keyed.
+        # never-used manager.  An edit changes the live manager at the
+        # crash's crossing, before the walk takes its crashed view.
         runs = [
             (5, fresh, pages, None),
             (7, fresh, pages, None),  # another script, the same key: a new sweep
@@ -884,21 +975,20 @@ class TestRecoveryMemo:
             (5, _crash_at(40, 6), pages, bump("_round_robin")),  # undeclared field
         ]
 
-        def editing_load(walk, point):
-            manager, books = load(walk, point)
-            if edit is not None:
-                edit(manager)
-            return manager, books
+        def editing_fork(walk, point):
+            if edit is not None and point == walk.first:
+                edit(walk.manager)
+            fork(walk, point)
 
-        load = harness._load
-        monkeypatch.setattr(harness, "_load", editing_load)
+        fork = harness._Walk.fork
+        monkeypatch.setattr(harness._Walk, "fork", editing_fork)
         harness._SWEEPS.clear()
         calls = _count_recoveries(monkeypatch)
         results, served = [], []
         for seed, plan, n_pages, edit in runs:
-            # Each run keys its own edited manager, not the last fork's.
+            # Each run forks its own edited walk, not the last one's forks.
             for sweep in harness._SWEEPS.values():
-                sweep.last = None
+                sweep.walk = None
             before = len(calls)
             results.append(run_scenario("wal", seed, plan, n_pages=n_pages))
             served.append(len(calls) == before)
@@ -908,20 +998,10 @@ class TestRecoveryMemo:
             assert run_scenario("wal", seed, plan, n_pages=n_pages) == result
 
     def test_a_failed_recovery_leaves_no_key_to_reuse(self, monkeypatch):
-        # Find a crash point whose fork is byte-equal to the point before
-        # it: run_scenario reuses the last key there and loads nothing.
+        # A crash point whose crashed view equals the point before it's.
         harness._SWEEPS.clear()
-        loads = []
-        load = harness._load
-        monkeypatch.setattr(
-            harness, "_load", lambda walk, point: loads.append(point) or load(walk, point)
-        )
-        point = 1
-        while True:
-            run_scenario("wal", 5, _crash_at(point, 5))
-            if point not in loads:
-                break
-            point += 1
+        keys = [_key(run_prefix("wal", _ops(5), _crash_at(p, 5))[0]) for p in range(1, 40)]
+        point = next(p for p in range(2, 40) if keys[p - 1] == keys[p - 2])
         expected = reference_run_scenario("wal", 5, _crash_at(point, 5))
 
         def failing_recover(manager, n_pages):
@@ -932,15 +1012,18 @@ class TestRecoveryMemo:
         with pytest.raises(RuntimeError, match="recovery failed"):
             run_scenario("wal", 5, _crash_at(point - 1, 5))
         monkeypatch.undo()
-        # The failed point keyed nothing, so this one recovers its own fork.
+        # The failed point left nothing in the visited set, so this one
+        # recovers its own state.
+        calls = _count_recoveries(monkeypatch)
         assert run_scenario("wal", 5, _crash_at(point, 5)) == expected
+        assert calls
 
 
 def _perturb_invisible(manager: RecoveryManager) -> None:
     """Give every declared crash-invisible field a value it never held."""
     offsets = itertools.count()
     for owner in (manager, manager.stable):
-        for name in harness._crash_invisible(type(owner)):
+        for name in declared_fields(type(owner), "crash_invisible"):
             setattr(owner, name, getattr(owner, name) + 7919 + next(offsets))
     assert next(offsets)
 
